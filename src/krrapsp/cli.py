@@ -44,7 +44,6 @@ def _add_common(parser, *, rho: float, lam: float, snr: float, iters: int):
                         help="iteration at which the environment changes")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    parser.add_argument("--jobs", type=int, default=1, help="trial worker processes")
     parser.add_argument("--count-mults", action="store_true",
                         help="append per-category multiplication totals to the header")
 
@@ -106,7 +105,7 @@ def _run_experiment_command(args) -> int:
     config = ExperimentConfig(kind=args.command, scenario=scenario,
                               filters=_filter_specs(args), runs=args.runs,
                               iters=args.iters, seed=args.seed)
-    records = run_experiment(config, jobs=args.jobs)
+    records = run_experiment(config)
     metadata = config_metadata(config)
     if args.count_mults:
         for spec in config.filters:

@@ -1,9 +1,13 @@
 """Monte-Carlo experiment harness with CSV traces.
 
 Runs independent trials of a scenario against a set of filters, averages
-the per-iteration metrics across trials in trial-index order (so output
-is byte-identical regardless of how trials are scheduled), and writes the
-trace as a flat CSV whose header echoes the full configuration.
+the per-iteration metrics across trials in trial-index order, and writes
+the trace as a flat CSV whose header echoes the full configuration.
+
+KRR-APSP filters run all trials in lockstep (:mod:`krrapsp.batch`, fed
+from every trial's scenario stream at once); the other filters run one
+trial after another. Each trial's scenario is seeded and consumed as in a
+trial-by-trial run, so the choice of path does not change the output.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .filters import Cgrrf, KrrApsp, KrrParams, Nlms, Rls
+from .filters import Cgrrf, KrrParams, Nlms, Rls
 from .scenarios import CdmaConfig, CdmaScenario, SysIdConfig, SysIdScenario
 
 ALGORITHMS = ("krr-apsp", "cgrrf", "nlms", "rls")
@@ -93,10 +97,6 @@ def _make_scenario(config: ExperimentConfig, trial_seed: int):
 
 def _make_filter(spec: FilterSpec, n: int, mode: str, signature=None):
     opts = dict(spec.options)
-    if spec.algorithm == "krr-apsp":
-        params = opts.pop("params")
-        h0 = signature if opts.pop("init_from_signature", signature is not None) else None
-        return KrrApsp(params, n, mode=mode, h0=h0, **opts)
     if spec.algorithm == "cgrrf":
         init = signature if opts.pop("init_from_signature", signature is not None) else None
         return Cgrrf(n, mode=mode, init_vector=init, **opts)
@@ -126,17 +126,66 @@ def measure_multiplications(filt, samples):
     return per_step, dict(filt.mult_totals)
 
 
-def _run_trial(config: ExperimentConfig, trial_seed: int) -> dict:
+def _scenario_shape(config: ExperimentConfig, scenario):
+    """Filter length, statistics mode and h0 signature of one trial."""
+    if config.kind == "sysid":
+        return scenario.config.n, "toeplitz", None
+    return scenario.n, "fullsym", scenario.signature
+
+
+METRICS = ("se", "mis", "upd", "mults")
+
+
+def _run_krr_lockstep(config: ExperimentConfig, specs, seeds, sums: dict) -> None:
+    """Run KRR-APSP specs over all trials at once, adding into ``sums``.
+
+    At every step the trials' values are added in trial-index order
+    (``np.add.accumulate`` adds strictly left to right), as
+    :func:`run_experiment` adds per-trial rows.
+    """
+    from .batch import KrrApspBatch, stacked_dot  # only experiments with KRR-APSP need it
+
+    scenarios = [_make_scenario(config, int(s)) for s in seeds]
+    n, mode, _ = _scenario_shape(config, scenarios[0])
+    signatures = (np.stack([sc.signature for sc in scenarios])
+                  if config.kind == "cdma" else None)
+    runs = len(seeds)
+    filters = {}
+    for spec in specs:
+        opts = dict(spec.options)
+        params = opts.pop("params")
+        init = opts.pop("init_from_signature", signatures is not None)
+        filters[spec.label] = KrrApspBatch(params, n, runs, mode=mode,
+                                           h0=signatures if init else None, **opts)
+    streams = [sc.samples(config.iters) for sc in scenarios]
+    u = np.empty((runs, n))
+    d = np.empty(runs)
+    truth = np.empty((runs, n)) if config.kind == "sysid" else None
+    for k in range(config.iters):
+        for i, stream in enumerate(streams):
+            sample = next(stream)
+            u[i] = sample.u
+            d[i] = sample.d
+            if truth is not None:
+                truth[i] = sample.truth_h
+        for label, filt in filters.items():
+            out = filt.step(u, d)
+            err = d - out.y
+            if truth is not None:
+                diff = truth - out.h_full
+                mis = stacked_dot(diff, diff) / stacked_dot(truth, truth)
+            else:
+                mis = np.full(runs, math.nan)
+            for key, vals in zip(METRICS, (err * err, mis, out.updated, out.mults)):
+                sums[label][key][k] = np.add.accumulate(vals.astype(float))[-1]
+
+
+def _run_trial(config: ExperimentConfig, trial_seed: int, specs) -> dict:
     scenario = _make_scenario(config, trial_seed)
-    n = scenario.config.n if config.kind == "sysid" else scenario.n
-    mode = "toeplitz" if config.kind == "sysid" else "fullsym"
-    signature = scenario.signature if config.kind == "cdma" else None
-    filters = {spec.label: _make_filter(spec, n, mode, signature)
-               for spec in config.filters}
+    n, mode, signature = _scenario_shape(config, scenario)
+    filters = {spec.label: _make_filter(spec, n, mode, signature) for spec in specs}
     iters = config.iters
-    acc = {label: {"se": np.zeros(iters), "mis": np.zeros(iters),
-                   "upd": np.zeros(iters), "mults": np.zeros(iters)}
-           for label in filters}
+    acc = {label: {key: np.zeros(iters) for key in METRICS} for label in filters}
     for sample in scenario.samples(iters):
         k = sample.k
         for label, filt in filters.items():
@@ -159,37 +208,32 @@ def _to_db(x: np.ndarray) -> np.ndarray:
         return 10.0 * np.log10(x)
 
 
-def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list:
+def run_experiment(config: ExperimentConfig) -> list:
     """Run all trials and return per-iteration ensemble-averaged records.
 
-    Trials may execute on a worker pool (``jobs > 1``, one process per
-    worker via joblib when available); the reduction always happens in
-    trial-index order, so results do not depend on scheduling.
+    KRR-APSP filters step all trials in lockstep, the other filters run
+    trial by trial; either way the ensemble sums add the trials in
+    trial-index order.
     """
     seeds = trial_seeds(config.seed, config.runs)
-    if jobs > 1:
-        try:
-            from joblib import Parallel, delayed
-            trials = Parallel(n_jobs=jobs)(
-                delayed(_run_trial)(config, int(s)) for s in seeds)
-        except ImportError:
-            trials = [_run_trial(config, int(s)) for s in seeds]
-    else:
-        trials = [_run_trial(config, int(s)) for s in seeds]
+    sums = {spec.label: {key: np.zeros(config.iters) for key in METRICS}
+            for spec in config.filters}
+    krr = [spec for spec in config.filters if spec.algorithm == "krr-apsp"]
+    others = [spec for spec in config.filters if spec.algorithm != "krr-apsp"]
+    if krr:
+        _run_krr_lockstep(config, krr, seeds, sums)
+    if others:
+        for s in seeds:  # fixed order
+            trial = _run_trial(config, int(s), others)
+            for spec in others:
+                for key in METRICS:
+                    sums[spec.label][key] += trial[spec.label][key]
 
     records = []
+    runs = float(config.runs)
     for spec in config.filters:
         label = spec.label
-        se = np.zeros(config.iters)
-        mis = np.zeros(config.iters)
-        upd = np.zeros(config.iters)
-        mults = np.zeros(config.iters)
-        for trial in trials:  # fixed order
-            se += trial[label]["se"]
-            mis += trial[label]["mis"]
-            upd += trial[label]["upd"]
-            mults += trial[label]["mults"]
-        runs = float(config.runs)
+        se, mis, upd, mults = (sums[label][key] for key in METRICS)
         mse_db = _to_db(se / runs)
         mis_db = _to_db(mis / runs) if not np.all(np.isnan(mis)) else np.full(config.iters, math.nan)
         for k in range(config.iters):

@@ -13,7 +13,9 @@ Four algorithms are provided:
 * ``Nlms`` and ``Rls`` - classical full-rank baselines.
 
 Each filter consumes one ``(u, d)`` pair per ``step`` call and reports its
-full-dimension coefficient vector so metrics can be computed uniformly.
+full-dimension coefficient vector so metrics can be computed uniformly;
+a pair with a non-finite entry is rejected before any state changes.
+:mod:`krrapsp.batch` steps R independent ``KrrApsp`` filters in lockstep.
 
 Multiplication accounting
 -------------------------
@@ -28,6 +30,7 @@ bookkeeping slack.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -64,8 +67,10 @@ class KrrParams:
         Relaxation in [0, 2].
     forgetting : float
         Forgetting factor of the statistics estimator.
-    weights : tuple of float, optional
-        q positive weights summing to one; uniform when omitted.
+    weights : sequence of float, optional
+        q positive weights summing to one; uniform when omitted. Stored
+        as a tuple, so parameter sets compare and hash by value; the
+        array view is ``weight_array``.
     """
 
     rank: int
@@ -98,13 +103,21 @@ class KrrParams:
                 raise ValueError("weights must be positive")
             if abs(float(w.sum()) - 1.0) > TOL.weights_sum:
                 raise ValueError("weights must sum to 1")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", tuple(float(x) for x in w))
+
+    @property
+    def weight_array(self) -> np.ndarray:
+        """The weights as a fresh float array."""
+        return np.array(self.weights)
 
 
 @dataclass
 class StepOutput:
-    """Result of one filter step."""
+    """Result of one filter step.
+
+    ``KrrApspBatch`` returns one for R trials at once: each field then has
+    a leading trial axis.
+    """
 
     y: float
     updated: bool
@@ -114,6 +127,20 @@ class StepOutput:
 
 def _zero_counters() -> dict:
     return {"stats": 0, "transform": 0, "filter": 0, "basis": 0, "rebase": 0}
+
+
+def _stats_cost(mode: str, n: int) -> int:
+    # per-sample charge of one statistics update
+    return 4 * n if mode == "toeplitz" else n * n + 3 * n
+
+
+def _checked_sample(u, d, n: int):
+    """Validate one ``(u, d)`` pair; returns ``(u as a vector, float d)``."""
+    v = as_vector(u, n)
+    d = float(d)
+    if not math.isfinite(d):
+        raise ValueError("desired output d must be finite")
+    return v, d
 
 
 class KrrApsp:
@@ -177,11 +204,6 @@ class KrrApsp:
         return self.basis.matrix @ self.h_tilde
 
     # -- internals ---------------------------------------------------------
-
-    def _stats_cost(self) -> int:
-        if self.est.mode == "toeplitz":
-            return 4 * self.n
-        return self.n * self.n + 3 * self.n
 
     def _try_first_build(self) -> None:
         # passthrough until the estimator has seen a filter length's worth
@@ -256,12 +278,11 @@ class KrrApsp:
 
     def step(self, u, d: float) -> StepOutput:
         """Consume one sample pair and advance the filter."""
-        v = as_vector(u, self.n)
-        d = float(d)
+        v, d = _checked_sample(u, d, self.n)
         self._us.appendleft(v.copy())
         self._ds.appendleft(d)
         self.est.update(v, d)
-        stats_mults = self._stats_cost()
+        stats_mults = _stats_cost(self.est.mode, self.n)
         self.mult_totals["stats"] += stats_mults
         mults = stats_mults
 
@@ -291,7 +312,7 @@ class KrrApsp:
         y = ips[0]
 
         q_eff = min(p.projections, ring)
-        w = np.asarray(p.weights[:q_eff], dtype=float)
+        w = p.weight_array[:q_eff]
         w = w / float(w.sum())
 
         f_dir = np.zeros(d_eff)
@@ -462,9 +483,9 @@ class Cgrrf:
         return True
 
     def step(self, u, d: float) -> StepOutput:
-        v = as_vector(u, self.n)
-        self.est.update(v, float(d))
-        stats = 4 * self.n if self.est.mode == "toeplitz" else self.n * self.n + 3 * self.n
+        v, d = _checked_sample(u, d, self.n)
+        self.est.update(v, d)
+        stats = _stats_cost(self.est.mode, self.n)
         self.mult_totals["stats"] += stats
 
         updated = False
@@ -504,13 +525,13 @@ class Nlms:
         return self.update_count / self.steps if self.steps else 0.0
 
     def step(self, u, d: float) -> StepOutput:
-        v = as_vector(u, self.n)
+        v, d = _checked_sample(u, d, self.n)
         y = float(self.h @ v)
         energy = float(v @ v)
         mults = 2 * self.n
         updated = False
         if energy > 0.0:
-            e = float(d) - y
+            e = d - y
             if e != 0.0:
                 self.h = self.h + (self.step_size * e / energy) * v
                 mults += self.n + 2
@@ -553,7 +574,7 @@ class Rls:
         return self.update_count / self.steps if self.steps else 0.0
 
     def step(self, u, d: float) -> StepOutput:
-        v = as_vector(u, self.n)
+        v, d = _checked_sample(u, d, self.n)
         if self._pinv is None:
             if self.delta is None:
                 power = float(v @ v) / self.n
@@ -563,7 +584,7 @@ class Rls:
         pi = self._pinv @ v
         denom = self.forgetting + float(v @ pi)
         gain = pi / denom
-        e = float(d) - y
+        e = d - y
         self.h = self.h + e * gain
         self._pinv = (self._pinv - np.outer(gain, pi)) / self.forgetting
         mults = 3 * self.n * self.n + 4 * self.n

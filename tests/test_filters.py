@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,44 @@ class TestKrrParams:
     def test_uniform_default(self):
         p = KrrParams(rank=3, projections=4)
         assert np.allclose(p.weights, 0.25)
+
+    def test_equality_and_hash(self):
+        a, b = KrrParams(rank=3), KrrParams(rank=3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != KrrParams(rank=4)
+        listed = KrrParams(rank=3, projections=2, weights=[0.25, 0.75])
+        arrayed = KrrParams(rank=3, projections=2, weights=np.array([0.25, 0.75]))
+        assert listed == arrayed and hash(listed) == hash(arrayed)
+        assert listed.weights == (0.25, 0.75)
+        assert np.array_equal(listed.weight_array, [0.25, 0.75])
+
+
+FILTER_FACTORIES = {
+    "krr-apsp": lambda n: KrrApsp(KrrParams(rank=2, projections=2, refresh_period=3), n),
+    "cgrrf": lambda n: Cgrrf(n, rank=2, refresh_period=3),
+    "nlms": lambda n: Nlms(n, 0.5),
+    "rls": lambda n: Rls(n),
+}
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("name", sorted(FILTER_FACTORIES))
+    @pytest.mark.parametrize("warm", [0, 12])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_d_rejected_without_state_change(self, name, warm, bad):
+        n = 8
+        filt = FILTER_FACTORIES[name](n)
+        scen = SysIdScenario(SysIdConfig(n=n, snr_db=15.0, seed=5))
+        samples = list(scen.samples(warm + 1))
+        for s in samples[:warm]:
+            filt.step(s.u, s.d)
+        before = pickle.dumps(filt)
+        with pytest.raises(ValueError):
+            filt.step(samples[warm].u, bad)
+        assert pickle.dumps(filt) == before
+        filt.step(samples[warm].u, samples[warm].d)
+        assert filt.steps == warm + 1
 
 
 class TestKrrApsp:
