@@ -47,14 +47,21 @@ def krylov_basis_stack(matrices: np.ndarray, seeds: np.ndarray, rank: int):
     them. Raises as ``BasisMatrix`` does if a basis is not orthonormal.
     """
     count, n = seeds.shape
-    norms = np.sqrt(stacked_dot(seeds, seeds))
+    norms = divisors = np.sqrt(stacked_dot(seeds, seeds))
+    tiny = (norms < TOL.seed_rescale_below) & np.any(seeds, axis=1)
+    if tiny.any():
+        # rows whose p.p underflows are normalized as krylov_basis does
+        scales = np.where(tiny, np.max(np.abs(seeds), axis=1), 1.0)
+        seeds = seeds / scales[:, None]
+        divisors = np.sqrt(stacked_dot(seeds, seeds))
+        norms = scales * divisors
     if not np.all(norms > 0.0):
         raise DegenerateCrossCorrelationError("degenerate cross-correlation: ||p|| = 0")
     if not 1 <= rank <= n:
         raise ValueError(f"requested rank {rank} outside 1..{n}")
     tol = TOL.basis_truncation_rel * norms
     cols = np.zeros((count, n, rank))
-    cols[:, :, 0] = seeds / norms[:, None]
+    cols[:, :, 0] = seeds / divisors[:, None]
     ranks = np.ones(count, dtype=np.int64)
     growing = np.ones(count, dtype=bool)
     for i in range(1, rank):
@@ -154,7 +161,7 @@ class KrrApspBatch:
         # trials of ``among`` whose cross-correlation estimate is nonzero;
         # KrrApsp skips a build (the first) or keeps its basis (a refresh)
         # on a zero p
-        return among & (np.sqrt(stacked_dot(self._p, self._p)) != 0.0)
+        return among & np.any(self._p, axis=1)
 
     def _build_bases(self, idx: np.ndarray) -> None:
         """Build and install the Krylov bases of trials ``idx``, chunk by chunk.

@@ -211,12 +211,9 @@ class KrrApsp:
         # its misfit energy would have to be unlearned later
         if not self.est.mature:
             return
-        p = self.est.p_vector()
-        if float(np.linalg.norm(p)) == 0.0:
-            return
         try:
-            basis = krylov_basis(self.est.r_matrix(), p, self.params.rank,
-                                 build_tag=self._k)
+            basis = krylov_basis(self.est.r_matrix(), self.est.p_vector(),
+                                 self.params.rank, build_tag=self._k)
         except DegenerateCrossCorrelationError:
             return
         self.basis = basis
@@ -580,13 +577,18 @@ class Rls:
                 power = float(v @ v) / self.n
                 self.delta = 0.01 * power if power > 0.0 else 0.01
             self._pinv = np.eye(self.n) / self.delta
+            # buffer of the rank-one correction: a step allocates no N x N
+            # temporaries, which the allocator may return to the system and
+            # fault in again at every step
+            self._outer = np.empty((self.n, self.n))
         y = float(self.h @ v)
         pi = self._pinv @ v
         denom = self.forgetting + float(v @ pi)
         gain = pi / denom
         e = d - y
         self.h = self.h + e * gain
-        self._pinv = (self._pinv - np.outer(gain, pi)) / self.forgetting
+        self._pinv -= np.outer(gain, pi, out=self._outer)
+        self._pinv /= self.forgetting
         mults = 3 * self.n * self.n + 4 * self.n
         self.mult_totals["filter"] += mults
         self.steps += 1

@@ -211,7 +211,9 @@ def krylov_basis(matrix: SymMatrix, p, rank: int, tol: float | None = None,
     matrix : SymMatrix
         Symmetric PSD matrix generating the subspace.
     p : array_like
-        Seed vector; must have norm greater than ``tol``.
+        Seed vector; must have norm greater than ``tol``. With the default
+        ``tol`` any nonzero seed qualifies: one so small that ``p.p``
+        underflows is normalized through ``p / max|p|``.
     rank : int
         Requested dimension D, ``1 <= rank <= N``.
     tol : float, optional
@@ -224,6 +226,13 @@ def krylov_basis(matrix: SymMatrix, p, rank: int, tol: float | None = None,
     """
     seed = as_vector(p, matrix.n)
     norm_p = float(np.linalg.norm(seed))
+    divisor = norm_p
+    if norm_p < TOL.seed_rescale_below and np.any(seed):
+        # p.p underflows: normalize p / max|p| and scale its norm back
+        scale = float(np.max(np.abs(seed)))
+        seed = seed / scale
+        divisor = float(np.linalg.norm(seed))
+        norm_p = scale * divisor
     if tol is None:
         tol = TOL.basis_truncation_rel * norm_p
     if norm_p == 0.0 or norm_p <= tol:
@@ -233,7 +242,7 @@ def krylov_basis(matrix: SymMatrix, p, rank: int, tol: float | None = None,
         raise ValueError(f"requested rank {rank} outside 1..{matrix.n}")
 
     cols = np.empty((matrix.n, rank))
-    cols[:, 0] = seed / norm_p
+    cols[:, 0] = seed / divisor
     d_eff = 1
     for _ in range(rank - 1):
         w = matrix.matvec(cols[:, d_eff - 1])

@@ -12,10 +12,18 @@ where ``child`` is obtained by spawning ``SeedSequence(seed)``. Substream
 order (sysid): unknown system, coloring filter, input signal, noise,
 post-change system, SNR calibration. Substream order (cdma): code
 selection, chip offsets, data bits, noise, post-change selection.
+
+Streams are drawn in chunks of up to ``_CHUNK`` steps: one block draw per
+substream and chunk. A block draw returns the values of the per-step
+draws it replaces and leaves the generator in the same state, and the
+chunk arithmetic is the per-step arithmetic, element by element, so the
+samples are the ones a step-by-step generator gives. A stream therefore
+draws up to one chunk ahead of what it has yielded.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Iterator
@@ -24,6 +32,11 @@ import numpy as np
 
 GOLD_LENGTH = 31
 GOLD_FAMILY_SIZE = 33
+
+# steps per block draw of a scenario stream: enough to amortize the
+# per-call cost of the draws, few enough that the streams of a lockstep
+# ensemble (one chunk each) stay small
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -154,16 +167,32 @@ class SysIdScenario:
         return self.h_star
 
     def samples(self, count: int) -> Iterator[StreamSample]:
-        """Generate ``count`` samples; restartable only via a fresh scenario."""
+        """Generate ``count`` samples; restartable only via a fresh scenario.
+
+        Input and noise are drawn one chunk at a time into buffers the
+        stream keeps. Each chunk's colored input comes from the chunk's
+        white samples plus the last ``n - 1 + fir_len - 1`` white samples
+        before it, which its first windows and filter outputs reach back to.
+        """
         n = self.config.n
-        x = self._colored(count + n - 1, self._rng_input)
-        noise = (self._rng_noise.standard_normal(count) * self.noise_std
-                 if self.noise_std > 0.0 else np.zeros(count))
-        for k in range(count):
-            window = x[k:k + n][::-1].copy()
-            truth = self.truth_at(k)
-            d = float(window @ truth) + float(noise[k])
-            yield StreamSample(k=k, u=window, d=d, truth_h=truth)
+        carry = n - 1 + self.config.fir_len - 1
+        white = np.empty(carry + _CHUNK)
+        noise = np.zeros(_CHUNK)
+        self._rng_input.standard_normal(out=white[:carry])
+        for start in range(0, count, _CHUNK):
+            m = min(_CHUNK, count - start)
+            if start:  # every chunk before this one was a full one
+                white[:carry] = white[_CHUNK:]
+            self._rng_input.standard_normal(out=white[carry:carry + m])
+            x = np.convolve(white[:carry + m], self.coloring_fir, mode="valid")
+            if self.noise_std > 0.0:
+                self._rng_noise.standard_normal(out=noise[:m])
+                noise[:m] *= self.noise_std
+            for t in range(m):
+                window = x[t:t + n][::-1].copy()
+                truth = self.truth_at(start + t)
+                d = float(window @ truth) + float(noise[t])
+                yield StreamSample(k=start + t, u=window, d=d, truth_h=truth)
 
     def serialize(self) -> dict:
         meta = _config_items(self.config)
@@ -199,22 +228,24 @@ def _msequence(poly_exponents, length: int = GOLD_LENGTH) -> np.ndarray:
     return out
 
 
+@functools.cache
 def gold_family() -> np.ndarray:
-    """The 33 length-31 Gold sequences as rows of a +/-1 matrix.
+    """The 33 length-31 Gold sequences as rows of a read-only +/-1 matrix.
 
     Built from the preferred pair of degree-5 feedback polynomials with
     octal tap masks 45 and 75; the family is the pair itself plus the 31
     cyclic-shift XOR combinations, mapped 0 -> +1 and 1 -> -1. Every pair
     of distinct members has periodic cross-correlation confined to
-    {-1, -9, 7}.
+    {-1, -9, 7}. Computed once; every call returns the same array.
     """
     u = _msequence((5, 2, 0))
     v = _msequence((5, 4, 3, 2, 0))
     rows = [u, v]
     for shift in range(GOLD_LENGTH):
         rows.append(np.bitwise_xor(u, np.roll(v, shift)))
-    bits = np.array(rows)
-    return (1 - 2 * bits).astype(float)
+    family = (1 - 2 * np.array(rows)).astype(float)
+    family.flags.writeable = False
+    return family
 
 
 @dataclass(frozen=True)
@@ -253,24 +284,31 @@ class CdmaConfig:
             raise ValueError("interferer_amplitude must be positive")
 
 
+@dataclass(frozen=True)
 class _CdmaUser:
-    """One active transmitter: unit-norm code, chip offset, bit memory."""
+    """One active transmitter: amplitude, partial signatures, first previous bit.
 
-    def __init__(self, code: np.ndarray, delay: int, amplitude: float, prev_bit: int):
-        self.amplitude = float(amplitude)
-        self.delay = int(delay)
+    Chips ``[0, delay)`` of the window carry the previous symbol's last
+    chips (``tail``), chips ``[delay, n)`` the current symbol's first chips
+    (``head``). ``prev_bit`` is the symbol before the user's first one in
+    the stream.
+    """
+
+    amplitude: float
+    delay: int
+    tail: np.ndarray
+    head: np.ndarray
+    prev_bit: int
+
+    @classmethod
+    def from_code(cls, code: np.ndarray, delay: int, amplitude: float, prev_bit: int):
         n = code.shape[0]
         unit = code / np.linalg.norm(code)
-        # chips [0, delay) of the window carry the previous symbol's last
-        # chips; chips [delay, n) carry the current symbol's first chips
-        self.tail = np.concatenate((unit[n - delay:], np.zeros(n - delay)))
-        self.head = np.concatenate((np.zeros(delay), unit[:n - delay]))
-        self.prev_bit = int(prev_bit)
-
-    def emit(self, bit: int) -> np.ndarray:
-        out = self.amplitude * (self.prev_bit * self.tail + bit * self.head)
-        self.prev_bit = bit
-        return out
+        tail = np.concatenate((unit[n - delay:], np.zeros(n - delay)))
+        head = np.concatenate((np.zeros(delay), unit[:n - delay]))
+        tail.flags.writeable = False
+        head.flags.writeable = False
+        return cls(float(amplitude), int(delay), tail, head, int(prev_bit))
 
 
 class CdmaScenario:
@@ -295,21 +333,23 @@ class CdmaScenario:
         self.signature.flags.writeable = False
 
         amp = config.interferer_amplitude
-        self._pre_users = [_CdmaUser(family[self._desired_pick], 0, 1.0, 0)]
+        pre = [_CdmaUser.from_code(family[self._desired_pick], 0, 1.0, 0)]
         for pick in picks[1:]:
             delay = int(rng_delay.integers(1, GOLD_LENGTH))
             prev = 1 - 2 * int(self._rng_bits.integers(0, 2))
-            self._pre_users.append(_CdmaUser(family[int(pick)], delay, amp, prev))
+            pre.append(_CdmaUser.from_code(family[int(pick)], delay, amp, prev))
+        self._pre_users = tuple(pre)
 
         if config.change_at is not None:
             remaining = [i for i in range(GOLD_FAMILY_SIZE) if i != self._desired_pick]
             post_picks = rng_post.choice(remaining, size=config.users_post - 1,
                                          replace=False)
-            self._post_users = []
+            post = []
             for pick in post_picks:
                 delay = int(rng_post.integers(1, GOLD_LENGTH))
                 prev = 1 - 2 * int(rng_post.integers(0, 2))
-                self._post_users.append(_CdmaUser(family[int(pick)], delay, amp, prev))
+                post.append(_CdmaUser.from_code(family[int(pick)], delay, amp, prev))
+            self._post_users = tuple(post)
         else:
             self._post_users = None
 
@@ -317,24 +357,36 @@ class CdmaScenario:
         self.noise_std = math.sqrt(1.0 / snr) if math.isfinite(config.snr_db) else 0.0
 
     def samples(self, count: int) -> Iterator[StreamSample]:
-        import copy
+        """Generate ``count`` samples; restartable only via a fresh scenario.
 
-        users = [copy.copy(u) for u in self._pre_users]
+        Bits and noise are drawn one chunk at a time; a chunk ends at
+        ``change_at``, where the user set changes. Every step draws one bit
+        per active user, in user order, and the bits a user sent before the
+        chunk carry into its first row as the previous symbol.
+        """
         change = self.config.change_at
-        for k in range(count):
-            if change is not None and k == change:
-                users = [users[0]] + [copy.copy(u) for u in self._post_users]
-            u = np.zeros(self.n)
-            desired_bit = 0
-            for idx, user in enumerate(users):
-                bit = 1 - 2 * int(self._rng_bits.integers(0, 2))
-                if idx == 0:
-                    desired_bit = bit
-                u += user.emit(bit)
+        users = self._pre_users
+        prev = np.array([user.prev_bit for user in users])
+        start = 0
+        while start < count:
+            if start == change:
+                users = users[:1] + self._post_users
+                prev = np.array([prev[0]] + [user.prev_bit for user in self._post_users])
+            stop = count if change is None or start >= change else min(count, change)
+            m = min(_CHUNK, stop - start)
+            bits = 1 - 2 * self._rng_bits.integers(0, 2, size=m * len(users))
+            bits = bits.reshape(m, len(users))
+            before = np.concatenate((prev[None, :], bits[:-1]))
+            u = np.zeros((m, self.n))
+            for j, user in enumerate(users):
+                u += user.amplitude * (before[:, j, None] * user.tail
+                                       + bits[:, j, None] * user.head)
             if self.noise_std > 0.0:
-                u = u + self.noise_std * self._rng_noise.standard_normal(self.n)
-            yield StreamSample(k=k, u=u, d=float(desired_bit),
-                               truth_bit=desired_bit)
+                u = u + self.noise_std * self._rng_noise.standard_normal((m, self.n))
+            prev = bits[-1]
+            for t, bit in enumerate(bits[:, 0].tolist()):
+                yield StreamSample(k=start + t, u=u[t], d=float(bit), truth_bit=bit)
+            start += m
 
     def serialize(self) -> dict:
         meta = _config_items(self.config)

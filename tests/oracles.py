@@ -153,3 +153,63 @@ def least_squares_fit(us, ds):
     b = np.asarray(ds, dtype=float)
     sol, *_ = np.linalg.lstsq(a, b, rcond=None)
     return sol
+
+
+def sysid_stream_per_step(scenario, count):
+    """A system identification scenario's samples, drawn all at once.
+
+    Seeds the input and noise substreams afresh from the scenario's seed
+    and takes the system, coloring filter and noise level from the
+    scenario. Yields ``(u, d, truth)`` per step.
+    """
+    cfg = scenario.config
+    children = np.random.SeedSequence(int(cfg.seed)).spawn(6)
+    rng_input, rng_noise = (np.random.Generator(np.random.PCG64(c)) for c in children[2:4])
+    n = cfg.n
+    if count == 0:
+        return
+    white = rng_input.standard_normal(count + n - 1 + cfg.fir_len - 1)
+    x = np.convolve(white, scenario.coloring_fir, mode="valid")
+    noise = (rng_noise.standard_normal(count) * scenario.noise_std
+             if scenario.noise_std > 0.0 else np.zeros(count))
+    for k in range(count):
+        window = x[k:k + n][::-1].copy()
+        truth = scenario.h_star
+        if cfg.change_at is not None and k >= cfg.change_at:
+            truth = scenario.h_star_post
+        yield window, float(window @ truth) + float(noise[k]), truth
+
+
+def cdma_stream_per_step(scenario, count):
+    """A CDMA scenario's samples, one Python step and one draw at a time.
+
+    Seeds the bit and noise substreams afresh from the scenario's seed,
+    replays the construction's previous-bit draws, and takes each user's
+    amplitude, partial signatures and first previous bit from the
+    scenario. Yields ``(u, d)`` per step.
+    """
+    cfg = scenario.config
+    children = np.random.SeedSequence(int(cfg.seed)).spawn(5)
+    rng_bits, rng_noise = (np.random.Generator(np.random.PCG64(c)) for c in children[2:4])
+    for _ in range(cfg.users - 1):
+        rng_bits.integers(0, 2)
+
+    def fresh(specs):
+        return [[s.amplitude, s.tail, s.head, s.prev_bit] for s in specs]
+
+    users = fresh(scenario._pre_users)
+    for k in range(count):
+        if cfg.change_at is not None and k == cfg.change_at:
+            users = users[:1] + fresh(scenario._post_users)
+        u = np.zeros(scenario.n)
+        desired_bit = 0
+        for idx, user in enumerate(users):
+            bit = 1 - 2 * int(rng_bits.integers(0, 2))
+            if idx == 0:
+                desired_bit = bit
+            amplitude, tail, head, prev = user
+            u += amplitude * (prev * tail + bit * head)
+            user[3] = bit
+        if scenario.noise_std > 0.0:
+            u = u + scenario.noise_std * rng_noise.standard_normal(scenario.n)
+        yield u, float(desired_bit)

@@ -2,7 +2,8 @@
 
 Each builder returns a list of ``(u, d)`` pairs. The corner streams are
 the ones the filter tests construct: zero outputs that keep KRR-APSP in
-passthrough, an output that cancels the cross-correlation estimate after
+passthrough, zero outputs that let the cross-correlation estimate decay
+towards underflow, an output that cancels the cross-correlation estimate after
 the first basis build, regressors confined to one coordinate (the Krylov basis
 truncates to rank 1), a later widening of that subspace (the effective
 rank changes at a refresh), and a repeated regressor with opposite
@@ -24,6 +25,16 @@ def sysid_stream(n, steps, seed, snr_db=15.0):
 def passthrough_stream(n, steps, seed, zero_until):
     """System identification samples whose outputs are zero before ``zero_until``."""
     return [(u, 0.0 if k < zero_until else d)
+            for k, (u, d) in enumerate(sysid_stream(n, steps, seed))]
+
+
+def silenced_stream(n, steps, seed, silent_from):
+    """System identification samples whose outputs are zero from ``silent_from`` on.
+
+    The regressors stay ordinary, so the cross-correlation estimate decays
+    by the forgetting factor every step while the autocorrelation does not.
+    """
+    return [(u, d if k < silent_from else 0.0)
             for k, (u, d) in enumerate(sysid_stream(n, steps, seed))]
 
 

@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krrapsp import HalfSpace, KrrApsp, KrrParams, project_half_space
-from krrapsp.batch import KrrApspBatch
+from krrapsp.batch import KrrApspBatch, krylov_basis_stack
+from krrapsp.linalg import SymMatrix, krylov_basis
 
+from conftest import random_spd
 from oracles import reference_parallel_update
 from streams import (
     cancelled_p_stream,
     passthrough_stream,
     repeated_regressor_stream,
+    silenced_stream,
     subspace_stream,
     sysid_stream,
 )
@@ -151,6 +154,31 @@ def test_zero_cross_correlation_keeps_the_basis():
                               cancelled_p_stream(N, steps, params.forgetting, at=N + 4)])
     assert not np.any(batch._p[1])
     assert batch.has_basis[1] and batch.build_count[1] == 2 < batch.build_count[0]
+
+
+def test_underflowing_cross_correlation_keeps_rebuilding():
+    # zero outputs from 2N on halve p every step: p.p underflows from about
+    # step 540 on, but p itself stays nonzero (until about step 1100), so
+    # every refresh still builds a basis, from the direction of p
+    params = KrrParams(rank=3, refresh_period=10, forgetting=0.5)
+    steps = 620
+    batch = lockstep(params, [silenced_stream(N, steps, seed, silent_from=2 * N)
+                              for seed in (1, 2)])
+    assert np.all(np.max(np.abs(batch._p), axis=1) < 1e-170)
+    assert np.all(np.any(batch._p, axis=1))
+    # the first build at step N - 1, then a refresh at every step k = 1 mod 10
+    assert batch.build_count.tolist() == [1 + len(range(11, steps, 10))] * 2
+
+
+def test_tiny_seeds_build_as_the_scalar_kernel():
+    rng = np.random.default_rng(8)
+    mats = np.stack([SymMatrix(random_spd(N, rng)).dense() for _ in range(4)])
+    seeds = rng.standard_normal((4, N)) * np.array([[1.0], [1e-151], [1e-160], [1e-300]])
+    bases, ranks = krylov_basis_stack(mats, seeds, 3)
+    for i in range(4):
+        ref = krylov_basis(SymMatrix(mats[i]), seeds[i], 3)
+        assert ranks[i] == ref.rank == 3
+        assert close(bases[i], ref.matrix)
 
 
 @pytest.mark.parametrize("bad", ["u", "d"])

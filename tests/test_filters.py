@@ -444,6 +444,21 @@ class TestRls:
         ls = least_squares_fit(us, ds)
         assert np.linalg.norm(filt.coefficients - ls) <= 1e-6
 
+    def test_matches_out_of_place_recursion(self, rng):
+        # the in-place inverse update does the textbook recursion's arithmetic
+        n, lam, delta = 12, 0.99, 0.5
+        filt = Rls(n, forgetting=lam, delta=delta)
+        h, pinv = np.zeros(n), np.eye(n) / delta
+        for _ in range(50):
+            u, d = rng.standard_normal(n), float(rng.standard_normal())
+            out = filt.step(u, d)
+            y = float(h @ u)
+            pi = pinv @ u
+            gain = pi / (lam + float(u @ pi))
+            h = h + (d - y) * gain
+            pinv = (pinv - np.outer(gain, pi)) / lam
+            assert out.y == y and np.array_equal(out.h_full, h)
+
     def test_auto_delta_from_first_sample(self, rng):
         filt = Rls(6)
         u = rng.standard_normal(6)

@@ -102,6 +102,16 @@ class TestKrylovBasis:
         with pytest.raises(DegenerateCrossCorrelationError):
             krylov_basis(SymMatrix(np.eye(3)), np.zeros(3), 2)
 
+    @pytest.mark.parametrize("scale", [1e-151, 1e-160, 1e-200, 1e-300])
+    def test_tiny_seed_keeps_its_direction(self, rng, scale):
+        # p.p underflows once |p| < ~1e-154; the basis depends only on the
+        # direction of p
+        a = SymMatrix(random_spd(6, rng))
+        p = rng.standard_normal(6)
+        want = krylov_basis(a, p, 3).matrix
+        got = krylov_basis(a, scale * p, 3).matrix
+        assert np.max(np.abs(got - want)) <= 1e-12
+
     def test_truncates_on_dependence(self, rng):
         # rank-2 Krylov space: A has two distinct eigenvalues
         q = random_orthonormal(5, 5, rng)

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krrapsp import (
     CdmaConfig,
@@ -11,6 +14,32 @@ from krrapsp import (
     gold_family,
 )
 from krrapsp.scenarios import GOLD_FAMILY_SIZE, GOLD_LENGTH
+
+from oracles import cdma_stream_per_step, sysid_stream_per_step
+
+COUNTS = (1, 63, 64, 65, 301)
+
+
+def assert_cdma_matches_oracle(config, count):
+    scen = CdmaScenario(config)
+    got = list(scen.samples(count))
+    want = list(cdma_stream_per_step(scen, count))
+    assert len(got) == len(want) == count
+    for k, (s, (u, d)) in enumerate(zip(got, want)):
+        assert s.k == k
+        assert s.u.tobytes() == u.tobytes(), k
+        assert s.d == d and s.truth_bit == int(d), k
+
+
+def assert_sysid_matches_oracle(config, count):
+    scen = SysIdScenario(config)
+    got = list(scen.samples(count))
+    want = list(sysid_stream_per_step(scen, count))
+    assert len(got) == len(want) == count
+    for k, (s, (u, d, truth)) in enumerate(zip(got, want)):
+        assert s.k == k
+        assert s.u.tobytes() == u.tobytes(), k
+        assert s.d == d and s.truth_h is truth, k
 
 
 class TestGoldFamily:
@@ -32,6 +61,12 @@ class TestGoldFamily:
                 for lag in range(GOLD_LENGTH):
                     values.add(int(round(fam[i] @ np.roll(fam[j], lag))))
         assert values <= {-1, -9, 7}
+
+    def test_computed_once_and_read_only(self):
+        fam = gold_family()
+        assert np.array_equal(gold_family(), fam)
+        with pytest.raises(ValueError):
+            fam[0, 0] = 0.0
 
 
 class TestSysIdScenario:
@@ -117,6 +152,50 @@ class TestSysIdScenario:
         # the regressor is a sliding window of one underlying signal
         assert s1.u[1] == s0.u[0]
 
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_chunked_stream_matches_oracle(self, count):
+        assert_sysid_matches_oracle(SysIdConfig(n=12, snr_db=10.0, seed=count), count)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(change_at=0),
+        dict(change_at=64),
+        dict(change_at=100, change_mode="fresh"),
+        dict(change_at=301),
+        dict(snr_db=math.inf, change_at=130),
+        dict(n=1, fir_len=1),  # nothing carries into the next chunk
+        dict(n=50, fir_len=30),
+    ], ids=["change0", "change64", "change100-fresh", "change-at-count",
+            "noiseless", "no-carry", "n50"])
+    def test_chunked_stream_matches_oracle_configs(self, kwargs):
+        assert_sysid_matches_oracle(SysIdConfig(**{"n": 8, "seed": 3, **kwargs}), 301)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40),
+           fir_len=st.integers(1, 40),
+           change_at=st.one_of(st.none(), st.integers(0, 200)),
+           change_mode=st.sampled_from(["negate", "fresh"]),
+           snr_db=st.sampled_from([0.0, 15.0, math.inf]),
+           count=st.integers(0, 200),
+           seed=st.integers(0, 2 ** 32))
+    def test_chunked_stream_property(self, n, fir_len, change_at, change_mode,
+                                     snr_db, count, seed):
+        cfg = SysIdConfig(n=n, fir_len=fir_len, change_at=change_at,
+                          change_mode=change_mode, snr_db=snr_db, seed=seed)
+        assert_sysid_matches_oracle(cfg, count)
+
+    def test_lockstep_streams_hold_one_chunk(self):
+        # the rank-sweep shape: 100 trials of 12000 samples advanced together
+        scenarios = [SysIdScenario(SysIdConfig(n=50, seed=s)) for s in range(100)]
+        tracemalloc.start()
+        try:
+            streams = [scen.samples(12000) for scen in scenarios]
+            first = [next(stream) for stream in streams]
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(first) == 100
+        assert held < 2 ** 20, held
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             SysIdConfig(n=0)
@@ -177,4 +256,60 @@ class TestCdmaScenario:
         assert meta["asynchrony"] == "chip-offset-partial-symbols"
         assert meta["rng"] == "pcg64-seedsequence"
 
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_chunked_stream_matches_oracle(self, count):
+        cfg = CdmaConfig(users=4, snr_db=10.0, interferer_amplitude=2.0, seed=count)
+        assert_cdma_matches_oracle(cfg, count)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(change_at=0, users_post=3),
+        dict(change_at=64, users_post=5),
+        dict(change_at=100, users_post=2),
+        dict(change_at=301, users_post=2),
+        dict(change_at=400, users_post=2),
+        dict(change_at=130, users_post=1),
+        dict(users=1),
+        dict(users=33, change_at=70, users_post=33),
+        dict(snr_db=math.inf, change_at=100, users_post=3),
+    ], ids=["change0", "change64", "change100", "change-at-count",
+            "change-past-count", "post1", "single-user", "users33", "noiseless"])
+    def test_chunked_stream_matches_oracle_configs(self, kwargs):
+        cfg = CdmaConfig(**{"users": 4, "snr_db": 10.0, "seed": 11, **kwargs})
+        assert_cdma_matches_oracle(cfg, 301)
+
+    @settings(max_examples=40, deadline=None)
+    @given(users=st.integers(1, GOLD_FAMILY_SIZE),
+           change_at=st.one_of(st.none(), st.integers(0, 200)),
+           users_post=st.integers(1, GOLD_FAMILY_SIZE),
+           snr_db=st.sampled_from([0.0, 12.5, math.inf]),
+           amplitude=st.floats(0.1, 4.0),
+           count=st.integers(0, 200),
+           seed=st.integers(0, 2 ** 32))
+    def test_chunked_stream_property(self, users, change_at, users_post, snr_db,
+                                     amplitude, count, seed):
+        cfg = CdmaConfig(users=users, snr_db=snr_db, interferer_amplitude=amplitude,
+                         change_at=change_at,
+                         users_post=None if change_at is None else users_post,
+                         seed=seed)
+        assert_cdma_matches_oracle(cfg, count)
+
+    # frozen from the per-step generator this chunked one replaced (seed
+    # 12345, change at bit 2): pins the substream layout, the bit order
+    # across users and the previous-bit carry on both sides of the change
+    GOLDEN = [
+        (1.0, [-0.22367316421705513, 0.7954723188322059,
+               0.4114318110208587, -0.02070425834325998]),
+        (1.0, [-0.20817450846285795, 0.3926598970766134,
+               0.19070318016536542, 0.1912331998955069]),
+        (1.0, [-0.2458753846642277, -0.2986693091099394,
+               0.14781650081019418, 0.6810590720652806]),
+        (-1.0, [0.4524333439861084, -0.6445263844259741,
+                0.44838213611896466, 0.4751086762197116]),
+    ]
+
+    def test_golden_pinned_samples(self):
+        scen = CdmaScenario(CdmaConfig(users=3, snr_db=10.0, change_at=2,
+                                       users_post=2, seed=12345))
+        got = [(s.d, s.u[:4].tolist()) for s in scen.samples(4)]
+        assert got == self.GOLDEN
 
