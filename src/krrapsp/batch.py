@@ -1,19 +1,25 @@
-"""KRR-APSP over a Monte-Carlo ensemble: R trials stepped in lockstep.
+"""Adaptive filters over a Monte-Carlo ensemble: R trials stepped in lockstep.
 
-:class:`KrrApspBatch` runs R independent :class:`~krrapsp.filters.KrrApsp`
-filters at once, on stacked ``(R, N)`` samples. The stacked kernels below
-make the BLAS calls of the single-stream code trial by trial, so each
-trial's arithmetic is the scalar filter's.
+:class:`KrrApspBatch`, :class:`CgrrfBatch` and :class:`NlmsBatch` run R
+independent :class:`~krrapsp.filters.KrrApsp`, :class:`~krrapsp.filters.Cgrrf`
+and :class:`~krrapsp.filters.Nlms` filters at once, on stacked ``(R, N)``
+samples. The stacked kernels below make the BLAS calls of the
+single-stream code trial by trial, so each trial's arithmetic is the
+scalar filter's. RLS has no batch: R inverse correlations at N = 200
+would hold 32 MB per 100 trials.
 
 The experiment harness imports this module only when an experiment has a
-KRR-APSP filter: run without cached bytecode, every fresh import of the
-package compiles its sources, and this module would add a tenth to that.
+filter other than RLS: run without cached bytecode, every fresh import of
+the package compiles its sources, and this module would add a tenth to
+that.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from . import linalg
 from .estimation import MODES
 from .filters import (
     KrrParams,
@@ -83,8 +89,137 @@ def krylov_basis_stack(matrices: np.ndarray, seeds: np.ndarray, rank: int):
     return cols, ranks
 
 
-# bytes of the dense matrices one basis-build chunk may hold
+def cg_solve_stack(matrices: np.ndarray, rhs: np.ndarray, x0: np.ndarray,
+                   iters: int) -> np.ndarray:
+    """:func:`~krrapsp.linalg.cg_solve` for a stack of systems, no residual tolerance.
+
+    ``matrices`` is ``(R, N, N)`` (symmetric), ``rhs`` and ``x0`` are
+    ``(R, N)``. Every row makes the BLAS calls and elementwise operations
+    of ``cg_solve(matrix, b, x0, iters)`` and leaves the loop where it
+    would: on a zero residual or a non-positive curvature. Returns the
+    ``(R, N)`` iterates.
+    """
+    x = x0.copy()
+    r = rhs - stacked_matvec(matrices, x)
+    p = r.copy()
+    rs = stacked_dot(r, r)
+    live = np.arange(len(x))  # rows still iterating; the arrays below hold only these
+    for _ in range(iters):
+        # the conditions are cg_solve's own, negated, so a NaN keeps iterating as there
+        keep = ~(rs <= 0.0)
+        if not keep.all():
+            live, matrices, r, p, rs = live[keep], matrices[keep], r[keep], p[keep], rs[keep]
+        if live.size == 0:
+            break
+        ap = stacked_matvec(matrices, p)
+        curvature = stacked_dot(p, ap)
+        keep = ~(curvature <= 0.0)
+        if not keep.all():
+            live, matrices, r, p, rs = live[keep], matrices[keep], r[keep], p[keep], rs[keep]
+            ap, curvature = ap[keep], curvature[keep]
+            if live.size == 0:
+                break
+        alpha = rs / curvature
+        x[live] = x[live] + alpha[:, None] * p
+        r = r - alpha[:, None] * ap
+        rs_next = stacked_dot(r, r)
+        p = r + (rs_next / rs)[:, None] * p
+        rs = rs_next
+    return x
+
+
+# bytes of the dense matrices one chunk of trials may hold
 _BUILD_CHUNK_BYTES = 1 << 18
+
+
+class _StatsStack:
+    """Second-order statistics of R trials, updated as one filter updates its own.
+
+    ``r`` holds ``(R, N)`` Toeplitz first rows or ``(R, N, N)`` matrices and
+    ``p`` the ``(R, N)`` cross-correlations. With a ``forgetting`` factor
+    every update is ``CorrelationEstimator.update``; without one the
+    estimates are the plain sums of ``Cgrrf``'s cumulative statistics.
+
+    Dense matrices exist a chunk of trials at a time, at most
+    ``_BUILD_CHUNK_BYTES`` of them: the outer products of a full-matrix
+    update in a buffer the stack keeps (a fresh one every step would be
+    returned to the system and faulted in again each time), and the
+    Toeplitz matrices in one buffer per :meth:`dense` call.
+    """
+
+    def __init__(self, mode: str, n: int, trials: int, forgetting: float | None):
+        self.mode = mode
+        self.forgetting = forgetting
+        self.chunk = min(trials, max(1, _BUILD_CHUNK_BYTES // (8 * n * n)))
+        self.r = np.zeros((trials, n) if mode == "toeplitz" else (trials, n, n))
+        self.p = np.zeros((trials, n))
+        self._outer = np.empty((self.chunk, n, n)) if mode == "fullsym" else None
+
+    def update(self, u: np.ndarray, d: np.ndarray) -> None:
+        """Fold one sample of every trial into the estimates, in place."""
+        g = self.forgetting
+        if g is not None:
+            self.r *= g
+            self.p *= g
+        if self.mode == "toeplitz":
+            self.r += u[:, :1] * u
+        else:
+            for lo in range(0, len(u), self.chunk):
+                part = u[lo:lo + self.chunk]
+                outer = np.multiply(part[:, :, None], part[:, None, :],
+                                    out=self._outer[:len(part)])
+                self.r[lo:lo + len(part)] += outer
+        self.p += d[:, None] * u
+
+    def dense(self, pos: np.ndarray):
+        """Yield ``(part, matrices)`` over the trials ``pos``, a chunk at a time.
+
+        ``matrices`` holds the dense statistics of the trials ``part``; a
+        Toeplitz chunk is overwritten by the next one.
+        """
+        n = self.p.shape[1]
+        if self.mode == "toeplitz":
+            buffer = np.empty((min(self.chunk, pos.size), n, n))
+        for lo in range(0, pos.size, self.chunk):
+            part = pos[lo:lo + self.chunk]
+            if self.mode == "toeplitz":
+                # SymMatrix(first_row=...).dense(): entry (i, j) is row[|i - j|],
+                # entry N - 1 - i + j of the row mirrored in front of itself
+                rows = self.r[part]
+                mirrored = np.concatenate((rows[:, :0:-1], rows), axis=1)
+                mats = buffer[:part.size]
+                np.copyto(mats, sliding_window_view(mirrored, n, axis=1)[:, ::-1])
+            else:
+                # chunks of consecutive trials are views, others copies
+                mats = self.r[part[0]:part[-1] + 1]
+                if mats.shape[0] != part.size:
+                    mats = self.r[part]
+            yield part, mats
+
+
+def _checked_stack(u, d, trials: int, n: int):
+    """Validate one ``(R, N)`` regressor stack and its ``(R,)`` outputs.
+
+    The entries are checked by the scalar filters' validator,
+    :func:`~krrapsp.linalg.as_vector`, on ``d`` and on ``u`` flattened.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.shape != (trials, n):
+        raise ValueError(f"expected u of shape {(trials, n)}, got {u.shape}")
+    # looked up on the module, so a wrapper installed there (the
+    # benchmark's layer trace) sees the batches' calls too
+    linalg.as_vector(u.reshape(-1))
+    return u, linalg.as_vector(d, trials)
+
+
+def _initial_stack(x, trials: int, n: int, name: str):
+    """A finite ``(R, N)`` copy of per-trial initial vectors, or None for None."""
+    if x is None:
+        return None
+    x = np.array(x, dtype=float)
+    if x.shape != (trials, n) or not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be a finite ({trials}, {n}) array")
+    return x
 
 
 class KrrApspBatch:
@@ -104,13 +239,11 @@ class KrrApspBatch:
     and each step handles the trials of one effective rank together; a
     refresh that changes ``D_eff`` re-embeds that trial by projection.
 
-    State: the statistics as ``(R, N)`` Toeplitz first rows or ``(R, N, N)``
-    matrices, ``p`` as ``(R, N)``, the sample ring and the cached reduced
-    regressors as ``(R, ring, N)`` and ``(R, ring, D)`` (newest first), the
-    bases as ``(R, N, D)`` and the reduced filters as ``(R, D)``. Counters
-    are ``(R,)`` integer arrays; ``mult_totals`` holds one per category.
-    Basis builds run on chunks of trials, so at most
-    ``_BUILD_CHUNK_BYTES`` of dense matrices exist at a time.
+    State: the statistics (a ``_StatsStack``), the sample ring and the
+    cached reduced regressors as ``(R, ring, N)`` and ``(R, ring, D)``
+    (newest first), the bases as ``(R, N, D)`` and the reduced filters as
+    ``(R, D)``. Counters are ``(R,)`` integer arrays; ``mult_totals`` holds
+    one per category. Basis builds run on the statistics' chunks of trials.
     """
 
     def __init__(self, params: KrrParams, n: int, trials: int, mode: str = "toeplitz",
@@ -128,15 +261,8 @@ class KrrApspBatch:
         self.trials = r = int(trials)
         self.mode = mode
         d = params.rank
-        self._h0 = None
-        if h0 is not None:
-            h0 = np.array(h0, dtype=float)
-            if h0.shape != (r, n) or not np.all(np.isfinite(h0)):
-                raise ValueError(f"h0 must be a finite ({r}, {n}) array")
-            self._h0 = h0
-        self._chunk = max(1, _BUILD_CHUNK_BYTES // (8 * n * n))
-        self._stats = np.zeros((r, n) if mode == "toeplitz" else (r, n, n))
-        self._p = np.zeros((r, n))
+        self._h0 = _initial_stack(h0, r, n, "h0")
+        self.stats = _StatsStack(mode, n, r, params.forgetting)
         ring = params.projections + params.error_dim - 1
         self._us = np.zeros((r, ring, n))
         self._ds = np.zeros((r, ring))
@@ -161,7 +287,7 @@ class KrrApspBatch:
         # trials of ``among`` whose cross-correlation estimate is nonzero;
         # KrrApsp skips a build (the first) or keeps its basis (a refresh)
         # on a zero p
-        return among & np.any(self._p, axis=1)
+        return among & np.any(self.stats.p, axis=1)
 
     def _build_bases(self, idx: np.ndarray) -> None:
         """Build and install the Krylov bases of trials ``idx``, chunk by chunk.
@@ -174,20 +300,8 @@ class KrrApspBatch:
         if pos.size == 0:
             return
         n, rank = self.n, self.params.rank
-        if self.mode == "toeplitz":
-            lags = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-            dense = np.empty((min(self._chunk, pos.size), n, n))
-        for lo in range(0, pos.size, self._chunk):
-            part = pos[lo:lo + self._chunk]
-            if self.mode == "toeplitz":
-                # SymMatrix(first_row=...).dense(), one chunk at a time
-                mats = np.take(self._stats[part], lags, axis=1, out=dense[:part.size])
-            else:
-                # chunks of consecutive trials are views, others copies
-                mats = self._stats[part[0]:part[-1] + 1]
-                if mats.shape[0] != part.size:
-                    mats = self._stats[part]
-            seeds = self._p[part]
+        for part, mats in self.stats.dense(pos):
+            seeds = self.stats.p[part]
             if not (np.all(np.isfinite(mats)) and np.all(np.isfinite(seeds))):
                 raise ValueError("statistics estimates must be finite")
             bases, ranks = krylov_basis_stack(mats, seeds, rank)
@@ -207,19 +321,6 @@ class KrrApspBatch:
         self.mult_totals["basis"][pos] += _basis_build_charge(rank, n)
         self.has_basis[pos] = True
         self._ut_valid[pos] = False
-
-    def _update_stats(self, u: np.ndarray, d: np.ndarray) -> None:
-        # CorrelationEstimator.update for every trial, in place
-        g = self.params.forgetting
-        self._stats *= g
-        if self.mode == "toeplitz":
-            self._stats += u[:, :1] * u
-        else:
-            # one row of the outer products at a time: no (R, N, N) temporary
-            for i in range(self.n):
-                self._stats[:, i] += u[:, i:i + 1] * u
-        self._p *= g
-        self._p += d[:, None] * u
 
     def _reduced_step(self, idx, rank: int, u: np.ndarray):
         """Transform, output and update of trials ``idx``, all of basis rank ``rank``.
@@ -303,14 +404,8 @@ class KrrApspBatch:
 
     def step(self, u, d) -> StepOutput:
         """Consume one ``(R, N)`` regressor stack and its ``(R,)`` outputs."""
-        u = np.asarray(u, dtype=float)
-        d = np.asarray(d, dtype=float)
         r, n = self.trials, self.n
-        if u.shape != (r, n) or d.shape != (r,):
-            raise ValueError(f"expected u of shape {(r, n)} and d of shape {(r,)}, "
-                             f"got {u.shape} and {d.shape}")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(d))):
-            raise ValueError("sample entries must be finite")
+        u, d = _checked_stack(u, d, r, n)
         # age the rings slot by slot: an overlapping slice copy would
         # allocate a temporary of the whole ring every step
         for ring in (self._us, self._ds, self._ut):
@@ -319,7 +414,7 @@ class KrrApspBatch:
         self._us[:, 0] = u
         self._ds[:, 0] = d
         self._ring = min(self._ring + 1, self._us.shape[1])
-        self._update_stats(u, d)
+        self.stats.update(u, d)
         stats_mults = _stats_cost(self.mode, n)
         self.mult_totals["stats"] += stats_mults
 
@@ -347,6 +442,125 @@ class KrrApspBatch:
             self._build_bases(self._seeded(self.has_basis))
         self._k += 1
         return StepOutput(y, updated, h_full, mults)
+
+
+class CgrrfBatch:
+    """R independent :class:`~krrapsp.filters.Cgrrf` filters stepped in lockstep.
+
+    Trial ``i`` behaves as ``Cgrrf(n, rank, refresh_period, forgetting,
+    mode, init_vector[i])`` fed with row ``i`` of every ``(U, d)`` pair,
+    with the same outputs, update flags and counters. All trials share the
+    step index, hence the warm-up gate and the refresh steps; a trial's
+    solves are skipped while its ``p . p`` is zero and its initial vector
+    is zero. The solves run on the statistics' chunks of trials through
+    :func:`cg_solve_stack`.
+
+    State: the statistics (a ``_StatsStack``), the coefficients ``h`` as
+    ``(R, N)`` (replaced, never written, once a step has returned them)
+    and the ``solved`` mask. Counters are ``(R,)`` integer arrays;
+    ``mult_totals`` holds one per category.
+    """
+
+    def __init__(self, n: int, trials: int, rank: int, refresh_period: int = 10,
+                 forgetting: float | None = None, mode: str = "toeplitz",
+                 init_vector=None):
+        if not 1 <= rank <= n:
+            raise ValueError(f"rank {rank} outside 1..{n}")
+        if refresh_period < 1:
+            raise ValueError("refresh_period must be at least 1")
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
+        if forgetting is not None and not 0.0 < forgetting < 1.0:
+            raise ValueError(f"forgetting factor must lie in (0, 1), got {forgetting}")
+        if trials < 1:
+            raise ValueError("trials must be at least 1")
+        self.n = n = int(n)
+        self.trials = r = int(trials)
+        self.rank = int(rank)
+        self.refresh_period = int(refresh_period)
+        self.mode = mode
+        self.stats = _StatsStack(mode, n, r, forgetting)
+        self._init = _initial_stack(init_vector, r, n, "init_vector")
+        self._init_nonzero = (np.zeros(r, dtype=bool) if self._init is None
+                              else np.any(self._init, axis=1))
+        self.h = np.zeros((r, n))
+        self.solved = np.zeros(r, dtype=bool)
+        self._k = 0
+        self.steps = np.zeros(r, dtype=np.int64)
+        self.update_count = np.zeros(r, dtype=np.int64)
+        self.mult_totals = {cat: np.zeros(r, dtype=np.int64) for cat in _zero_counters()}
+
+    def _solve(self, among: np.ndarray) -> np.ndarray:
+        """Solve the trials of ``among`` that Cgrrf would; returns their mask."""
+        p = self.stats.p
+        # Cgrrf tests ||p|| == 0, and np.linalg.norm is sqrt(p . p)
+        ok = among & ((stacked_dot(p, p) != 0.0) | self._init_nonzero)
+        pos = np.flatnonzero(ok)
+        if pos.size:
+            self.h = self.h.copy()  # the last step returned the old one
+        for part, mats in self.stats.dense(pos):
+            x0 = np.zeros((part.size, self.n)) if self._init is None else self._init[part]
+            self.h[part] = cg_solve_stack(mats, p[part], x0, self.rank)
+        self.mult_totals["basis"][pos] += _basis_build_charge(self.rank, self.n)
+        self.solved |= ok
+        return ok
+
+    def step(self, u, d) -> StepOutput:
+        """Consume one ``(R, N)`` regressor stack and its ``(R,)`` outputs."""
+        r, n = self.trials, self.n
+        u, d = _checked_stack(u, d, r, n)
+        self.stats.update(u, d)
+        stats_mults = _stats_cost(self.mode, n)
+        self.mult_totals["stats"] += stats_mults
+        updated = np.zeros(r, dtype=bool)
+        # the estimators have now seen k + 1 samples: mature from N on
+        if self._k + 1 >= n and not self.solved.all():
+            updated = self._solve(~self.solved)
+        y = stacked_dot(self.h, u)
+        self.mult_totals["filter"] += n
+        if self._k % self.refresh_period == 1 % self.refresh_period and self.solved.any():
+            updated |= self._solve(self.solved)
+        self.steps += 1
+        self.update_count += updated
+        self._k += 1
+        return StepOutput(y, updated, self.h, np.full(r, stats_mults + n))
+
+
+class NlmsBatch:
+    """R independent :class:`~krrapsp.filters.Nlms` filters stepped in lockstep.
+
+    Trial ``i`` behaves as ``Nlms(n, step_size)`` fed with row ``i`` of
+    every ``(U, d)`` pair: a trial updates when its regressor energy is
+    positive and its error nonzero, with the scalar filter's arithmetic.
+    """
+
+    def __init__(self, n: int, trials: int, step_size: float = 0.5):
+        if trials < 1:
+            raise ValueError("trials must be at least 1")
+        self.n = n = int(n)
+        self.trials = r = int(trials)
+        self.step_size = float(step_size)
+        self.h = np.zeros((r, n))
+        self.steps = np.zeros(r, dtype=np.int64)
+        self.update_count = np.zeros(r, dtype=np.int64)
+        self.mult_totals = {cat: np.zeros(r, dtype=np.int64) for cat in _zero_counters()}
+
+    def step(self, u, d) -> StepOutput:
+        """Consume one ``(R, N)`` regressor stack and its ``(R,)`` outputs."""
+        r, n = self.trials, self.n
+        u, d = _checked_stack(u, d, r, n)
+        y = stacked_dot(self.h, u)
+        energy = stacked_dot(u, u)
+        e = d - y
+        updated = (energy > 0.0) & (e != 0.0)
+        scale = np.divide(self.step_size * e, energy, out=np.zeros(r), where=updated)
+        # a fresh array every step, so the returned h_full is never written
+        self.h = np.where(updated[:, None], self.h + scale[:, None] * u, self.h)
+        mults = 2 * n + updated * (n + 2)
+        self.mult_totals["filter"] += mults
+        self.steps += 1
+        self.update_count += updated
+        return StepOutput(y, updated, self.h, mults)
 
 
 def _leading(basis: np.ndarray, rank: int) -> np.ndarray:

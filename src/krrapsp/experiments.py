@@ -4,10 +4,12 @@ Runs independent trials of a scenario against a set of filters, averages
 the per-iteration metrics across trials in trial-index order, and writes
 the trace as a flat CSV whose header echoes the full configuration.
 
-KRR-APSP filters run all trials in lockstep (:mod:`krrapsp.batch`, fed
-from every trial's scenario stream at once); the other filters run one
-trial after another. Each trial's scenario is seeded and consumed as in a
-trial-by-trial run, so the choice of path does not change the output.
+Every filter but RLS runs all trials in lockstep (:mod:`krrapsp.batch`,
+imported for those filters only, fed from every trial's scenario stream
+at once). RLS runs one trial after another: its N x N inverse correlation
+for 100 trials at N = 200 would hold 32 MB. Each trial's scenario is
+seeded and consumed as in a trial-by-trial run, so the choice of path
+does not change the output.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .filters import Cgrrf, KrrParams, Nlms, Rls
+from .filters import Rls
 from .scenarios import CdmaConfig, CdmaScenario, SysIdConfig, SysIdScenario
 
 ALGORITHMS = ("krr-apsp", "cgrrf", "nlms", "rls")
@@ -95,16 +97,6 @@ def _make_scenario(config: ExperimentConfig, trial_seed: int):
         change_at=base.change_at, users_post=base.users_post, seed=trial_seed))
 
 
-def _make_filter(spec: FilterSpec, n: int, mode: str, signature=None):
-    opts = dict(spec.options)
-    if spec.algorithm == "cgrrf":
-        init = signature if opts.pop("init_from_signature", signature is not None) else None
-        return Cgrrf(n, mode=mode, init_vector=init, **opts)
-    if spec.algorithm == "nlms":
-        return Nlms(n, **opts)
-    return Rls(n, **opts)
-
-
 def trial_seeds(seed: int, runs: int) -> np.ndarray:
     """Per-trial 63-bit seeds derived from the master seed."""
     return np.random.SeedSequence(int(seed)).generate_state(runs, dtype=np.uint64) >> 1
@@ -127,36 +119,43 @@ def measure_multiplications(filt, samples):
 
 
 def _scenario_shape(config: ExperimentConfig, scenario):
-    """Filter length, statistics mode and h0 signature of one trial."""
+    """Filter length and statistics mode of one trial."""
     if config.kind == "sysid":
-        return scenario.config.n, "toeplitz", None
-    return scenario.n, "fullsym", scenario.signature
+        return scenario.config.n, "toeplitz"
+    return scenario.n, "fullsym"
 
 
 METRICS = ("se", "mis", "upd", "mults")
 
 
-def _run_krr_lockstep(config: ExperimentConfig, specs, seeds, sums: dict) -> None:
-    """Run KRR-APSP specs over all trials at once, adding into ``sums``.
+def _make_batch(spec: FilterSpec, n: int, mode: str, runs: int, signatures=None):
+    # only experiments with a filter other than RLS import the batches
+    from .batch import CgrrfBatch, KrrApspBatch, NlmsBatch
+
+    opts = dict(spec.options)
+    if spec.algorithm == "nlms":
+        return NlmsBatch(n, runs, **opts)
+    init = signatures if opts.pop("init_from_signature", signatures is not None) else None
+    if spec.algorithm == "cgrrf":
+        return CgrrfBatch(n, runs, mode=mode, init_vector=init, **opts)
+    return KrrApspBatch(opts.pop("params"), n, runs, mode=mode, h0=init, **opts)
+
+
+def _run_lockstep(config: ExperimentConfig, specs, seeds, sums: dict) -> None:
+    """Run the specs (no RLS among them) over all trials at once, adding into ``sums``.
 
     At every step the trials' values are added in trial-index order
     (``np.add.accumulate`` adds strictly left to right), as
     :func:`run_experiment` adds per-trial rows.
     """
-    from .batch import KrrApspBatch, stacked_dot  # only experiments with KRR-APSP need it
+    from .batch import stacked_dot  # only experiments with a filter other than RLS need it
 
     scenarios = [_make_scenario(config, int(s)) for s in seeds]
-    n, mode, _ = _scenario_shape(config, scenarios[0])
+    n, mode = _scenario_shape(config, scenarios[0])
     signatures = (np.stack([sc.signature for sc in scenarios])
                   if config.kind == "cdma" else None)
     runs = len(seeds)
-    filters = {}
-    for spec in specs:
-        opts = dict(spec.options)
-        params = opts.pop("params")
-        init = opts.pop("init_from_signature", signatures is not None)
-        filters[spec.label] = KrrApspBatch(params, n, runs, mode=mode,
-                                           h0=signatures if init else None, **opts)
+    filters = {spec.label: _make_batch(spec, n, mode, runs, signatures) for spec in specs}
     streams = [sc.samples(config.iters) for sc in scenarios]
     u = np.empty((runs, n))
     d = np.empty(runs)
@@ -181,9 +180,10 @@ def _run_krr_lockstep(config: ExperimentConfig, specs, seeds, sums: dict) -> Non
 
 
 def _run_trial(config: ExperimentConfig, trial_seed: int, specs) -> dict:
+    """Run the RLS specs over one trial; returns its per-step metrics."""
     scenario = _make_scenario(config, trial_seed)
-    n, mode, signature = _scenario_shape(config, scenario)
-    filters = {spec.label: _make_filter(spec, n, mode, signature) for spec in specs}
+    n, _ = _scenario_shape(config, scenario)
+    filters = {spec.label: Rls(n, **spec.options) for spec in specs}
     iters = config.iters
     acc = {label: {key: np.zeros(iters) for key in METRICS} for label in filters}
     for sample in scenario.samples(iters):
@@ -211,21 +211,21 @@ def _to_db(x: np.ndarray) -> np.ndarray:
 def run_experiment(config: ExperimentConfig) -> list:
     """Run all trials and return per-iteration ensemble-averaged records.
 
-    KRR-APSP filters step all trials in lockstep, the other filters run
-    trial by trial; either way the ensemble sums add the trials in
-    trial-index order.
+    RLS filters run trial by trial, all others step all trials in
+    lockstep; either way the ensemble sums add the trials in trial-index
+    order.
     """
     seeds = trial_seeds(config.seed, config.runs)
     sums = {spec.label: {key: np.zeros(config.iters) for key in METRICS}
             for spec in config.filters}
-    krr = [spec for spec in config.filters if spec.algorithm == "krr-apsp"]
-    others = [spec for spec in config.filters if spec.algorithm != "krr-apsp"]
-    if krr:
-        _run_krr_lockstep(config, krr, seeds, sums)
-    if others:
+    rls = [spec for spec in config.filters if spec.algorithm == "rls"]
+    lockstep = [spec for spec in config.filters if spec.algorithm != "rls"]
+    if lockstep:
+        _run_lockstep(config, lockstep, seeds, sums)
+    if rls:
         for s in seeds:  # fixed order
-            trial = _run_trial(config, int(s), others)
-            for spec in others:
+            trial = _run_trial(config, int(s), rls)
+            for spec in rls:
                 for key in METRICS:
                     sums[spec.label][key] += trial[spec.label][key]
 

@@ -15,7 +15,8 @@ Four algorithms are provided:
 Each filter consumes one ``(u, d)`` pair per ``step`` call and reports its
 full-dimension coefficient vector so metrics can be computed uniformly;
 a pair with a non-finite entry is rejected before any state changes.
-:mod:`krrapsp.batch` steps R independent ``KrrApsp`` filters in lockstep.
+:mod:`krrapsp.batch` steps R independent ``KrrApsp``, ``Cgrrf`` or ``Nlms``
+filters in lockstep.
 
 Multiplication accounting
 -------------------------

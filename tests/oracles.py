@@ -213,3 +213,68 @@ def cdma_stream_per_step(scenario, count):
         if scenario.noise_std > 0.0:
             u = u + scenario.noise_std * rng_noise.standard_normal(scenario.n)
         yield u, float(desired_bit)
+
+
+def trial_by_trial_records(config):
+    """The records of ``run_experiment(config)``, every filter run trial by trial.
+
+    The harness loop before the lockstep batches: each trial builds its
+    scenario and one scalar filter per spec, runs them over its samples,
+    and the per-step metrics are added over trials in trial-index order.
+    """
+    import math
+    from dataclasses import replace
+
+    from krrapsp import CdmaScenario, Cgrrf, KrrApsp, Nlms, Rls, SysIdScenario
+    from krrapsp.experiments import MetricsRecord, trial_seeds
+
+    iters = config.iters
+    sums = {spec.label: np.zeros((4, iters)) for spec in config.filters}
+    for seed in trial_seeds(config.seed, config.runs):
+        if config.kind == "sysid":
+            scen = SysIdScenario(replace(config.scenario, seed=int(seed)))
+            n, mode, signature = config.scenario.n, "toeplitz", None
+        else:
+            scen = CdmaScenario(replace(config.scenario, seed=int(seed)))
+            n, mode, signature = scen.n, "fullsym", scen.signature
+        filters = {}
+        for spec in config.filters:
+            opts = dict(spec.options)
+            init = None
+            if spec.algorithm in ("krr-apsp", "cgrrf"):
+                if opts.pop("init_from_signature", signature is not None):
+                    init = signature
+            if spec.algorithm == "krr-apsp":
+                filt = KrrApsp(opts.pop("params"), n, mode=mode, h0=init, **opts)
+            elif spec.algorithm == "cgrrf":
+                filt = Cgrrf(n, mode=mode, init_vector=init, **opts)
+            elif spec.algorithm == "nlms":
+                filt = Nlms(n, **opts)
+            else:
+                filt = Rls(n, **opts)
+            filters[spec.label] = filt
+        trial = {label: np.zeros((4, iters)) for label in filters}
+        for s in scen.samples(iters):
+            for label, filt in filters.items():
+                out = filt.step(s.u, s.d)
+                err = s.d - out.y
+                mis = math.nan
+                if s.truth_h is not None:
+                    diff = s.truth_h - out.h_full
+                    mis = float(diff @ diff) / float(s.truth_h @ s.truth_h)
+                trial[label][:, s.k] = (err * err, mis, float(out.updated), out.mults)
+        for label in filters:
+            sums[label] += trial[label]
+
+    records = []
+    for spec in config.filters:
+        se, mis, upd, mults = sums[spec.label] / config.runs
+        with np.errstate(divide="ignore"):
+            mse_db = 10.0 * np.log10(se)
+            mis_db = 10.0 * np.log10(mis)
+        for k in range(iters):
+            records.append(MetricsRecord(
+                k=k, algorithm=spec.label, mse_db=float(mse_db[k]),
+                mismatch_db=float(mis_db[k]), update_rate=float(upd[k]),
+                mults=float(mults[k])))
+    return records

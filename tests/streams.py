@@ -8,12 +8,13 @@ the first basis build, regressors confined to one coordinate (the Krylov basis
 truncates to rank 1), a later widening of that subspace (the effective
 rank changes at a refresh), and a repeated regressor with opposite
 outputs (a violated set with a vanishing subgradient, or two violated
-sets whose directions cancel).
+sets whose directions cancel). For NLMS there are a zero regressor and an
+output equal to the filter's own prediction (a zero error).
 """
 
 import numpy as np
 
-from krrapsp import SysIdConfig, SysIdScenario
+from krrapsp import Nlms, SysIdConfig, SysIdScenario
 
 
 def sysid_stream(n, steps, seed, snr_db=15.0):
@@ -87,4 +88,37 @@ def repeated_regressor_stream(n, steps, seed, at, ring, delta=3.0):
     for age in range(ring):
         d = (delta, -delta)[age] if age < 2 else 0.0
         out[at - age] = (shared, d)
+    return out
+
+
+def unit_stream(n, steps):
+    """Regressor ``e_0`` and output 1 throughout.
+
+    The statistics are a multiple of ``e_0 e_0^T`` (full) or of the
+    identity (Toeplitz) with ``p`` along ``e_0``, so conjugate gradients
+    reach a zero residual after one step and stop early.
+    """
+    u = np.zeros(n)
+    u[0] = 1.0
+    return [(u, 1.0)] * steps
+
+
+def zero_regressor_stream(n, steps, seed, at):
+    """System identification samples with a zero regressor at step ``at``."""
+    out = sysid_stream(n, steps, seed)
+    out[at] = (np.zeros(n), out[at][1])
+    return out
+
+
+def exact_fit_stream(n, steps, seed, at, step_size):
+    """System identification samples whose output at ``at`` is NLMS's prediction.
+
+    ``Nlms(n, step_size)`` fed with this stream has a zero error at step
+    ``at``, so it does not update there.
+    """
+    out = sysid_stream(n, steps, seed)
+    filt = Nlms(n, step_size=step_size)
+    for k in range(at):
+        filt.step(*out[k])
+    out[at] = (out[at][0], float(filt.h @ out[at][0]))
     return out

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete. Criteria 7 and 10 share one Monte-Carlo sweep
-(module fixture); criterion 9b runs its own trial loop, which one more
+(module fixture); criterion 9b runs its own lockstep loop, which one more
 test ties to the harness. The wall-clock cost of the whole module is a
 few minutes, dominated by that sweep.
 """
@@ -23,11 +23,11 @@ from krrapsp import (
     SysIdScenario,
     CdmaConfig,
     CdmaScenario,
-    Cgrrf,
     project_half_space,
     r_norm,
 )
 from krrapsp import complexity as cx
+from krrapsp.batch import CgrrfBatch, KrrApspBatch
 from krrapsp.experiments import (
     ExperimentConfig,
     FilterSpec,
@@ -498,35 +498,43 @@ CDMA_DYNAMIC_SEED = 91
 
 
 def cdma_dynamic_trials(scenario, runs, iters, seed, flip_at=None):
-    """Run KRR-APSP and CGRRF over a CDMA scenario, one trial at a time.
+    """Run KRR-APSP and CGRRF over a CDMA scenario, all trials in lockstep.
 
-    Each trial is built as ``run_experiment`` builds it for CDMA: seeds from
-    ``trial_seeds``, ``fullsym`` statistics, both filters started from the
-    desired signature. From bit ``flip_at`` on (never when ``None``) the
-    training symbol fed to the filters is negated. Returns the per-bit
+    The trials are built as ``run_experiment`` builds them for CDMA: seeds
+    from ``trial_seeds``, ``fullsym`` statistics, both filters started from
+    the desired signature, one batch per filter fed from every trial's
+    stream at once. From bit ``flip_at`` on (never when ``None``) the
+    training symbols fed to the filters are negated. Returns the per-bit
     ensemble MSE of each filter, summed in trial order as the harness does,
     and the Wiener MSE after ``scenario.change_at``: the least-squares
     residual of each trial's post-change samples, averaged over trials.
     """
-    se = {"krr-q5": np.zeros(iters), "cgrrf": np.zeros(iters)}
+    scens = [CdmaScenario(replace(scenario, seed=int(s))) for s in trial_seeds(seed, runs)]
+    n = scens[0].n
+    signatures = np.stack([scen.signature for scen in scens])
+    filters = {
+        "krr-q5": KrrApspBatch(CDMA_DYNAMIC_KRR, n, runs, mode="fullsym", h0=signatures),
+        "cgrrf": CgrrfBatch(n, runs, mode="fullsym", init_vector=signatures,
+                            **CDMA_DYNAMIC_CGRRF)}
+    se = {label: np.zeros(iters) for label in filters}
+    change = scenario.change_at
+    post_u = np.empty((runs, iters - change, n))
+    post_d = np.empty((runs, iters - change))
+    streams = [scen.samples(iters) for scen in scens]
+    u, d = np.empty((runs, n)), np.empty(runs)
+    for k in range(iters):
+        for i, stream in enumerate(streams):
+            s = next(stream)
+            u[i] = s.u
+            d[i] = -s.d if flip_at is not None and k >= flip_at else s.d
+        for label, filt in filters.items():
+            err = d - filt.step(u, d).y
+            se[label][k] = np.add.accumulate(err * err)[-1]
+        if k >= change:
+            post_u[:, k - change] = u
+            post_d[:, k - change] = d
     wiener = 0.0
-    for trial_seed in trial_seeds(seed, runs):
-        scen = CdmaScenario(replace(scenario, seed=int(trial_seed)))
-        filters = {
-            "krr-q5": KrrApsp(CDMA_DYNAMIC_KRR, scen.n, mode="fullsym",
-                              h0=scen.signature),
-            "cgrrf": Cgrrf(scen.n, mode="fullsym", init_vector=scen.signature,
-                           **CDMA_DYNAMIC_CGRRF)}
-        post_u, post_d = [], []
-        for s in scen.samples(iters):
-            d = -s.d if flip_at is not None and s.k >= flip_at else s.d
-            for label, filt in filters.items():
-                err = d - filt.step(s.u, d).y
-                se[label][s.k] += err * err
-            if s.k >= scenario.change_at:
-                post_u.append(s.u)
-                post_d.append(d)
-        u_mat, d_vec = np.array(post_u), np.array(post_d)
+    for u_mat, d_vec in zip(post_u, post_d):
         p_vec = u_mat.T @ d_vec
         residual = d_vec @ d_vec - p_vec @ np.linalg.solve(u_mat.T @ u_mat, p_vec)
         wiener += float(residual) / len(d_vec)

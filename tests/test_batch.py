@@ -1,4 +1,4 @@
-"""KrrApspBatch against R independent scalar KrrApsp filters."""
+"""The lockstep batches against R independent scalar filters."""
 
 import pickle
 
@@ -7,19 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krrapsp import HalfSpace, KrrApsp, KrrParams, project_half_space
-from krrapsp.batch import KrrApspBatch, krylov_basis_stack
-from krrapsp.linalg import SymMatrix, krylov_basis
+import krrapsp.filters
+import krrapsp.linalg
+from krrapsp import Cgrrf, HalfSpace, KrrApsp, KrrParams, Nlms, project_half_space
+from krrapsp.filters import _basis_build_charge
+from krrapsp.batch import (
+    CgrrfBatch,
+    KrrApspBatch,
+    NlmsBatch,
+    cg_solve_stack,
+    krylov_basis_stack,
+)
+from krrapsp.linalg import SymMatrix, cg_solve, krylov_basis
 
 from conftest import random_spd
 from oracles import reference_parallel_update
 from streams import (
     cancelled_p_stream,
+    exact_fit_stream,
     passthrough_stream,
     repeated_regressor_stream,
     silenced_stream,
     subspace_stream,
     sysid_stream,
+    unit_stream,
+    zero_regressor_stream,
 )
 
 N = 10
@@ -152,7 +164,7 @@ def test_zero_cross_correlation_keeps_the_basis():
     steps = N + 30
     batch = lockstep(params, [sysid_stream(N, steps, seed=1),
                               cancelled_p_stream(N, steps, params.forgetting, at=N + 4)])
-    assert not np.any(batch._p[1])
+    assert not np.any(batch.stats.p[1])
     assert batch.has_basis[1] and batch.build_count[1] == 2 < batch.build_count[0]
 
 
@@ -164,8 +176,8 @@ def test_underflowing_cross_correlation_keeps_rebuilding():
     steps = 620
     batch = lockstep(params, [silenced_stream(N, steps, seed, silent_from=2 * N)
                               for seed in (1, 2)])
-    assert np.all(np.max(np.abs(batch._p), axis=1) < 1e-170)
-    assert np.all(np.any(batch._p, axis=1))
+    assert np.all(np.max(np.abs(batch.stats.p), axis=1) < 1e-170)
+    assert np.all(np.any(batch.stats.p, axis=1))
     # the first build at step N - 1, then a refresh at every step k = 1 mod 10
     assert batch.build_count.tolist() == [1 + len(range(11, steps, 10))] * 2
 
@@ -250,3 +262,255 @@ def batch_setups(draw):
 def test_batch_matches_scalar_property(setup):
     params, streams, mode, h0 = setup
     lockstep(params, streams, mode=mode, h0=h0)
+
+
+# -- CGRRF and NLMS ----------------------------------------------------------
+
+
+def lockstep_filters(batch, scalars, streams):
+    """Drive a batch and one scalar filter per stream; assert they agree."""
+    held = None
+    for k in range(len(streams[0])):
+        u = np.stack([s[k][0] for s in streams])
+        d = np.array([s[k][1] for s in streams])
+        out = batch.step(u, d)
+        if held is not None:  # a returned h_full is never written afterwards
+            assert np.array_equal(*held), k
+        held = (out.h_full, out.h_full.copy())
+        for i, filt in enumerate(scalars):
+            ref = filt.step(u[i], d[i])
+            assert out.updated[i] == ref.updated, (k, i)
+            assert out.mults[i] == ref.mults, (k, i)
+            assert close(out.y[i], ref.y), (k, i)
+            assert close(out.h_full[i], ref.h_full), (k, i)
+    for i, filt in enumerate(scalars):
+        assert batch.steps[i] == filt.steps
+        assert batch.update_count[i] == filt.update_count
+        assert {c: int(v[i]) for c, v in batch.mult_totals.items()} == filt.mult_totals
+        assert close(batch.h[i], filt.h)
+        if isinstance(filt, Cgrrf):
+            assert batch.solved[i] == filt._solved_once
+    return batch
+
+
+@pytest.fixture
+def early_cg_exits(monkeypatch):
+    """Count the scalar CGRRF solves that stop before their last iteration."""
+    exits = []
+
+    def spy(matrix, b, x0=None, iters=None, residual_tol=0.0):
+        x = cg_solve(matrix, b, x0=x0, iters=iters, residual_tol=residual_tol)
+        exits.append(np.array_equal(x, cg_solve(matrix, b, x0=x0, iters=iters - 1)))
+        return x
+
+    monkeypatch.setattr(krrapsp.filters, "cg_solve", spy)
+    return exits
+
+
+# trial indices of the corner streams in every CGRRF batch
+CG_ORDINARY, CG_ZERO_P, CG_ZERO_P_INIT, CG_SUBSPACE, CG_UNIT, CG_CANCELLED = range(6)
+
+CG_CASES = {
+    "cumulative_toeplitz": dict(rank=3, refresh_period=5),
+    "cumulative_fullsym_init": dict(rank=4, refresh_period=7, mode="fullsym", init=True),
+    "forgetting_toeplitz_init": dict(rank=3, refresh_period=4, forgetting=0.95, init=True),
+    "forgetting_fullsym": dict(rank=5, refresh_period=3, mode="fullsym", forgetting=0.99),
+    "refresh1": dict(rank=2, refresh_period=1, mode="fullsym"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CG_CASES))
+def test_cgrrf_batch_matches_scalar_on_corner_streams(case, early_cg_exits):
+    opts = dict(CG_CASES[case])
+    use_init = opts.pop("init", False)
+    streams = [
+        sysid_stream(N, STEPS, seed=1),
+        passthrough_stream(N, STEPS, seed=2, zero_until=2 * N + 3),
+        passthrough_stream(N, STEPS, seed=3, zero_until=2 * N + 3),
+        subspace_stream(N, STEPS, seed=4),
+        unit_stream(N, STEPS),
+        cancelled_p_stream(N, STEPS, opts.get("forgetting", 1.0), at=N + 4),
+    ]
+    init = None
+    if use_init:
+        init = np.random.default_rng(7).standard_normal((len(streams), N))
+        # zero p and a zero initial vector: no solve
+        init[[CG_ZERO_P, CG_CANCELLED]] = 0.0
+    batch = CgrrfBatch(N, len(streams), init_vector=init, **opts)
+    scalars = [Cgrrf(N, init_vector=None if init is None else init[i], **opts)
+               for i in range(len(streams))]
+    lockstep_filters(batch, scalars, streams)
+
+    # the corners were reached
+    solves = batch.mult_totals["basis"] // _basis_build_charge(batch.rank, N)
+    assert solves[CG_ORDINARY] > solves[CG_ZERO_P] > 0
+    assert solves[CG_CANCELLED] < solves[CG_ORDINARY]
+    if use_init:
+        assert solves[CG_ZERO_P_INIT] == solves[CG_ORDINARY]
+    assert any(early_cg_exits)
+
+
+def test_cgrrf_underflowing_p_counts_as_zero():
+    # zero outputs from 2N on halve p every step: p . p underflows from
+    # about step 540 on while p stays nonzero, and from then on Cgrrf's
+    # norm test skips the refresh solves, as a zero p would
+    steps = 620
+    streams = [silenced_stream(N, steps, seed, silent_from=2 * N) for seed in (1, 2)]
+    batch = CgrrfBatch(N, 2, rank=3, refresh_period=10, forgetting=0.5)
+    scalars = [Cgrrf(N, rank=3, refresh_period=10, forgetting=0.5) for _ in streams]
+    lockstep_filters(batch, scalars, streams)
+    assert np.all(np.any(batch.stats.p, axis=1))
+    solves = batch.mult_totals["basis"] // _basis_build_charge(3, N)
+    assert np.all(solves < 1 + len(range(11, steps, 10)))
+
+
+def test_cg_solve_stack_matches_cg_solve():
+    rng = np.random.default_rng(9)
+    mats = [SymMatrix(random_spd(N, rng)).dense() for _ in range(3)]
+    singular = np.zeros((N, N))
+    singular[0, 0] = 2.0
+    rhs = [rng.standard_normal(N) for _ in range(3)]
+    x0 = [np.zeros(N), rng.standard_normal(N), np.zeros(N)]
+    # a zero initial residual, a right-hand side outside the range (zero
+    # curvature at once), a rank-one system solved in one step, and a
+    # residual whose r . r underflows while its curvature does not
+    mats += [mats[0], singular, singular, 1e300 * np.eye(N)]
+    rhs += [mats[0] @ x0[1], np.eye(N)[1], 2.0 * np.eye(N)[0], 1e-170 * np.eye(N)[0]]
+    x0 += [x0[1], np.zeros(N), np.zeros(N), np.zeros(N)]
+    for iters in (1, 2, 5, N):
+        got = cg_solve_stack(np.stack(mats), np.stack(rhs), np.stack(x0), iters)
+        for i in range(len(mats)):
+            assert close(got[i], cg_solve(SymMatrix(mats[i]), rhs[i], x0=x0[i], iters=iters))
+
+
+NLMS_STEP = 0.4
+
+
+def test_nlms_batch_matches_scalar_on_corner_streams():
+    streams = [
+        sysid_stream(N, STEPS, seed=1),
+        zero_regressor_stream(N, STEPS, seed=2, at=7),
+        exact_fit_stream(N, STEPS, seed=3, at=9, step_size=NLMS_STEP),
+        passthrough_stream(N, STEPS, seed=4, zero_until=5),
+    ]
+    batch = lockstep_filters(NlmsBatch(N, len(streams), step_size=NLMS_STEP),
+                             [Nlms(N, step_size=NLMS_STEP) for _ in streams], streams)
+    # the zero-regressor, exact-fit and zero-output steps did not update
+    assert batch.update_count.tolist() == [STEPS, STEPS - 1, STEPS - 1, STEPS - 5]
+
+
+def test_full_matrix_statistics_match_the_row_loop():
+    # the chunked outer products add what one row at a time would
+    rng = np.random.default_rng(10)
+    runs, n = 45, 40  # chunks of 20, 20 and 5 trials
+    batch = KrrApspBatch(KrrParams(rank=3), n, runs, mode="fullsym")
+    assert batch.stats.chunk == 20
+    ref = np.zeros((runs, n, n))
+    for _ in range(5):
+        u = rng.standard_normal((runs, n))
+        batch.step(u, rng.standard_normal(runs))
+        ref *= batch.params.forgetting
+        for i in range(n):
+            ref[:, i] += u[:, i:i + 1] * u
+    assert np.array_equal(batch.stats.r, ref)
+
+
+@pytest.mark.parametrize("bad", ["u_nan", "d_inf", "u_shape", "d_shape"])
+@pytest.mark.parametrize("kind", ["cgrrf", "nlms"])
+def test_rejected_samples_leave_batches_unchanged(kind, bad):
+    streams = [sysid_stream(N, N + 4, seed=s) for s in (1, 2)]
+    batch = (CgrrfBatch(N, 2, rank=3, refresh_period=3) if kind == "cgrrf"
+             else NlmsBatch(N, 2))
+    for k in range(N + 3):
+        batch.step(np.stack([s[k][0] for s in streams]), [s[k][1] for s in streams])
+    u = np.stack([s[N + 3][0] for s in streams])
+    d = np.array([s[N + 3][1] for s in streams])
+    if bad == "u_nan":
+        u[1, 2] = np.nan
+    elif bad == "d_inf":
+        d[0] = np.inf
+    elif bad == "u_shape":
+        u = u[:, :-1]
+    else:
+        d = d[:1]
+    before = pickle.dumps(batch)
+    with pytest.raises(ValueError):
+        batch.step(u, d)
+    assert pickle.dumps(batch) == before
+
+
+@pytest.mark.parametrize("kind", ["krr", "cgrrf", "nlms"])
+def test_batches_check_samples_with_as_vector(kind, monkeypatch):
+    # the scalar filters' validator, looked up on krrapsp.linalg at each step
+    calls = []
+    as_vector = krrapsp.linalg.as_vector
+
+    def spy(x, n=None):
+        calls.append((np.shape(x), n))
+        return as_vector(x, n)
+
+    monkeypatch.setattr(krrapsp.linalg, "as_vector", spy)
+    batch = {"krr": lambda: KrrApspBatch(KrrParams(rank=3), N, 2),
+             "cgrrf": lambda: CgrrfBatch(N, 2, rank=3),
+             "nlms": lambda: NlmsBatch(N, 2)}[kind]()
+    streams = [sysid_stream(N, 1, seed=s) for s in (1, 2)]
+    batch.step(np.stack([s[0][0] for s in streams]), [s[0][1] for s in streams])
+    assert calls == [((2 * N,), None), ((2,), 2)]
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(rank=0), dict(rank=N + 1), dict(rank=3, refresh_period=0),
+    dict(rank=3, forgetting=1.0), dict(rank=3, mode="banded"),
+    dict(rank=3, init_vector=np.zeros((3, N))), dict(rank=3, init_vector=np.zeros(N)),
+    dict(rank=3, init_vector=np.full((2, N), np.nan)),
+])
+def test_cgrrf_batch_construction_checks(kwargs):
+    with pytest.raises(ValueError):
+        CgrrfBatch(N, 2, **kwargs)
+
+
+def test_batches_need_a_trial():
+    with pytest.raises(ValueError):
+        CgrrfBatch(N, 0, rank=3)
+    with pytest.raises(ValueError):
+        NlmsBatch(N, 0)
+
+
+@st.composite
+def baseline_setups(draw):
+    n = draw(st.integers(2, 12))
+    runs = draw(st.integers(1, 5))
+    steps = draw(st.integers(1, 3 * n + 8))
+    seed = draw(st.integers(0, 2 ** 16))
+    step_size = draw(st.floats(0.05, 1.5))
+    makers = {
+        "ordinary": lambda s: sysid_stream(n, steps, s),
+        "passthrough": lambda s: passthrough_stream(n, steps, s, zero_until=2 * n),
+        "subspace": lambda s: subspace_stream(n, steps, s, until=steps // 2),
+        "unit": lambda s: unit_stream(n, steps),
+        "zero_regressor": lambda s: zero_regressor_stream(n, steps, s, at=steps // 2),
+        "exact_fit": lambda s: exact_fit_stream(n, steps, s, at=steps // 2,
+                                                step_size=step_size),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=runs, max_size=runs))
+    streams = [makers[kind](seed + i) for i, kind in enumerate(kinds)]
+    cg_opts = dict(rank=draw(st.integers(1, n)), refresh_period=draw(st.integers(1, 6)),
+                   forgetting=draw(st.one_of(st.none(), st.floats(0.5, 0.999))),
+                   mode=draw(st.sampled_from(["toeplitz", "fullsym"])))
+    init = None
+    if draw(st.booleans()):
+        init = np.random.default_rng(seed).standard_normal((runs, n))
+        init[draw(st.lists(st.booleans(), min_size=runs, max_size=runs))] = 0.0
+    return n, streams, step_size, cg_opts, init
+
+
+@settings(max_examples=60, deadline=None)
+@given(baseline_setups())
+def test_baseline_batches_match_scalar_property(setup):
+    n, streams, step_size, cg_opts, init = setup
+    runs = len(streams)
+    lockstep_filters(CgrrfBatch(n, runs, init_vector=init, **cg_opts),
+                     [Cgrrf(n, init_vector=None if init is None else init[i], **cg_opts)
+                      for i in range(runs)], streams)
+    lockstep_filters(NlmsBatch(n, runs, step_size=step_size),
+                     [Nlms(n, step_size=step_size) for _ in range(runs)], streams)

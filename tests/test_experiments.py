@@ -20,6 +20,8 @@ from krrapsp.experiments import (
     write_csv,
 )
 
+from oracles import trial_by_trial_records
+
 
 def tiny_config(runs=3, iters=40, kind="sysid"):
     params = KrrParams(rank=3, projections=2, error_dim=1, rho=0.1,
@@ -69,6 +71,45 @@ class TestRunExperiment:
             runs=2, iters=10, seed=0)
         with pytest.raises(ValueError):
             run_experiment(config)
+
+
+def record_table(records):
+    return (np.array([(r.k, r.algorithm) for r in records]),
+            np.array([(r.mse_db, r.mismatch_db, r.update_rate, r.mults) for r in records]))
+
+
+LOCKSTEP_CONFIGS = {
+    "sysid_all_four": ExperimentConfig(
+        kind="sysid", scenario=SysIdConfig(n=12, snr_db=15.0, change_at=40,
+                                           change_mode="negate", seed=0),
+        filters=(FilterSpec("krr-apsp", options={"params": KrrParams(
+                     rank=3, projections=3, rho=0.05, refresh_period=5, step_size=0.5)}),
+                 FilterSpec("cgrrf", options={"rank": 3, "refresh_period": 4}),
+                 FilterSpec("cgrrf", label="cgrrf-exp",
+                            options={"rank": 2, "refresh_period": 3, "forgetting": 0.97}),
+                 FilterSpec("nlms", options={"step_size": 0.3}),
+                 FilterSpec("rls", options={"forgetting": 0.99})),
+        runs=4, iters=80, seed=5),
+    "cdma_krr_cgrrf_nlms": ExperimentConfig(
+        kind="cdma", scenario=CdmaConfig(users=3, snr_db=10.0, change_at=50,
+                                         users_post=2, seed=0),
+        filters=(FilterSpec("krr-apsp", options={"params": KrrParams(
+                     rank=3, projections=3, rho=0.1, refresh_period=5, step_size=0.1)}),
+                 FilterSpec("cgrrf", options={"rank": 3, "refresh_period": 5}),
+                 FilterSpec("cgrrf", label="cgrrf-zero-init",
+                            options={"rank": 3, "init_from_signature": False}),
+                 FilterSpec("nlms", options={"step_size": 0.2})),
+        runs=3, iters=90, seed=6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCKSTEP_CONFIGS))
+def test_records_equal_trial_by_trial_loop(name):
+    config = LOCKSTEP_CONFIGS[name]
+    got, want = (record_table(records) for records in
+                 (run_experiment(config), trial_by_trial_records(config)))
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestCsv:
