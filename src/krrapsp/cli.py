@@ -18,6 +18,7 @@ from .experiments import (
     ExperimentConfig,
     FilterSpec,
     config_metadata,
+    format_csv,
     run_experiment,
     write_csv,
 )
@@ -114,14 +115,7 @@ def _run_experiment_command(args) -> int:
     if args.out:
         write_csv(records, args.out, metadata)
     else:
-        for key, val in metadata.items():
-            sys.stdout.write(f"# {key}={val}\n")
-        sys.stdout.write(",".join(["k", "algorithm", "mse_db", "mismatch_db",
-                                   "update_rate", "mults"]) + "\n")
-        for rec in records:
-            sys.stdout.write(f"{rec.k},{rec.algorithm},{rec.mse_db:.10g},"
-                             f"{rec.mismatch_db:.10g},{rec.update_rate:.10g},"
-                             f"{rec.mults:.10g}\n")
+        sys.stdout.write(format_csv(records, metadata))
     return 0
 
 

@@ -4,12 +4,13 @@ Runs independent trials of a scenario against a set of filters, averages
 the per-iteration metrics across trials in trial-index order, and writes
 the trace as a flat CSV whose header echoes the full configuration.
 
-Every filter but RLS runs all trials in lockstep (:mod:`krrapsp.batch`,
-imported for those filters only, fed from every trial's scenario stream
-at once). RLS runs one trial after another: its N x N inverse correlation
-for 100 trials at N = 200 would hold 32 MB. Each trial's scenario is
-seeded and consumed as in a trial-by-trial run, so the choice of path
-does not change the output.
+KRR-APSP, CGRRF and NLMS run all trials in lockstep, one batch of
+:mod:`krrapsp.filters` per filter, fed from every trial's scenario stream
+at once. RLS is the only filter outside that pass: it runs one trial
+after another, because its N x N inverse correlation for 100 trials at
+N = 200 would hold 32 MB. Each trial's scenario is seeded and consumed as
+in a trial-by-trial run, so the choice of path does not change the
+output.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .filters import Rls
+from .filters import CgrrfBatch, KrrApspBatch, NlmsBatch, Rls
+from .linalg import stacked_dot
 from .scenarios import CdmaConfig, CdmaScenario, SysIdConfig, SysIdScenario
 
 ALGORITHMS = ("krr-apsp", "cgrrf", "nlms", "rls")
@@ -129,9 +131,6 @@ METRICS = ("se", "mis", "upd", "mults")
 
 
 def _make_batch(spec: FilterSpec, n: int, mode: str, runs: int, signatures=None):
-    # only experiments with a filter other than RLS import the batches
-    from .batch import CgrrfBatch, KrrApspBatch, NlmsBatch
-
     opts = dict(spec.options)
     if spec.algorithm == "nlms":
         return NlmsBatch(n, runs, **opts)
@@ -148,8 +147,6 @@ def _run_lockstep(config: ExperimentConfig, specs, seeds, sums: dict) -> None:
     (``np.add.accumulate`` adds strictly left to right), as
     :func:`run_experiment` adds per-trial rows.
     """
-    from .batch import stacked_dot  # only experiments with a filter other than RLS need it
-
     scenarios = [_make_scenario(config, int(s)) for s in seeds]
     n, mode = _scenario_shape(config, scenarios[0])
     signatures = (np.stack([sc.signature for sc in scenarios])
@@ -277,8 +274,8 @@ def _format_value(x: float) -> str:
     return str(x)
 
 
-def write_csv(records, path: str, metadata: dict | None = None) -> None:
-    """Write records atomically; a failing write leaves no partial file."""
+def format_csv(records, metadata: dict | None = None) -> str:
+    """The text of a trace: ``# key=value`` header lines, the columns, the records."""
     lines = []
     for key, val in (metadata or {}).items():
         lines.append(f"# {key}={val}")
@@ -288,7 +285,12 @@ def write_csv(records, path: str, metadata: dict | None = None) -> None:
             str(rec.k), rec.algorithm, _format_value(rec.mse_db),
             _format_value(rec.mismatch_db), _format_value(rec.update_rate),
             _format_value(rec.mults)]))
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(records, path: str, metadata: dict | None = None) -> None:
+    """Write :func:`format_csv` text atomically; a failing write leaves no partial file."""
+    text = format_csv(records, metadata)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

@@ -1,22 +1,27 @@
-"""Streaming adaptive filters under one step-by-step interface.
+"""Streaming adaptive filters, one stream at a time or R trials in lockstep.
 
 Four algorithms are provided:
 
-* ``KrrApsp`` - Krylov reduced-rank adaptive parallel subgradient
+* KRR-APSP - Krylov reduced-rank adaptive parallel subgradient
   projection. Maintains an orthonormal Krylov basis of the estimated
   statistics, refreshed every ``m`` iterations, and adjusts a reduced
   coefficient vector by a relaxed convex combination of subgradient
   projections onto per-sample bounded-error sets.
-* ``Cgrrf`` - conjugate-gradient reduced-rank filter: every ``m``
-  iterations, a fixed number of CG steps on the estimated normal
-  equations; held in between.
-* ``Nlms`` and ``Rls`` - classical full-rank baselines.
+* CGRRF - conjugate-gradient reduced-rank filter: every ``m`` iterations,
+  a fixed number of CG steps on the estimated normal equations; held in
+  between.
+* NLMS and RLS - classical full-rank baselines.
 
-Each filter consumes one ``(u, d)`` pair per ``step`` call and reports its
-full-dimension coefficient vector so metrics can be computed uniformly;
-a pair with a non-finite entry is rejected before any state changes.
-:mod:`krrapsp.batch` steps R independent ``KrrApsp``, ``Cgrrf`` or ``Nlms``
-filters in lockstep.
+The first three are written once each, as :class:`KrrApspBatch`,
+:class:`CgrrfBatch` and :class:`NlmsBatch`, which step R independent
+filters in lockstep on stacked ``(R, N)`` samples. Their stacked products
+make a single filter's BLAS calls trial by trial, so a trial's arithmetic
+does not depend on R. ``KrrApsp``, ``Cgrrf`` and ``Nlms`` are their
+one-trial views. ``Rls`` has no batch: R inverse correlations at N = 200
+would hold 32 MB per 100 trials.
+
+Every filter reports its full-dimension coefficient vector, and rejects
+a sample with a non-finite entry before any state changes.
 
 Multiplication accounting
 -------------------------
@@ -36,14 +41,18 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .estimation import MODES, CorrelationEstimator
+from . import linalg
+from .estimation import MODES
 from .linalg import (
     BasisMatrix,
-    DegenerateCrossCorrelationError,
     as_vector,
-    cg_solve,
-    krylov_basis,
+    cg_solve_stack,
+    krylov_basis,  # noqa: F401  (unused; the benchmark's layer trace checks it here)
+    krylov_basis_stack,
+    stacked_dot,
+    stacked_matvec,
 )
 from .tolerances import TOL
 
@@ -116,8 +125,8 @@ class KrrParams:
 class StepOutput:
     """Result of one filter step.
 
-    ``KrrApspBatch`` returns one for R trials at once: each field then has
-    a leading trial axis.
+    A batch returns one for R trials at once: each field then has a
+    leading trial axis.
     """
 
     y: float
@@ -135,418 +144,634 @@ def _stats_cost(mode: str, n: int) -> int:
     return 4 * n if mode == "toeplitz" else n * n + 3 * n
 
 
-def _checked_sample(u, d, n: int):
-    """Validate one ``(u, d)`` pair; returns ``(u as a vector, float d)``."""
-    v = as_vector(u, n)
-    d = float(d)
-    if not math.isfinite(d):
-        raise ValueError("desired output d must be finite")
-    return v, d
-
-
-class KrrApsp:
-    """Krylov reduced-rank adaptive parallel subgradient projection filter.
-
-    Parameters
-    ----------
-    params : KrrParams
-    n : int
-        Full filter length N; requires ``params.rank <= n``.
-    mode : {"toeplitz", "fullsym"}
-        Statistics estimator mode.
-    h0 : array_like, optional
-        Full-space initial vector, projected into the first basis when it
-        becomes available (``h_tilde = S^T h0``). Zero when omitted.
-
-    Until the first basis can be built (estimator immature or a zero
-    cross-correlation estimate) the filter runs in passthrough: output 0
-    and no update.
-    """
-
-    name = "krr-apsp"
-
-    def __init__(self, params: KrrParams, n: int, mode: str = "toeplitz", h0=None):
-        if params.rank > n:
-            raise ValueError(f"rank {params.rank} exceeds filter length {n}")
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        self.params = params
-        self.n = int(n)
-        self.est = CorrelationEstimator(mode, n, params.forgetting)
-        self._h0 = None if h0 is None else as_vector(h0, n).copy()
-        self.basis: BasisMatrix | None = None
-        self.h_tilde: np.ndarray | None = None
-        ring = params.projections + params.error_dim - 1
-        self._us: deque = deque(maxlen=ring)
-        self._ds: deque = deque(maxlen=ring)
-        self._ut: deque = deque(maxlen=ring)  # cached S^T u columns
-        self._ut_valid = False
-        self._k = 0
-        self.steps = 0
-        self.update_count = 0
-        self.update_flags: deque = deque(maxlen=4096)
-        self.skipped_zero_direction = 0
-        self.cancelled_updates = 0
-        self.build_count = 0
-        self.last_relaxation: float | None = None
-        self.mult_totals = _zero_counters()
-
-    # -- observability ----------------------------------------------------
-
-    @property
-    def update_rate(self) -> float:
-        return self.update_count / self.steps if self.steps else 0.0
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """Full-dimension coefficient vector ``S h_tilde``."""
-        if self.basis is None:
-            return np.zeros(self.n)
-        return self.basis.matrix @ self.h_tilde
-
-    # -- internals ---------------------------------------------------------
-
-    def _try_first_build(self) -> None:
-        # passthrough until the estimator has seen a filter length's worth
-        # of samples; a basis built from fewer is dominated by noise and
-        # its misfit energy would have to be unlearned later
-        if not self.est.mature:
-            return
-        try:
-            basis = krylov_basis(self.est.r_matrix(), self.est.p_vector(),
-                                 self.params.rank, build_tag=self._k)
-        except DegenerateCrossCorrelationError:
-            return
-        self.basis = basis
-        self.build_count += 1
-        self.mult_totals["basis"] += _basis_build_charge(self.params.rank, self.n)
-        if self._h0 is None:
-            self.h_tilde = np.zeros(basis.rank)
-        else:
-            self.h_tilde = basis.matrix.T @ self._h0
-        self._ut_valid = False
-
-    def _refresh_basis(self) -> None:
-        p = self.est.p_vector()
-        try:
-            basis = krylov_basis(self.est.r_matrix(), p, self.params.rank,
-                                 build_tag=self._k + 1)
-        except DegenerateCrossCorrelationError:
-            return
-        self.build_count += 1
-        self.mult_totals["basis"] += _basis_build_charge(self.params.rank, self.n)
-        self.rebase(basis)
-
-    def rebase(self, new_basis: BasisMatrix) -> None:
-        """Carry the reduced filter into a new basis.
-
-        The full-space vector passes through the basis-transition map
-        ``S_new S_old^T``, which maps ``S_old h_tilde`` to
-        ``S_new h_tilde``: for equal ranks the reduced coordinates carry
-        over verbatim at no cost. When the effective rank changed (early
-        rank-deficient estimates), the old full vector is re-embedded by
-        projection, ``h_tilde <- S_new^T (S_old h_tilde)``. Cached reduced
-        regressors are invalidated and recomputed lazily on the next step.
-        """
-        if new_basis.n != self.n:
-            raise ValueError("new basis has wrong ambient dimension")
-        if self.basis is None:
-            raise ValueError("cannot rebase before the first basis build")
-        if new_basis.rank != self.basis.rank:
-            full = self.basis.matrix @ self.h_tilde
-            self.h_tilde = new_basis.matrix.T @ full
-            self.mult_totals["rebase"] += (self.basis.rank * self.n
-                                           + new_basis.rank * self.n)
-        self.basis = new_basis
-        self._ut_valid = False
-
-    def _refresh_transforms(self) -> int:
-        """Bring the cached reduced regressors up to date; returns mults."""
-        s = self.basis.matrix
-        if self._ut_valid:
-            self._ut.appendleft(s.T @ self._us[0])
-            return self.basis.rank * self.n
-        self._ut.clear()
-        for u in self._us:
-            self._ut.append(s.T @ u)
-        self._ut_valid = True
-        return len(self._us) * self.basis.rank * self.n
-
-    # -- streaming interface ------------------------------------------------
-
-    def step(self, u, d: float) -> StepOutput:
-        """Consume one sample pair and advance the filter."""
-        v, d = _checked_sample(u, d, self.n)
-        self._us.appendleft(v.copy())
-        self._ds.appendleft(d)
-        self.est.update(v, d)
-        stats_mults = _stats_cost(self.est.mode, self.n)
-        self.mult_totals["stats"] += stats_mults
-        mults = stats_mults
-
-        if self.basis is None:
-            self._try_first_build()
-            if self.basis is None:
-                # passthrough until a basis exists
-                self.steps += 1
-                self.update_flags.append(False)
-                self._k += 1
-                return StepOutput(0.0, False, np.zeros(self.n), mults)
-
-        transform_mults = self._refresh_transforms()
-        self.mult_totals["transform"] += transform_mults
-        mults += transform_mults
-
-        p = self.params
-        d_eff = self.basis.rank
-        ring = len(self._us)
-        ut_cols = list(self._ut)
-        h = self.h_tilde
-
-        # inner products of each cached reduced regressor with the filter;
-        # the newest one doubles as the filter output
-        ips = np.array([float(col @ h) for col in ut_cols])
-        filter_mults = ring * d_eff
-        y = ips[0]
-
-        q_eff = min(p.projections, ring)
-        w = p.weight_array[:q_eff]
-        w = w / float(w.sum())
-
-        f_dir = np.zeros(d_eff)
-        loss_sum = 0.0
-        delta_norm_sum = 0.0
-        any_violation = False
-        contributed = False
-        for j in range(q_eff):
-            r_eff = min(p.error_dim, ring - j)
-            e = ips[j:j + r_eff] - np.fromiter(
-                (self._ds[t] for t in range(j, j + r_eff)), dtype=float, count=r_eff)
-            sq = float(e @ e)
-            filter_mults += r_eff
-            if sq <= p.rho:
-                continue
-            any_violation = True
-            block = np.column_stack([ut_cols[j + t] for t in range(r_eff)])
-            a = block @ e
-            c = float(a @ a)
-            filter_mults += r_eff * d_eff + d_eff
-            # guard scale: uncharged safeguard arithmetic, not part of the
-            # documented cost model
-            direction_scale = float(np.sum(block * block)) * sq
-            if c <= TOL.zero_direction_rel ** 2 * direction_scale:
-                # violated set with a vanishing subgradient: inconsistent
-                # data corner, skipped with a diagnostic count
-                self.skipped_zero_direction += 1
-                continue
-            gap = p.rho - sq
-            coef = w[j] * gap / (2.0 * c)
-            f_dir += coef * a
-            loss_sum += w[j] * gap * gap / (4.0 * c)
-            delta_norm_sum += abs(coef) * float(np.sqrt(c))
-            filter_mults += 7 + d_eff
-            contributed = True
-
-        updated = False
-        self.last_relaxation = None
-        if any_violation and contributed:
-            nf = float(f_dir @ f_dir)
-            filter_mults += d_eff
-            if np.sqrt(nf) <= TOL.cancellation * delta_norm_sum:
-                self.cancelled_updates += 1
-            else:
-                relax = loss_sum / nf
-                scale = p.step_size * relax
-                self.h_tilde = h + scale * f_dir
-                filter_mults += 2 + d_eff
-                self.last_relaxation = relax
-                updated = True
-
-        mults += filter_mults
-        self.mult_totals["filter"] += filter_mults
-        h_full = self.basis.matrix @ self.h_tilde
-
-        self.steps += 1
-        self.update_count += int(updated)
-        self.update_flags.append(updated)
-
-        if self._k % p.refresh_period == 1 % p.refresh_period:
-            self._refresh_basis()
-        self._k += 1
-        return StepOutput(float(y), updated, h_full, mults)
-
-
 def _basis_build_charge(rank: int, n: int) -> int:
     # CG-equivalent construction charge per build; see complexity module
     return (rank - 1) * n * n + (5 * rank - 4) * n + 2 * (rank - 1)
 
 
-class _CumulativeStats:
-    """Plain sample sums of the second-order statistics (growing window).
+# bytes of the dense matrices one chunk of trials may hold
+_BUILD_CHUNK_BYTES = 1 << 18
 
-    The classical reduced-rank conjugate-gradient filter estimates its
-    normal equations by uniform averaging, so past data never decays;
-    sums are kept unnormalized (solutions are scale invariant).
+
+class _StatsStack:
+    """Second-order statistics of R trials, updated as one filter updates its own.
+
+    ``r`` holds ``(R, N)`` Toeplitz first rows or ``(R, N, N)`` matrices and
+    ``p`` the ``(R, N)`` cross-correlations. With a ``forgetting`` factor
+    every update is ``CorrelationEstimator.update``; without one the
+    estimates are plain sample sums. Dense matrices exist a chunk of trials
+    at a time, at most ``_BUILD_CHUNK_BYTES`` of them: the outer products of
+    a full-matrix update in a buffer the stack keeps (a fresh one every step
+    would be faulted in again each time), the Toeplitz matrices in one
+    buffer per :meth:`dense` call.
     """
 
-    def __init__(self, mode: str, n: int):
+    def __init__(self, mode: str, n: int, trials: int, forgetting: float | None):
         self.mode = mode
-        self.n = int(n)
-        self.sample_count = 0
-        self._p = np.zeros(n)
-        self._r = np.zeros(n) if mode == "toeplitz" else None
-        self._matrix = np.zeros((n, n)) if mode == "fullsym" else None
+        self.forgetting = forgetting
+        self.chunk = min(trials, max(1, _BUILD_CHUNK_BYTES // (8 * n * n)))
+        self.r = np.zeros((trials, n) if mode == "toeplitz" else (trials, n, n))
+        self.p = np.zeros((trials, n))
+        self._outer = np.empty((self.chunk, n, n)) if mode == "fullsym" else None
 
-    @property
-    def mature(self) -> bool:
-        return self.sample_count >= self.n
-
-    def update(self, u, d: float) -> None:
+    def update(self, u: np.ndarray, d: np.ndarray) -> None:
+        """Fold one sample of every trial into the estimates, in place."""
+        g = self.forgetting
+        if g is not None:
+            self.r *= g
+            self.p *= g
         if self.mode == "toeplitz":
-            self._r = self._r + u[0] * u
+            self.r += u[:, :1] * u
         else:
-            self._matrix = self._matrix + np.outer(u, u)
-        self._p = self._p + float(d) * u
-        self.sample_count += 1
+            for lo in range(0, len(u), self.chunk):
+                part = u[lo:lo + self.chunk]
+                outer = np.multiply(part[:, :, None], part[:, None, :],
+                                    out=self._outer[:len(part)])
+                self.r[lo:lo + len(part)] += outer
+        self.p += d[:, None] * u
 
-    def r_matrix(self):
-        from .linalg import SymMatrix
+    def dense(self, pos: np.ndarray):
+        """Yield ``(part, matrices)`` over the trials ``pos``, a chunk at a time.
 
+        ``matrices`` holds the dense statistics of the trials ``part``; a
+        Toeplitz chunk is overwritten by the next one.
+        """
+        n = self.p.shape[1]
         if self.mode == "toeplitz":
-            return SymMatrix(first_row=self._r)
-        return SymMatrix(self._matrix)
+            buffer = np.empty((min(self.chunk, pos.size), n, n))
+        for lo in range(0, pos.size, self.chunk):
+            part = pos[lo:lo + self.chunk]
+            if self.mode == "toeplitz":
+                # SymMatrix(first_row=...).dense(): entry (i, j) is row[|i - j|],
+                # entry N - 1 - i + j of the row mirrored in front of itself
+                rows = self.r[part]
+                mirrored = np.concatenate((rows[:, :0:-1], rows), axis=1)
+                mats = buffer[:part.size]
+                np.copyto(mats, sliding_window_view(mirrored, n, axis=1)[:, ::-1])
+            else:
+                # chunks of consecutive trials are views, others copies
+                mats = self.r[part[0]:part[-1] + 1]
+                if mats.shape[0] != part.size:
+                    mats = self.r[part]
+            yield part, mats
 
-    def p_vector(self) -> np.ndarray:
-        return self._p.copy()
+
+def _checked_stack(u, d, trials: int, n: int):
+    """Validate one ``(R, N)`` regressor stack and its ``(R,)`` outputs."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (trials, n):
+        raise ValueError(f"expected u of shape {(trials, n)}, got {u.shape}")
+    # entries are checked by as_vector, looked up on the module, so that a
+    # wrapper installed there (the benchmark's layer trace) sees the calls
+    linalg.as_vector(u.reshape(-1))
+    return u, linalg.as_vector(d, trials)
 
 
-class Cgrrf:
-    """Conjugate-gradient reduced-rank filter.
+def _initial_stack(x, trials: int, n: int, name: str):
+    """A finite ``(R, N)`` copy of per-trial initial vectors, or None for None."""
+    if x is None:
+        return None
+    x = np.array(x, dtype=float)
+    if x.shape != (trials, n) or not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be a finite ({trials}, {n}) array")
+    return x
 
-    Every ``refresh_period`` iterations the coefficient vector is replaced
-    by the result of ``rank`` CG iterations on the estimated normal
-    equations, started from ``init_vector`` (zero by default); between
-    refreshes the filter is held. A non-positive curvature direction ends
-    a solve early, keeping the current iterate.
 
-    By default the statistics are uniform sample averages over all data
-    seen so far, the classical formulation of this filter. Passing a
-    ``forgetting`` factor in (0, 1) switches to exponentially weighted
-    estimates instead.
+def _leading(basis: np.ndarray, rank: int) -> np.ndarray:
+    # the leading columns of a zero-padded basis, laid out as a BasisMatrix
+    return np.ascontiguousarray(basis[:, :rank])
+
+
+class _Lockstep:
+    """Counters of R filters stepped in lockstep: ``(R,)`` integer arrays."""
+
+    def __init__(self, n: int, trials: int):
+        if trials < 1:
+            raise ValueError("trials must be at least 1")
+        self.n, self.trials = int(n), int(trials)
+        self.steps = np.zeros(self.trials, dtype=np.int64)
+        self.update_count = np.zeros(self.trials, dtype=np.int64)
+        self.mult_totals = {cat: np.zeros(self.trials, dtype=np.int64)
+                            for cat in _zero_counters()}
+
+
+class KrrApspBatch(_Lockstep):
+    """R independent KRR-APSP filters stepped in lockstep.
+
+    Trial ``i`` is the filter ``KrrApsp(params, n, mode, h0[i])`` fed with
+    row ``i`` of every ``(U, d)`` pair. Until a trial's first basis can be
+    built (fewer than N samples seen, or a zero cross-correlation
+    estimate) it passes through: output 0 and no update. All trials share
+    the step index, hence the warm-up gate and the refresh steps. A basis
+    that truncates to ``D_eff < D`` carries zero columns after its
+    ``D_eff`` leading ones; each step handles the trials of one effective
+    rank together.
+
+    State: the statistics (a ``_StatsStack``), the sample ring and the
+    cached reduced regressors as ``(R, ring, N)`` and ``(R, ring, D)``
+    (newest first), the bases as ``(R, N, D)`` with their ``build_tag``
+    (the step index of the first build, one more than it for a refresh)
+    and the reduced filters as ``(R, D)``. ``last_relaxation`` holds each
+    trial's relaxation factor of the last step, NaN where it did not
+    update. Counters are ``(R,)`` integer arrays, ``mult_totals`` one per
+    category.
     """
 
-    name = "cgrrf"
+    def __init__(self, params: KrrParams, n: int, trials: int, mode: str = "toeplitz",
+                 h0=None):
+        if params.rank > n:
+            raise ValueError(f"rank {params.rank} exceeds filter length {n}")
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
+        if not 0.0 < params.forgetting < 1.0:
+            raise ValueError(f"forgetting factor must lie in (0, 1), got {params.forgetting}")
+        super().__init__(n, trials)
+        self.params = params
+        n, r, d = self.n, self.trials, params.rank
+        self._h0 = _initial_stack(h0, r, n, "h0")
+        self.stats = _StatsStack(mode, n, r, params.forgetting)
+        ring = params.projections + params.error_dim - 1
+        self._us = np.zeros((r, ring, n))
+        self._ds = np.zeros((r, ring))
+        self._ut = np.zeros((r, ring, d))
+        self._ring = 0  # filled ring slots, shared by all trials
+        self._ut_valid = np.zeros(r, dtype=bool)
+        self.has_basis = np.zeros(r, dtype=bool)
+        self.basis = np.zeros((r, n, d))
+        self.build_tag = np.zeros(r, dtype=np.int64)
+        self.rank_eff = np.zeros(r, dtype=np.int64)
+        self.h_tilde = np.zeros((r, d))
+        # normalized weights of the newest q_eff sets, by q_eff
+        weights = params.weight_array
+        self._weights = [None] + [weights[:q] / float(weights[:q].sum())
+                                  for q in range(1, params.projections + 1)]
+        self.last_relaxation = np.full(r, np.nan)
+        self._k = 0
+        self.build_count = np.zeros(r, dtype=np.int64)
+        self.skipped_zero_direction = np.zeros(r, dtype=np.int64)
+        self.cancelled_updates = np.zeros(r, dtype=np.int64)
 
-    def __init__(self, n: int, rank: int, refresh_period: int = 10,
+    # -- internals ---------------------------------------------------------
+
+    def _install(self, i: int, matrix: np.ndarray, tag: int) -> None:
+        """Carry trial ``i``'s reduced filter into the ``(N, D_eff)`` basis ``matrix``.
+
+        A first basis starts the reduced filter at ``S^T h0`` (zero without
+        ``h0``). Into a basis of the same rank the reduced coordinates carry
+        over as they are (the transition map ``S_new S_old^T``); for another
+        rank the full vector is re-embedded by projection, charged to
+        ``rebase``.
+        """
+        old, new = int(self.rank_eff[i]), matrix.shape[1]
+        if new > self.basis.shape[2]:
+            # more columns than params.rank (a rebase onto a wider basis)
+            pad = ((0, 0), (0, 0), (0, new - self.basis.shape[2]))
+            self.basis, self._ut = np.pad(self.basis, pad), np.pad(self._ut, pad)
+            self.h_tilde = np.pad(self.h_tilde, pad[1:])
+        if new != old:
+            if self.has_basis[i]:
+                full = _leading(self.basis[i], old) @ self.h_tilde[i, :old]
+                self.mult_totals["rebase"][i] += (old + new) * self.n
+            else:
+                full = None if self._h0 is None else self._h0[i]
+            self.h_tilde[i] = 0.0
+            if full is not None:
+                self.h_tilde[i, :new] = matrix.T @ full
+            self.basis[i] = 0.0
+            self.rank_eff[i] = new
+        self.basis[i, :, :new] = matrix
+        self.build_tag[i] = tag
+        self.has_basis[i] = True
+        self._ut_valid[i] = False
+
+    def _build_bases(self, among: np.ndarray, tag: int) -> None:
+        """Build and install the Krylov bases of trials ``among``, chunk by chunk.
+
+        A trial with a zero cross-correlation estimate is skipped: it stays
+        in passthrough (a first build) or keeps its basis (a refresh).
+        """
+        pos = np.flatnonzero(among & np.any(self.stats.p, axis=1))
+        if pos.size == 0:
+            return
+        n, rank = self.n, self.params.rank
+        for part, mats in self.stats.dense(pos):
+            seeds = self.stats.p[part]
+            if not (np.all(np.isfinite(mats)) and np.all(np.isfinite(seeds))):
+                raise ValueError("statistics estimates must be finite")
+            bases, ranks = krylov_basis_stack(mats, seeds, rank)
+            for j in np.flatnonzero(ranks != self.rank_eff[part]):
+                self._install(part[j], _leading(bases[j], ranks[j]), tag)
+            self.basis[part, :, :rank] = bases
+        self.build_count[pos] += 1
+        self.mult_totals["basis"][pos] += _basis_build_charge(rank, n)
+        self.build_tag[pos] = tag
+        self.has_basis[pos] = True
+        self._ut_valid[pos] = False
+
+    def _reduced_step(self, idx, rank: int, u: np.ndarray):
+        """Transform, output and update of trials ``idx``, all of basis rank ``rank``.
+
+        Every product runs on contiguous ``[..., :rank]`` arrays, the shapes
+        of a single filter's own. Returns ``(y, updated, h_full,
+        transform_mults, filter_mults)``.
+        """
+        p = self.params
+        n, ring = self.n, self._ring
+        if isinstance(idx, slice) and rank == self.basis.shape[2]:
+            basis, ut = self.basis, self._ut  # the whole batch at full rank
+        else:
+            basis = np.ascontiguousarray(self.basis[idx][:, :, :rank])
+            ut = np.ascontiguousarray(self._ut[idx][:, :, :rank])
+        basis_t = basis.transpose(0, 2, 1)
+        count = basis.shape[0]
+
+        # cached reduced regressors: the newest column for every trial, all
+        # columns for trials whose basis changed since the last step
+        ut[:, 0] = stacked_matvec(basis_t, u)
+        stale = ~self._ut_valid[idx]
+        if stale.any():
+            us = self._us[idx]
+            for t in range(1, ring):
+                ut[stale, t] = stacked_matvec(basis_t[stale], us[stale, t])
+        if ut is not self._ut:
+            self._ut[idx, :, :rank] = ut
+        self._ut_valid[idx] = True
+        transform_mults = np.where(stale, ring, 1) * rank * n
+
+        h = np.ascontiguousarray(self.h_tilde[idx][:, :rank])
+        ips = stacked_dot(ut[:, :ring], h[:, None, :])
+        q_eff = min(p.projections, ring)
+
+        # each projection set's squared error, and for a set that some trial
+        # violates its subgradient a = (S^T U) e, c = a . a and the guard
+        # scale (an uncharged safeguard outside the cost model)
+        sq = np.empty((count, q_eff))
+        errors = []
+        filter_mults = ring * rank  # the inner products, then each set's error
+        for j in range(q_eff):
+            r_eff = min(p.error_dim, ring - j)
+            e = ips[:, j:j + r_eff] - self._ds[idx, j:j + r_eff]
+            sq[:, j] = stacked_dot(e, e)
+            errors.append(e)
+            filter_mults += r_eff
+        violated = sq > p.rho
+        a = np.zeros((count, q_eff + 1, rank))  # slot 0 stays zero: f_dir's start
+        c = np.zeros((count, q_eff))
+        block_sq = np.zeros((count, q_eff))
+        charges = np.zeros(q_eff, dtype=np.int64)  # of a violated set
+        for j in np.flatnonzero(violated.any(axis=0)):
+            e = errors[j]
+            r_eff = e.shape[1]
+            # (count, rank, r_eff) blocks: the columns ut[j], ..., ut[j + r_eff - 1]
+            block = np.ascontiguousarray(ut[:, j:j + r_eff].transpose(0, 2, 1))
+            a[:, j + 1] = a_j = stacked_matvec(block, e)
+            c[:, j] = stacked_dot(a_j, a_j)
+            block_sq[:, j] = (block * block).sum(axis=(1, 2))
+            charges[j] = r_eff * rank + rank
+
+        # every set at once, elementwise; a violated set with a vanishing
+        # subgradient (an inconsistent data corner) is skipped and counted
+        zero = violated & (c <= TOL.zero_direction_rel ** 2 * (block_sq * sq))
+        if zero.any():
+            self.skipped_zero_direction[idx] += zero.sum(axis=1)
+        ok = violated & ~zero
+        gap = p.rho - sq
+        c_ok = np.where(ok, c, 1.0)
+        w_gap = self._weights[q_eff] * gap
+        coef = np.where(ok, w_gap / (2.0 * c_ok), 0.0)
+        loss = np.where(ok, w_gap * gap / (4.0 * c_ok), 0.0)
+        # the sums over the sets add in set order, as one set after another
+        a[:, 1:] *= coef[:, :, None]
+        f_dir = np.ascontiguousarray(np.add.accumulate(a, axis=1)[:, -1])
+        loss_sum = np.add.accumulate(loss, axis=1)[:, -1]
+        delta_norm_sum = np.add.accumulate(np.abs(coef) * np.sqrt(c), axis=1)[:, -1]
+        n_ok = ok.sum(axis=1)
+        contributed = n_ok > 0
+
+        nf = stacked_dot(f_dir, f_dir)
+        cancelled = contributed & (np.sqrt(nf) <= TOL.cancellation * delta_norm_sum)
+        self.cancelled_updates[idx] += cancelled
+        updated = contributed & ~cancelled
+        relax = loss_sum / np.where(updated, nf, 1.0)
+        self.last_relaxation[idx] = np.where(updated, relax, np.nan)
+        scale = p.step_size * relax
+        h = np.where(updated[:, None], h + scale[:, None] * f_dir, h)
+        filter_mults += (np.dot(violated, charges) + n_ok * (7 + rank)
+                         + contributed * rank + updated * (2 + rank))
+        self.h_tilde[idx, :rank] = h
+        return ips[:, 0], updated, stacked_matvec(basis, h), transform_mults, filter_mults
+
+    # -- streaming interface ------------------------------------------------
+
+    def step(self, u, d) -> StepOutput:
+        """Consume one ``(R, N)`` regressor stack and its ``(R,)`` outputs."""
+        r, n = self.trials, self.n
+        u, d = _checked_stack(u, d, r, n)
+        # age the rings slot by slot: an overlapping slice copy would
+        # allocate a temporary of the whole ring every step
+        for ring in (self._us, self._ds, self._ut):
+            for age in range(ring.shape[1] - 1, 0, -1):
+                ring[:, age] = ring[:, age - 1]
+        self._us[:, 0] = u
+        self._ds[:, 0] = d
+        self._ring = min(self._ring + 1, self._us.shape[1])
+        self.stats.update(u, d)
+        stats_mults = _stats_cost(self.stats.mode, n)
+        self.mult_totals["stats"] += stats_mults
+
+        # the estimators have now seen k + 1 samples: mature from N on
+        if self._k + 1 >= n and not self.has_basis.all():
+            self._build_bases(~self.has_basis, self._k)
+
+        # trials without a basis pass through: output 0, no update
+        y = np.zeros(r)
+        updated = np.zeros(r, dtype=bool)
+        h_full = np.zeros((r, n))
+        mults = np.full(r, stats_mults, dtype=np.int64)
+        # (a set, not np.unique, which imports numpy.ma on its first call)
+        for rank in sorted(set(self.rank_eff[self.has_basis].tolist())):
+            group = self.has_basis & (self.rank_eff == rank)
+            idx = slice(None) if group.all() else np.flatnonzero(group)
+            y[idx], updated[idx], h_full[idx], transform_mults, filter_mults = \
+                self._reduced_step(idx, rank, u[idx])
+            self.mult_totals["transform"][idx] += transform_mults
+            self.mult_totals["filter"][idx] += filter_mults
+            mults[idx] += transform_mults + filter_mults
+        self.steps += 1
+        self.update_count += updated
+        if self._k % self.params.refresh_period == 1 % self.params.refresh_period:
+            self._build_bases(self.has_basis, self._k + 1)
+        self._k += 1
+        return StepOutput(y, updated, h_full, mults)
+
+
+class CgrrfBatch(_Lockstep):
+    """R independent CGRRF filters stepped in lockstep.
+
+    Trial ``i`` is the filter ``Cgrrf(n, rank, refresh_period, forgetting,
+    mode, init_vector[i])`` fed with row ``i`` of every ``(U, d)`` pair.
+    Once N samples are seen, and then every ``refresh_period`` steps, a
+    trial's coefficients are replaced by ``rank`` CG iterations on its
+    estimated normal equations from its initial vector (zero by default);
+    a non-positive curvature ends a solve early, and a trial whose ``p . p``
+    and initial vector are zero does not solve. Without a ``forgetting``
+    factor the statistics are plain sums over all data seen so far, the
+    classical formulation of this filter.
+
+    State: the statistics (a ``_StatsStack``), the coefficients ``h`` as
+    ``(R, N)`` (replaced, never written, once a step has returned them)
+    and the ``solved`` mask. Counters are ``(R,)`` integer arrays,
+    ``mult_totals`` one per category.
+    """
+
+    def __init__(self, n: int, trials: int, rank: int, refresh_period: int = 10,
                  forgetting: float | None = None, mode: str = "toeplitz",
                  init_vector=None):
         if not 1 <= rank <= n:
             raise ValueError(f"rank {rank} outside 1..{n}")
         if refresh_period < 1:
             raise ValueError("refresh_period must be at least 1")
-        self.n = int(n)
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
+        if forgetting is not None and not 0.0 < forgetting < 1.0:
+            raise ValueError(f"forgetting factor must lie in (0, 1), got {forgetting}")
+        super().__init__(n, trials)
+        n, r = self.n, self.trials
         self.rank = int(rank)
         self.refresh_period = int(refresh_period)
-        if forgetting is None:
-            self.est = _CumulativeStats(mode, n)
-        else:
-            self.est = CorrelationEstimator(mode, n, forgetting)
-        self._init = np.zeros(n) if init_vector is None else as_vector(init_vector, n).copy()
-        self.h = np.zeros(n)
-        self._solved_once = False
+        self.stats = _StatsStack(mode, n, r, forgetting)
+        self._init = _initial_stack(init_vector, r, n, "init_vector")
+        self._init_nonzero = (np.zeros(r, dtype=bool) if self._init is None
+                              else np.any(self._init, axis=1))
+        self.h = np.zeros((r, n))
+        self.solved = np.zeros(r, dtype=bool)
         self._k = 0
-        self.steps = 0
-        self.update_count = 0
-        self.mult_totals = _zero_counters()
 
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self.h.copy()
+    def _solve(self, among: np.ndarray) -> np.ndarray:
+        """Solve the trials of ``among`` that may solve; returns their mask."""
+        p = self.stats.p
+        # a zero p (p . p, which is what ||p|| == 0 tests) with a zero
+        # initial vector has nothing to solve
+        ok = among & ((stacked_dot(p, p) != 0.0) | self._init_nonzero)
+        pos = np.flatnonzero(ok)
+        if pos.size:
+            self.h = self.h.copy()  # the last step returned the old one
+        for part, mats in self.stats.dense(pos):
+            x0 = np.zeros((part.size, self.n)) if self._init is None else self._init[part]
+            self.h[part] = cg_solve_stack(mats, p[part], x0, self.rank)
+        self.mult_totals["basis"][pos] += _basis_build_charge(self.rank, self.n)
+        self.solved |= ok
+        return ok
 
-    @property
-    def update_rate(self) -> float:
-        return self.update_count / self.steps if self.steps else 0.0
-
-    def _solve(self) -> bool:
-        # same estimator warm-up gate as the reduced-rank filter: solves on
-        # fewer than a filter length's worth of samples chase noise
-        if not self.est.mature:
-            return False
-        p = self.est.p_vector()
-        if float(np.linalg.norm(p)) == 0.0 and not np.any(self._init):
-            return False
-        self.h = cg_solve(self.est.r_matrix(), p, x0=self._init, iters=self.rank)
-        self.mult_totals["basis"] += _basis_build_charge(self.rank, self.n)
-        self._solved_once = True
-        return True
-
-    def step(self, u, d: float) -> StepOutput:
-        v, d = _checked_sample(u, d, self.n)
-        self.est.update(v, d)
-        stats = _stats_cost(self.est.mode, self.n)
-        self.mult_totals["stats"] += stats
-
-        updated = False
-        if not self._solved_once:
-            updated = self._solve()
-        y = float(self.h @ v)
-        mults = stats + self.n
-        self.mult_totals["filter"] += self.n
-
-        if self._solved_once and self._k % self.refresh_period == 1 % self.refresh_period:
-            updated = self._solve() or updated
+    def step(self, u, d) -> StepOutput:
+        """Consume one ``(R, N)`` regressor stack and its ``(R,)`` outputs."""
+        r, n = self.trials, self.n
+        u, d = _checked_stack(u, d, r, n)
+        self.stats.update(u, d)
+        stats_mults = _stats_cost(self.stats.mode, n)
+        self.mult_totals["stats"] += stats_mults
+        updated = np.zeros(r, dtype=bool)
+        # the estimators have now seen k + 1 samples: mature from N on
+        if self._k + 1 >= n and not self.solved.all():
+            updated = self._solve(~self.solved)
+        y = stacked_dot(self.h, u)
+        self.mult_totals["filter"] += n
+        if self._k % self.refresh_period == 1 % self.refresh_period and self.solved.any():
+            updated |= self._solve(self.solved)
         self.steps += 1
-        self.update_count += int(updated)
+        self.update_count += updated
         self._k += 1
-        return StepOutput(y, updated, self.h.copy(), mults)
+        return StepOutput(y, updated, self.h, np.full(r, stats_mults + n))
 
 
-class Nlms:
-    """Normalized least mean squares filter."""
+class NlmsBatch(_Lockstep):
+    """R independent NLMS filters stepped in lockstep.
 
-    name = "nlms"
+    Trial ``i`` is the filter ``Nlms(n, step_size)`` fed with row ``i`` of
+    every ``(U, d)`` pair: it updates when its regressor energy is positive
+    and its error nonzero. ``step_size`` must lie in [0, 2].
+    """
 
-    def __init__(self, n: int, step_size: float = 0.5):
-        self.n = int(n)
+    def __init__(self, n: int, trials: int, step_size: float = 0.5):
+        if not 0.0 <= step_size <= 2.0:
+            raise ValueError(f"step_size must lie in [0, 2], got {step_size}")
+        super().__init__(n, trials)
         self.step_size = float(step_size)
-        self.h = np.zeros(n)
-        self.steps = 0
-        self.update_count = 0
-        self.mult_totals = _zero_counters()
+        self.h = np.zeros((self.trials, self.n))
 
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self.h.copy()
-
-    @property
-    def update_rate(self) -> float:
-        return self.update_count / self.steps if self.steps else 0.0
-
-    def step(self, u, d: float) -> StepOutput:
-        v, d = _checked_sample(u, d, self.n)
-        y = float(self.h @ v)
-        energy = float(v @ v)
-        mults = 2 * self.n
-        updated = False
-        if energy > 0.0:
-            e = d - y
-            if e != 0.0:
-                self.h = self.h + (self.step_size * e / energy) * v
-                mults += self.n + 2
-                updated = True
+    def step(self, u, d) -> StepOutput:
+        """Consume one ``(R, N)`` regressor stack and its ``(R,)`` outputs."""
+        r, n = self.trials, self.n
+        u, d = _checked_stack(u, d, r, n)
+        y = stacked_dot(self.h, u)
+        energy = stacked_dot(u, u)
+        e = d - y
+        updated = (energy > 0.0) & (e != 0.0)
+        scale = np.divide(self.step_size * e, energy, out=np.zeros(r), where=updated)
+        # a fresh array every step, so the returned h_full is never written
+        self.h = np.where(updated[:, None], self.h + scale[:, None] * u, self.h)
+        mults = 2 * n + updated * (n + 2)
         self.mult_totals["filter"] += mults
         self.steps += 1
-        self.update_count += int(updated)
-        return StepOutput(y, updated, self.h.copy(), mults)
+        self.update_count += updated
+        return StepOutput(y, updated, self.h, mults)
+
+
+def _one_row(x):
+    # a single-stream initial vector as the (1, N) stack of a one-trial batch
+    return None if x is None else np.asarray(x, dtype=float)[None]
+
+
+def _of_batch(name: str) -> property:
+    return property(lambda self: getattr(self._batch, name))
+
+
+def _of_trial(name: str) -> property:
+    # a per-trial counter of the one-trial batch, as a plain int
+    return property(lambda self: int(getattr(self._batch, name)[0]))
+
+
+class _OneTrial:
+    """A one-trial batch behind the single-stream interface.
+
+    ``step`` returns a scalar ``StepOutput``; its ``h_full`` is a row the
+    batch never writes again.
+    """
+
+    n = _of_batch("n")
+    steps = _of_trial("steps")
+    update_count = _of_trial("update_count")
+
+    def __init__(self, batch):
+        self._batch = batch
+
+    def _step(self, u, d) -> StepOutput:
+        out = self._batch.step(np.asarray(u, dtype=float)[None],
+                               np.asarray(d, dtype=float)[None])
+        h_full = out.h_full[0]
+        h_full.flags.writeable = False  # it may be the batch's live state
+        return StepOutput(float(out.y[0]), bool(out.updated[0]), h_full, int(out.mults[0]))
+
+    @property
+    def update_rate(self) -> float:
+        return self.update_count / self.steps if self.steps else 0.0
+
+    @property
+    def mult_totals(self) -> dict:
+        return {cat: int(v[0]) for cat, v in self._batch.mult_totals.items()}
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return self._batch.h[0].copy()
+
+
+class KrrApsp(_OneTrial):
+    """Krylov reduced-rank adaptive parallel subgradient projection filter.
+
+    The one-trial view of :class:`KrrApspBatch`: ``KrrApsp(params, n, mode,
+    h0)`` runs the recursion of ``KrrApspBatch(params, n, 1, mode, [h0])``.
+    ``h0`` is a full-space initial vector, projected into the first basis
+    (``h_tilde = S^T h0``); zero when omitted. Until the first basis is
+    built the filter passes through, and ``basis`` and ``h_tilde`` are
+    None. ``update_flags`` keeps the update flags of the last 4096 steps.
+    """
+
+    name = "krr-apsp"
+    params = _of_batch("params")
+    build_count = _of_trial("build_count")
+    skipped_zero_direction = _of_trial("skipped_zero_direction")
+    cancelled_updates = _of_trial("cancelled_updates")
+
+    def __init__(self, params: KrrParams, n: int, mode: str = "toeplitz", h0=None):
+        super().__init__(KrrApspBatch(params, n, 1, mode=mode, h0=_one_row(h0)))
+        self.update_flags: deque = deque(maxlen=4096)
+        self._basis = (None, None)  # ((build count, tag), BasisMatrix) last made
+
+    def step(self, u, d: float) -> StepOutput:
+        """Consume one sample pair and advance the filter."""
+        out = self._step(u, d)
+        self.update_flags.append(out.updated)
+        return out
+
+    def rebase(self, new_basis: BasisMatrix) -> None:
+        """Carry the reduced filter into a new basis.
+
+        For an equal rank the reduced coordinates carry over as they are;
+        for another the full vector is re-embedded by projection.
+        """
+        if new_basis.n != self.n:
+            raise ValueError("new basis has wrong ambient dimension")
+        if self.basis is None:
+            raise ValueError("cannot rebase before the first basis build")
+        self._batch._install(0, new_basis.matrix, new_basis.build_tag)
+        self._basis = ((self.build_count, new_basis.build_tag), new_basis)
+
+    @property
+    def basis(self) -> BasisMatrix | None:
+        batch = self._batch
+        if not batch.has_basis[0]:
+            return None
+        key = (self.build_count, int(batch.build_tag[0]))
+        if key != self._basis[0]:
+            self._basis = (key, BasisMatrix(batch.basis[0, :, :batch.rank_eff[0]],
+                                            build_tag=key[1]))
+        return self._basis[1]
+
+    @property
+    def h_tilde(self) -> np.ndarray | None:
+        batch = self._batch
+        return batch.h_tilde[0, :batch.rank_eff[0]].copy() if batch.has_basis[0] else None
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Full-dimension coefficient vector ``S h_tilde``."""
+        basis = self.basis
+        return np.zeros(self.n) if basis is None else basis.matrix @ self.h_tilde
+
+    @property
+    def last_relaxation(self) -> float | None:
+        relax = float(self._batch.last_relaxation[0])
+        return None if math.isnan(relax) else relax
+
+
+class Cgrrf(_OneTrial):
+    """Conjugate-gradient reduced-rank filter, the one-trial view of :class:`CgrrfBatch`."""
+
+    name = "cgrrf"
+    rank = _of_batch("rank")
+    refresh_period = _of_batch("refresh_period")
+
+    def __init__(self, n: int, rank: int, refresh_period: int = 10,
+                 forgetting: float | None = None, mode: str = "toeplitz",
+                 init_vector=None):
+        super().__init__(CgrrfBatch(n, 1, rank, refresh_period, forgetting, mode,
+                                    _one_row(init_vector)))
+
+    def step(self, u, d: float) -> StepOutput:
+        return self._step(u, d)
+
+
+class Nlms(_OneTrial):
+    """Normalized least mean squares filter, the one-trial view of :class:`NlmsBatch`."""
+
+    name = "nlms"
+    step_size = _of_batch("step_size")
+
+    def __init__(self, n: int, step_size: float = 0.5):
+        super().__init__(NlmsBatch(n, 1, step_size))
+
+    def step(self, u, d: float) -> StepOutput:
+        return self._step(u, d)
 
 
 class Rls:
     """Exponentially weighted recursive least squares filter.
 
-    The inverse-correlation matrix starts at ``I / delta``. When ``delta``
-    is omitted it is set on the first sample to ``0.01`` times the measured
-    input power (falling back to ``0.01`` on a zero first sample); the
-    realized value is exposed as ``delta`` for run metadata.
+    The inverse-correlation matrix starts at ``I / delta``; an explicit
+    ``delta`` must be finite and positive. When ``delta`` is omitted it is
+    set on the first sample to ``0.01`` times the measured input power
+    (falling back to ``0.01`` on a zero first sample); the realized value
+    is exposed as ``delta`` for run metadata.
     """
 
     name = "rls"
@@ -554,6 +779,8 @@ class Rls:
     def __init__(self, n: int, forgetting: float = 0.999, delta: float | None = None):
         if not 0.0 < forgetting <= 1.0:
             raise ValueError("forgetting must lie in (0, 1]")
+        if delta is not None and not 0.0 < delta < math.inf:
+            raise ValueError(f"delta must be finite and positive, got {delta}")
         self.n = int(n)
         self.forgetting = float(forgetting)
         self.delta = delta
@@ -572,7 +799,9 @@ class Rls:
         return self.update_count / self.steps if self.steps else 0.0
 
     def step(self, u, d: float) -> StepOutput:
-        v, d = _checked_sample(u, d, self.n)
+        v, d = as_vector(u, self.n), float(d)
+        if not math.isfinite(d):
+            raise ValueError("desired output d must be finite")
         if self._pinv is None:
             if self.delta is None:
                 power = float(v @ v) / self.n

@@ -3,6 +3,8 @@
 Symmetric (optionally Toeplitz) matrices, the energy norm they induce,
 orthonormal Krylov subspace bases, and the projections onto half-spaces
 and column spaces that the adaptive filters and their analysis rely on.
+The stacked kernels serve R systems at once, each row with the BLAS calls
+of the unstacked kernel, so with its result.
 
 All values are immutable after construction and safe to share across
 threads; every function here is a pure function of its inputs.
@@ -28,7 +30,7 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if n is not None and v.shape[0] != n:
         raise ValueError(f"dimension mismatch: expected length {n}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -311,5 +313,101 @@ def cg_solve(matrix: SymMatrix, b, x0=None, iters: int | None = None,
         r = r - alpha * ap
         rs_next = float(r @ r)
         p = r + (rs_next / rs) * p
+        rs = rs_next
+    return x
+
+
+def stacked_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Inner products along the last axis, each the BLAS dot of ``x[i] @ y[i]``."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def stacked_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Products ``a[i] @ x[i]``, each the BLAS call of the unstacked product."""
+    return np.matmul(a, x[..., None])[..., 0]
+
+
+def krylov_basis_stack(matrices: np.ndarray, seeds: np.ndarray, rank: int):
+    """:func:`~krrapsp.linalg.krylov_basis` for a stack of ``(matrix, seed)`` pairs.
+
+    ``matrices`` is ``(R, N, N)`` (symmetric) and ``seeds`` is ``(R, N)``
+    with no zero row. Every row makes the BLAS calls and elementwise
+    operations of ``krylov_basis``, so its basis is the same. Returns
+    ``(bases, ranks)``: ``bases`` is ``(R, N, rank)`` with the effective
+    rank ``ranks[i]`` of row ``i`` in its leading columns and zeros after
+    them. Raises as ``BasisMatrix`` does if a basis is not orthonormal.
+    """
+    count, n = seeds.shape
+    norms = divisors = np.sqrt(stacked_dot(seeds, seeds))
+    tiny = (norms < TOL.seed_rescale_below) & np.any(seeds, axis=1)
+    if tiny.any():
+        # rows whose p.p underflows are normalized as krylov_basis does
+        scales = np.where(tiny, np.max(np.abs(seeds), axis=1), 1.0)
+        seeds = seeds / scales[:, None]
+        divisors = np.sqrt(stacked_dot(seeds, seeds))
+        norms = scales * divisors
+    if not np.all(norms > 0.0):
+        raise DegenerateCrossCorrelationError("degenerate cross-correlation: ||p|| = 0")
+    if not 1 <= rank <= n:
+        raise ValueError(f"requested rank {rank} outside 1..{n}")
+    tol = TOL.basis_truncation_rel * norms
+    cols = np.zeros((count, n, rank))
+    cols[:, :, 0] = seeds / divisors[:, None]
+    ranks = np.ones(count, dtype=np.int64)
+    growing = np.ones(count, dtype=bool)
+    for i in range(1, rank):
+        w = stacked_matvec(matrices, cols[:, :, i - 1])
+        built = cols[:, :, :i]
+        w = w - stacked_matvec(built, stacked_matvec(built.transpose(0, 2, 1), w))
+        w = w - stacked_matvec(built, stacked_matvec(built.transpose(0, 2, 1), w))
+        nw = np.sqrt(stacked_dot(w, w))
+        growing &= nw > tol
+        if not growing.any():
+            break
+        np.divide(w, nw[:, None], out=cols[:, :, i], where=growing[:, None])
+        ranks += growing
+    # the identity on each row's leading ranks[i] columns, zeros after them
+    eye = np.eye(rank) * (np.arange(rank) < ranks[:, None])[:, None, :]
+    gram_defect = float(np.max(np.abs(np.matmul(cols.transpose(0, 2, 1), cols) - eye)))
+    if gram_defect > TOL.orthonormality:
+        raise ValueError(f"basis columns not orthonormal: max |S^T S - I| = {gram_defect:.3e}")
+    return cols, ranks
+
+
+def cg_solve_stack(matrices: np.ndarray, rhs: np.ndarray, x0: np.ndarray,
+                   iters: int) -> np.ndarray:
+    """:func:`~krrapsp.linalg.cg_solve` for a stack of systems, no residual tolerance.
+
+    ``matrices`` is ``(R, N, N)`` (symmetric), ``rhs`` and ``x0`` are
+    ``(R, N)``. Every row makes the BLAS calls and elementwise operations
+    of ``cg_solve(matrix, b, x0, iters)`` and leaves the loop where it
+    would: on a zero residual or a non-positive curvature. Returns the
+    ``(R, N)`` iterates.
+    """
+    x = x0.copy()
+    r = rhs - stacked_matvec(matrices, x)
+    p = r.copy()
+    rs = stacked_dot(r, r)
+    live = np.arange(len(x))  # rows still iterating; the arrays below hold only these
+    for _ in range(iters):
+        # the conditions are cg_solve's own, negated, so a NaN keeps iterating as there
+        keep = ~(rs <= 0.0)
+        if not keep.all():
+            live, matrices, r, p, rs = live[keep], matrices[keep], r[keep], p[keep], rs[keep]
+        if live.size == 0:
+            break
+        ap = stacked_matvec(matrices, p)
+        curvature = stacked_dot(p, ap)
+        keep = ~(curvature <= 0.0)
+        if not keep.all():
+            live, matrices, r, p, rs = live[keep], matrices[keep], r[keep], p[keep], rs[keep]
+            ap, curvature = ap[keep], curvature[keep]
+            if live.size == 0:
+                break
+        alpha = rs / curvature
+        x[live] = x[live] + alpha[:, None] * p
+        r = r - alpha[:, None] * ap
+        rs_next = stacked_dot(r, r)
+        p = r + (rs_next / rs)[:, None] * p
         rs = rs_next
     return x

@@ -29,6 +29,7 @@ from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 GOLD_LENGTH = 31
 GOLD_FAMILY_SIZE = 33
@@ -145,20 +146,12 @@ class SysIdScenario:
         if config.snr_db == math.inf:
             self.noise_std = 0.0
         else:
-            calib = self._colored(10 * n + n - 1, rng_calib)
-            z2 = 0.0
-            count = 0
-            for k in range(n - 1, len(calib)):
-                window = calib[k - n + 1:k + 1][::-1]
-                z = float(window @ self.h_star)
-                z2 += z * z
-                count += 1
-            power = z2 / count
+            # the clean outputs of the 10 n calibration windows, squared and added in order
+            white = rng_calib.standard_normal(10 * n + n - 1 + config.fir_len - 1)
+            calib = np.convolve(white, self.coloring_fir, mode="valid")
+            z = sliding_window_view(calib, n)[:, ::-1] @ self.h_star
+            power = float(np.add.accumulate(z * z)[-1]) / len(z)
             self.noise_std = math.sqrt(power / (10.0 ** (config.snr_db / 10.0)))
-
-    def _colored(self, count: int, rng) -> np.ndarray:
-        white = rng.standard_normal(count + self.config.fir_len - 1)
-        return np.convolve(white, self.coloring_fir, mode="valid")
 
     def truth_at(self, k: int) -> np.ndarray:
         c = self.config

@@ -120,5 +120,5 @@ def exact_fit_stream(n, steps, seed, at, step_size):
     filt = Nlms(n, step_size=step_size)
     for k in range(at):
         filt.step(*out[k])
-    out[at] = (out[at][0], float(filt.h @ out[at][0]))
+    out[at] = (out[at][0], float(filt.coefficients @ out[at][0]))
     return out

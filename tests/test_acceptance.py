@@ -27,7 +27,6 @@ from krrapsp import (
     r_norm,
 )
 from krrapsp import complexity as cx
-from krrapsp.batch import CgrrfBatch, KrrApspBatch
 from krrapsp.experiments import (
     ExperimentConfig,
     FilterSpec,
@@ -36,7 +35,7 @@ from krrapsp.experiments import (
     steady_state_db,
     trial_seeds,
 )
-from krrapsp.filters import _basis_build_charge
+from krrapsp.filters import CgrrfBatch, KrrApspBatch, _basis_build_charge
 from krrapsp.linalg import BasisMatrix, krylov_basis, project_subspace
 from krrapsp.verify import (
     PhiMap,

@@ -1,4 +1,4 @@
-"""The lockstep batches against R independent scalar filters."""
+"""The lockstep batches against R independent frozen scalar filters."""
 
 import pickle
 
@@ -7,21 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import krrapsp.filters
+import krrapsp
 import krrapsp.linalg
-from krrapsp import Cgrrf, HalfSpace, KrrApsp, KrrParams, Nlms, project_half_space
-from krrapsp.filters import _basis_build_charge
-from krrapsp.batch import (
-    CgrrfBatch,
-    KrrApspBatch,
-    NlmsBatch,
-    cg_solve_stack,
-    krylov_basis_stack,
-)
-from krrapsp.linalg import SymMatrix, cg_solve, krylov_basis
+import oracles
+from krrapsp import BasisMatrix, HalfSpace, KrrParams, project_half_space
+from krrapsp.filters import CgrrfBatch, KrrApspBatch, NlmsBatch, _basis_build_charge
+from krrapsp.linalg import SymMatrix, cg_solve, cg_solve_stack, krylov_basis, krylov_basis_stack
 
-from conftest import random_spd
-from oracles import reference_parallel_update
+from conftest import random_orthonormal, random_spd
+from oracles import Cgrrf, KrrApsp, Nlms, reference_parallel_update
 from streams import (
     cancelled_p_stream,
     exact_fit_stream,
@@ -60,11 +54,11 @@ def lockstep(params, streams, mode="toeplitz", h0=None, oracle_step=None):
         d = np.array([s[k][1] for s in streams])
         predicted = None
         if k == oracle_step:
-            filt = scalars[0]
-            assert filt.basis is not None and len(filt._us) == ring
+            assert scalars[0].basis is not None and k >= ring - 1
+            newest = [streams[0][k - age] for age in range(ring)]
             s_mat = batch.basis[0][:, :batch.rank_eff[0]]
-            cols = [s_mat.T @ uu for uu in [u[0]] + list(filt._us)[:ring - 1]]
-            dvals = [d[0]] + list(filt._ds)[:ring - 1]
+            cols = [s_mat.T @ uu for uu, _ in newest]
+            dvals = [dd for _, dd in newest]
             predicted, _, _ = reference_parallel_update(
                 batch.h_tilde[0][:batch.rank_eff[0]], cols, dvals,
                 params.projections, params.error_dim, params.rho,
@@ -303,7 +297,7 @@ def early_cg_exits(monkeypatch):
         exits.append(np.array_equal(x, cg_solve(matrix, b, x0=x0, iters=iters - 1)))
         return x
 
-    monkeypatch.setattr(krrapsp.filters, "cg_solve", spy)
+    monkeypatch.setattr(oracles, "cg_solve", spy)
     return exits
 
 
@@ -514,3 +508,110 @@ def test_baseline_batches_match_scalar_property(setup):
                       for i in range(runs)], streams)
     lockstep_filters(NlmsBatch(n, runs, step_size=step_size),
                      [Nlms(n, step_size=step_size) for _ in range(runs)], streams)
+
+
+# -- the one-trial views against the frozen filters --------------------------
+
+
+def assert_same_step(got, want):
+    assert type(got.y) is float and type(got.updated) is bool and type(got.mults) is int
+    assert (got.y, got.updated, got.mults) == (want.y, want.updated, want.mults)
+    assert np.array_equal(got.h_full, want.h_full)
+    assert not got.h_full.flags.writeable  # it may be the filter's live state
+
+
+def assert_same_state(filt, frozen):
+    for name in ("steps", "update_count"):
+        assert type(getattr(filt, name)) is int
+        assert getattr(filt, name) == getattr(frozen, name), name
+    assert filt.update_rate == frozen.update_rate
+    assert filt.mult_totals == frozen.mult_totals
+    assert all(type(v) is int for v in filt.mult_totals.values())
+    assert np.array_equal(filt.coefficients, frozen.coefficients)
+    if isinstance(filt, krrapsp.KrrApsp):
+        for name in ("build_count", "skipped_zero_direction", "cancelled_updates"):
+            assert type(getattr(filt, name)) is int
+            assert getattr(filt, name) == getattr(frozen, name), name
+        assert filt.last_relaxation == frozen.last_relaxation
+        assert list(filt.update_flags) == list(frozen.update_flags)
+        if frozen.basis is None:
+            assert filt.basis is None and filt.h_tilde is None
+        else:
+            assert np.array_equal(filt.basis.matrix, frozen.basis.matrix)
+            assert filt.basis.build_tag == frozen.basis.build_tag
+            assert np.array_equal(filt.h_tilde, frozen.h_tilde)
+
+
+@st.composite
+def single_setups(draw):
+    n = draw(st.integers(2, 12))
+    steps = draw(st.integers(1, 3 * n + 8))
+    seed = draw(st.integers(0, 2 ** 16))
+    projections = draw(st.integers(1, 4))
+    weights = None
+    if draw(st.booleans()):
+        raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=projections,
+                                     max_size=projections)))
+        weights = tuple(raw / raw.sum())
+    params = KrrParams(
+        rank=draw(st.integers(1, n)), projections=projections,
+        error_dim=draw(st.integers(1, 3)),
+        rho=draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5])),
+        refresh_period=draw(st.integers(1, 6)),
+        step_size=draw(st.floats(0.0, 2.0)),
+        forgetting=draw(st.floats(0.5, 0.999)), weights=weights)
+    cg_opts = dict(rank=draw(st.integers(1, n)), refresh_period=draw(st.integers(1, 6)),
+                   forgetting=draw(st.one_of(st.none(), st.floats(0.5, 0.999))))
+    step_size = draw(st.floats(0.0, 2.0))
+    ring = params.projections + params.error_dim - 1
+    makers = {
+        "ordinary": lambda: sysid_stream(n, steps, seed),
+        "passthrough": lambda: passthrough_stream(n, steps, seed, zero_until=2 * n),
+        "silenced": lambda: silenced_stream(n, steps, seed, silent_from=n + 1),
+        "cancelled_p": lambda: cancelled_p_stream(n, steps, params.forgetting, at=n + 2),
+        "subspace": lambda: subspace_stream(n, steps, seed, until=steps // 2),
+        "repeated": lambda: repeated_regressor_stream(
+            n, max(steps, n), seed, at=n - 1, ring=min(ring, n))[:steps],
+        "unit": lambda: unit_stream(n, steps),
+        "zero_regressor": lambda: zero_regressor_stream(n, steps, seed, at=steps // 2),
+        "exact_fit": lambda: exact_fit_stream(n, steps, seed, at=steps // 2,
+                                              step_size=step_size),
+    }
+    stream = makers[draw(st.sampled_from(sorted(makers)))]()
+    mode = draw(st.sampled_from(["toeplitz", "fullsym"]))
+    rng = np.random.default_rng(seed)
+    init = rng.standard_normal(n) if draw(st.booleans()) else None
+    # one rebase after the warm-up, onto a random basis of rank D - 1, D or D + 1
+    rebase_at = draw(st.integers(n - 1, max(n - 1, steps - 1)))
+    new_rank = draw(st.sampled_from(sorted({max(1, params.rank - 1), params.rank,
+                                            min(n, params.rank + 1)})))
+    new_basis = BasisMatrix(random_orthonormal(n, new_rank, rng), build_tag=-7)
+    return (stream, mode, init, params, cg_opts, step_size, rebase_at, new_basis)
+
+
+@settings(max_examples=80, deadline=None)
+@given(single_setups())
+def test_one_trial_views_equal_the_frozen_filters(setup):
+    stream, mode, init, params, cg_opts, step_size, rebase_at, new_basis = setup
+    n = len(stream[0][0])
+    pairs = [
+        (krrapsp.KrrApsp(params, n, mode=mode, h0=init),
+         KrrApsp(params, n, mode=mode, h0=init)),
+        (krrapsp.Cgrrf(n, mode=mode, init_vector=init, **cg_opts),
+         Cgrrf(n, mode=mode, init_vector=init, **cg_opts)),
+        (krrapsp.Nlms(n, step_size), Nlms(n, step_size)),
+    ]
+    krr, frozen_krr = pairs[0]
+    held = [None] * len(pairs)
+    for k, (u, d) in enumerate(stream):
+        if k == rebase_at and frozen_krr.basis is not None:
+            krr.rebase(new_basis)
+            frozen_krr.rebase(new_basis)
+            assert_same_state(krr, frozen_krr)
+        for i, (filt, frozen) in enumerate(pairs):
+            if held[i] is not None:  # a returned h_full is never written afterwards
+                assert np.array_equal(*held[i])
+            out = filt.step(u, d)
+            assert_same_step(out, frozen.step(u, d))
+            held[i] = (out.h_full, out.h_full.copy())
+            assert_same_state(filt, frozen)

@@ -191,6 +191,20 @@ class TestCli:
         meta, _ = read_csv(str(out))
         assert any(key.startswith("mults-total") for key in meta)
 
+    @pytest.mark.parametrize("command", [
+        ("sysid", "--N", "10", "--filter", "krr-apsp", "--filter", "rls"),
+        ("cdma", "--users", "3", "--filter", "cgrrf", "--filter", "nlms"),
+    ], ids=["sysid", "cdma"])
+    def test_stdout_is_the_out_file(self, command, tmp_path):
+        args = (*command, "--runs", "2", "--iters", "30", "--D", "2", "--seed", "4",
+                "--count-mults")
+        out = tmp_path / "run.csv"
+        to_file = self.run_cli(*args, "--out", str(out))
+        to_stdout = self.run_cli(*args)
+        assert to_file.returncode == to_stdout.returncode == 0, to_stdout.stderr
+        assert to_file.stdout == ""
+        assert to_stdout.stdout == out.read_text()
+
     def test_config_error_exit_code(self):
         proc = self.run_cli("cdma", "--users", "99")
         assert proc.returncode == 2

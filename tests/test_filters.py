@@ -5,6 +5,7 @@ import pytest
 
 from krrapsp import (
     Cgrrf,
+    CorrelationEstimator,
     HalfSpace,
     KrrApsp,
     KrrParams,
@@ -86,6 +87,21 @@ class TestInputContract:
         assert pickle.dumps(filt) == before
         filt.step(samples[warm].u, samples[warm].d)
         assert filt.steps == warm + 1
+
+    @pytest.mark.parametrize("step_size", [np.nan, np.inf, -0.1, 2.5])
+    def test_nlms_step_size_rejected(self, step_size):
+        with pytest.raises(ValueError):
+            Nlms(4, step_size)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
+    def test_rls_delta_rejected(self, delta):
+        with pytest.raises(ValueError):
+            Rls(4, delta=delta)
+
+    def test_limits_accepted(self):
+        Nlms(4, 0.0)
+        Nlms(4, 2.0)
+        Rls(4, delta=1e-300)
 
 
 class TestKrrApsp:
@@ -384,8 +400,19 @@ class TestCgrrf:
         assert np.linalg.norm(filt.coefficients - h_star) <= 1e-6
 
     def test_exponential_estimator_option(self):
-        filt = Cgrrf(6, rank=2, forgetting=0.99)
-        assert filt.est.gamma == 0.99
+        # with a forgetting factor every solve runs on the exponentially
+        # weighted statistics of a CorrelationEstimator with that factor
+        n, rank = 6, 2
+        filt = Cgrrf(n, rank=rank, refresh_period=1, forgetting=0.99)
+        cumulative = Cgrrf(n, rank=rank, refresh_period=1)
+        est = CorrelationEstimator("toeplitz", n, 0.99)
+        for s in SysIdScenario(SysIdConfig(n=n, snr_db=15.0, seed=15)).samples(3 * n):
+            filt.step(s.u, s.d)
+            cumulative.step(s.u, s.d)
+            est.update(s.u, s.d)
+        want = cg_solve(est.r_matrix(), est.p_vector(), iters=rank)
+        assert np.max(np.abs(filt.coefficients - want)) <= 1e-12 * np.max(np.abs(want))
+        assert not np.allclose(cumulative.coefficients, want)
 
     def test_init_vector_used(self):
         n = 6
@@ -396,25 +423,26 @@ class TestCgrrf:
         for _ in range(n + 1):
             u = rng.standard_normal(n)
             filt.step(u, float(rng.standard_normal()))
-        assert filt._solved_once
+        assert filt.update_count == 1
+        assert not np.array_equal(filt.coefficients, s_vec)
 
 
 class TestNlms:
     def test_zero_error_no_update(self, rng):
         filt = Nlms(5, step_size=0.5)
+        filt.step(rng.standard_normal(5), 1.0)
         u = rng.standard_normal(5)
-        filt.h = rng.standard_normal(5)
-        h_before = filt.h.copy()
-        out = filt.step(u, float(filt.h @ u))
+        h_before = filt.coefficients
+        out = filt.step(u, float(h_before @ u))
         assert not out.updated
-        assert np.array_equal(filt.h, h_before)
+        assert np.array_equal(filt.coefficients, h_before)
 
     def test_one_step_closed_form(self, rng):
         filt = Nlms(4, step_size=1.0)
         u = rng.standard_normal(4)
         out = filt.step(u, 2.0)
         assert out.y == 0.0
-        assert np.allclose(filt.h, (2.0 / float(u @ u)) * u, atol=1e-14)
+        assert np.allclose(filt.coefficients, (2.0 / float(u @ u)) * u, atol=1e-14)
 
     def test_zero_input_noop(self):
         filt = Nlms(3, step_size=0.5)
@@ -479,8 +507,8 @@ class TestFullCoefficients:
 
     def test_full_rank_filters_return_h(self, rng):
         for filt in (Nlms(4, 0.5), Rls(4, 0.999, 0.01)):
-            filt.step(rng.standard_normal(4), 1.0)
-            assert np.array_equal(filt.coefficients, filt.h)
+            out = filt.step(rng.standard_normal(4), 1.0)
+            assert np.array_equal(filt.coefficients, out.h_full)
 
 
 class TestMultCounting:
@@ -494,8 +522,8 @@ class TestMultCounting:
         checked = 0
         for s in scen.samples(120):
             out = filt.step(s.u, s.d)
-            if (filt.basis is not None and len(filt._us) == q and out.updated
-                    and s.k > n + 2):
+            # past k = n + 2 the ring holds its q samples
+            if filt.basis is not None and out.updated and s.k > n + 2:
                 assert out.mults == expected
                 checked += 1
         assert checked > 50

@@ -15,7 +15,7 @@ from krrapsp import (
 )
 from krrapsp.scenarios import GOLD_FAMILY_SIZE, GOLD_LENGTH
 
-from oracles import cdma_stream_per_step, sysid_stream_per_step
+from oracles import cdma_stream_per_step, sysid_noise_std, sysid_stream_per_step
 
 COUNTS = (1, 63, 64, 65, 301)
 
@@ -182,6 +182,13 @@ class TestSysIdScenario:
         cfg = SysIdConfig(n=n, fir_len=fir_len, change_at=change_at,
                           change_mode=change_mode, snr_db=snr_db, seed=seed)
         assert_sysid_matches_oracle(cfg, count)
+
+    @pytest.mark.parametrize("n", [2, 50, 200])
+    def test_noise_level_matches_the_window_loop(self, n):
+        for seed in range(6):
+            for snr_db in (15.0, 0.0):
+                scen = SysIdScenario(SysIdConfig(n=n, snr_db=snr_db, seed=seed))
+                assert scen.noise_std == sysid_noise_std(scen), (n, seed, snr_db)
 
     def test_lockstep_streams_hold_one_chunk(self):
         # the rank-sweep shape: 100 trials of 12000 samples advanced together
