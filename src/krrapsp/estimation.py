@@ -5,19 +5,85 @@ cross-correlation vector from streaming samples. Toeplitz mode estimates
 only the first autocorrelation row (stationary scalar-input convolution
 model); full symmetric mode estimates the whole matrix (vector-observation
 models where the autocorrelation is not Toeplitz).
+
+The update is written once, in ``_StatsStack``, which keeps the statistics
+of R trials stepped in lockstep; ``CorrelationEstimator`` is its one-trial
+view.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SymMatrix, as_vector
+from .linalg import SymMatrix, as_vector, toeplitz_dense
 
 MODES = ("toeplitz", "fullsym")
 
+# bytes of the dense matrices one chunk of trials may hold
+_BUILD_CHUNK_BYTES = 1 << 18
+
+
+class _StatsStack:
+    """Second-order statistics of R trials, updated in place.
+
+    ``r`` holds ``(R, N)`` Toeplitz first rows or ``(R, N, N)`` matrices and
+    ``p`` the ``(R, N)`` cross-correlations. With a ``forgetting`` factor
+    every update is ``r <- gamma*r + u[0]*u`` (Toeplitz) or
+    ``R <- gamma*R + u u^T`` (full) and ``p <- gamma*p + d*u``; without one
+    the estimates are plain sample sums. Dense matrices exist a chunk of
+    trials at a time, at most ``_BUILD_CHUNK_BYTES`` of them: the outer
+    products of a full-matrix update in a buffer the stack keeps (a fresh
+    one every step would be faulted in again each time), the Toeplitz
+    matrices in one buffer per :meth:`dense` call.
+    """
+
+    def __init__(self, mode: str, n: int, trials: int, forgetting: float | None):
+        self.mode = mode
+        self.forgetting = forgetting
+        self.chunk = min(trials, max(1, _BUILD_CHUNK_BYTES // (8 * n * n)))
+        self.r = np.zeros((trials, n) if mode == "toeplitz" else (trials, n, n))
+        self.p = np.zeros((trials, n))
+        self._outer = np.empty((self.chunk, n, n)) if mode == "fullsym" else None
+
+    def update(self, u: np.ndarray, d: np.ndarray) -> None:
+        """Fold one sample of every trial into the estimates, in place."""
+        g = self.forgetting
+        if g is not None:
+            self.r *= g
+            self.p *= g
+        if self.mode == "toeplitz":
+            self.r += u[:, :1] * u
+        else:
+            for lo in range(0, len(u), self.chunk):
+                part = u[lo:lo + self.chunk]
+                outer = np.multiply(part[:, :, None], part[:, None, :],
+                                    out=self._outer[:len(part)])
+                self.r[lo:lo + len(part)] += outer
+        self.p += d[:, None] * u
+
+    def dense(self, pos: np.ndarray):
+        """Yield ``(part, matrices)`` over the trials ``pos``, a chunk at a time.
+
+        ``matrices`` holds the dense statistics of the trials ``part``; a
+        Toeplitz chunk is overwritten by the next one.
+        """
+        n = self.p.shape[1]
+        if self.mode == "toeplitz":
+            buffer = np.empty((min(self.chunk, pos.size), n, n))
+        for lo in range(0, pos.size, self.chunk):
+            part = pos[lo:lo + self.chunk]
+            if self.mode == "toeplitz":
+                mats = toeplitz_dense(self.r[part], out=buffer[:part.size])
+            else:
+                # chunks of consecutive trials are views, others copies
+                mats = self.r[part[0]:part[-1] + 1]
+                if mats.shape[0] != part.size:
+                    mats = self.r[part]
+            yield part, mats
+
 
 class CorrelationEstimator:
-    """Exponentially weighted estimates of R and p.
+    """Exponentially weighted estimates of R and p, the one-trial view of ``_StatsStack``.
 
     Updates follow
     ``r <- gamma*r + u[0]*u`` (Toeplitz) or ``R <- gamma*R + u u^T`` (full),
@@ -33,12 +99,9 @@ class CorrelationEstimator:
     gamma : float
         Forgetting factor, strictly inside (0, 1); fixed for the lifetime
         of the estimator.
-    warmup_factor : float
-        The estimator reports itself mature after ``warmup_factor * n``
-        samples; consumers may defer basis builds until then.
     """
 
-    def __init__(self, mode: str, n: int, gamma: float, warmup_factor: float = 1.0):
+    def __init__(self, mode: str, n: int, gamma: float):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         if not 0.0 < gamma < 1.0:
@@ -48,44 +111,23 @@ class CorrelationEstimator:
         self.mode = mode
         self.n = int(n)
         self.gamma = float(gamma)
-        self.warmup_factor = float(warmup_factor)
-        self.sample_count = 0
-        self._p = np.zeros(self.n)
-        if mode == "toeplitz":
-            self._r = np.zeros(self.n)
-            self._matrix = None
-        else:
-            self._matrix = np.zeros((self.n, self.n))
-            self._r = None
-
-    @property
-    def mature(self) -> bool:
-        return self.sample_count >= self.warmup_factor * self.n
+        self._stats = _StatsStack(mode, self.n, 1, self.gamma)
 
     def update(self, u, d: float) -> None:
         """Fold one sample pair into the running estimates."""
-        v = as_vector(u, self.n)
-        g = self.gamma
-        if self.mode == "toeplitz":
-            # newest scalar sample times the regressor vector
-            self._r = g * self._r + v[0] * v
-        else:
-            self._matrix = g * self._matrix + np.outer(v, v)
-        self._p = g * self._p + float(d) * v
-        self.sample_count += 1
+        self._stats.update(as_vector(u, self.n)[None], np.array([float(d)]))
 
     def r_matrix(self) -> SymMatrix:
         """Immutable snapshot of the autocorrelation estimate."""
         if self.mode == "toeplitz":
-            return SymMatrix(first_row=self._r)
-        return SymMatrix(self._matrix)
+            return SymMatrix(first_row=self._stats.r[0])
+        return SymMatrix(self._stats.r[0])
 
     def p_vector(self) -> np.ndarray:
         """Immutable snapshot of the cross-correlation estimate."""
-        p = self._p.copy()
+        p = self._stats.p[0].copy()
         p.flags.writeable = False
         return p
 
     def __repr__(self) -> str:
-        return (f"CorrelationEstimator(mode={self.mode!r}, n={self.n}, "
-                f"gamma={self.gamma}, samples={self.sample_count})")
+        return f"CorrelationEstimator(mode={self.mode!r}, n={self.n}, gamma={self.gamma})"

@@ -3,11 +3,14 @@
 Symmetric (optionally Toeplitz) matrices, the energy norm they induce,
 orthonormal Krylov subspace bases, and the projections onto half-spaces
 and column spaces that the adaptive filters and their analysis rely on.
-The stacked kernels serve R systems at once, each row with the BLAS calls
-of the unstacked kernel, so with its result.
+The Krylov basis, the conjugate gradient solve and the Toeplitz expansion
+are each written once, for a stack of R systems whose rows make the BLAS
+calls a single system would; ``krylov_basis`` and ``cg_solve`` are
+one-row calls of ``krylov_basis_stack`` and ``cg_solve_stack``.
 
 All values are immutable after construction and safe to share across
-threads; every function here is a pure function of its inputs.
+threads; every function here is a pure function of its inputs, apart
+from ``toeplitz_dense`` writing into a given ``out``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tolerances import TOL
 
@@ -92,8 +96,7 @@ class SymMatrix:
     def dense(self) -> np.ndarray:
         """Full symmetric matrix (read-only view, cached)."""
         if self._dense is None:
-            idx = np.abs(np.arange(self._n)[:, None] - np.arange(self._n)[None, :])
-            full = self._first_row[idx]
+            full = toeplitz_dense(self._first_row[None])[0]
             full.flags.writeable = False
             self._dense = full
         return self._dense
@@ -197,66 +200,23 @@ def condition_number(matrix: SymMatrix) -> float:
     return hi / lo
 
 
-def krylov_basis(matrix: SymMatrix, p, rank: int, tol: float | None = None,
-                 build_tag: int = 0) -> BasisMatrix:
+def krylov_basis(matrix: SymMatrix, p, rank: int, build_tag: int = 0) -> BasisMatrix:
     """Orthonormal basis of ``span{p, Rp, ..., R^(D_eff-1) p}``.
 
-    Built by the symmetric Arnoldi (Lanczos) recurrence with full
-    reorthogonalization: each new direction is orthogonalized against all
-    previous columns twice by classical Gram-Schmidt. The effective rank
-    ``D_eff`` falls short of ``rank`` only when the Krylov sequence becomes
-    numerically dependent (new direction norm <= ``tol`` after
-    reorthogonalization).
-
-    Parameters
-    ----------
-    matrix : SymMatrix
-        Symmetric PSD matrix generating the subspace.
-    p : array_like
-        Seed vector; must have norm greater than ``tol``. With the default
-        ``tol`` any nonzero seed qualifies: one so small that ``p.p``
-        underflows is normalized through ``p / max|p|``.
-    rank : int
-        Requested dimension D, ``1 <= rank <= N``.
-    tol : float, optional
-        Truncation tolerance. Defaults to ``1e-10 * ||p||``.
+    The one-row call of :func:`krylov_basis_stack`: the symmetric Arnoldi
+    (Lanczos) recurrence with full reorthogonalization. ``p`` is the seed,
+    of length N; ``rank`` the requested dimension D, ``1 <= rank <= N``.
+    The effective rank ``D_eff`` falls short of ``rank`` only when the
+    Krylov sequence becomes numerically dependent.
 
     Raises
     ------
     DegenerateCrossCorrelationError
-        If ``||p|| <= tol`` (callers handle warm-up).
+        If ``p`` is zero (callers handle warm-up).
     """
     seed = as_vector(p, matrix.n)
-    norm_p = float(np.linalg.norm(seed))
-    divisor = norm_p
-    if norm_p < TOL.seed_rescale_below and np.any(seed):
-        # p.p underflows: normalize p / max|p| and scale its norm back
-        scale = float(np.max(np.abs(seed)))
-        seed = seed / scale
-        divisor = float(np.linalg.norm(seed))
-        norm_p = scale * divisor
-    if tol is None:
-        tol = TOL.basis_truncation_rel * norm_p
-    if norm_p == 0.0 or norm_p <= tol:
-        raise DegenerateCrossCorrelationError(
-            f"degenerate cross-correlation: ||p|| = {norm_p:.3e} <= tol = {tol:.3e}")
-    if not 1 <= rank <= matrix.n:
-        raise ValueError(f"requested rank {rank} outside 1..{matrix.n}")
-
-    cols = np.empty((matrix.n, rank))
-    cols[:, 0] = seed / divisor
-    d_eff = 1
-    for _ in range(rank - 1):
-        w = matrix.matvec(cols[:, d_eff - 1])
-        built = cols[:, :d_eff]
-        w = w - built @ (built.T @ w)
-        w = w - built @ (built.T @ w)
-        nw = float(np.linalg.norm(w))
-        if nw <= tol:
-            break
-        cols[:, d_eff] = w / nw
-        d_eff += 1
-    return BasisMatrix(cols[:, :d_eff], build_tag=build_tag)
+    bases, ranks = krylov_basis_stack(matrix.dense()[None], seed[None], rank)
+    return BasisMatrix(bases[0, :, :ranks[0]], build_tag=build_tag)
 
 
 def project_half_space(x, half_space: HalfSpace) -> np.ndarray:
@@ -281,40 +241,18 @@ def project_subspace(x, basis: BasisMatrix) -> np.ndarray:
     return basis.matrix @ (basis.matrix.T @ v)
 
 
-def cg_solve(matrix: SymMatrix, b, x0=None, iters: int | None = None,
-             residual_tol: float = 0.0) -> np.ndarray:
-    """Conjugate gradient iterations on ``R h = b``.
+def cg_solve(matrix: SymMatrix, b, x0=None, iters: int | None = None) -> np.ndarray:
+    """Conjugate gradient iterations on ``R h = b``, the one-row call of :func:`cg_solve_stack`.
 
-    Runs at most ``iters`` steps from ``x0`` (zero by default). Stops early
-    on a vanishing residual or a non-positive curvature direction
-    (breakdown on semidefinite systems), returning the current iterate.
-    With exact arithmetic and ``x0 = 0`` the ``D``-step iterate is the best
-    approximation of the solution in the energy norm over the Krylov
-    subspace of dimension ``D``.
+    Runs at most ``iters`` steps (N by default) from ``x0`` (zero by
+    default). With exact arithmetic and ``x0 = 0`` the ``D``-step iterate
+    is the best approximation of the solution in the energy norm over the
+    Krylov subspace of dimension ``D``.
     """
     rhs = as_vector(b, matrix.n)
-    x = np.zeros(matrix.n) if x0 is None else as_vector(x0, matrix.n).copy()
-    if iters is None:
-        iters = matrix.n
-    r = rhs - matrix.matvec(x)
-    p = r.copy()
-    rs = float(r @ r)
-    b_norm = float(np.linalg.norm(rhs))
-    stop = max(residual_tol * b_norm, 0.0) ** 2
-    for _ in range(iters):
-        if rs <= stop or rs == 0.0:
-            break
-        ap = matrix.matvec(p)
-        curvature = float(p @ ap)
-        if curvature <= 0.0:
-            break
-        alpha = rs / curvature
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_next = float(r @ r)
-        p = r + (rs_next / rs) * p
-        rs = rs_next
-    return x
+    x = np.zeros(matrix.n) if x0 is None else as_vector(x0, matrix.n)
+    return cg_solve_stack(matrix.dense()[None], rhs[None], x[None],
+                          matrix.n if iters is None else iters)[0]
 
 
 def stacked_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -327,32 +265,51 @@ def stacked_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(a, x[..., None])[..., 0]
 
 
+def toeplitz_dense(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The ``(R, N, N)`` symmetric Toeplitz matrices of ``(R, N)`` first rows.
+
+    Entry ``(k, i, j)`` is ``rows[k, |i - j|]``: entry ``N - 1 - i + j`` of
+    the row mirrored in front of itself. Written into ``out`` when given.
+    """
+    n = rows.shape[1]
+    mirrored = np.concatenate((rows[:, :0:-1], rows), axis=1)
+    if out is None:
+        out = np.empty((rows.shape[0], n, n))
+    np.copyto(out, sliding_window_view(mirrored, n, axis=1)[:, ::-1])
+    return out
+
+
 def krylov_basis_stack(matrices: np.ndarray, seeds: np.ndarray, rank: int):
-    """:func:`~krrapsp.linalg.krylov_basis` for a stack of ``(matrix, seed)`` pairs.
+    """Orthonormal Krylov bases of a stack of ``(matrix, seed)`` pairs.
 
     ``matrices`` is ``(R, N, N)`` (symmetric) and ``seeds`` is ``(R, N)``
-    with no zero row. Every row makes the BLAS calls and elementwise
-    operations of ``krylov_basis``, so its basis is the same. Returns
-    ``(bases, ranks)``: ``bases`` is ``(R, N, rank)`` with the effective
-    rank ``ranks[i]`` of row ``i`` in its leading columns and zeros after
-    them. Raises as ``BasisMatrix`` does if a basis is not orthonormal.
+    with no zero row. Each row runs the symmetric Arnoldi (Lanczos)
+    recurrence: every new direction ``R q`` is orthogonalized against the
+    columns built so far twice by classical Gram-Schmidt, and the row
+    stops growing once a direction's norm is at most ``1e-10 * ||p||``
+    (``TOL.basis_truncation_rel``). A seed whose ``p . p`` underflows or
+    overflows is replaced by ``p / max|p|``, which has the same basis.
+    Every row makes the BLAS calls of a one-row stack, so its basis does
+    not depend on R. Returns ``(bases, ranks)``: ``bases`` is
+    ``(R, N, rank)`` with the effective rank ``ranks[i]`` of row ``i`` in
+    its leading columns and zeros after them. Raises as ``BasisMatrix``
+    does if a basis is not orthonormal.
     """
     count, n = seeds.shape
-    norms = divisors = np.sqrt(stacked_dot(seeds, seeds))
-    tiny = (norms < TOL.seed_rescale_below) & np.any(seeds, axis=1)
-    if tiny.any():
-        # rows whose p.p underflows are normalized as krylov_basis does
-        scales = np.where(tiny, np.max(np.abs(seeds), axis=1), 1.0)
-        seeds = seeds / scales[:, None]
-        divisors = np.sqrt(stacked_dot(seeds, seeds))
-        norms = scales * divisors
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(stacked_dot(seeds, seeds))
+    # a seed whose p.p under- or overflows builds the basis of p / max|p|
+    rescale = ((norms < TOL.seed_rescale_below) | np.isinf(norms)) & np.any(seeds, axis=1)
+    if rescale.any():
+        seeds = seeds / np.where(rescale, np.max(np.abs(seeds), axis=1), 1.0)[:, None]
+        norms = np.sqrt(stacked_dot(seeds, seeds))
     if not np.all(norms > 0.0):
         raise DegenerateCrossCorrelationError("degenerate cross-correlation: ||p|| = 0")
     if not 1 <= rank <= n:
         raise ValueError(f"requested rank {rank} outside 1..{n}")
     tol = TOL.basis_truncation_rel * norms
     cols = np.zeros((count, n, rank))
-    cols[:, :, 0] = seeds / divisors[:, None]
+    cols[:, :, 0] = seeds / norms[:, None]
     ranks = np.ones(count, dtype=np.int64)
     growing = np.ones(count, dtype=bool)
     for i in range(1, rank):
@@ -376,12 +333,13 @@ def krylov_basis_stack(matrices: np.ndarray, seeds: np.ndarray, rank: int):
 
 def cg_solve_stack(matrices: np.ndarray, rhs: np.ndarray, x0: np.ndarray,
                    iters: int) -> np.ndarray:
-    """:func:`~krrapsp.linalg.cg_solve` for a stack of systems, no residual tolerance.
+    """Conjugate gradient iterations on a stack of systems ``R h = b``.
 
     ``matrices`` is ``(R, N, N)`` (symmetric), ``rhs`` and ``x0`` are
-    ``(R, N)``. Every row makes the BLAS calls and elementwise operations
-    of ``cg_solve(matrix, b, x0, iters)`` and leaves the loop where it
-    would: on a zero residual or a non-positive curvature. Returns the
+    ``(R, N)``. Each row runs at most ``iters`` steps from its ``x0`` and
+    stops early on a zero residual or a non-positive curvature direction
+    (breakdown on semidefinite systems), keeping its current iterate.
+    Every row makes the BLAS calls of a one-row stack. Returns the
     ``(R, N)`` iterates.
     """
     x = x0.copy()
@@ -390,7 +348,7 @@ def cg_solve_stack(matrices: np.ndarray, rhs: np.ndarray, x0: np.ndarray,
     rs = stacked_dot(r, r)
     live = np.arange(len(x))  # rows still iterating; the arrays below hold only these
     for _ in range(iters):
-        # the conditions are cg_solve's own, negated, so a NaN keeps iterating as there
+        # the stop conditions negated, so a row with a NaN residual keeps iterating
         keep = ~(rs <= 0.0)
         if not keep.all():
             live, matrices, r, p, rs = live[keep], matrices[keep], r[keep], p[keep], rs[keep]

@@ -15,8 +15,8 @@ class Tolerances:
     krylov_span_rel: float = 1e-8
     # Krylov truncation: new direction with norm <= this * ||p|| ends the build
     basis_truncation_rel: float = 1e-10
-    # a Krylov seed whose plain norm falls below this is normalized through
-    # p / max|p|: p.p underflows once |p| < ~1e-154
+    # a Krylov seed whose plain norm falls below this (p.p underflows once
+    # |p| < ~1e-154), or overflows, is replaced by p / max|p|
     seed_rescale_below: float = 1e-150
     # boundary placement of a half-space projection
     halfspace_boundary: float = 1e-10

@@ -2,8 +2,13 @@
 
 Everything here is deliberately naive (loops, explicit constructions,
 textbook algorithms) and shares no code with the package internals, except
-the frozen single-stream filters at the end of the module, which use the
-library's linear algebra and statistics estimator as they always did.
+the frozen kernels and single-stream filters at the end of the module.
+These are the library's scalar code as it was before each algorithm was
+written once, for a stack of trials: the Krylov basis, conjugate gradient
+solve, statistics estimator and Toeplitz expansion as scalar kernels, and
+the filters built on them. They use the library's value types
+(``SymMatrix``, ``BasisMatrix``) and input validation, but none of its
+kernels, so the references stay independent of the code they check.
 """
 
 import math
@@ -11,16 +16,9 @@ from collections import deque
 
 import numpy as np
 
-from krrapsp.estimation import MODES, CorrelationEstimator
+from krrapsp.estimation import MODES
 from krrapsp.filters import KrrParams, StepOutput
-from krrapsp.linalg import (
-    BasisMatrix,
-    DegenerateCrossCorrelationError,
-    SymMatrix,
-    as_vector,
-    cg_solve,
-    krylov_basis,
-)
+from krrapsp.linalg import BasisMatrix, DegenerateCrossCorrelationError, SymMatrix, as_vector
 from krrapsp.tolerances import TOL
 
 
@@ -321,6 +319,195 @@ def trial_by_trial_records(config):
                 mismatch_db=float(mis_db[k]), update_rate=float(upd[k]),
                 mults=float(mults[k])))
     return records
+
+
+# ---------------------------------------------------------------------------
+# frozen scalar kernels
+# ---------------------------------------------------------------------------
+#
+# krylov_basis, cg_solve and CorrelationEstimator as the library wrote them
+# before they became one-row calls of its stacked kernels, kept unchanged,
+# and the lag-index gather that SymMatrix.dense() used for a Toeplitz row.
+
+
+def toeplitz_gather(first_row):
+    """Symmetric Toeplitz matrix of a first row: entry (i, j) is row[|i - j|]."""
+    n = len(first_row)
+    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    return np.asarray(first_row, dtype=float)[idx]
+
+
+def krylov_basis(matrix: SymMatrix, p, rank: int, tol: float | None = None,
+                 build_tag: int = 0) -> BasisMatrix:
+    """Orthonormal basis of ``span{p, Rp, ..., R^(D_eff-1) p}``.
+
+    Built by the symmetric Arnoldi (Lanczos) recurrence with full
+    reorthogonalization: each new direction is orthogonalized against all
+    previous columns twice by classical Gram-Schmidt. The effective rank
+    ``D_eff`` falls short of ``rank`` only when the Krylov sequence becomes
+    numerically dependent (new direction norm <= ``tol`` after
+    reorthogonalization).
+
+    Parameters
+    ----------
+    matrix : SymMatrix
+        Symmetric PSD matrix generating the subspace.
+    p : array_like
+        Seed vector; must have norm greater than ``tol``. With the default
+        ``tol`` any nonzero seed qualifies: one so small that ``p.p``
+        underflows is normalized through ``p / max|p|``.
+    rank : int
+        Requested dimension D, ``1 <= rank <= N``.
+    tol : float, optional
+        Truncation tolerance. Defaults to ``1e-10 * ||p||``.
+
+    Raises
+    ------
+    DegenerateCrossCorrelationError
+        If ``||p|| <= tol`` (callers handle warm-up).
+    """
+    seed = as_vector(p, matrix.n)
+    norm_p = float(np.linalg.norm(seed))
+    divisor = norm_p
+    if norm_p < TOL.seed_rescale_below and np.any(seed):
+        # p.p underflows: normalize p / max|p| and scale its norm back
+        scale = float(np.max(np.abs(seed)))
+        seed = seed / scale
+        divisor = float(np.linalg.norm(seed))
+        norm_p = scale * divisor
+    if tol is None:
+        tol = TOL.basis_truncation_rel * norm_p
+    if norm_p == 0.0 or norm_p <= tol:
+        raise DegenerateCrossCorrelationError(
+            f"degenerate cross-correlation: ||p|| = {norm_p:.3e} <= tol = {tol:.3e}")
+    if not 1 <= rank <= matrix.n:
+        raise ValueError(f"requested rank {rank} outside 1..{matrix.n}")
+
+    cols = np.empty((matrix.n, rank))
+    cols[:, 0] = seed / divisor
+    d_eff = 1
+    for _ in range(rank - 1):
+        w = matrix.matvec(cols[:, d_eff - 1])
+        built = cols[:, :d_eff]
+        w = w - built @ (built.T @ w)
+        w = w - built @ (built.T @ w)
+        nw = float(np.linalg.norm(w))
+        if nw <= tol:
+            break
+        cols[:, d_eff] = w / nw
+        d_eff += 1
+    return BasisMatrix(cols[:, :d_eff], build_tag=build_tag)
+
+
+def cg_solve(matrix: SymMatrix, b, x0=None, iters: int | None = None,
+             residual_tol: float = 0.0) -> np.ndarray:
+    """Conjugate gradient iterations on ``R h = b``.
+
+    Runs at most ``iters`` steps from ``x0`` (zero by default). Stops early
+    on a vanishing residual or a non-positive curvature direction
+    (breakdown on semidefinite systems), returning the current iterate.
+    With exact arithmetic and ``x0 = 0`` the ``D``-step iterate is the best
+    approximation of the solution in the energy norm over the Krylov
+    subspace of dimension ``D``.
+    """
+    rhs = as_vector(b, matrix.n)
+    x = np.zeros(matrix.n) if x0 is None else as_vector(x0, matrix.n).copy()
+    if iters is None:
+        iters = matrix.n
+    r = rhs - matrix.matvec(x)
+    p = r.copy()
+    rs = float(r @ r)
+    b_norm = float(np.linalg.norm(rhs))
+    stop = max(residual_tol * b_norm, 0.0) ** 2
+    for _ in range(iters):
+        if rs <= stop or rs == 0.0:
+            break
+        ap = matrix.matvec(p)
+        curvature = float(p @ ap)
+        if curvature <= 0.0:
+            break
+        alpha = rs / curvature
+        x = x + alpha * p
+        r = r - alpha * ap
+        rs_next = float(r @ r)
+        p = r + (rs_next / rs) * p
+        rs = rs_next
+    return x
+
+
+class CorrelationEstimator:
+    """Exponentially weighted estimates of R and p.
+
+    Updates follow
+    ``r <- gamma*r + u[0]*u`` (Toeplitz) or ``R <- gamma*R + u u^T`` (full),
+    and ``p <- gamma*p + d*u``, starting from zero. No ``1 - gamma``
+    normalization is applied: Krylov bases and Wiener solutions are
+    invariant to a common positive scaling of (R, p).
+
+    Parameters
+    ----------
+    mode : {"toeplitz", "fullsym"}
+    n : int
+        Regressor length.
+    gamma : float
+        Forgetting factor, strictly inside (0, 1); fixed for the lifetime
+        of the estimator.
+    warmup_factor : float
+        The estimator reports itself mature after ``warmup_factor * n``
+        samples; consumers may defer basis builds until then.
+    """
+
+    def __init__(self, mode: str, n: int, gamma: float, warmup_factor: float = 1.0):
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if not 0.0 < gamma < 1.0:
+            raise ValueError(f"forgetting factor must lie in (0, 1), got {gamma}")
+        if n < 1:
+            raise ValueError(f"dimension must be positive, got {n}")
+        self.mode = mode
+        self.n = int(n)
+        self.gamma = float(gamma)
+        self.warmup_factor = float(warmup_factor)
+        self.sample_count = 0
+        self._p = np.zeros(self.n)
+        if mode == "toeplitz":
+            self._r = np.zeros(self.n)
+            self._matrix = None
+        else:
+            self._matrix = np.zeros((self.n, self.n))
+            self._r = None
+
+    @property
+    def mature(self) -> bool:
+        return self.sample_count >= self.warmup_factor * self.n
+
+    def update(self, u, d: float) -> None:
+        """Fold one sample pair into the running estimates."""
+        v = as_vector(u, self.n)
+        g = self.gamma
+        if self.mode == "toeplitz":
+            # newest scalar sample times the regressor vector
+            self._r = g * self._r + v[0] * v
+        else:
+            self._matrix = g * self._matrix + np.outer(v, v)
+        self._p = g * self._p + float(d) * v
+        self.sample_count += 1
+
+    def r_matrix(self) -> SymMatrix:
+        """Immutable snapshot of the autocorrelation estimate."""
+        if self.mode == "toeplitz":
+            return SymMatrix(first_row=self._r)
+        return SymMatrix(self._matrix)
+
+    def p_vector(self) -> np.ndarray:
+        """Immutable snapshot of the cross-correlation estimate."""
+        p = self._p.copy()
+        p.flags.writeable = False
+        return p
+
+    def __repr__(self) -> str:
+        return (f"CorrelationEstimator(mode={self.mode!r}, n={self.n}, "
+                f"gamma={self.gamma}, samples={self.sample_count})")
 
 
 # ---------------------------------------------------------------------------

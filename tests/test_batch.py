@@ -12,10 +12,10 @@ import krrapsp.linalg
 import oracles
 from krrapsp import BasisMatrix, HalfSpace, KrrParams, project_half_space
 from krrapsp.filters import CgrrfBatch, KrrApspBatch, NlmsBatch, _basis_build_charge
-from krrapsp.linalg import SymMatrix, cg_solve, cg_solve_stack, krylov_basis, krylov_basis_stack
+from krrapsp.linalg import SymMatrix, cg_solve_stack, krylov_basis_stack
 
 from conftest import random_orthonormal, random_spd
-from oracles import Cgrrf, KrrApsp, Nlms, reference_parallel_update
+from oracles import Cgrrf, KrrApsp, Nlms, cg_solve, krylov_basis, reference_parallel_update
 from streams import (
     cancelled_p_stream,
     exact_fit_stream,

@@ -11,7 +11,6 @@ class TestInit:
         est = CorrelationEstimator("toeplitz", 4, 0.999)
         assert np.array_equal(est.p_vector(), np.zeros(4))
         assert np.array_equal(est.r_matrix().dense(), np.zeros((4, 4)))
-        assert est.sample_count == 0
 
     def test_fullsym_zero_start(self):
         est = CorrelationEstimator("fullsym", 2, 0.5)
@@ -111,10 +110,3 @@ class TestProperties:
         assert np.allclose(doubled.r_matrix().dense(), 4.0 * base.r_matrix().dense(),
                            rtol=1e-12)
         assert np.allclose(doubled.p_vector(), 2.0 * base.p_vector(), rtol=1e-12)
-
-    def test_maturity_flag(self):
-        est = CorrelationEstimator("toeplitz", 3, 0.9)
-        assert not est.mature
-        for _ in range(3):
-            est.update([1.0, 0.0, 0.0], 1.0)
-        assert est.mature

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import krrapsp
 from krrapsp import CdmaConfig, KrrParams, SysIdConfig
 from krrapsp.experiments import (
     ExperimentConfig,
@@ -168,9 +169,13 @@ class TestWindows:
 
 class TestCli:
     def run_cli(self, *args):
+        # the child imports the package from where this process found it
+        src = os.path.dirname(os.path.dirname(krrapsp.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         return subprocess.run(
             [sys.executable, "-m", "krrapsp.cli", *args],
-            capture_output=True, text=True, timeout=300)
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": path})
 
     def test_sysid_writes_csv(self, tmp_path):
         out = tmp_path / "run.csv"

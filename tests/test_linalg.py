@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from krrapsp import (
     TOL,
     BasisMatrix,
+    CorrelationEstimator,
     DegenerateCrossCorrelationError,
     HalfSpace,
     SymMatrix,
@@ -102,15 +106,21 @@ class TestKrylovBasis:
         with pytest.raises(DegenerateCrossCorrelationError):
             krylov_basis(SymMatrix(np.eye(3)), np.zeros(3), 2)
 
-    @pytest.mark.parametrize("scale", [1e-151, 1e-160, 1e-200, 1e-300])
+    @pytest.mark.parametrize("scale", [1e-151, 1e-160, 1e-200, 1e-300, 1e160, 1e200, 1e300])
     def test_tiny_seed_keeps_its_direction(self, rng, scale):
-        # p.p underflows once |p| < ~1e-154; the basis depends only on the
-        # direction of p
+        # p.p underflows once |p| < ~1e-154 and overflows once |p| > ~1e154;
+        # the basis depends only on the direction of p
         a = SymMatrix(random_spd(6, rng))
         p = rng.standard_normal(6)
         want = krylov_basis(a, p, 3).matrix
         got = krylov_basis(a, scale * p, 3).matrix
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e200])
+    def test_dependent_sequence_truncates_at_any_seed_scale(self, rng, scale):
+        # a multiple of the identity spans one direction
+        basis = krylov_basis(SymMatrix(2.0 * np.eye(5)), scale * rng.standard_normal(5), 4)
+        assert basis.rank == 1
 
     def test_truncates_on_dependence(self, rng):
         # rank-2 Krylov space: A has two distinct eigenvalues
@@ -259,3 +269,78 @@ class TestCgSolve:
         b = a @ rng.standard_normal(4)
         x = cg_solve(SymMatrix(a), b, iters=4)
         assert np.all(np.isfinite(x))
+
+
+# -- the kernels against their frozen scalar versions ------------------------
+
+SEED_SCALES = [0.0, 1.0, 1e-160, 1e-300, 1e200, 1e300]
+
+
+@st.composite
+def kernel_cases(draw):
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    row = rng.standard_normal(n)
+    row[0] = abs(row[0]) + draw(st.sampled_from([0.0, 1.0, float(n)]))
+    u = rng.standard_normal((n, max(1, n // 2)))
+    matrices = {
+        "toeplitz": SymMatrix(first_row=row),  # possibly indefinite
+        "spd": SymMatrix(random_spd(n, rng)),
+        "singular": SymMatrix(np.outer(u[:, 0], u[:, 0])),
+        "identity": SymMatrix(2.0 * np.eye(n)),
+        "zero": SymMatrix(np.zeros((n, n))),
+        "low_rank": SymMatrix(u @ u.T),
+    }
+    matrix = matrices[draw(st.sampled_from(sorted(matrices)))]
+    seed = draw(st.sampled_from(SEED_SCALES)) * rng.standard_normal(n)
+    rank = draw(st.integers(1, n))
+    rhs = rng.standard_normal(n)
+    if draw(st.booleans()):
+        rhs = matrix.dense() @ rhs  # in the range of a singular matrix
+    x0 = rng.standard_normal(n) if draw(st.booleans()) else None
+    iters = draw(st.one_of(st.none(), st.integers(0, n + 1)))
+    mode = draw(st.sampled_from(["toeplitz", "fullsym"]))
+    gamma = draw(st.floats(0.05, 0.999))
+    samples = [(rng.standard_normal(n), float(rng.standard_normal()))
+               for _ in range(draw(st.integers(0, 3 * n)))]
+    return matrix, row, seed, rank, rhs, x0, iters, mode, gamma, samples
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_kernels_equal_the_frozen_scalar_kernels(case):
+    matrix, row, seed, rank, rhs, x0, iters, mode, gamma, samples = case
+    n = matrix.n
+
+    assert np.array_equal(SymMatrix(first_row=row).dense(), oracles.toeplitz_gather(row))
+
+    if not np.any(seed):
+        for build in (krylov_basis, oracles.krylov_basis):
+            with pytest.raises(DegenerateCrossCorrelationError):
+                build(matrix, seed, rank)
+    else:
+        # a seed whose p.p under- or overflows builds the basis of p / max|p|
+        # (the frozen kernel fails on an overflowing seed, and on a tiny one
+        # it missed the truncation of a dependent Krylov sequence)
+        direction = seed
+        if not 1e-150 <= np.max(np.abs(seed)) <= 1e150:
+            direction = seed / np.max(np.abs(seed))
+        want = oracles.krylov_basis(matrix, direction, rank, build_tag=3)
+        got = krylov_basis(matrix, seed, rank, build_tag=3)
+        assert got.build_tag == want.build_tag
+        assert np.array_equal(got.matrix, want.matrix)
+
+    # early exits: zero residuals (identity), zero or negative curvature
+    # (zero, singular or indefinite matrices)
+    assert np.array_equal(cg_solve(matrix, rhs, x0=x0, iters=iters),
+                          oracles.cg_solve(matrix, rhs, x0=x0, iters=iters))
+
+    est = CorrelationEstimator(mode, n, gamma)
+    frozen = oracles.CorrelationEstimator(mode, n, gamma)
+    for u, d in samples:
+        est.update(u, d)
+        frozen.update(u, d)
+    assert np.array_equal(est.p_vector(), frozen.p_vector())
+    got, want = est.r_matrix(), frozen.r_matrix()
+    assert got.is_toeplitz == want.is_toeplitz == (mode == "toeplitz")
+    assert np.array_equal(got.dense(), want.dense())
