@@ -46,7 +46,9 @@ def _add_common(parser, *, rho: float, lam: float, snr: float, iters: int):
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--out", default=None, help="CSV output path (default stdout)")
     parser.add_argument("--count-mults", action="store_true",
-                        help="append per-category multiplication totals to the header")
+                        help="append one mults-total.<label> per filter to the header: "
+                             "the sum over steps of its trial-averaged recurring "
+                             "multiplication counts")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -286,9 +286,11 @@ def krylov_basis_stack(matrices: np.ndarray, seeds: np.ndarray, rank: int):
     with no zero row. Each row runs the symmetric Arnoldi (Lanczos)
     recurrence: every new direction ``R q`` is orthogonalized against the
     columns built so far twice by classical Gram-Schmidt, and the row
-    stops growing once a direction's norm is at most ``1e-10 * ||p||``
-    (``TOL.basis_truncation_rel``). A seed whose ``p . p`` underflows or
-    overflows is replaced by ``p / max|p|``, which has the same basis.
+    stops growing once a direction's norm is at most ``1e-10 * ||R q||``
+    (``TOL.basis_truncation_rel``), its norm before orthogonalization, so
+    the test scales with R and not with the seed. A seed whose ``p . p``
+    underflows or overflows is replaced by ``p / max|p|``, which has the
+    same basis.
     Every row makes the BLAS calls of a one-row stack, so its basis does
     not depend on R. Returns ``(bases, ranks)``: ``bases`` is
     ``(R, N, rank)`` with the effective rank ``ranks[i]`` of row ``i`` in
@@ -307,13 +309,13 @@ def krylov_basis_stack(matrices: np.ndarray, seeds: np.ndarray, rank: int):
         raise DegenerateCrossCorrelationError("degenerate cross-correlation: ||p|| = 0")
     if not 1 <= rank <= n:
         raise ValueError(f"requested rank {rank} outside 1..{n}")
-    tol = TOL.basis_truncation_rel * norms
     cols = np.zeros((count, n, rank))
     cols[:, :, 0] = seeds / norms[:, None]
     ranks = np.ones(count, dtype=np.int64)
     growing = np.ones(count, dtype=bool)
     for i in range(1, rank):
         w = stacked_matvec(matrices, cols[:, :, i - 1])
+        tol = TOL.basis_truncation_rel * np.sqrt(stacked_dot(w, w))
         built = cols[:, :, :i]
         w = w - stacked_matvec(built, stacked_matvec(built.transpose(0, 2, 1), w))
         w = w - stacked_matvec(built, stacked_matvec(built.transpose(0, 2, 1), w))

@@ -13,7 +13,8 @@ class Tolerances:
     orthonormality: float = 1e-10
     # relative residual ||(I - SS^T) R^j p|| / ||R^j p|| for Krylov spans
     krylov_span_rel: float = 1e-8
-    # Krylov truncation: new direction with norm <= this * ||p|| ends the build
+    # Krylov truncation: a new direction whose norm after orthogonalization
+    # is <= this * ||R q|| (its norm before) ends the build
     basis_truncation_rel: float = 1e-10
     # a Krylov seed whose plain norm falls below this (p.p underflows once
     # |p| < ~1e-154), or overflows, is replaced by p / max|p|
@@ -31,8 +32,6 @@ class Tolerances:
     # feasibility certification and monotone-approximation slack
     feasibility: float = 1e-10
     monotone_slack: float = 1e-10
-    # Dykstra alternating-projection stopping tolerance
-    dykstra: float = 1e-12
     # ||sum of subgradient steps|| below this times the step-norm budget is
     # treated as exact cancellation (no update)
     cancellation: float = 1e-14

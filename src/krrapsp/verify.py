@@ -180,8 +180,7 @@ class ThetaInstance:
         if np.any(w <= 0) or abs(float(w.sum()) - 1.0) > TOL.weights_sum:
             raise ValueError("weights must be positive and sum to 1")
         anchor = as_vector(self.anchor, self.basis.n)
-        resid = float(np.linalg.norm(anchor - project_subspace(anchor, self.basis)))
-        if resid > TOL.range_confinement * (1.0 + float(np.linalg.norm(anchor))):
+        if not _in_range(anchor, self.basis):
             raise ValueError("anchor must lie in the basis range")
         w = w.copy()
         anchor = anchor.copy()
@@ -198,65 +197,28 @@ def _in_range(x, basis: BasisMatrix) -> bool:
 
 
 def halfspace_range_distance(x, half_space: HalfSpace, basis: BasisMatrix) -> float:
-    """Distance from an in-range point to ``half_space`` within the range.
+    """Distance from ``x`` to ``half_space`` within the range of ``basis``.
 
-    Closed form: ``max(0, g(x)) / ||Q s||`` with ``Q`` the range projector
-    and ``s`` the half-space normal. Raises if the half-space misses the
-    subspace entirely (projected normal zero with positive violation).
+    Closed form by Pythagoras: ``hypot(||x - Qx||, max(0, g(Qx)) / ||Q s||)``
+    with ``Q`` the range projector and ``s`` the half-space normal; a point
+    in the range is measured as ``max(0, g(x)) / ||Q s||``. Raises if the
+    half-space misses the subspace entirely (projected normal zero with
+    positive violation).
     """
-    g = half_space.violation(x)
+    v = as_vector(x, basis.n)
+    off_range = 0.0
+    if not _in_range(v, basis):
+        in_range = project_subspace(v, basis)
+        off_range = float(np.linalg.norm(v - in_range))
+        v = in_range
+    g = half_space.violation(v)
     if g <= 0.0:
-        return 0.0
+        return off_range
     qn = project_subspace(half_space.normal, basis)
     norm_qn = float(np.linalg.norm(qn))
     if norm_qn == 0.0:
         raise ValueError("half-space does not intersect the subspace")
-    return g / norm_qn
-
-
-def dykstra_distance(x, half_space: HalfSpace, basis: BasisMatrix,
-                     tol: float | None = None, max_iter: int = 10000):
-    """Distance from a general point to ``half_space`` within the range.
-
-    Dykstra alternating projections between the half-space and the
-    subspace. Returns ``(distance, point, certified)`` where certification
-    verifies membership in both sets and the optimality condition that the
-    residual's in-range component is a nonnegative multiple of the
-    projected normal (or vanishes when the constraint is inactive).
-    """
-    if tol is None:
-        tol = TOL.dykstra
-    v = as_vector(x, basis.n)
-    y = v.copy()
-    inc_h = np.zeros_like(v)
-    inc_s = np.zeros_like(v)
-    for _ in range(max_iter):
-        w = project_half_space(y + inc_h, half_space)
-        inc_h = y + inc_h - w
-        y_new = project_subspace(w + inc_s, basis)
-        inc_s = w + inc_s - y_new
-        if float(np.linalg.norm(y_new - y)) <= tol * (1.0 + float(np.linalg.norm(y_new))):
-            y = y_new
-            break
-        y = y_new
-    dist = float(np.linalg.norm(v - y))
-    scale = 1.0 + float(np.linalg.norm(v))
-    ctol = 1e-8 * scale
-    in_sub = float(np.linalg.norm(y - project_subspace(y, basis))) <= ctol
-    g = half_space.violation(y)
-    resid = v - y
-    rq = project_subspace(resid, basis)
-    qn = project_subspace(half_space.normal, basis)
-    nq2 = float(qn @ qn)
-    if g < -ctol:
-        optimal = float(np.linalg.norm(rq)) <= ctol
-    elif nq2 > 0.0:
-        mu = float(rq @ qn) / nq2
-        optimal = mu >= -ctol and float(np.linalg.norm(rq - mu * qn)) <= ctol
-    else:
-        optimal = False
-    certified = in_sub and g <= ctol and optimal
-    return dist, y, certified
+    return math.hypot(off_range, g / norm_qn)
 
 
 def theta_value(inst: ThetaInstance, x) -> float:
@@ -274,16 +236,11 @@ def theta_value(inst: ThetaInstance, x) -> float:
     norm_const = float(inst.weights @ anchor_d)
     if norm_const == 0.0:
         return 0.0
-    use_closed_form = _in_range(v, inst.basis)
     total = 0.0
     for w, hs, da in zip(inst.weights, inst.half_spaces, anchor_d):
         if da == 0.0:
             continue
-        if use_closed_form:
-            dx = halfspace_range_distance(v, hs, inst.basis)
-        else:
-            dx, _, _ = dykstra_distance(v, hs, inst.basis)
-        total += w * da * dx
+        total += w * da * halfspace_range_distance(v, hs, inst.basis)
     return total / norm_const
 
 
@@ -438,6 +395,16 @@ def monotone_probe(steps, slack: float | None = None) -> MonotoneReport:
                           max_overshoot=max_over)
 
 
+def _error_bound_half_space(u_block, d, h, rho: float) -> HalfSpace:
+    """Linearization at ``h`` of the bounded-error set ``||U^T x - d||^2 <= rho``.
+
+    With ``e = U^T h - d`` the half-space has normal ``2 U e`` and offset
+    ``e . e - rho``, the constraint value at ``h``.
+    """
+    e = u_block.T @ h - d
+    return HalfSpace(normal=2.0 * (u_block @ e), offset=float(e @ e) - rho, anchor=h)
+
+
 def static_rapsm_run(*, n: int, rank: int, projections: int, iters: int,
                      warmup: int = 200, error_dim: int = 1, rho: float = 0.05,
                      step_size: float = 1.0, snr_db: float = 15.0,
@@ -477,15 +444,12 @@ def static_rapsm_run(*, n: int, rank: int, projections: int, iters: int,
     for s in samples[warmup:]:
         ring.insert(0, (s.u, s.d))
         ring = ring[:ring_len]
-        half_spaces = []
-        for j in range(projections):
-            block = np.column_stack([ring[j + t][0] for t in range(error_dim)])
-            dvec = np.array([ring[j + t][1] for t in range(error_dim)])
-            e = block.T @ h - dvec
-            g = float(e @ e) - rho
-            normal = 2.0 * (block @ e)
-            half_spaces.append(HalfSpace(normal=normal, offset=g, anchor=h))
-        inst = ThetaInstance(tuple(half_spaces), basis, weights, h)
+        half_spaces = tuple(
+            _error_bound_half_space(
+                np.column_stack([ring[j + t][0] for t in range(error_dim)]),
+                np.array([ring[j + t][1] for t in range(error_dim)]), h, rho)
+            for j in range(projections))
+        inst = ThetaInstance(half_spaces, basis, weights, h)
         h_next = rapsm_step(h, inst, phi, step_size)
         probe_steps.append(ProbeStep(h=h, h_next=h_next, instance=inst,
                                      basis_next=basis))
@@ -637,9 +601,7 @@ def _random_instance(rng, n: int = 8, d: int = 3, q: int = 3,
     for _ in range(q):
         u = rng.standard_normal((n, 1))
         dval = np.array([rng.standard_normal()])
-        e = u.T @ anchor - dval
-        g = float(e @ e) - rho
-        half_spaces.append(HalfSpace(normal=2.0 * (u @ e), offset=g, anchor=anchor))
+        half_spaces.append(_error_bound_half_space(u, dval, anchor, rho))
     w = np.full(q, 1.0 / q)
     return ThetaInstance(tuple(half_spaces), basis, w, anchor)
 
@@ -838,14 +800,10 @@ def _update_equivalence_defect(rng, n: int, d: int, q: int,
             h_full = basis.matrix @ filt.h_tilde
             q_eff = min(q, len(ring))
             w = np.full(q_eff, 1.0 / q_eff)
-            half_spaces = []
-            for j in range(q_eff):
-                uu = ring[j][0].reshape(-1, 1)
-                e = uu.T @ h_full - ring[j][1]
-                g = float(e @ e) - rho
-                half_spaces.append(HalfSpace(normal=2.0 * (uu @ e).ravel(),
-                                             offset=g, anchor=h_full))
-            inst = ThetaInstance(tuple(half_spaces), basis, w, h_full)
+            half_spaces = tuple(
+                _error_bound_half_space(ring[j][0].reshape(-1, 1), ring[j][1], h_full, rho)
+                for j in range(q_eff))
+            inst = ThetaInstance(half_spaces, basis, w, h_full)
             phi = PhiMap(basis, basis)
             predicted = basis.matrix.T @ rapsm_step(h_full, inst, phi, step_size)
         filt.step(u, dv)

@@ -326,8 +326,10 @@ def trial_by_trial_records(config):
 # ---------------------------------------------------------------------------
 #
 # krylov_basis, cg_solve and CorrelationEstimator as the library wrote them
-# before they became one-row calls of its stacked kernels, kept unchanged,
-# and the lag-index gather that SymMatrix.dense() used for a Toeplitz row.
+# before they became one-row calls of its stacked kernels, kept unchanged
+# except that krylov_basis truncates relative to ||R q|| as the library now
+# does, and the lag-index gather that SymMatrix.dense() used for a Toeplitz
+# row.
 
 
 def toeplitz_gather(first_row):
@@ -345,8 +347,9 @@ def krylov_basis(matrix: SymMatrix, p, rank: int, tol: float | None = None,
     reorthogonalization: each new direction is orthogonalized against all
     previous columns twice by classical Gram-Schmidt. The effective rank
     ``D_eff`` falls short of ``rank`` only when the Krylov sequence becomes
-    numerically dependent (new direction norm <= ``tol`` after
-    reorthogonalization).
+    numerically dependent: a new direction ``R q`` whose norm after
+    reorthogonalization is at most ``TOL.basis_truncation_rel * ||R q||``
+    ends the build.
 
     Parameters
     ----------
@@ -359,7 +362,7 @@ def krylov_basis(matrix: SymMatrix, p, rank: int, tol: float | None = None,
     rank : int
         Requested dimension D, ``1 <= rank <= N``.
     tol : float, optional
-        Truncation tolerance. Defaults to ``1e-10 * ||p||``.
+        Seed threshold. Defaults to ``1e-10 * ||p||``.
 
     Raises
     ------
@@ -388,11 +391,12 @@ def krylov_basis(matrix: SymMatrix, p, rank: int, tol: float | None = None,
     d_eff = 1
     for _ in range(rank - 1):
         w = matrix.matvec(cols[:, d_eff - 1])
+        w_norm = float(np.linalg.norm(w))
         built = cols[:, :d_eff]
         w = w - built @ (built.T @ w)
         w = w - built @ (built.T @ w)
         nw = float(np.linalg.norm(w))
-        if nw <= tol:
+        if nw <= TOL.basis_truncation_rel * w_norm:
             break
         cols[:, d_eff] = w / nw
         d_eff += 1

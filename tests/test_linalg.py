@@ -116,11 +116,17 @@ class TestKrylovBasis:
         got = krylov_basis(a, scale * p, 3).matrix
         assert np.max(np.abs(got - want)) <= 1e-12
 
-    @pytest.mark.parametrize("scale", [1e-160, 1e200])
+    @pytest.mark.parametrize("scale", [1e-160, 1e-100, 1e-20, 1e200])
     def test_dependent_sequence_truncates_at_any_seed_scale(self, rng, scale):
         # a multiple of the identity spans one direction
         basis = krylov_basis(SymMatrix(2.0 * np.eye(5)), scale * rng.standard_normal(5), 4)
         assert basis.rank == 1
+
+    def test_independent_sequence_keeps_its_rank_at_a_huge_seed(self, rng):
+        # distinct eigenvalues: the Krylov space has the requested dimension
+        basis = krylov_basis(SymMatrix(np.diag(np.arange(1.0, 6.0))),
+                             1e100 * rng.standard_normal(5), 4)
+        assert basis.rank == 4
 
     def test_truncates_on_dependence(self, rng):
         # rank-2 Krylov space: A has two distinct eigenvalues
@@ -320,8 +326,7 @@ def test_kernels_equal_the_frozen_scalar_kernels(case):
                 build(matrix, seed, rank)
     else:
         # a seed whose p.p under- or overflows builds the basis of p / max|p|
-        # (the frozen kernel fails on an overflowing seed, and on a tiny one
-        # it missed the truncation of a dependent Krylov sequence)
+        # (the frozen kernel fails on an overflowing seed)
         direction = seed
         if not 1e-150 <= np.max(np.abs(seed)) <= 1e150:
             direction = seed / np.max(np.abs(seed))

@@ -12,10 +12,10 @@ from krrapsp.verify import (
     apply_phi,
     attracting_check,
     cg_bound_check,
-    dykstra_distance,
     find_feasible_point,
     fixed_point_set,
     format_report,
+    halfspace_range_distance,
     monotone_probe,
     rapsm_step,
     run_all,
@@ -150,8 +150,8 @@ class TestTheta:
         for _ in range(10):
             assert theta_value(inst, rng.standard_normal(inst.basis.n)) >= 0.0
 
-    def test_dykstra_matches_reduced_closed_form(self, rng):
-        # distance from a general point to halfspace-within-range, via the
+    def test_distance_matches_reduced_closed_form(self, rng):
+        # distance from an off-range point to halfspace-within-range, via the
         # reduced-coordinates closed form as an independent oracle
         for _ in range(10):
             n, d = 7, 3
@@ -161,10 +161,9 @@ class TestTheta:
             hs = HalfSpace(normal=normal, offset=float(rng.standard_normal()),
                            anchor=anchor)
             x = rng.standard_normal(n) * 2
-            dist, point, certified = dykstra_distance(x, hs, basis)
-            assert certified
-            # closed form: project reduced coordinates onto the reduced
-            # half-space, add the out-of-range energy by Pythagoras
+            dist = halfspace_range_distance(x, hs, basis)
+            # project reduced coordinates onto the reduced half-space, add
+            # the out-of-range energy by Pythagoras
             z = basis.matrix.T @ x
             nr = basis.matrix.T @ normal
             bound = float(anchor @ normal) - hs.offset
@@ -173,7 +172,20 @@ class TestTheta:
                 z = z - (viol / float(nr @ nr)) * nr
             inside = basis.matrix @ z
             expected = math.sqrt(float(np.sum((x - inside) ** 2)))
-            assert abs(dist - expected) <= 1e-9
+            assert abs(dist - expected) <= 1e-12 * expected
+        # an in-range point violating the half-space by g(x) = 1 is measured
+        # as g(x) / ||Q s||
+        x = basis.matrix @ rng.standard_normal(d)
+        hs = HalfSpace(normal=rng.standard_normal(n), offset=1.0, anchor=x)
+        qn = project_subspace(hs.normal, basis)
+        assert halfspace_range_distance(x, hs, basis) == 1.0 / float(np.linalg.norm(qn))
+        # a half-space whose normal is exactly orthogonal to the range and
+        # which excludes the whole range
+        axes = BasisMatrix(np.eye(n)[:, :d])
+        hs = HalfSpace(normal=np.eye(n)[d], offset=1.0, anchor=np.zeros(n))
+        for x in (np.zeros(n), rng.standard_normal(n)):
+            with pytest.raises(ValueError, match="does not intersect"):
+                halfspace_range_distance(x, hs, axes)
 
     def test_anchor_must_be_in_range(self, rng):
         basis = BasisMatrix(random_orthonormal(6, 2, rng))
