@@ -46,6 +46,12 @@ unamortized, so an m-window reconciliation shows a constant gap of
 vector after a refresh costs 2*D*N per refresh; it is basis maintenance
 outside the printed model and is tracked in the separate `rebase`
 category.
+
+RLS charges 3N^2 + 4N per step, what the step performs: P v, the rank-one
+correction and the division by lambda (N^2 each), and four N-vector
+products. The paper's rls_count, 4N^2 + 4N + 1, also counts v^T P apart
+(P is symmetric, so v^T P is P v) and one reciprocal; the ratio of the
+two is about 0.75.
 """
 
 

@@ -18,9 +18,11 @@ filters in lockstep on stacked ``(R, N)`` samples. Their stacked products
 make a single filter's BLAS calls trial by trial, so a trial's arithmetic
 does not depend on R. ``KrrApsp``, ``Cgrrf`` and ``Nlms`` are their
 one-trial views. ``Rls`` has no batch: R inverse correlations at N = 200
-would hold 32 MB per 100 trials, and a stacked RLS step measured slower
-than the scalar one (142-159 us per trial-step against 129 us at N = 200,
-one BLAS thread on a 2-core x86-64 machine).
+would hold 32 MB per 100 trials, and a stacked RLS step with a broadcast
+outer product measured slower than the scalar step did with it (142-159 us
+per trial-step against 129 us at N = 200). With the rank-one correction as
+one BLAS product the scalar step takes about 100 us (one BLAS thread, 2-core
+x86-64 machine).
 
 Every filter reports its full-dimension coefficient vector, and rejects
 a sample with a non-finite entry before any state changes.
@@ -747,11 +749,11 @@ class Rls:
             self._outer = np.empty((self.n, self.n))
         y = float(self.h @ v)
         pi = self._pinv @ v
-        denom = self.forgetting + float(v @ pi)
-        gain = pi / denom
-        e = d - y
-        self.h = self.h + e * gain
-        self._pinv -= np.outer(gain, pi, out=self._outer)
+        gain = pi / (self.forgetting + float(v @ pi))
+        self.h = self.h + (d - y) * gain
+        # gain pi^T as one BLAS product, each entry one rounded product as in
+        # np.outer, which broadcasts at about twice the cost
+        self._pinv -= np.dot(gain[:, None], pi[None, :], out=self._outer)
         self._pinv /= self.forgetting
         mults = 3 * self.n * self.n + 4 * self.n
         self.mult_totals["filter"] += mults

@@ -266,7 +266,7 @@ def trial_by_trial_records(config):
     """
     from dataclasses import replace
 
-    from krrapsp import CdmaScenario, Rls, SysIdScenario
+    from krrapsp import CdmaScenario, SysIdScenario
     from krrapsp.experiments import MetricsRecord, trial_seeds
 
     iters = config.iters
@@ -522,7 +522,8 @@ class CorrelationEstimator:
 # one-trial views of its lockstep batches: one recursion per stream, with
 # the scalar arithmetic spelled out. They are kept unchanged as the
 # reference the batches and the library's single-stream filters must equal.
-# (The only edit: SymMatrix is imported at the top of this module.)
+# (The only edit: SymMatrix is imported at the top of this module.) Rls is
+# the textbook recursion out of place, with the library's auto-delta rule.
 
 
 def _zero_counters() -> dict:
@@ -935,3 +936,29 @@ class Nlms:
         self.steps += 1
         self.update_count += int(updated)
         return StepOutput(y, updated, self.h.copy(), mults)
+
+
+class Rls:
+    """Exponentially weighted recursive least squares, out of place."""
+
+    def __init__(self, n: int, forgetting: float = 0.999, delta: float | None = None):
+        self.n = int(n)
+        self.forgetting = float(forgetting)
+        self.delta = delta
+        self.h = np.zeros(n)
+        self.pinv = None
+
+    def step(self, u, d: float) -> StepOutput:
+        v, d = _checked_sample(u, d, self.n)
+        if self.pinv is None:
+            if self.delta is None:
+                power = float(v @ v) / self.n
+                self.delta = 0.01 * power if power > 0.0 else 0.01
+            self.pinv = np.eye(self.n) / self.delta
+        lam = self.forgetting
+        y = float(self.h @ v)
+        pi = self.pinv @ v
+        gain = pi / (lam + float(v @ pi))
+        self.h = self.h + (d - y) * gain
+        self.pinv = (self.pinv - np.outer(gain, pi)) / lam
+        return StepOutput(y, True, self.h.copy(), 3 * self.n * self.n + 4 * self.n)

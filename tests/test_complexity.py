@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from krrapsp import KrrApsp, KrrParams, Nlms, SysIdConfig, SysIdScenario
+from krrapsp import KrrApsp, KrrParams, Nlms, Rls, SysIdConfig, SysIdScenario
 from krrapsp import complexity as cx
 from krrapsp.filters import _basis_build_charge
 
@@ -63,6 +63,16 @@ class TestInstrumentedCounters:
         for _ in range(50):
             out = filt.step(rng.standard_normal(n), float(rng.standard_normal()))
             assert out.mults == cx.nlms_count(n)
+
+    def test_rls_counter_charges_the_step(self, rng):
+        # what the step performs; the paper's form also counts v^T P and one
+        # reciprocal (COUNTER_NOTES)
+        n = 9
+        filt = Rls(n)
+        for k in range(1, 4):
+            out = filt.step(rng.standard_normal(n), float(rng.standard_normal()))
+            assert out.mults == 3 * n * n + 4 * n == cx.rls_count(n) - n * n - 1
+            assert filt.mult_totals["filter"] == k * out.mults
 
     def test_windowed_average_within_documented_slack(self):
         # forced updates (rho=0), r=1: the m-aligned window average of the

@@ -167,15 +167,28 @@ class TestWindows:
             steady_state_db(records, "y", 0, 20)
 
 
+def run_python(*args):
+    # the child imports the package from where this process found it
+    src = os.path.dirname(os.path.dirname(krrapsp.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path})
+
+
+def test_runtime_imports_numpy_only():
+    # pyproject declares only numpy; importing scipy would also add about
+    # 28 MiB of resident memory to every run
+    proc = run_python("-c", (
+        "import sys, krrapsp, krrapsp.experiments, krrapsp.verify, krrapsp.complexity; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestCli:
     def run_cli(self, *args):
-        # the child imports the package from where this process found it
-        src = os.path.dirname(os.path.dirname(krrapsp.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        return subprocess.run(
-            [sys.executable, "-m", "krrapsp.cli", *args],
-            capture_output=True, text=True, timeout=300,
-            env={**os.environ, "PYTHONPATH": path})
+        return run_python("-m", "krrapsp.cli", *args)
 
     def test_sysid_writes_csv(self, tmp_path):
         out = tmp_path / "run.csv"

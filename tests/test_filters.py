@@ -21,6 +21,7 @@ from krrapsp import (
 )
 from krrapsp.linalg import BasisMatrix
 
+import oracles
 from conftest import random_orthonormal, random_spd
 from oracles import energy_norm_best_approx, least_squares_fit, reference_parallel_update
 
@@ -472,20 +473,26 @@ class TestRls:
         ls = least_squares_fit(us, ds)
         assert np.linalg.norm(filt.coefficients - ls) <= 1e-6
 
-    def test_matches_out_of_place_recursion(self, rng):
-        # the in-place inverse update does the textbook recursion's arithmetic
-        n, lam, delta = 12, 0.99, 0.5
-        filt = Rls(n, forgetting=lam, delta=delta)
-        h, pinv = np.zeros(n), np.eye(n) / delta
-        for _ in range(50):
-            u, d = rng.standard_normal(n), float(rng.standard_normal())
-            out = filt.step(u, d)
-            y = float(h @ u)
-            pi = pinv @ u
-            gain = pi / (lam + float(u @ pi))
-            h = h + (d - y) * gain
-            pinv = (pinv - np.outer(gain, pi)) / lam
-            assert out.y == y and np.array_equal(out.h_full, h)
+    @pytest.mark.parametrize("lam", [0.99, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 12, 200])
+    def test_matches_out_of_place_recursion(self, rng, n, lam):
+        # the in-place inverse update does the textbook recursion's arithmetic,
+        # signed zeros included, on ordinary, zero and -0.0 regressors; a
+        # silent last input keeps zeros in the inverse correlation to the end
+        filt, ref = Rls(n, forgetting=lam, delta=0.5), oracles.Rls(n, forgetting=lam, delta=0.5)
+        us = rng.standard_normal((50, n))
+        if n > 1:
+            us[:, -1] = np.where(np.arange(50) % 2, 0.0, -0.0)
+        us[10] = 0.0
+        us[20] = -0.0
+        us[30, ::2] = -0.0
+        for u in us:
+            d = float(rng.standard_normal())
+            out, want = filt.step(u, d), ref.step(u, d)
+            assert out.y == want.y and np.array_equal(out.h_full, want.h_full)
+            assert np.array_equal(np.signbit(out.h_full), np.signbit(want.h_full))
+        assert np.array_equal(filt._pinv, ref.pinv)
+        assert np.array_equal(np.signbit(filt._pinv), np.signbit(ref.pinv))
 
     def test_auto_delta_from_first_sample(self, rng):
         filt = Rls(6)
