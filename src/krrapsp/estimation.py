@@ -120,7 +120,7 @@ class CorrelationEstimator:
     def r_matrix(self) -> SymMatrix:
         """Immutable snapshot of the autocorrelation estimate."""
         if self.mode == "toeplitz":
-            return SymMatrix(first_row=self._stats.r[0])
+            return SymMatrix(toeplitz_dense(self._stats.r[:1])[0])
         return SymMatrix(self._stats.r[0])
 
     def p_vector(self) -> np.ndarray:

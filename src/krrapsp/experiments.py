@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .linalg import stacked_dot
 from .scenarios import CdmaConfig, CdmaScenario, SysIdConfig, SysIdScenario
 
 ALGORITHMS = ("krr-apsp", "cgrrf", "nlms", "rls")
+# the scenario config and scenario class of each experiment kind
+_SCENARIOS = {"sysid": (SysIdConfig, SysIdScenario), "cdma": (CdmaConfig, CdmaScenario)}
 CSV_COLUMNS = ("k", "algorithm", "mse_db", "mismatch_db", "update_rate", "mults")
 
 
@@ -63,8 +65,12 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("sysid", "cdma"):
+        if self.kind not in _SCENARIOS:
             raise ValueError("kind must be sysid or cdma")
+        config_type = _SCENARIOS[self.kind][0]
+        if not isinstance(self.scenario, config_type):
+            raise ValueError(f"a {self.kind} experiment needs a {config_type.__name__} "
+                             f"scenario, got {type(self.scenario).__name__}")
         if self.runs < 1 or self.iters < 1:
             raise ValueError("runs and iters must be at least 1")
         if not self.filters:
@@ -87,16 +93,8 @@ class MetricsRecord:
 
 
 def _make_scenario(config: ExperimentConfig, trial_seed: int):
-    base = config.scenario
-    if config.kind == "sysid":
-        return SysIdScenario(SysIdConfig(
-            n=base.n, snr_db=base.snr_db, fir_len=base.fir_len,
-            change_at=base.change_at, change_mode=base.change_mode,
-            seed=trial_seed))
-    return CdmaScenario(CdmaConfig(
-        users=base.users, snr_db=base.snr_db,
-        interferer_amplitude=base.interferer_amplitude,
-        change_at=base.change_at, users_post=base.users_post, seed=trial_seed))
+    scenario_type = _SCENARIOS[config.kind][1]
+    return scenario_type(replace(config.scenario, seed=trial_seed))
 
 
 def trial_seeds(seed: int, runs: int) -> np.ndarray:

@@ -41,7 +41,6 @@ bookkeeping slack.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,12 +204,10 @@ class KrrApspBatch(_Lockstep):
 
     State: the statistics (a ``_StatsStack``), the sample ring and the
     cached reduced regressors as ``(R, ring, N)`` and ``(R, ring, D)``
-    (newest first), the bases as ``(R, N, D)`` with their ``build_tag``
-    (the step index of the first build, one more than it for a refresh)
-    and the reduced filters as ``(R, D)``. ``last_relaxation`` holds each
-    trial's relaxation factor of the last step, NaN where it did not
-    update. Counters are ``(R,)`` integer arrays, ``mult_totals`` one per
-    category.
+    (newest first), the bases as ``(R, N, D)`` and the reduced filters as
+    ``(R, D)``. ``last_relaxation`` holds each trial's relaxation factor of
+    the last step, NaN where it did not update. Counters are ``(R,)``
+    integer arrays, ``mult_totals`` one per category.
     """
 
     def __init__(self, params: KrrParams, n: int, trials: int, mode: str = "toeplitz",
@@ -234,7 +231,6 @@ class KrrApspBatch(_Lockstep):
         self._ut_valid = np.zeros(r, dtype=bool)
         self.has_basis = np.zeros(r, dtype=bool)
         self.basis = np.zeros((r, n, d))
-        self.build_tag = np.zeros(r, dtype=np.int64)
         self.rank_eff = np.zeros(r, dtype=np.int64)
         self.h_tilde = np.zeros((r, d))
         # normalized weights of the newest q_eff sets, by q_eff
@@ -249,38 +245,27 @@ class KrrApspBatch(_Lockstep):
 
     # -- internals ---------------------------------------------------------
 
-    def _install(self, i: int, matrix: np.ndarray, tag: int) -> None:
-        """Carry trial ``i``'s reduced filter into the ``(N, D_eff)`` basis ``matrix``.
+    def _install(self, i: int, matrix: np.ndarray) -> None:
+        """Carry trial ``i``'s reduced filter into a basis ``matrix`` of another rank.
 
-        A first basis starts the reduced filter at ``S^T h0`` (zero without
-        ``h0``). Into a basis of the same rank the reduced coordinates carry
-        over as they are (the transition map ``S_new S_old^T``); for another
-        rank the full vector is re-embedded by projection, charged to
-        ``rebase``.
+        The caller stores the ``(N, D_eff)`` basis. A first basis starts the
+        reduced filter at ``S^T h0`` (zero without ``h0``); on a refresh the
+        full vector is re-embedded by projection, charged to ``rebase``.
+        Into a basis of the same rank the reduced coordinates carry over as
+        they are (the transition map ``S_new S_old^T``), with no call here.
         """
         old, new = int(self.rank_eff[i]), matrix.shape[1]
-        if new > self.basis.shape[2]:
-            # more columns than params.rank (a rebase onto a wider basis)
-            pad = ((0, 0), (0, 0), (0, new - self.basis.shape[2]))
-            self.basis, self._ut = np.pad(self.basis, pad), np.pad(self._ut, pad)
-            self.h_tilde = np.pad(self.h_tilde, pad[1:])
-        if new != old:
-            if self.has_basis[i]:
-                full = _leading(self.basis[i], old) @ self.h_tilde[i, :old]
-                self.mult_totals["rebase"][i] += (old + new) * self.n
-            else:
-                full = None if self._h0 is None else self._h0[i]
-            self.h_tilde[i] = 0.0
-            if full is not None:
-                self.h_tilde[i, :new] = matrix.T @ full
-            self.basis[i] = 0.0
-            self.rank_eff[i] = new
-        self.basis[i, :, :new] = matrix
-        self.build_tag[i] = tag
-        self.has_basis[i] = True
-        self._ut_valid[i] = False
+        if self.has_basis[i]:
+            full = _leading(self.basis[i], old) @ self.h_tilde[i, :old]
+            self.mult_totals["rebase"][i] += (old + new) * self.n
+        else:
+            full = None if self._h0 is None else self._h0[i]
+        self.h_tilde[i] = 0.0
+        if full is not None:
+            self.h_tilde[i, :new] = matrix.T @ full
+        self.rank_eff[i] = new
 
-    def _build_bases(self, among: np.ndarray, tag: int) -> None:
+    def _build_bases(self, among: np.ndarray) -> None:
         """Build and install the Krylov bases of trials ``among``, chunk by chunk.
 
         A trial with a zero cross-correlation estimate is skipped: it stays
@@ -296,11 +281,10 @@ class KrrApspBatch(_Lockstep):
                 raise ValueError("statistics estimates must be finite")
             bases, ranks = krylov_basis_stack(mats, seeds, rank)
             for j in np.flatnonzero(ranks != self.rank_eff[part]):
-                self._install(part[j], _leading(bases[j], ranks[j]), tag)
+                self._install(part[j], _leading(bases[j], ranks[j]))
             self.basis[part, :, :rank] = bases
         self.build_count[pos] += 1
         self.mult_totals["basis"][pos] += _basis_build_charge(rank, n)
-        self.build_tag[pos] = tag
         self.has_basis[pos] = True
         self._ut_valid[pos] = False
 
@@ -417,7 +401,7 @@ class KrrApspBatch(_Lockstep):
 
         # the estimators have now seen k + 1 samples: mature from N on
         if self._k + 1 >= n and not self.has_basis.all():
-            self._build_bases(~self.has_basis, self._k)
+            self._build_bases(~self.has_basis)
 
         # trials without a basis pass through: output 0, no update
         y = np.zeros(r)
@@ -436,7 +420,7 @@ class KrrApspBatch(_Lockstep):
         self.steps += 1
         self.update_count += updated
         if self._k % self.params.refresh_period == 1 % self.params.refresh_period:
-            self._build_bases(self.has_basis, self._k + 1)
+            self._build_bases(self.has_basis)
         self._k += 1
         return StepOutput(y, updated, h_full, mults)
 
@@ -609,7 +593,7 @@ class KrrApsp(_OneTrial):
     ``h0`` is a full-space initial vector, projected into the first basis
     (``h_tilde = S^T h0``); zero when omitted. Until the first basis is
     built the filter passes through, and ``basis`` and ``h_tilde`` are
-    None. ``update_flags`` keeps the update flags of the last 4096 steps.
+    None.
     """
 
     name = "krr-apsp"
@@ -620,37 +604,20 @@ class KrrApsp(_OneTrial):
 
     def __init__(self, params: KrrParams, n: int, mode: str = "toeplitz", h0=None):
         super().__init__(KrrApspBatch(params, n, 1, mode=mode, h0=_one_row(h0)))
-        self.update_flags: deque = deque(maxlen=4096)
-        self._basis = (None, None)  # ((build count, tag), BasisMatrix) last made
+        self._basis = (None, None)  # (build count, BasisMatrix) last made
 
     def step(self, u, d: float) -> StepOutput:
         """Consume one sample pair and advance the filter."""
-        out = self._step(u, d)
-        self.update_flags.append(out.updated)
-        return out
-
-    def rebase(self, new_basis: BasisMatrix) -> None:
-        """Carry the reduced filter into a new basis.
-
-        For an equal rank the reduced coordinates carry over as they are;
-        for another the full vector is re-embedded by projection.
-        """
-        if new_basis.n != self.n:
-            raise ValueError("new basis has wrong ambient dimension")
-        if self.basis is None:
-            raise ValueError("cannot rebase before the first basis build")
-        self._batch._install(0, new_basis.matrix, new_basis.build_tag)
-        self._basis = ((self.build_count, new_basis.build_tag), new_basis)
+        return self._step(u, d)
 
     @property
     def basis(self) -> BasisMatrix | None:
         batch = self._batch
         if not batch.has_basis[0]:
             return None
-        key = (self.build_count, int(batch.build_tag[0]))
-        if key != self._basis[0]:
-            self._basis = (key, BasisMatrix(batch.basis[0, :, :batch.rank_eff[0]],
-                                            build_tag=key[1]))
+        if self.build_count != self._basis[0]:
+            self._basis = (self.build_count,
+                           BasisMatrix(batch.basis[0, :, :batch.rank_eff[0]]))
         return self._basis[1]
 
     @property
@@ -707,7 +674,7 @@ class Rls:
     ``delta`` must be finite and positive. When ``delta`` is omitted it is
     set on the first sample to ``0.01`` times the measured input power
     (falling back to ``0.01`` on a zero first sample); the realized value
-    is exposed as ``delta`` for run metadata.
+    is kept as ``delta``.
     """
 
     name = "rls"

@@ -1,8 +1,8 @@
 """Dense real linear algebra kernels.
 
-Symmetric (optionally Toeplitz) matrices, the energy norm they induce,
-orthonormal Krylov subspace bases, and the projections onto half-spaces
-and column spaces that the adaptive filters and their analysis rely on.
+Symmetric matrices, the energy norm they induce, orthonormal Krylov
+subspace bases, and the projections onto half-spaces and column spaces
+that the adaptive filters and their analysis rely on.
 The Krylov basis, the conjugate gradient solve and the Toeplitz expansion
 are each written once, for a stack of R systems whose rows make the BLAS
 calls a single system would; ``krylov_basis`` and ``cg_solve`` are
@@ -40,86 +40,45 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
 
 
 class SymMatrix:
-    """Symmetric n x n real matrix, dense or Toeplitz.
+    """Symmetric n x n real matrix.
 
-    Symmetry is exact by construction: the dense form is materialized by
-    mirroring the upper triangle (or by expanding the stored first row in
-    Toeplitz mode). Instances are immutable.
-
-    Parameters
-    ----------
-    dense : array_like, optional
-        Square matrix whose upper triangle defines the symmetric matrix.
-    first_row : array_like, optional
-        First row of a symmetric Toeplitz matrix. Exactly one of ``dense``
-        and ``first_row`` must be given.
+    Symmetry is exact by construction: the matrix is the given square
+    array's upper triangle mirrored below the diagonal. Instances are
+    immutable.
     """
 
-    def __init__(self, dense=None, *, first_row=None):
-        if (dense is None) == (first_row is None):
-            raise ValueError("provide exactly one of dense or first_row")
-        if first_row is not None:
-            row = as_vector(first_row)
-            if row.size == 0:
-                raise ValueError("first_row must be nonempty")
-            self._first_row = row.copy()
-            self._first_row.flags.writeable = False
-            self._n = row.shape[0]
-            self._dense = None
-        else:
-            a = np.asarray(dense, dtype=float)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise ValueError(f"expected a square matrix, got shape {a.shape}")
-            if not np.all(np.isfinite(a)):
-                raise ValueError("matrix entries must be finite")
-            upper = np.triu(a)
-            full = upper + np.triu(a, 1).T
-            full.flags.writeable = False
-            self._dense = full
-            self._first_row = None
-            self._n = a.shape[0]
+    def __init__(self, dense):
+        a = np.asarray(dense, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix entries must be finite")
+        full = np.triu(a) + np.triu(a, 1).T
+        full.flags.writeable = False
+        self._dense = full
+        self._n = a.shape[0]
 
     @property
     def n(self) -> int:
         return self._n
 
-    @property
-    def is_toeplitz(self) -> bool:
-        return self._first_row is not None
-
-    @property
-    def first_row(self) -> np.ndarray:
-        if self._first_row is None:
-            raise ValueError("not a Toeplitz matrix")
-        return self._first_row
-
     def dense(self) -> np.ndarray:
-        """Full symmetric matrix (read-only view, cached)."""
-        if self._dense is None:
-            full = toeplitz_dense(self._first_row[None])[0]
-            full.flags.writeable = False
-            self._dense = full
+        """Full symmetric matrix (read-only view)."""
         return self._dense
 
     def matvec(self, x) -> np.ndarray:
         v = as_vector(x, self._n)
-        return self.dense() @ v
+        return self._dense @ v
 
     def __repr__(self) -> str:
-        kind = "toeplitz" if self.is_toeplitz else "dense"
-        return f"SymMatrix(n={self._n}, {kind})"
+        return f"SymMatrix(n={self._n})"
 
 
 @dataclass(frozen=True)
 class BasisMatrix:
-    """Column-orthonormal N x D_eff matrix spanning a filter subspace.
-
-    ``build_tag`` identifies the iteration (or event) that produced the
-    basis, which lets consumers detect refreshes.
-    """
+    """Column-orthonormal N x D_eff matrix spanning a filter subspace."""
 
     matrix: np.ndarray
-    build_tag: int = 0
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -200,7 +159,7 @@ def condition_number(matrix: SymMatrix) -> float:
     return hi / lo
 
 
-def krylov_basis(matrix: SymMatrix, p, rank: int, build_tag: int = 0) -> BasisMatrix:
+def krylov_basis(matrix: SymMatrix, p, rank: int) -> BasisMatrix:
     """Orthonormal basis of ``span{p, Rp, ..., R^(D_eff-1) p}``.
 
     The one-row call of :func:`krylov_basis_stack`: the symmetric Arnoldi
@@ -216,7 +175,7 @@ def krylov_basis(matrix: SymMatrix, p, rank: int, build_tag: int = 0) -> BasisMa
     """
     seed = as_vector(p, matrix.n)
     bases, ranks = krylov_basis_stack(matrix.dense()[None], seed[None], rank)
-    return BasisMatrix(bases[0, :, :ranks[0]], build_tag=build_tag)
+    return BasisMatrix(bases[0, :, :ranks[0]])
 
 
 def project_half_space(x, half_space: HalfSpace) -> np.ndarray:

@@ -105,7 +105,6 @@ class AttractingReport:
 
     projection_case: bool
     max_identity_defect: float = 0.0
-    witness: np.ndarray | None = None
     witness_norm_gap: float = 0.0
     witness_displacement: float = 0.0
 
@@ -142,7 +141,6 @@ def attracting_check(phi: PhiMap, trials: int = 50, rng=None) -> AttractingRepor
     pw = apply_phi(phi, witness)
     return AttractingReport(
         projection_case=False,
-        witness=witness,
         witness_norm_gap=abs(float(np.linalg.norm(pw)) - float(np.linalg.norm(witness))),
         witness_displacement=float(np.linalg.norm(pw - witness)),
     )
@@ -427,7 +425,7 @@ def static_rapsm_run(*, n: int, rank: int, projections: int, iters: int,
     samples = list(scen.samples(warmup + iters))
     for s in samples[:warmup]:
         est.update(s.u, s.d)
-    basis = krylov_basis(est.r_matrix(), est.p_vector(), rank, build_tag=0)
+    basis = krylov_basis(est.r_matrix(), est.p_vector(), rank)
     phi = PhiMap(basis, basis)
 
     if subspace_target:
@@ -794,7 +792,7 @@ def _update_equivalence_defect(rng, n: int, d: int, q: int,
         ring.insert(0, (u, dv))
         ring = ring[:q]
         predicted = None
-        tag_before = filt.basis.build_tag if filt.basis is not None else None
+        builds_before = filt.build_count
         if filt.basis is not None:
             basis = filt.basis
             h_full = basis.matrix @ filt.h_tilde
@@ -809,7 +807,7 @@ def _update_equivalence_defect(rng, n: int, d: int, q: int,
         filt.step(u, dv)
         # a refresh rebases the reduced vector after the update; compare
         # only when the basis survived the step
-        if predicted is not None and filt.basis.build_tag == tag_before:
+        if predicted is not None and filt.build_count == builds_before:
             worst = max(worst, float(np.max(np.abs(predicted - filt.h_tilde))))
     return worst
 

@@ -339,8 +339,7 @@ def toeplitz_gather(first_row):
     return np.asarray(first_row, dtype=float)[idx]
 
 
-def krylov_basis(matrix: SymMatrix, p, rank: int, tol: float | None = None,
-                 build_tag: int = 0) -> BasisMatrix:
+def krylov_basis(matrix: SymMatrix, p, rank: int, tol: float | None = None) -> BasisMatrix:
     """Orthonormal basis of ``span{p, Rp, ..., R^(D_eff-1) p}``.
 
     Built by the symmetric Arnoldi (Lanczos) recurrence with full
@@ -400,7 +399,7 @@ def krylov_basis(matrix: SymMatrix, p, rank: int, tol: float | None = None,
             break
         cols[:, d_eff] = w / nw
         d_eff += 1
-    return BasisMatrix(cols[:, :d_eff], build_tag=build_tag)
+    return BasisMatrix(cols[:, :d_eff])
 
 
 def cg_solve(matrix: SymMatrix, b, x0=None, iters: int | None = None,
@@ -500,7 +499,7 @@ class CorrelationEstimator:
     def r_matrix(self) -> SymMatrix:
         """Immutable snapshot of the autocorrelation estimate."""
         if self.mode == "toeplitz":
-            return SymMatrix(first_row=self._r)
+            return SymMatrix(toeplitz_gather(self._r))
         return SymMatrix(self._matrix)
 
     def p_vector(self) -> np.ndarray:
@@ -522,8 +521,10 @@ class CorrelationEstimator:
 # one-trial views of its lockstep batches: one recursion per stream, with
 # the scalar arithmetic spelled out. They are kept unchanged as the
 # reference the batches and the library's single-stream filters must equal.
-# (The only edit: SymMatrix is imported at the top of this module.) Rls is
-# the textbook recursion out of place, with the library's auto-delta rule.
+# (The only edits: SymMatrix is imported at the top of this module, and
+# KrrApsp builds its bases without a build tag, which BasisMatrix no longer
+# has.) Rls is the textbook recursion out of place, with the library's
+# auto-delta rule.
 
 
 def _zero_counters() -> dict:
@@ -614,7 +615,7 @@ class KrrApsp:
             return
         try:
             basis = krylov_basis(self.est.r_matrix(), self.est.p_vector(),
-                                 self.params.rank, build_tag=self._k)
+                                 self.params.rank)
         except DegenerateCrossCorrelationError:
             return
         self.basis = basis
@@ -629,8 +630,7 @@ class KrrApsp:
     def _refresh_basis(self) -> None:
         p = self.est.p_vector()
         try:
-            basis = krylov_basis(self.est.r_matrix(), p, self.params.rank,
-                                 build_tag=self._k + 1)
+            basis = krylov_basis(self.est.r_matrix(), p, self.params.rank)
         except DegenerateCrossCorrelationError:
             return
         self.build_count += 1
@@ -811,7 +811,7 @@ class _CumulativeStats:
 
     def r_matrix(self):
         if self.mode == "toeplitz":
-            return SymMatrix(first_row=self._r)
+            return SymMatrix(toeplitz_gather(self._r))
         return SymMatrix(self._matrix)
 
     def p_vector(self) -> np.ndarray:

@@ -122,7 +122,7 @@ def test_criterion_2_oracle_equivalence():
             ring.insert(0, (u, dv))
             ring = ring[:q + r - 1]
             predicted = full_pred = None
-            tag = filt.basis.build_tag if filt.basis is not None else None
+            prev = filt.build_count
             if filt.basis is not None and len(ring) == q + r - 1:
                 basis = filt.basis
                 cols = [basis.matrix.T @ uu for uu, _ in ring]
@@ -157,7 +157,7 @@ def test_criterion_2_oracle_equivalence():
                         full_pred = None
             h_before = filt.h_tilde.copy() if filt.h_tilde is not None else None
             filt.step(u, dv)
-            if predicted is not None and filt.basis.build_tag == tag:
+            if predicted is not None and filt.build_count == prev:
                 # bounded-error projections can throw the iterate by orders
                 # of magnitude (near-degenerate reduced normals); deviations
                 # carry the step's scale, so they are normalized by it
@@ -329,13 +329,11 @@ def test_criterion_6_complexity():
     scen = SysIdScenario(SysIdConfig(n=n, snr_db=10.0, seed=13))
     per_step = []
     builds = []
-    prev_tag = None
     for s in scen.samples(200):
+        prev = filt.build_count
         out = filt.step(s.u, s.d)
-        tag = filt.basis.build_tag if filt.basis is not None else None
         per_step.append(out.mults)
-        builds.append(int(tag is not None and tag != prev_tag))
-        prev_tag = tag
+        builds.append(int(filt.build_count != prev))
     window = per_step[120:120 + m]
     charge = sum(builds[120:120 + m]) * _basis_build_charge(d, n)
     average = (sum(window) + charge) / m

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 import krrapsp
 import krrapsp.linalg
 import oracles
-from krrapsp import BasisMatrix, HalfSpace, KrrParams, project_half_space
+from krrapsp import HalfSpace, KrrParams, project_half_space
 from krrapsp.filters import CgrrfBatch, KrrApspBatch, NlmsBatch, _basis_build_charge
 from krrapsp.linalg import SymMatrix, cg_solve_stack, krylov_basis_stack
 
-from conftest import random_orthonormal, random_spd
+from conftest import random_spd
 from oracles import Cgrrf, KrrApsp, Nlms, cg_solve, krylov_basis, reference_parallel_update
 from streams import (
     cancelled_p_stream,
@@ -533,12 +533,10 @@ def assert_same_state(filt, frozen):
             assert type(getattr(filt, name)) is int
             assert getattr(filt, name) == getattr(frozen, name), name
         assert filt.last_relaxation == frozen.last_relaxation
-        assert list(filt.update_flags) == list(frozen.update_flags)
         if frozen.basis is None:
             assert filt.basis is None and filt.h_tilde is None
         else:
             assert np.array_equal(filt.basis.matrix, frozen.basis.matrix)
-            assert filt.basis.build_tag == frozen.basis.build_tag
             assert np.array_equal(filt.h_tilde, frozen.h_tilde)
 
 
@@ -581,18 +579,13 @@ def single_setups(draw):
     mode = draw(st.sampled_from(["toeplitz", "fullsym"]))
     rng = np.random.default_rng(seed)
     init = rng.standard_normal(n) if draw(st.booleans()) else None
-    # one rebase after the warm-up, onto a random basis of rank D - 1, D or D + 1
-    rebase_at = draw(st.integers(n - 1, max(n - 1, steps - 1)))
-    new_rank = draw(st.sampled_from(sorted({max(1, params.rank - 1), params.rank,
-                                            min(n, params.rank + 1)})))
-    new_basis = BasisMatrix(random_orthonormal(n, new_rank, rng), build_tag=-7)
-    return (stream, mode, init, params, cg_opts, step_size, rebase_at, new_basis)
+    return (stream, mode, init, params, cg_opts, step_size)
 
 
 @settings(max_examples=80, deadline=None)
 @given(single_setups())
 def test_one_trial_views_equal_the_frozen_filters(setup):
-    stream, mode, init, params, cg_opts, step_size, rebase_at, new_basis = setup
+    stream, mode, init, params, cg_opts, step_size = setup
     n = len(stream[0][0])
     pairs = [
         (krrapsp.KrrApsp(params, n, mode=mode, h0=init),
@@ -601,13 +594,8 @@ def test_one_trial_views_equal_the_frozen_filters(setup):
          Cgrrf(n, mode=mode, init_vector=init, **cg_opts)),
         (krrapsp.Nlms(n, step_size), Nlms(n, step_size)),
     ]
-    krr, frozen_krr = pairs[0]
     held = [None] * len(pairs)
-    for k, (u, d) in enumerate(stream):
-        if k == rebase_at and frozen_krr.basis is not None:
-            krr.rebase(new_basis)
-            frozen_krr.rebase(new_basis)
-            assert_same_state(krr, frozen_krr)
+    for u, d in stream:
         for i, (filt, frozen) in enumerate(pairs):
             if held[i] is not None:  # a returned h_full is never written afterwards
                 assert np.array_equal(*held[i])

@@ -86,13 +86,11 @@ class TestInstrumentedCounters:
         scen = SysIdScenario(SysIdConfig(n=n, snr_db=10.0, seed=13))
         per_step = []
         builds = []
-        prev_tag = None
         for s in scen.samples(200):
+            prev = filt.build_count
             out = filt.step(s.u, s.d)
-            tag = filt.basis.build_tag if filt.basis is not None else None
             per_step.append(out.mults)
-            builds.append(int(tag is not None and tag != prev_tag))
-            prev_tag = tag
+            builds.append(int(filt.build_count != prev))
         closed = float(cx.krr_single_count(n, d, q, r, m))
         charge = _basis_build_charge(d, n)
         # pick m-aligned windows that each contain exactly one refresh

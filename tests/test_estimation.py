@@ -30,7 +30,7 @@ class TestUpdate:
     def test_toeplitz_single_sample(self):
         est = CorrelationEstimator("toeplitz", 3, 0.999)
         est.update([1.0, 0.0, 0.0], 2.0)
-        assert np.array_equal(est.r_matrix().first_row, [1.0, 0.0, 0.0])
+        assert np.array_equal(est.r_matrix().dense(), np.eye(3))
         assert np.array_equal(est.p_vector(), [2.0, 0.0, 0.0])
 
     def test_fullsym_single_sample(self):
@@ -83,7 +83,7 @@ class TestSnapshots:
             est.update(u, d)
         r_ref, p_ref = weighted_window_sums(updates, gamma, mode)
         if mode == "toeplitz":
-            got = est.r_matrix().first_row
+            got = est.r_matrix().dense()[0]
         else:
             got = est.r_matrix().dense()
         scale = max(1.0, np.max(np.abs(r_ref)))

@@ -73,6 +73,13 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(config)
 
+    @pytest.mark.parametrize("kind, scenario", [
+        ("cdma", SysIdConfig()), ("sysid", CdmaConfig()), ("sysid", None), ("cdma", None)],
+        ids=["cdma-sysid", "sysid-cdma", "sysid-none", "cdma-none"])
+    def test_scenario_of_another_kind_rejected(self, kind, scenario):
+        with pytest.raises(ValueError, match="scenario"):
+            ExperimentConfig(kind=kind, scenario=scenario, filters=(FilterSpec("nlms"),))
+
 
 def record_table(records):
     return (np.array([(r.k, r.algorithm) for r in records]),
