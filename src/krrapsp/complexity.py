@@ -47,6 +47,11 @@ vector after a refresh costs 2*D*N per refresh; it is basis maintenance
 outside the printed model and is tracked in the separate `rebase`
 category.
 
+CGRRF charges the statistics update and N for its output h . u per step,
+and the construction rate above per solve into `basis`. cgrrf_count omits
+the output product, so an m-window reconciliation in Toeplitz mode shows a
+gap of N - 2(D-1)(m-1)/m.
+
 RLS charges 3N^2 + 4N per step, what the step performs: P v, the rank-one
 correction and the division by lambda (N^2 each), and four N-vector
 products. The paper's rls_count, 4N^2 + 4N + 1, also counts v^T P apart

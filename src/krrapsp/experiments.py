@@ -6,11 +6,13 @@ the trace as a flat CSV whose header echoes the full configuration.
 
 KRR-APSP, CGRRF and NLMS run all trials in lockstep, one batch of
 :mod:`krrapsp.filters` per filter, fed from every trial's scenario stream
-at once. RLS is the only filter outside that pass: it runs one trial
-after another, because its N x N inverse correlation for 100 trials at
-N = 200 would hold 32 MB. Each trial's scenario is seeded and consumed as
-in a trial-by-trial run, so the choice of path does not change the
-output.
+at once. The KRR-APSP specs of one forgetting factor and refresh period
+form a family that steps as one: one statistics stack, one sample ring and
+one Krylov build at the family's largest rank serve them all. RLS is the
+only filter outside that pass: it runs one trial after another, because
+its N x N inverse correlation for 100 trials at N = 200 would hold 32 MB.
+Each trial's scenario is seeded and consumed as in a trial-by-trial run,
+so neither the path nor the families change the output.
 """
 
 from __future__ import annotations
@@ -18,16 +20,20 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__
-from .filters import CgrrfBatch, KrrApspBatch, NlmsBatch, Rls
+from .filters import CgrrfBatch, KrrApspBatch, KrrParams, NlmsBatch, Rls
 from .linalg import stacked_dot
 from .scenarios import CdmaConfig, CdmaScenario, SysIdConfig, SysIdScenario
 
-ALGORITHMS = ("krr-apsp", "cgrrf", "nlms", "rls")
+# the construction keywords each algorithm takes in FilterSpec.options
+_OPTIONS = {"krr-apsp": {"params", "init_from_signature"},
+            "cgrrf": {"rank", "refresh_period", "forgetting", "init_from_signature"},
+            "nlms": {"step_size"}, "rls": {"forgetting", "delta"}}
+ALGORITHMS = tuple(_OPTIONS)
 # the scenario config and scenario class of each experiment kind
 _SCENARIOS = {"sysid": (SysIdConfig, SysIdScenario), "cdma": (CdmaConfig, CdmaScenario)}
 CSV_COLUMNS = ("k", "algorithm", "mse_db", "mismatch_db", "update_rate", "mults")
@@ -39,7 +45,9 @@ class FilterSpec:
 
     ``label`` names the CSV rows; ``options`` are construction keywords
     specific to the algorithm (for example ``{"step_size": 0.03}`` for
-    NLMS or a ``KrrParams`` under ``"params"``).
+    NLMS). KRR-APSP needs a ``KrrParams`` under ``"params"`` and CGRRF a
+    ``"rank"``; an unknown key raises ``ValueError`` here, before any
+    scenario is built.
     """
 
     algorithm: str
@@ -49,6 +57,12 @@ class FilterSpec:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if set(self.options) - _OPTIONS[self.algorithm]:
+            raise ValueError(f"{self.algorithm} takes only {sorted(_OPTIONS[self.algorithm])}")
+        if self.algorithm == "krr-apsp" and not isinstance(self.options.get("params"), KrrParams):
+            raise ValueError("a krr-apsp filter needs a KrrParams under 'params'")
+        if self.algorithm == "cgrrf" and "rank" not in self.options:
+            raise ValueError("a cgrrf filter needs a 'rank'")
         if not self.label:
             object.__setattr__(self, "label", self.algorithm)
 
@@ -103,26 +117,18 @@ def trial_seeds(seed: int, runs: int) -> np.ndarray:
 
 
 def measure_multiplications(filt, samples):
-    """Drive a filter over samples, collecting per-iteration mult counts.
+    """Drive a filter over samples; returns ``(per_step, per_category)``.
 
-    Returns ``(per_step, per_category)``: the recurring count of every
-    step and the cumulative per-category totals (statistics, regressor
-    maintenance, filter update, basis construction, rebasing). The
-    windowed average of the recurring counts plus the amortized ``basis``
-    charge reconciles against the closed forms in
-    :mod:`krrapsp.complexity` within the slack documented there.
+    ``per_step`` holds every step's recurring count and ``per_category`` the
+    final ``mult_totals``, which reconcile with :mod:`krrapsp.complexity`.
     """
-    per_step = []
-    for s in samples:
-        per_step.append(filt.step(s.u, s.d).mults)
+    per_step = [filt.step(s.u, s.d).mults for s in samples]
     return per_step, dict(filt.mult_totals)
 
 
 def _scenario_shape(config: ExperimentConfig, scenario):
     """Filter length and statistics mode of one trial."""
-    if config.kind == "sysid":
-        return scenario.config.n, "toeplitz"
-    return scenario.n, "fullsym"
+    return (scenario.config.n, "toeplitz") if config.kind == "sysid" else (scenario.n, "fullsym")
 
 
 METRICS = ("se", "mis", "upd", "mults")
@@ -135,7 +141,7 @@ def _make_batch(spec: FilterSpec, n: int, mode: str, runs: int, signatures=None)
     init = signatures if opts.pop("init_from_signature", signatures is not None) else None
     if spec.algorithm == "cgrrf":
         return CgrrfBatch(n, runs, mode=mode, init_vector=init, **opts)
-    return KrrApspBatch(opts.pop("params"), n, runs, mode=mode, h0=init, **opts)
+    return KrrApspBatch(opts["params"], n, runs, mode=mode, h0=init)
 
 
 def _run_lockstep(config: ExperimentConfig, specs, seeds, sums: dict) -> None:
@@ -147,10 +153,16 @@ def _run_lockstep(config: ExperimentConfig, specs, seeds, sums: dict) -> None:
     """
     scenarios = [_make_scenario(config, int(s)) for s in seeds]
     n, mode = _scenario_shape(config, scenarios[0])
-    signatures = (np.stack([sc.signature for sc in scenarios])
-                  if config.kind == "cdma" else None)
+    signatures = np.stack([sc.signature for sc in scenarios]) if config.kind == "cdma" else None
     runs = len(seeds)
     filters = {spec.label: _make_batch(spec, n, mode, runs, signatures) for spec in specs}
+    families = {}  # the KRR-APSP batches of each family key, stepped as one family
+    for filt in filters.values():
+        if isinstance(filt, KrrApspBatch):
+            members = families.setdefault(filt.family.key, [])
+            if members:
+                members[0].family.join(filt)
+            members.append(filt)
     streams = [sc.samples(config.iters) for sc in scenarios]
     u = np.empty((runs, n))
     d = np.empty(runs)
@@ -162,8 +174,10 @@ def _run_lockstep(config: ExperimentConfig, specs, seeds, sums: dict) -> None:
             d[i] = sample.d
             if truth is not None:
                 truth[i] = sample.truth_h
+        outs = {member: out for members in families.values()
+                for member, out in zip(members, members[0].family.step(members, u, d))}
         for label, filt in filters.items():
-            out = filt.step(u, d)
+            out = outs[filt] if filt in outs else filt.step(u, d)
             err = d - out.y
             if truth is not None:
                 diff = truth - out.h_full
@@ -174,33 +188,24 @@ def _run_lockstep(config: ExperimentConfig, specs, seeds, sums: dict) -> None:
                 sums[label][key][k] = np.add.accumulate(vals.astype(float))[-1]
 
 
-def _run_trial(config: ExperimentConfig, trial_seed: int, specs) -> dict:
-    """Run the RLS specs over one trial; returns its per-step metrics."""
+def _run_trial(config: ExperimentConfig, trial_seed: int, specs, sums: dict) -> None:
+    """Run the RLS specs over one trial, adding its per-step metrics into ``sums``."""
     scenario = _make_scenario(config, trial_seed)
     n, _ = _scenario_shape(config, scenario)
     filters = {spec.label: Rls(n, **spec.options) for spec in specs}
-    iters = config.iters
-    acc = {label: {key: np.zeros(iters) for key in METRICS} for label in filters}
-    for sample in scenario.samples(iters):
-        k = sample.k
+    rows = {label: [] for label in filters}  # one (se, mis, upd, mults) per step
+    for sample in scenario.samples(config.iters):
         for label, filt in filters.items():
             out = filt.step(sample.u, sample.d)
             err = sample.d - out.y
-            a = acc[label]
-            a["se"][k] = err * err
+            mis = math.nan
             if sample.truth_h is not None:
                 diff = sample.truth_h - out.h_full
-                a["mis"][k] = float(diff @ diff) / float(sample.truth_h @ sample.truth_h)
-            else:
-                a["mis"][k] = math.nan
-            a["upd"][k] = 1.0 if out.updated else 0.0
-            a["mults"][k] = out.mults
-    return acc
-
-
-def _to_db(x: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(x)
+                mis = float(diff @ diff) / float(sample.truth_h @ sample.truth_h)
+            rows[label].append((err * err, mis, float(out.updated), out.mults))
+    for label, trial in rows.items():
+        for key, values in zip(METRICS, np.array(trial).T):
+            sums[label][key] += values
 
 
 def run_experiment(config: ExperimentConfig) -> list:
@@ -219,31 +224,22 @@ def run_experiment(config: ExperimentConfig) -> list:
         _run_lockstep(config, lockstep, seeds, sums)
     if rls:
         for s in seeds:  # fixed order
-            trial = _run_trial(config, int(s), rls)
-            for spec in rls:
-                for key in METRICS:
-                    sums[spec.label][key] += trial[spec.label][key]
+            _run_trial(config, int(s), rls, sums)
 
     records = []
-    runs = float(config.runs)
     for spec in config.filters:
-        label = spec.label
-        se, mis, upd, mults = (sums[label][key] for key in METRICS)
-        mse_db = _to_db(se / runs)
-        mis_db = _to_db(mis / runs) if not np.all(np.isnan(mis)) else np.full(config.iters, math.nan)
-        for k in range(config.iters):
-            records.append(MetricsRecord(
-                k=k, algorithm=label, mse_db=float(mse_db[k]),
-                mismatch_db=float(mis_db[k]), update_rate=float(upd[k] / runs),
-                mults=float(mults[k] / runs)))
+        se, mis, upd, mults = (sums[spec.label][key] / float(config.runs) for key in METRICS)
+        with np.errstate(divide="ignore"):  # NaN stays NaN, zero reads -inf
+            mse_db, mis_db = 10.0 * np.log10(se), 10.0 * np.log10(mis)
+        records += [MetricsRecord(k, spec.label, float(mse_db[k]), float(mis_db[k]),
+                                  float(upd[k]), float(mults[k])) for k in range(config.iters)]
     return records
 
 
 def config_metadata(config: ExperimentConfig) -> dict:
     """Flat key=value view of a configuration for CSV provenance."""
-    meta = {"version": __version__, "kind": config.kind,
-            "runs": str(config.runs), "iters": str(config.iters),
-            "seed": str(config.seed)}
+    meta = {"version": __version__, "kind": config.kind, "runs": str(config.runs),
+            "iters": str(config.iters), "seed": str(config.seed)}
     scenario = _make_scenario(config, 0)
     for key, val in scenario.serialize().items():
         if key not in ("kind", "noise_std"):
@@ -252,45 +248,30 @@ def config_metadata(config: ExperimentConfig) -> dict:
         prefix = f"filter.{spec.label}"
         meta[prefix] = spec.algorithm
         for key, val in sorted(spec.options.items()):
-            if key == "params":
-                p = val
-                meta[f"{prefix}.params"] = (
-                    f"rank={p.rank} projections={p.projections} "
-                    f"error_dim={p.error_dim} rho={p.rho} "
-                    f"refresh_period={p.refresh_period} step_size={p.step_size} "
-                    f"forgetting={p.forgetting}")
+            if key == "params":  # every field but the weights, in field order
+                meta[f"{prefix}.params"] = " ".join(
+                    f"{f.name}={getattr(val, f.name)}" for f in fields(val) if f.name != "weights")
             else:
                 meta[f"{prefix}.{key}"] = str(val)
     return meta
 
 
 def _format_value(x: float) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.10g}"
-    return str(x)
+    return f"{x:.10g}" if isinstance(x, float) else str(x)  # NaN prints as "nan"
 
 
 def format_csv(records, metadata: dict | None = None) -> str:
     """The text of a trace: ``# key=value`` header lines, the columns, the records."""
-    lines = []
-    for key, val in (metadata or {}).items():
-        lines.append(f"# {key}={val}")
+    lines = [f"# {key}={val}" for key, val in (metadata or {}).items()]
     lines.append(",".join(CSV_COLUMNS))
-    for rec in records:
-        lines.append(",".join([
-            str(rec.k), rec.algorithm, _format_value(rec.mse_db),
-            _format_value(rec.mismatch_db), _format_value(rec.update_rate),
-            _format_value(rec.mults)]))
+    lines += [",".join(_format_value(getattr(rec, c)) for c in CSV_COLUMNS) for rec in records]
     return "\n".join(lines) + "\n"
 
 
 def write_csv(records, path: str, metadata: dict | None = None) -> None:
     """Write :func:`format_csv` text atomically; a failing write leaves no partial file."""
     text = format_csv(records, metadata)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -302,51 +283,39 @@ def write_csv(records, path: str, metadata: dict | None = None) -> None:
 
 
 def read_csv(path: str):
-    """Parse a trace written by :func:`write_csv`.
-
-    Returns ``(metadata, records)``.
-    """
-    metadata = {}
-    records = []
+    """Parse a trace written by :func:`write_csv`; returns ``(metadata, records)``."""
+    metadata, records, header = {}, [], ",".join(CSV_COLUMNS)
     with open(path) as fh:
-        header_seen = False
         for line in fh:
             line = line.rstrip("\n")
-            if not line:
-                continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, val = body.split("=", 1)
+                key, eq, val = line[1:].strip().partition("=")
+                if eq:
                     metadata[key] = val
-                continue
-            if not header_seen:
-                if line != ",".join(CSV_COLUMNS):
+            elif line and header:  # the first other line is the header
+                if line != header:
                     raise ValueError(f"unexpected CSV header: {line!r}")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            records.append(MetricsRecord(
-                k=int(parts[0]), algorithm=parts[1], mse_db=float(parts[2]),
-                mismatch_db=float(parts[3]), update_rate=float(parts[4]),
-                mults=float(parts[5])))
+                header = None
+            elif line:
+                k, alg, *vals = line.split(",")
+                records.append(MetricsRecord(int(k), alg, *map(float, vals)))
     return metadata, records
+
+
+def _window(records, algorithm: str, first: int, last: int, metric: str) -> list:
+    vals = [getattr(r, metric) for r in records
+            if r.algorithm == algorithm and first <= r.k < last]
+    if not vals:
+        raise ValueError(f"no records for {algorithm} in [{first}, {last})")
+    return vals
 
 
 def steady_state_db(records, algorithm: str, first: int, last: int,
                     metric: str = "mse_db") -> float:
     """dB-average of a metric over the iteration window [first, last)."""
-    vals = [getattr(r, metric) for r in records
-            if r.algorithm == algorithm and first <= r.k < last]
-    if not vals:
-        raise ValueError(f"no records for {algorithm} in [{first}, {last})")
-    linear = np.mean([10.0 ** (v / 10.0) for v in vals])
-    return float(10.0 * np.log10(linear))
+    vals = _window(records, algorithm, first, last, metric)
+    return float(10.0 * np.log10(np.mean([10.0 ** (v / 10.0) for v in vals])))
 
 
 def mean_update_rate(records, algorithm: str, first: int, last: int) -> float:
-    vals = [r.update_rate for r in records
-            if r.algorithm == algorithm and first <= r.k < last]
-    if not vals:
-        raise ValueError(f"no records for {algorithm} in [{first}, {last})")
-    return float(np.mean(vals))
+    return float(np.mean(_window(records, algorithm, first, last, "update_rate")))

@@ -17,12 +17,12 @@ The first three are written once each, as :class:`KrrApspBatch`,
 filters in lockstep on stacked ``(R, N)`` samples. Their stacked products
 make a single filter's BLAS calls trial by trial, so a trial's arithmetic
 does not depend on R. ``KrrApsp``, ``Cgrrf`` and ``Nlms`` are their
-one-trial views. ``Rls`` has no batch: R inverse correlations at N = 200
-would hold 32 MB per 100 trials, and a stacked RLS step with a broadcast
-outer product measured slower than the scalar step did with it (142-159 us
-per trial-step against 129 us at N = 200). With the rank-one correction as
-one BLAS product the scalar step takes about 100 us (one BLAS thread, 2-core
-x86-64 machine).
+one-trial views. KRR-APSP batches of one statistics mode, forgetting
+factor and refresh period can form a family (``_KrrFamily``): one
+statistics stack, one sample ring and one Krylov build at the largest
+rank for all of them. ``Rls`` has no batch: 100 inverse correlations at
+N = 200 hold 32 MB, and a stacked RLS step measured slower than the scalar
+one (142-159 against 129 us per trial-step; one BLAS thread, 2-core x86-64).
 
 Every filter reports its full-dimension coefficient vector, and rejects
 a sample with a non-finite entry before any state changes.
@@ -30,12 +30,10 @@ a sample with a non-finite entry before any state changes.
 Multiplication accounting
 -------------------------
 ``StepOutput.mults`` counts the recurring per-iteration multiplications
-(statistics update, reduced-regressor maintenance, filter update) under
-the cost model documented in :mod:`krrapsp.complexity`. Basis
-construction and rebasing charges are kept in the per-filter
-``mult_totals`` categories ``basis`` and ``rebase``; see
-``complexity.COUNTER_NOTES`` for the reconciliation protocol and its
-bookkeeping slack.
+(statistics, reduced regressors, filter update) under the cost model of
+:mod:`krrapsp.complexity`; basis construction and rebasing go to the
+``mult_totals`` categories ``basis`` and ``rebase``. See
+``complexity.COUNTER_NOTES`` for the reconciliation and its slack.
 """
 
 from __future__ import annotations
@@ -125,11 +123,7 @@ class KrrParams:
 
 @dataclass
 class StepOutput:
-    """Result of one filter step.
-
-    A batch returns one for R trials at once: each field then has a
-    leading trial axis.
-    """
+    """Result of one filter step; a batch's has a leading trial axis on every field."""
 
     y: float
     updated: bool
@@ -190,6 +184,85 @@ class _Lockstep:
                             for cat in _zero_counters()}
 
 
+class _KrrFamily:
+    """The shared state and step of KRR-APSP batches of one family.
+
+    A family is the batches of one statistics mode, forgetting factor,
+    refresh period and ``(R, N)`` shape fed the same streams. They share
+    the ``_StatsStack``, the ``(u, d)`` ring (of the longest ``q + r - 1``),
+    the warm-up gate, the refresh steps and ``has_basis``. A build runs
+    once per chunk of trials at the largest rank; a member of rank D takes
+    the leading D columns and ranks ``min(rank, D)``, which a build of rank
+    D would give (column i is built from the columns before it only). Each
+    member keeps its bases, reduced filters and counters and charges its
+    own multiplications. A batch starts as a family of one and :meth:`join`
+    groups batches before their first step. Members hold their family, not
+    the reverse, so :meth:`step` is given them all.
+    """
+
+    def __init__(self, mode: str, member):
+        p = member.params
+        self.key = (mode, member.n, member.trials, p.forgetting, p.refresh_period)
+        self.n, self.trials, self.refresh_period = member.n, member.trials, p.refresh_period
+        self.stats = _StatsStack(mode, self.n, self.trials, p.forgetting)
+        self.has_basis = np.zeros(self.trials, dtype=bool)
+        self.ds = np.zeros((self.trials, 0))  # the rings are sized as members join
+        self.filled = 0  # filled ring slots, shared by all trials
+        self.size = self._k = 0
+        member.family = self
+        self.join(member)
+
+    def join(self, member) -> None:
+        """Add ``member``, a batch of this family's key; neither side may have stepped."""
+        if member.family.key != self.key or member.family._k or self._k:
+            raise ValueError("a family joins batches of one key before their first step")
+        member.family = self
+        self.size += 1
+        ring = max(self.ds.shape[1], member._ut.shape[1])
+        self.us = np.zeros((self.trials, ring, self.n))  # newest first
+        self.ds = np.zeros((self.trials, ring))
+
+    def _build(self, members, among: np.ndarray) -> None:
+        """Build and install the members' bases of trials ``among``, chunk by chunk.
+
+        A trial with a zero cross-correlation estimate passes through (a
+        first build) or keeps its bases (a refresh).
+        """
+        pos = np.flatnonzero(among & np.any(self.stats.p, axis=1))
+        rank = max(m.params.rank for m in members)
+        for part, mats in self.stats.dense(pos):
+            seeds = self.stats.p[part]
+            if not (np.all(np.isfinite(mats)) and np.all(np.isfinite(seeds))):
+                raise ValueError("statistics estimates must be finite")
+            bases, ranks = krylov_basis_stack(mats, seeds, rank)
+            for m in members:
+                m._take(part, bases[:, :, :m.params.rank], np.minimum(ranks, m.params.rank))
+        self.has_basis[pos] = True
+
+    def step(self, members, u, d) -> list:
+        """Step all ``members`` on one ``(R, N)`` and ``(R,)`` sample; returns their outputs."""
+        if len(members) != self.size or any(m.family is not self for m in members):
+            raise ValueError("a family steps with all its members")
+        u, d = _checked_stack(u, d, self.trials, self.n)
+        # age the rings slot by slot: an overlapping slice copy would
+        # allocate a temporary of the whole ring every step
+        for ring in [self.us, self.ds] + [m._ut for m in members]:
+            for age in range(ring.shape[1] - 1, 0, -1):
+                ring[:, age] = ring[:, age - 1]
+        self.us[:, 0] = u
+        self.ds[:, 0] = d
+        self.filled = min(self.filled + 1, self.us.shape[1])
+        self.stats.update(u, d)
+        # the estimators have now seen k + 1 samples: mature from N on
+        if self._k + 1 >= self.n and not self.has_basis.all():
+            self._build(members, ~self.has_basis)
+        outs = [m._step(u) for m in members]
+        if self._k % self.refresh_period == 1 % self.refresh_period:
+            self._build(members, self.has_basis)
+        self._k += 1
+        return outs
+
+
 class KrrApspBatch(_Lockstep):
     """R independent KRR-APSP filters stepped in lockstep.
 
@@ -202,13 +275,16 @@ class KrrApspBatch(_Lockstep):
     ``D_eff`` leading ones; each step handles the trials of one effective
     rank together.
 
-    State: the statistics (a ``_StatsStack``), the sample ring and the
-    cached reduced regressors as ``(R, ring, N)`` and ``(R, ring, D)``
-    (newest first), the bases as ``(R, N, D)`` and the reduced filters as
-    ``(R, D)``. ``last_relaxation`` holds each trial's relaxation factor of
-    the last step, NaN where it did not update. Counters are ``(R,)``
-    integer arrays, ``mult_totals`` one per category.
+    The statistics, sample ring and builds are the ``family``'s
+    (:class:`_KrrFamily`); :meth:`step` steps a family of one. The batch
+    keeps the reduced regressors as ``(R, q + r - 1, D)`` (newest first),
+    the bases as ``(R, N, D)``, the reduced filters as ``(R, D)``, the last
+    relaxation factors (NaN where a trial did not update), ``(R,)`` integer
+    counters and one ``mult_totals`` array per category.
     """
+
+    stats = property(lambda self: self.family.stats)
+    has_basis = property(lambda self: self.family.has_basis)
 
     def __init__(self, params: KrrParams, n: int, trials: int, mode: str = "toeplitz",
                  h0=None):
@@ -222,14 +298,8 @@ class KrrApspBatch(_Lockstep):
         self.params = params
         n, r, d = self.n, self.trials, params.rank
         self._h0 = _initial_stack(h0, r, n, "h0")
-        self.stats = _StatsStack(mode, n, r, params.forgetting)
-        ring = params.projections + params.error_dim - 1
-        self._us = np.zeros((r, ring, n))
-        self._ds = np.zeros((r, ring))
-        self._ut = np.zeros((r, ring, d))
-        self._ring = 0  # filled ring slots, shared by all trials
+        self._ut = np.zeros((r, params.projections + params.error_dim - 1, d))
         self._ut_valid = np.zeros(r, dtype=bool)
-        self.has_basis = np.zeros(r, dtype=bool)
         self.basis = np.zeros((r, n, d))
         self.rank_eff = np.zeros(r, dtype=np.int64)
         self.h_tilde = np.zeros((r, d))
@@ -238,55 +308,34 @@ class KrrApspBatch(_Lockstep):
         self._weights = [None] + [weights[:q] / float(weights[:q].sum())
                                   for q in range(1, params.projections + 1)]
         self.last_relaxation = np.full(r, np.nan)
-        self._k = 0
         self.build_count = np.zeros(r, dtype=np.int64)
         self.skipped_zero_direction = np.zeros(r, dtype=np.int64)
         self.cancelled_updates = np.zeros(r, dtype=np.int64)
+        self.family = _KrrFamily(mode, self)  # a family of one until joined
 
-    # -- internals ---------------------------------------------------------
+    def _take(self, part: np.ndarray, bases: np.ndarray, ranks: np.ndarray) -> None:
+        """Install the built ``(count, N, D)`` bases of effective ``ranks`` into trials ``part``.
 
-    def _install(self, i: int, matrix: np.ndarray) -> None:
-        """Carry trial ``i``'s reduced filter into a basis ``matrix`` of another rank.
-
-        The caller stores the ``(N, D_eff)`` basis. A first basis starts the
-        reduced filter at ``S^T h0`` (zero without ``h0``); on a refresh the
-        full vector is re-embedded by projection, charged to ``rebase``.
-        Into a basis of the same rank the reduced coordinates carry over as
-        they are (the transition map ``S_new S_old^T``), with no call here.
+        A first basis starts the reduced filter at ``S^T h0`` (zero without
+        ``h0``). On a refresh to another rank the full vector is re-embedded
+        by projection, charged to ``rebase``; at the same rank the reduced
+        coordinates carry over as they are (the map ``S_new S_old^T``).
         """
-        old, new = int(self.rank_eff[i]), matrix.shape[1]
-        if self.has_basis[i]:
-            full = _leading(self.basis[i], old) @ self.h_tilde[i, :old]
-            self.mult_totals["rebase"][i] += (old + new) * self.n
-        else:
-            full = None if self._h0 is None else self._h0[i]
-        self.h_tilde[i] = 0.0
-        if full is not None:
-            self.h_tilde[i, :new] = matrix.T @ full
-        self.rank_eff[i] = new
-
-    def _build_bases(self, among: np.ndarray) -> None:
-        """Build and install the Krylov bases of trials ``among``, chunk by chunk.
-
-        A trial with a zero cross-correlation estimate is skipped: it stays
-        in passthrough (a first build) or keeps its basis (a refresh).
-        """
-        pos = np.flatnonzero(among & np.any(self.stats.p, axis=1))
-        if pos.size == 0:
-            return
-        n, rank = self.n, self.params.rank
-        for part, mats in self.stats.dense(pos):
-            seeds = self.stats.p[part]
-            if not (np.all(np.isfinite(mats)) and np.all(np.isfinite(seeds))):
-                raise ValueError("statistics estimates must be finite")
-            bases, ranks = krylov_basis_stack(mats, seeds, rank)
-            for j in np.flatnonzero(ranks != self.rank_eff[part]):
-                self._install(part[j], _leading(bases[j], ranks[j]))
-            self.basis[part, :, :rank] = bases
-        self.build_count[pos] += 1
-        self.mult_totals["basis"][pos] += _basis_build_charge(rank, n)
-        self.has_basis[pos] = True
-        self._ut_valid[pos] = False
+        for j in np.flatnonzero(ranks != self.rank_eff[part]):
+            i, old, new = part[j], int(self.rank_eff[part[j]]), int(ranks[j])
+            if self.has_basis[i]:
+                full = _leading(self.basis[i], old) @ self.h_tilde[i, :old]
+                self.mult_totals["rebase"][i] += (old + new) * self.n
+            else:
+                full = None if self._h0 is None else self._h0[i]
+            self.h_tilde[i] = 0.0
+            if full is not None:
+                self.h_tilde[i, :new] = _leading(bases[j], new).T @ full
+            self.rank_eff[i] = new
+        self.basis[part] = bases
+        self.build_count[part] += 1
+        self.mult_totals["basis"][part] += _basis_build_charge(self.params.rank, self.n)
+        self._ut_valid[part] = False
 
     def _reduced_step(self, idx, rank: int, u: np.ndarray):
         """Transform, output and update of trials ``idx``, all of basis rank ``rank``.
@@ -296,7 +345,7 @@ class KrrApspBatch(_Lockstep):
         transform_mults, filter_mults)``.
         """
         p = self.params
-        n, ring = self.n, self._ring
+        n, ring = self.n, min(self.family.filled, self._ut.shape[1])
         if isinstance(idx, slice) and rank == self.basis.shape[2]:
             basis, ut = self.basis, self._ut  # the whole batch at full rank
         else:
@@ -310,7 +359,7 @@ class KrrApspBatch(_Lockstep):
         ut[:, 0] = stacked_matvec(basis_t, u)
         stale = ~self._ut_valid[idx]
         if stale.any():
-            us = self._us[idx]
+            us = self.family.us[idx]
             for t in range(1, ring):
                 ut[stale, t] = stacked_matvec(basis_t[stale], us[stale, t])
         if ut is not self._ut:
@@ -330,7 +379,7 @@ class KrrApspBatch(_Lockstep):
         filter_mults = ring * rank  # the inner products, then each set's error
         for j in range(q_eff):
             r_eff = min(p.error_dim, ring - j)
-            e = ips[:, j:j + r_eff] - self._ds[idx, j:j + r_eff]
+            e = ips[:, j:j + r_eff] - self.family.ds[idx, j:j + r_eff]
             sq[:, j] = stacked_dot(e, e)
             errors.append(e)
             filter_mults += r_eff
@@ -381,28 +430,11 @@ class KrrApspBatch(_Lockstep):
         self.h_tilde[idx, :rank] = h
         return ips[:, 0], updated, stacked_matvec(basis, h), transform_mults, filter_mults
 
-    # -- streaming interface ------------------------------------------------
-
-    def step(self, u, d) -> StepOutput:
-        """Consume one ``(R, N)`` regressor stack and its ``(R,)`` outputs."""
+    def _step(self, u: np.ndarray) -> StepOutput:
+        """This batch's part of a family step, after the shared update and first builds."""
         r, n = self.trials, self.n
-        u, d = _checked_stack(u, d, r, n)
-        # age the rings slot by slot: an overlapping slice copy would
-        # allocate a temporary of the whole ring every step
-        for ring in (self._us, self._ds, self._ut):
-            for age in range(ring.shape[1] - 1, 0, -1):
-                ring[:, age] = ring[:, age - 1]
-        self._us[:, 0] = u
-        self._ds[:, 0] = d
-        self._ring = min(self._ring + 1, self._us.shape[1])
-        self.stats.update(u, d)
-        stats_mults = _stats_cost(self.stats.mode, n)
+        stats_mults = _stats_cost(self.family.stats.mode, n)
         self.mult_totals["stats"] += stats_mults
-
-        # the estimators have now seen k + 1 samples: mature from N on
-        if self._k + 1 >= n and not self.has_basis.all():
-            self._build_bases(~self.has_basis)
-
         # trials without a basis pass through: output 0, no update
         y = np.zeros(r)
         updated = np.zeros(r, dtype=bool)
@@ -419,10 +451,11 @@ class KrrApspBatch(_Lockstep):
             mults[idx] += transform_mults + filter_mults
         self.steps += 1
         self.update_count += updated
-        if self._k % self.params.refresh_period == 1 % self.params.refresh_period:
-            self._build_bases(self.has_basis)
-        self._k += 1
         return StepOutput(y, updated, h_full, mults)
+
+    def step(self, u, d) -> StepOutput:
+        """Consume one ``(R, N)`` regressor stack and its ``(R,)`` outputs."""
+        return self.family.step([self], u, d)[0]
 
 
 class CgrrfBatch(_Lockstep):
@@ -697,9 +730,7 @@ class Rls:
     def coefficients(self) -> np.ndarray:
         return self.h.copy()
 
-    @property
-    def update_rate(self) -> float:
-        return self.update_count / self.steps if self.steps else 0.0
+    update_rate = _OneTrial.update_rate
 
     def step(self, u, d: float) -> StepOutput:
         v, d = as_vector(u, self.n), float(d)

@@ -393,6 +393,93 @@ def test_nlms_batch_matches_scalar_on_corner_streams():
     assert batch.update_count.tolist() == [STEPS, STEPS - 1, STEPS - 1, STEPS - 5]
 
 
+# -- families: KRR-APSP batches sharing statistics, sample ring and builds ---
+
+FAMILY = (
+    KrrParams(rank=2, projections=3, error_dim=1, rho=0.05, refresh_period=5, step_size=0.7),
+    KrrParams(rank=3, projections=2, error_dim=3, rho=0.05, refresh_period=5, step_size=0.7),
+    KrrParams(rank=5, projections=2, error_dim=2, rho=0.02, refresh_period=5, step_size=1.2),
+)
+
+
+def family_against_alone(specs, streams, mode, h0=None):
+    """Step the batches of ``specs`` as one family and each alone; assert they agree.
+
+    Returns the family's members.
+    """
+    n, runs = len(streams[0][0][0]), len(streams)
+    members = [KrrApspBatch(p, n, runs, mode=mode, h0=h0) for p in specs]
+    for batch in members[1:]:
+        members[0].family.join(batch)
+    alone = [KrrApspBatch(p, n, runs, mode=mode, h0=h0) for p in specs]
+    for k in range(len(streams[0])):
+        u = np.stack([s[k][0] for s in streams])
+        d = np.array([s[k][1] for s in streams])
+        for out, batch in zip(members[0].family.step(members, u, d), alone):
+            ref = batch.step(u, d)
+            for name in ("y", "updated", "h_full", "mults"):
+                assert np.array_equal(getattr(out, name), getattr(ref, name)), (k, name)
+    for got, want in zip(members, alone):
+        for name in ("steps", "update_count", "build_count", "rank_eff", "has_basis",
+                     "skipped_zero_direction", "cancelled_updates", "last_relaxation",
+                     "basis", "h_tilde"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        for cat, totals in want.mult_totals.items():
+            assert np.array_equal(got.mult_totals[cat], totals), cat
+    return members
+
+
+def test_family_matches_batches_alone_on_corner_streams():
+    streams = [
+        sysid_stream(N, STEPS, seed=1),
+        sysid_stream(N, STEPS, seed=2, snr_db=5.0),
+        passthrough_stream(N, STEPS, seed=3, zero_until=2 * N + 3),
+        subspace_stream(N, STEPS, seed=4),
+        subspace_stream(N, STEPS, seed=5, until=N + 12),
+        repeated_regressor_stream(N, STEPS, seed=6, at=N - 1, ring=4),
+    ]
+    members = family_against_alone(FAMILY, streams, "toeplitz")
+    # one ring of the longest q + r - 1 (the middle member's) serves them all
+    assert members[0].family.us.shape[1] == 4
+    # the corners were reached in every member
+    for batch in members:
+        assert batch.build_count[PASSTHROUGH] >= 1
+        assert batch.rank_eff[SUBSPACE] == 1
+        assert batch.mult_totals["rebase"][RANK_CHANGE] > 0
+    assert members[1].skipped_zero_direction[REPEATED] > 0
+
+
+def test_cdma_family_matches_batches_alone():
+    runs, steps = 3, 90
+    scenarios = [krrapsp.CdmaScenario(krrapsp.CdmaConfig(
+        users=3, snr_db=10.0, change_at=50, users_post=2, seed=s)) for s in range(runs)]
+    streams = [[(s.u, s.d) for s in sc.samples(steps)] for sc in scenarios]
+    h0 = np.stack([sc.signature for sc in scenarios])
+    members = family_against_alone(FAMILY, streams, "fullsym", h0=h0)
+    assert all(batch.build_count.min() > 1 for batch in members)
+
+
+def test_family_joins_only_unstepped_batches_of_its_key():
+    leader = KrrApspBatch(FAMILY[0], N, 2)
+    for other in (KrrApspBatch(KrrParams(rank=3, forgetting=0.99, refresh_period=5), N, 2),
+                  KrrApspBatch(FAMILY[1], N, 2, mode="fullsym"),
+                  KrrApspBatch(FAMILY[1], N, 3)):
+        with pytest.raises(ValueError):
+            leader.family.join(other)
+    stepped = KrrApspBatch(FAMILY[1], N, 2)
+    stepped.step(np.ones((2, N)), np.ones(2))
+    with pytest.raises(ValueError):
+        leader.family.join(stepped)
+    member = KrrApspBatch(FAMILY[2], N, 2)
+    leader.family.join(member)
+    # a member of a family of several steps only with all its members
+    with pytest.raises(ValueError):
+        leader.step(np.ones((2, N)), np.ones(2))
+    with pytest.raises(ValueError):
+        leader.family.step([leader], np.ones((2, N)), np.ones(2))
+    leader.family.step([leader, member], np.ones((2, N)), np.ones(2))
+
+
 def test_full_matrix_statistics_match_the_row_loop():
     # the chunked outer products add what one row at a time would
     rng = np.random.default_rng(10)

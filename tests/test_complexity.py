@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from krrapsp import KrrApsp, KrrParams, Nlms, Rls, SysIdConfig, SysIdScenario
+from krrapsp import Cgrrf, KrrApsp, KrrParams, Nlms, Rls, SysIdConfig, SysIdScenario
 from krrapsp import complexity as cx
 from krrapsp.filters import _basis_build_charge
 
@@ -100,6 +100,33 @@ class TestInstrumentedCounters:
         assert build_count == 1
         average = (sum(window) + build_count * charge) / m
         assert abs(average - closed) <= q + r
+
+    @pytest.mark.parametrize("mode, stats", [("toeplitz", 4), ("fullsym", None)])
+    def test_cgrrf_windowed_count_against_closed_form(self, mode, stats):
+        # the m-aligned window average of the recurring counts plus the
+        # amortized solve charge, against cgrrf_count: the counter also
+        # charges the output h . u (N), and the closed form keeps the 2(D-1)
+        # scalar term unamortized, a gap of N - 2(D-1)(m-1)/m (COUNTER_NOTES);
+        # full statistics cost N^2 + 3N per step instead of 4N
+        n, d, m = 24, 3, 10
+        filt = Cgrrf(n, rank=d, refresh_period=m, forgetting=0.999, mode=mode)
+        scen = SysIdScenario(SysIdConfig(n=n, snr_db=10.0, seed=13))
+        per_step, solves = [], []
+        for s in scen.samples(200):
+            prev = filt.mult_totals["basis"]
+            per_step.append(filt.step(s.u, s.d).mults)
+            solves.append(int(filt.mult_totals["basis"] != prev))
+        stats_charge = 4 * n if stats else n * n + 3 * n
+        assert set(per_step) == {stats_charge + n}
+        start = 120
+        assert sum(solves[start:start + m]) == 1
+        average = Fraction(sum(per_step[start:start + m]) + _basis_build_charge(d, n), m)
+        gap = n - Fraction(2 * (d - 1) * (m - 1), m) + stats_charge - 4 * n
+        assert average - cx.cgrrf_count(n, d, m) == gap
+        # every solve is charged: the first one at step N - 1, then one per
+        # later refresh step (k = 1 mod m)
+        assert sum(solves) == 1 + len([k for k in range(n, 200) if k % m == 1])
+        assert filt.mult_totals["basis"] == sum(solves) * _basis_build_charge(d, n)
 
     def test_filter_update_share_exact_over_window(self):
         # sharper identity: stats+transform+filter categories reproduce

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,6 +81,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="scenario"):
             ExperimentConfig(kind=kind, scenario=scenario, filters=(FilterSpec("nlms"),))
 
+    @pytest.mark.parametrize("algorithm, options", [
+        ("krr-apsp", {}),
+        ("krr-apsp", {"params": {"rank": 3}}),
+        ("krr-apsp", {"params": KrrParams(rank=3), "mode": "fullsym"}),
+        ("cgrrf", {"refresh_period": 5}),
+        ("cgrrf", {"rank": 3, "init_vector": None}),
+        ("nlms", {"step": 0.1}),
+        ("rls", {"gamma": 0.99}),
+    ], ids=["krr-no-params", "krr-params-dict", "krr-mode", "cgrrf-no-rank",
+            "cgrrf-init-vector", "nlms-step", "rls-gamma"])
+    def test_malformed_filter_spec_rejected(self, algorithm, options):
+        # at construction, before any scenario is built
+        with pytest.raises(ValueError):
+            FilterSpec(algorithm, options=options)
+
 
 def record_table(records):
     return (np.array([(r.k, r.algorithm) for r in records]),
@@ -109,6 +125,34 @@ LOCKSTEP_CONFIGS = {
                  FilterSpec("nlms", options={"step_size": 0.2})),
         runs=3, iters=90, seed=6),
 }
+
+
+SWEEP = ExperimentConfig(
+    kind="sysid", scenario=SysIdConfig(n=12, snr_db=15.0, change_at=50,
+                                       change_mode="negate", seed=0),
+    filters=tuple(FilterSpec("krr-apsp", label=f"krr-D{params.rank}", options={"params": params})
+                  for params in (KrrParams(rank=2, projections=3, rho=0.05, refresh_period=5,
+                                           step_size=0.5),
+                                 KrrParams(rank=3, projections=2, error_dim=3, rho=0.05,
+                                           refresh_period=5, step_size=0.5),
+                                 KrrParams(rank=5, projections=2, error_dim=2, rho=0.02,
+                                           refresh_period=5, step_size=1.0))),
+    runs=4, iters=90, seed=5)
+# two KRR-APSP families (forgetting 0.999 and 0.99) beside CGRRF and NLMS
+LOCKSTEP_CONFIGS["sysid_two_families"] = replace(SWEEP, filters=SWEEP.filters + (
+    FilterSpec("krr-apsp", label="krr-fast", options={"params": KrrParams(
+        rank=4, projections=2, rho=0.05, refresh_period=5, step_size=0.5, forgetting=0.99)}),
+    FilterSpec("cgrrf", options={"rank": 3, "refresh_period": 5}),
+    FilterSpec("nlms", options={"step_size": 0.3})))
+
+
+def test_family_records_equal_each_spec_alone():
+    # the three sweep specs form one family; run alone each is a family of one
+    got = record_table(run_experiment(SWEEP))
+    alone = [record_table(run_experiment(replace(SWEEP, filters=(spec,))))
+             for spec in SWEEP.filters]
+    np.testing.assert_array_equal(got[0], np.concatenate([a[0] for a in alone]))
+    np.testing.assert_array_equal(got[1], np.concatenate([a[1] for a in alone]))
 
 
 @pytest.mark.parametrize("name", sorted(LOCKSTEP_CONFIGS))

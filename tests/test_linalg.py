@@ -18,7 +18,7 @@ from krrapsp import (
     project_subspace,
     r_norm,
 )
-from krrapsp.linalg import toeplitz_dense
+from krrapsp.linalg import krylov_basis_stack, toeplitz_dense
 
 from conftest import random_orthonormal, random_spd
 from oracles import (
@@ -348,3 +348,59 @@ def test_kernels_equal_the_frozen_scalar_kernels(case):
     assert np.array_equal(est.p_vector(), frozen.p_vector())
     got, want = est.r_matrix(), frozen.r_matrix()
     assert np.array_equal(got.dense(), want.dense())
+
+
+# -- a build of rank D holds every build of a lower rank ---------------------
+
+
+def krylov_stack_case(n, count, toeplitz, span, seed):
+    """``count`` symmetric PSD matrices and seeds; with ``span``, each seed lies
+    in the span of ``span`` eigenvectors of its matrix, so its Krylov
+    sequence becomes dependent after ``span`` columns."""
+    rng = np.random.default_rng(seed)
+    if toeplitz:  # sample autocorrelations of random FIRs
+        fir = rng.standard_normal((count, n))
+        mats = toeplitz_dense(np.stack([np.correlate(f, f, "full")[n - 1:] for f in fir]))
+    else:
+        a = rng.standard_normal((count, n, n))
+        mats = a @ a.transpose(0, 2, 1)
+    seeds = rng.standard_normal((count, n))
+    if span is not None:
+        vecs = np.linalg.eigh(mats)[1][:, :, -span:]
+        seeds = np.matmul(vecs, rng.standard_normal((count, span, 1)))[:, :, 0]
+    return mats, seeds
+
+
+def assert_leading_columns(mats, seeds, big, small):
+    bases, ranks = krylov_basis_stack(mats, seeds, big)
+    lead, lead_ranks = krylov_basis_stack(mats, seeds, small)
+    assert np.array_equal(lead_ranks, np.minimum(ranks, small))
+    # bit for bit, sign bits of zeros included
+    assert lead.tobytes() == np.ascontiguousarray(bases[:, :, :small]).tobytes()
+    return ranks
+
+
+@st.composite
+def krylov_prefix_cases(draw):
+    n = draw(st.integers(2, 40))
+    big = draw(st.integers(1, n))
+    span = draw(st.one_of(st.none(), st.integers(1, n)))
+    mats, seeds = krylov_stack_case(n, draw(st.integers(1, 6)), draw(st.booleans()),
+                                    span, draw(st.integers(0, 2 ** 32 - 1)))
+    return mats, seeds, big, draw(st.integers(1, big))
+
+
+@settings(max_examples=200, deadline=None)
+@given(krylov_prefix_cases())
+def test_krylov_stack_of_lower_rank_is_the_leading_columns(case):
+    # the recurrence builds column i from the columns before it only, which
+    # lets the KRR-APSP specs of one family share a build at their largest rank
+    assert_leading_columns(*case)
+
+
+@pytest.mark.parametrize("toeplitz", [True, False], ids=["toeplitz", "fullsym"])
+def test_krylov_stack_leading_columns_of_a_truncated_build(toeplitz):
+    mats, seeds = krylov_stack_case(30, 5, toeplitz, span=2, seed=3)
+    ranks = assert_leading_columns(mats, seeds, 8, 3)
+    assert np.all(ranks == 2)
+    assert_leading_columns(mats, seeds, 8, 1)
