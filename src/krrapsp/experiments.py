@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,14 +49,16 @@ class FilterSpec:
     specific to the algorithm (for example ``{"step_size": 0.03}`` for
     NLMS). KRR-APSP needs a ``KrrParams`` under ``"params"`` and CGRRF a
     ``"rank"``; an unknown key raises ``ValueError`` here, before any
-    scenario is built.
+    scenario is built. ``options`` is kept as a read-only copy, so neither
+    the spec nor a later change of the caller's dict can alter it.
     """
 
     algorithm: str
     label: str = ""
-    options: dict = field(default_factory=dict)
+    options: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "options", MappingProxyType(dict(self.options)))
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if set(self.options) - _OPTIONS[self.algorithm]:
@@ -174,6 +178,7 @@ def _run_lockstep(config: ExperimentConfig, specs, seeds, sums: dict) -> None:
             d[i] = sample.d
             if truth is not None:
                 truth[i] = sample.truth_h
+        truth_sq = None if truth is None else stacked_dot(truth, truth)
         outs = {member: out for members in families.values()
                 for member, out in zip(members, members[0].family.step(members, u, d))}
         for label, filt in filters.items():
@@ -181,7 +186,7 @@ def _run_lockstep(config: ExperimentConfig, specs, seeds, sums: dict) -> None:
             err = d - out.y
             if truth is not None:
                 diff = truth - out.h_full
-                mis = stacked_dot(diff, diff) / stacked_dot(truth, truth)
+                mis = stacked_dot(diff, diff) / truth_sq
             else:
                 mis = np.full(runs, math.nan)
             for key, vals in zip(METRICS, (err * err, mis, out.updated, out.mults)):
@@ -248,9 +253,12 @@ def config_metadata(config: ExperimentConfig) -> dict:
         prefix = f"filter.{spec.label}"
         meta[prefix] = spec.algorithm
         for key, val in sorted(spec.options.items()):
-            if key == "params":  # every field but the weights, in field order
-                meta[f"{prefix}.params"] = " ".join(
-                    f"{f.name}={getattr(val, f.name)}" for f in fields(val) if f.name != "weights")
+            if key == "params":  # every field in field order, the weights if not uniform
+                items = [f"{f.name}={getattr(val, f.name)}"
+                         for f in fields(val) if f.name != "weights"]
+                if val.weights != replace(val, weights=None).weights:
+                    items.append(f"weights=({','.join(map(str, val.weights))})")
+                meta[f"{prefix}.params"] = " ".join(items)
             else:
                 meta[f"{prefix}.{key}"] = str(val)
     return meta

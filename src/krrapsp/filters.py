@@ -20,9 +20,11 @@ does not depend on R. ``KrrApsp``, ``Cgrrf`` and ``Nlms`` are their
 one-trial views. KRR-APSP batches of one statistics mode, forgetting
 factor and refresh period can form a family (``_KrrFamily``): one
 statistics stack, one sample ring and one Krylov build at the largest
-rank for all of them. ``Rls`` has no batch: 100 inverse correlations at
-N = 200 hold 32 MB, and a stacked RLS step measured slower than the scalar
-one (142-159 against 129 us per trial-step; one BLAS thread, 2-core x86-64).
+rank for all of them. With r = 1 a KRR-APSP step takes all q projection
+sets of all trials at once, elementwise; for r > 1 it loops over the sets.
+``Rls`` has no batch: 100 inverse correlations at N = 200 hold 32 MB, and
+a stacked RLS step measured slower than the scalar one (142-159 against
+129 us per trial-step; one BLAS thread, 2-core x86-64).
 
 Every filter reports its full-dimension coefficient vector, and rejects
 a sample with a non-finite entry before any state changes.
@@ -374,29 +376,41 @@ class KrrApspBatch(_Lockstep):
         # each projection set's squared error, and for a set that some trial
         # violates its subgradient a = (S^T U) e, c = a . a and the guard
         # scale (an uncharged safeguard outside the cost model)
-        sq = np.empty((count, q_eff))
-        errors = []
         filter_mults = ring * rank  # the inner products, then each set's error
-        for j in range(q_eff):
-            r_eff = min(p.error_dim, ring - j)
-            e = ips[:, j:j + r_eff] - self.family.ds[idx, j:j + r_eff]
-            sq[:, j] = stacked_dot(e, e)
-            errors.append(e)
-            filter_mults += r_eff
-        violated = sq > p.rho
         a = np.zeros((count, q_eff + 1, rank))  # slot 0 stays zero: f_dir's start
-        c = np.zeros((count, q_eff))
-        block_sq = np.zeros((count, q_eff))
-        charges = np.zeros(q_eff, dtype=np.int64)  # of a violated set
-        for j in np.flatnonzero(violated.any(axis=0)):
-            e = errors[j]
-            r_eff = e.shape[1]
-            # (count, rank, r_eff) blocks: the columns ut[j], ..., ut[j + r_eff - 1]
-            block = np.ascontiguousarray(ut[:, j:j + r_eff].transpose(0, 2, 1))
-            a[:, j + 1] = a_j = stacked_matvec(block, e)
-            c[:, j] = stacked_dot(a_j, a_j)
-            block_sq[:, j] = (block * block).sum(axis=(1, 2))
-            charges[j] = r_eff * rank + rank
+        if p.error_dim == 1:
+            # all sets at once, each product the one the set loop makes; a set
+            # that no trial violates meets only a zero coefficient below
+            e = ips[:, :q_eff] - self.family.ds[idx, :q_eff]
+            sq = e * e
+            a[:, 1:] = ut[:, :q_eff] * e[..., None]
+            c = stacked_dot(a[:, 1:], a[:, 1:])
+            block_sq = (ut[:, :q_eff] * ut[:, :q_eff]).sum(axis=2)
+            filter_mults += q_eff
+            violated = sq > p.rho
+            charges = np.full(q_eff, 2 * rank)  # of a violated set
+        else:
+            sq = np.empty((count, q_eff))
+            errors = []
+            for j in range(q_eff):
+                r_eff = min(p.error_dim, ring - j)
+                e = ips[:, j:j + r_eff] - self.family.ds[idx, j:j + r_eff]
+                sq[:, j] = stacked_dot(e, e)
+                errors.append(e)
+                filter_mults += r_eff
+            violated = sq > p.rho
+            c = np.zeros((count, q_eff))
+            block_sq = np.zeros((count, q_eff))
+            charges = np.zeros(q_eff, dtype=np.int64)  # of a violated set
+            for j in np.flatnonzero(violated.any(axis=0)):
+                e = errors[j]
+                r_eff = e.shape[1]
+                # (count, rank, r_eff) blocks: the columns ut[j], ..., ut[j + r_eff - 1]
+                block = np.ascontiguousarray(ut[:, j:j + r_eff].transpose(0, 2, 1))
+                a[:, j + 1] = a_j = stacked_matvec(block, e)
+                c[:, j] = stacked_dot(a_j, a_j)
+                block_sq[:, j] = (block * block).sum(axis=(1, 2))
+                charges[j] = r_eff * rank + rank
 
         # every set at once, elementwise; a violated set with a vanishing
         # subgradient (an inconsistent data corner) is skipped and counted

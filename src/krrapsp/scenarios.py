@@ -251,9 +251,10 @@ class CdmaConfig:
     fixed nonzero chip offset, so each of its symbols straddles the window
     boundary and it contributes two partial signatures (previous-bit tail,
     current-bit head) per observation. The desired user has amplitude one
-    and every interferer amplitude ``interferer_amplitude``. ``snr_db`` is
-    the ratio of the desired user's received power to the per-chip noise
-    variance. At ``change_at`` every interferer leaves and
+    and every interferer amplitude ``interferer_amplitude`` (finite,
+    positive). ``snr_db`` is the ratio of the desired user's received power
+    to the per-chip noise variance; ``math.inf`` disables the noise. At
+    ``change_at`` every interferer leaves and
     ``users_post - 1`` fresh interferers (new codes, offsets, and bit
     streams) join; the desired user is untouched.
     """
@@ -273,8 +274,10 @@ class CdmaConfig:
                 raise ValueError("users_post required with change_at")
             if not 1 <= self.users_post <= GOLD_FAMILY_SIZE:
                 raise ValueError(f"users_post must lie in 1..{GOLD_FAMILY_SIZE}")
-        if self.interferer_amplitude <= 0.0:
-            raise ValueError("interferer_amplitude must be positive")
+        if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
+            raise ValueError("snr_db must be finite or +inf")
+        if not 0.0 < self.interferer_amplitude < math.inf:
+            raise ValueError("interferer_amplitude must be finite and positive")
 
 
 @dataclass(frozen=True)

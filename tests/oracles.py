@@ -9,6 +9,9 @@ solve, statistics estimator and Toeplitz expansion as scalar kernels, and
 the filters built on them. They use the library's value types
 (``SymMatrix``, ``BasisMatrix``) and input validation, but none of its
 kernels, so the references stay independent of the code they check.
+The last one, ``SetLoopKrrApspBatch``, is the batch itself with its old
+set-by-set reduced step: it freezes the order of the stacked products,
+which the fused r = 1 step must reproduce bit for bit.
 """
 
 import math
@@ -17,8 +20,15 @@ from collections import deque
 import numpy as np
 
 from krrapsp.estimation import MODES
-from krrapsp.filters import KrrParams, StepOutput
-from krrapsp.linalg import BasisMatrix, DegenerateCrossCorrelationError, SymMatrix, as_vector
+from krrapsp.filters import KrrApspBatch, KrrParams, StepOutput
+from krrapsp.linalg import (
+    BasisMatrix,
+    DegenerateCrossCorrelationError,
+    SymMatrix,
+    as_vector,
+    stacked_dot,
+    stacked_matvec,
+)
 from krrapsp.tolerances import TOL
 
 
@@ -962,3 +972,90 @@ class Rls:
         self.h = self.h + (d - y) * gain
         self.pinv = (self.pinv - np.outer(gain, pi)) / lam
         return StepOutput(y, True, self.h.copy(), 3 * self.n * self.n + 4 * self.n)
+
+
+# KrrApspBatch's reduced step as it was before the r = 1 sets were computed
+# all at once: a dozen stacked calls per projection set, for every
+# error_dim. Kept unchanged, comments dropped.
+
+
+class SetLoopKrrApspBatch(KrrApspBatch):
+    """A ``KrrApspBatch`` whose reduced step loops over the projection sets."""
+
+    def _reduced_step(self, idx, rank: int, u: np.ndarray):
+        p = self.params
+        n, ring = self.n, min(self.family.filled, self._ut.shape[1])
+        if isinstance(idx, slice) and rank == self.basis.shape[2]:
+            basis, ut = self.basis, self._ut  # the whole batch at full rank
+        else:
+            basis = np.ascontiguousarray(self.basis[idx][:, :, :rank])
+            ut = np.ascontiguousarray(self._ut[idx][:, :, :rank])
+        basis_t = basis.transpose(0, 2, 1)
+        count = basis.shape[0]
+
+        ut[:, 0] = stacked_matvec(basis_t, u)
+        stale = ~self._ut_valid[idx]
+        if stale.any():
+            us = self.family.us[idx]
+            for t in range(1, ring):
+                ut[stale, t] = stacked_matvec(basis_t[stale], us[stale, t])
+        if ut is not self._ut:
+            self._ut[idx, :, :rank] = ut
+        self._ut_valid[idx] = True
+        transform_mults = np.where(stale, ring, 1) * rank * n
+
+        h = np.ascontiguousarray(self.h_tilde[idx][:, :rank])
+        ips = stacked_dot(ut[:, :ring], h[:, None, :])
+        q_eff = min(p.projections, ring)
+
+        sq = np.empty((count, q_eff))
+        errors = []
+        filter_mults = ring * rank
+        for j in range(q_eff):
+            r_eff = min(p.error_dim, ring - j)
+            e = ips[:, j:j + r_eff] - self.family.ds[idx, j:j + r_eff]
+            sq[:, j] = stacked_dot(e, e)
+            errors.append(e)
+            filter_mults += r_eff
+        violated = sq > p.rho
+        a = np.zeros((count, q_eff + 1, rank))
+        c = np.zeros((count, q_eff))
+        block_sq = np.zeros((count, q_eff))
+        charges = np.zeros(q_eff, dtype=np.int64)
+        for j in np.flatnonzero(violated.any(axis=0)):
+            e = errors[j]
+            r_eff = e.shape[1]
+            block = np.ascontiguousarray(ut[:, j:j + r_eff].transpose(0, 2, 1))
+            a[:, j + 1] = a_j = stacked_matvec(block, e)
+            c[:, j] = stacked_dot(a_j, a_j)
+            block_sq[:, j] = (block * block).sum(axis=(1, 2))
+            charges[j] = r_eff * rank + rank
+
+        zero = violated & (c <= TOL.zero_direction_rel ** 2 * (block_sq * sq))
+        if zero.any():
+            self.skipped_zero_direction[idx] += zero.sum(axis=1)
+        ok = violated & ~zero
+        gap = p.rho - sq
+        c_ok = np.where(ok, c, 1.0)
+        w_gap = self._weights[q_eff] * gap
+        coef = np.where(ok, w_gap / (2.0 * c_ok), 0.0)
+        loss = np.where(ok, w_gap * gap / (4.0 * c_ok), 0.0)
+        a[:, 1:] *= coef[:, :, None]
+        f_dir = np.ascontiguousarray(np.add.accumulate(a, axis=1)[:, -1])
+        loss_sum = np.add.accumulate(loss, axis=1)[:, -1]
+        delta_norm_sum = np.add.accumulate(np.abs(coef) * np.sqrt(c), axis=1)[:, -1]
+        n_ok = ok.sum(axis=1)
+        contributed = n_ok > 0
+
+        nf = stacked_dot(f_dir, f_dir)
+        cancelled = contributed & (np.sqrt(nf) <= TOL.cancellation * delta_norm_sum)
+        self.cancelled_updates[idx] += cancelled
+        updated = contributed & ~cancelled
+        relax = loss_sum / np.where(updated, nf, 1.0)
+        self.last_relaxation[idx] = np.where(updated, relax, np.nan)
+        scale = p.step_size * relax
+        h = np.where(updated[:, None], h + scale[:, None] * f_dir, h)
+        filter_mults += (np.dot(violated, charges) + n_ok * (7 + rank)
+                         + contributed * rank + updated * (2 + rank))
+        self.h_tilde[idx, :rank] = h
+        return ips[:, 0], updated, stacked_matvec(basis, h), transform_mults, filter_mults

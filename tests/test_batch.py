@@ -15,7 +15,15 @@ from krrapsp.filters import CgrrfBatch, KrrApspBatch, NlmsBatch, _basis_build_ch
 from krrapsp.linalg import SymMatrix, cg_solve_stack, krylov_basis_stack
 
 from conftest import random_spd
-from oracles import Cgrrf, KrrApsp, Nlms, cg_solve, krylov_basis, reference_parallel_update
+from oracles import (
+    Cgrrf,
+    KrrApsp,
+    Nlms,
+    SetLoopKrrApspBatch,
+    cg_solve,
+    krylov_basis,
+    reference_parallel_update,
+)
 from streams import (
     cancelled_p_stream,
     exact_fit_stream,
@@ -256,6 +264,82 @@ def batch_setups(draw):
 def test_batch_matches_scalar_property(setup):
     params, streams, mode, h0 = setup
     lockstep(params, streams, mode=mode, h0=h0)
+
+
+def same_bits(got, want) -> bool:
+    """Equal arrays, NaN where NaN and with the same sign on every zero."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@st.composite
+def r1_family_setups(draw):
+    n = draw(st.integers(2, 12))
+    refresh_period = draw(st.integers(1, 6))
+    forgetting = draw(st.floats(0.5, 0.999))
+    specs = []
+    for _ in range(3):
+        projections = draw(st.integers(1, 4))
+        weights = None
+        if draw(st.booleans()):
+            raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=projections,
+                                         max_size=projections)))
+            weights = tuple(raw / raw.sum())
+        specs.append(KrrParams(
+            rank=draw(st.integers(1, n)), projections=projections, error_dim=1,
+            rho=draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5, 1e6])),
+            refresh_period=refresh_period, step_size=draw(st.floats(0.0, 2.0)),
+            forgetting=forgetting, weights=weights))
+    runs = draw(st.integers(1, 5))
+    steps = draw(st.integers(1, 3 * n + 8))
+    seed = draw(st.integers(0, 2 ** 16))
+    makers = {
+        "ordinary": lambda s: sysid_stream(n, steps, s),
+        "cancel": lambda s: repeated_regressor_stream(n, max(steps, n), s, at=n - 1,
+                                                      ring=min(4, n))[:steps],
+        "passthrough": lambda s: passthrough_stream(n, steps, s, zero_until=2 * n),
+        "subspace": lambda s: subspace_stream(n, steps, s),
+        "rank_change": lambda s: subspace_stream(n, steps, s, until=steps // 2),
+        # a zero reduced regressor once the basis is built: a skipped set
+        "zero_regressor": lambda s: zero_regressor_stream(n, steps, s,
+                                                          at=min(steps - 1, n + 2)),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=runs, max_size=runs))
+    streams = [makers[kind](seed + i) for i, kind in enumerate(kinds)]
+    mode = draw(st.sampled_from(["toeplitz", "fullsym"]))
+    h0 = np.random.default_rng(seed).standard_normal((runs, n)) if draw(st.booleans()) else None
+    return specs, streams, mode, h0
+
+
+@settings(max_examples=80, deadline=None)
+@given(r1_family_setups())
+def test_fused_r1_step_equals_the_set_loop_bit_for_bit(setup):
+    specs, streams, mode, h0 = setup
+    n, runs = len(streams[0][0][0]), len(streams)
+    families = []
+    for kind in (KrrApspBatch, SetLoopKrrApspBatch):
+        members = [kind(p, n, runs, mode=mode, h0=h0) for p in specs]
+        for batch in members[1:]:
+            members[0].family.join(batch)
+        families.append(members)
+    fused, loop = families
+    for k in range(len(streams[0])):
+        u = np.stack([s[k][0] for s in streams])
+        d = np.array([s[k][1] for s in streams])
+        outs = [members[0].family.step(members, u, d) for members in families]
+        for got, want in zip(*outs):
+            assert same_bits(got.y, want.y) and same_bits(got.h_full, want.h_full), k
+            assert np.array_equal(got.updated, want.updated), k
+            assert np.array_equal(got.mults, want.mults), k
+        for got, want in zip(fused, loop):
+            assert same_bits(got.h_tilde, want.h_tilde), k
+            assert same_bits(got.last_relaxation, want.last_relaxation), k
+    for got, want in zip(fused, loop):
+        for name in ("skipped_zero_direction", "cancelled_updates", "update_count"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for cat, totals in want.mult_totals.items():
+            assert np.array_equal(got.mult_totals[cat], totals), cat
 
 
 # -- CGRRF and NLMS ----------------------------------------------------------

@@ -208,6 +208,35 @@ class TestCsv:
         assert "rank=3" in meta["filter.krr-apsp.params"]
         assert meta["scenario.n"] == "12"
 
+    def test_metadata_names_non_uniform_weights(self):
+        base = tiny_config()
+        params = base.filters[0].options["params"]
+        lines = {}
+        for weights in (None, (0.5, 0.5), (0.75, 0.25)):
+            spec = FilterSpec("krr-apsp", options={"params": replace(params, weights=weights)})
+            meta = config_metadata(replace(base, filters=(spec,)))
+            lines[weights] = meta["filter.krr-apsp.params"]
+        # uniform weights, given or not, leave the line as it was
+        assert lines[None] == lines[(0.5, 0.5)] == config_metadata(base)["filter.krr-apsp.params"]
+        assert "weights" not in lines[None]
+        assert lines[(0.75, 0.25)] == lines[None] + " weights=(0.75,0.25)"
+
+
+class TestFilterSpec:
+    def test_options_are_read_only(self):
+        spec = FilterSpec("nlms", options={"step_size": 0.3})
+        with pytest.raises(TypeError):
+            spec.options["step"] = 0.1
+        assert dict(spec.options) == {"step_size": 0.3}
+
+    def test_options_are_copied(self):
+        options = {"step_size": 0.3}
+        spec = FilterSpec("nlms", options=options)
+        options["step"] = 0.1
+        assert dict(spec.options) == {"step_size": 0.3}
+        records = run_experiment(replace(tiny_config(runs=1, iters=5), filters=(spec,)))
+        assert len(records) == 5
+
 
 class TestWindows:
     def test_steady_state_window_average(self):
@@ -278,6 +307,11 @@ class TestCli:
         proc = self.run_cli("cdma", "--users", "99")
         assert proc.returncode == 2
         assert "error" in proc.stderr.lower()
+
+    def test_non_finite_snr_exit_code(self):
+        proc = self.run_cli("cdma", "--snr-db", "nan", "--runs", "1", "--iters", "5")
+        assert proc.returncode == 2
+        assert "snr_db" in proc.stderr
 
     def test_irrelevant_flag_rejected(self):
         proc = self.run_cli("cdma", "--N", "31")

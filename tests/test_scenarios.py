@@ -217,6 +217,16 @@ class TestCdmaScenario:
         with pytest.raises(ValueError):
             CdmaConfig(users=4, change_at=100)  # users_post missing
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(snr_db=math.nan), dict(snr_db=-math.inf),
+        dict(interferer_amplitude=math.nan), dict(interferer_amplitude=math.inf),
+        dict(interferer_amplitude=0.0), dict(interferer_amplitude=-1.0),
+    ])
+    def test_invalid_floats(self, kwargs):
+        # a NaN or -inf SNR would otherwise give a noiseless scenario
+        with pytest.raises(ValueError):
+            CdmaConfig(users=4, **kwargs)
+
     def test_deterministic_bitwise(self):
         cfg = CdmaConfig(users=5, snr_db=12.0, seed=4)
         a = list(CdmaScenario(cfg).samples(200))
