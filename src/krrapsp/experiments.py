@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .filters import CgrrfBatch, KrrApspBatch, KrrParams, NlmsBatch, Rls
 from .linalg import stacked_dot
-from .scenarios import CdmaConfig, CdmaScenario, SysIdConfig, SysIdScenario
+from .scenarios import CdmaConfig, CdmaScenario, SysIdConfig, SysIdScenario, config_items
 
 # the construction keywords each algorithm takes in FilterSpec.options
 _OPTIONS = {"krr-apsp": {"params", "init_from_signature"},
@@ -76,7 +76,7 @@ class ExperimentConfig:
     """Complete description of one Monte-Carlo experiment."""
 
     kind: str  # "sysid" | "cdma"
-    scenario: object  # SysIdConfig | CdmaConfig (seed field is per-trial base)
+    scenario: object  # SysIdConfig | CdmaConfig; each trial replaces its seed
     filters: tuple
     runs: int = 100
     iters: int = 2000
@@ -118,16 +118,6 @@ def _make_scenario(config: ExperimentConfig, trial_seed: int):
 def trial_seeds(seed: int, runs: int) -> np.ndarray:
     """Per-trial 63-bit seeds derived from the master seed."""
     return np.random.SeedSequence(int(seed)).generate_state(runs, dtype=np.uint64) >> 1
-
-
-def measure_multiplications(filt, samples):
-    """Drive a filter over samples; returns ``(per_step, per_category)``.
-
-    ``per_step`` holds every step's recurring count and ``per_category`` the
-    final ``mult_totals``, which reconcile with :mod:`krrapsp.complexity`.
-    """
-    per_step = [filt.step(s.u, s.d).mults for s in samples]
-    return per_step, dict(filt.mult_totals)
 
 
 def _scenario_shape(config: ExperimentConfig, scenario):
@@ -245,10 +235,12 @@ def config_metadata(config: ExperimentConfig) -> dict:
     """Flat key=value view of a configuration for CSV provenance."""
     meta = {"version": __version__, "kind": config.kind, "runs": str(config.runs),
             "iters": str(config.iters), "seed": str(config.seed)}
-    scenario = _make_scenario(config, 0)
-    for key, val in scenario.serialize().items():
-        if key not in ("kind", "noise_std"):
-            meta[f"scenario.{key}"] = val
+    # the scenario's fields (its seed as 0: each trial replaces it) and the
+    # constants of its class; no scenario is built
+    scenario_items = {**config_items(replace(config.scenario, seed=0)),
+                      **_SCENARIOS[config.kind][1].constants}
+    for key, val in scenario_items.items():
+        meta[f"scenario.{key}"] = val
     for spec in config.filters:
         prefix = f"filter.{spec.label}"
         meta[prefix] = spec.algorithm

@@ -20,8 +20,8 @@ does not depend on R. ``KrrApsp``, ``Cgrrf`` and ``Nlms`` are their
 one-trial views. KRR-APSP batches of one statistics mode, forgetting
 factor and refresh period can form a family (``_KrrFamily``): one
 statistics stack, one sample ring and one Krylov build at the largest
-rank for all of them. With r = 1 a KRR-APSP step takes all q projection
-sets of all trials at once, elementwise; for r > 1 it loops over the sets.
+rank for all of them. A KRR-APSP step takes all q projection sets of all
+trials at once: elementwise for r = 1, as windows of r samples otherwise.
 ``Rls`` has no batch: 100 inverse correlations at N = 200 hold 32 MB, and
 a stacked RLS step measured slower than the scalar one (142-159 against
 129 us per trial-step; one BLAS thread, 2-core x86-64).
@@ -44,6 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
 from .estimation import MODES, _StatsStack
@@ -362,55 +363,47 @@ class KrrApspBatch(_Lockstep):
         stale = ~self._ut_valid[idx]
         if stale.any():
             us = self.family.us[idx]
-            for t in range(1, ring):
-                ut[stale, t] = stacked_matvec(basis_t[stale], us[stale, t])
+            ut[stale, 1:ring] = stacked_matvec(basis_t[stale][:, None], us[stale, 1:ring])
         if ut is not self._ut:
             self._ut[idx, :, :rank] = ut
         self._ut_valid[idx] = True
         transform_mults = np.where(stale, ring, 1) * rank * n
 
+        # set j holds the errors of samples j, ..., j + r - 1; in a ring
+        # shorter than q + r - 1 the slots past it are zero in both the
+        # reduced regressors and the outputs, so their errors are exactly 0
+        r, q_eff = p.error_dim, min(p.projections, ring)
+        width = q_eff + r - 1
         h = np.ascontiguousarray(self.h_tilde[idx][:, :rank])
-        ips = stacked_dot(ut[:, :ring], h[:, None, :])
-        q_eff = min(p.projections, ring)
+        ips = stacked_dot(ut[:, :max(ring, width)], h[:, None, :])
+        e = ips[:, :width] - self.family.ds[idx, :width]
 
-        # each projection set's squared error, and for a set that some trial
-        # violates its subgradient a = (S^T U) e, c = a . a and the guard
-        # scale (an uncharged safeguard outside the cost model)
+        # each projection set's squared error, its subgradient a = (S^T U) e,
+        # c = a . a and the guard scale (an uncharged safeguard outside the
+        # cost model), all sets of all trials at once, each product the one
+        # a single set's own BLAS call makes; a set that no trial violates
+        # meets only a zero coefficient below
         filter_mults = ring * rank  # the inner products, then each set's error
         a = np.zeros((count, q_eff + 1, rank))  # slot 0 stays zero: f_dir's start
-        if p.error_dim == 1:
-            # all sets at once, each product the one the set loop makes; a set
-            # that no trial violates meets only a zero coefficient below
-            e = ips[:, :q_eff] - self.family.ds[idx, :q_eff]
+        if r == 1:
             sq = e * e
             a[:, 1:] = ut[:, :q_eff] * e[..., None]
-            c = stacked_dot(a[:, 1:], a[:, 1:])
             block_sq = (ut[:, :q_eff] * ut[:, :q_eff]).sum(axis=2)
             filter_mults += q_eff
-            violated = sq > p.rho
             charges = np.full(q_eff, 2 * rank)  # of a violated set
         else:
-            sq = np.empty((count, q_eff))
-            errors = []
-            for j in range(q_eff):
-                r_eff = min(p.error_dim, ring - j)
-                e = ips[:, j:j + r_eff] - self.family.ds[idx, j:j + r_eff]
-                sq[:, j] = stacked_dot(e, e)
-                errors.append(e)
-                filter_mults += r_eff
-            violated = sq > p.rho
-            c = np.zeros((count, q_eff))
-            block_sq = np.zeros((count, q_eff))
-            charges = np.zeros(q_eff, dtype=np.int64)  # of a violated set
-            for j in np.flatnonzero(violated.any(axis=0)):
-                e = errors[j]
-                r_eff = e.shape[1]
-                # (count, rank, r_eff) blocks: the columns ut[j], ..., ut[j + r_eff - 1]
-                block = np.ascontiguousarray(ut[:, j:j + r_eff].transpose(0, 2, 1))
-                a[:, j + 1] = a_j = stacked_matvec(block, e)
-                c[:, j] = stacked_dot(a_j, a_j)
-                block_sq[:, j] = (block * block).sum(axis=(1, 2))
-                charges[j] = r_eff * rank + rank
+            e_win = sliding_window_view(e, r, axis=1)
+            # (count, q_eff, rank, r) blocks: the columns ut[j], ..., ut[j + r - 1],
+            # copied, as matmul on the strided view rounds differently
+            u_win = np.ascontiguousarray(sliding_window_view(ut[:, :width], r, axis=1))
+            sq = stacked_dot(e_win, e_win)
+            a[:, 1:] = stacked_matvec(u_win, e_win)
+            block_sq = (u_win * u_win).sum(axis=(2, 3))
+            r_eff = np.minimum(r, ring - np.arange(q_eff))  # the samples a set holds
+            filter_mults += int(r_eff.sum())
+            charges = (r_eff + 1) * rank  # of a violated set
+        violated = sq > p.rho
+        c = stacked_dot(a[:, 1:], a[:, 1:])
 
         # every set at once, elementwise; a violated set with a vanishing
         # subgradient (an inconsistent data corner) is skipped and counted

@@ -56,12 +56,32 @@ def _spawn(seed: int, count: int):
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
 
 
-def _config_items(cfg) -> dict:
+def _check_snr_db(snr_db: float) -> None:
+    """Reject an SNR whose linear ratio is not a finite positive float; +inf means no noise."""
+    if snr_db == math.inf:
+        return
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)  # NaN for NaN, 0 for -inf
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"snr_db must be +inf or have a finite positive linear ratio, "
+                         f"got {snr_db}")
+
+
+def config_items(cfg) -> dict:
+    """A scenario config's fields as strings, in field order; None reads as ""."""
     out = {}
     for f in fields(cfg):
         val = getattr(cfg, f.name)
         out[f.name] = "" if val is None else str(val)
     return out
+
+
+def _serialize(scenario) -> dict:
+    # the config's fields, the kind, the class's constants, the noise level
+    return {**config_items(scenario.config), "kind": scenario.kind, **scenario.constants,
+            "noise_std": f"{scenario.noise_std:.12g}"}
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +97,10 @@ class SysIdConfig:
     input is white Gaussian noise shaped by a random unit-energy FIR
     filter of length ``fir_len`` (weakly correlated input). ``snr_db``
     fixes the ratio of clean output power to noise power; ``math.inf``
-    disables the noise.
+    disables the noise; a finite ``snr_db`` must give a finite positive
+    ``10 ** (snr_db / 10)``.
 
-    At ``change_at`` the unknown system is replaced while the input
+    At ``change_at`` (``>= 0``) the unknown system is replaced while the input
     statistics (and the noise level) stay untouched, so only the
     cross-correlation vector changes. ``change_mode`` selects the
     replacement: ``"negate"`` flips the system's sign, the worst case for
@@ -101,8 +122,9 @@ class SysIdConfig:
             raise ValueError("n must be positive")
         if self.fir_len < 1:
             raise ValueError("fir_len must be positive")
-        if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
-            raise ValueError("snr_db must be finite or +inf")
+        _check_snr_db(self.snr_db)
+        if self.change_at is not None and self.change_at < 0:
+            raise ValueError("change_at must be nonnegative")
         if self.change_mode not in ("negate", "fresh"):
             raise ValueError("change_mode must be negate or fresh")
 
@@ -117,6 +139,7 @@ class SysIdScenario:
     """
 
     kind = "sysid"
+    constants = {"rng": "pcg64-seedsequence"}  # provenance, the same for every config
 
     def __init__(self, config: SysIdConfig):
         self.config = config
@@ -188,11 +211,7 @@ class SysIdScenario:
                 yield StreamSample(k=start + t, u=window, d=d, truth_h=truth)
 
     def serialize(self) -> dict:
-        meta = _config_items(self.config)
-        meta["kind"] = self.kind
-        meta["rng"] = "pcg64-seedsequence"
-        meta["noise_std"] = f"{self.noise_std:.12g}"
-        return meta
+        return _serialize(self)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +272,9 @@ class CdmaConfig:
     current-bit head) per observation. The desired user has amplitude one
     and every interferer amplitude ``interferer_amplitude`` (finite,
     positive). ``snr_db`` is the ratio of the desired user's received power
-    to the per-chip noise variance; ``math.inf`` disables the noise. At
-    ``change_at`` every interferer leaves and
+    to the per-chip noise variance; ``math.inf`` disables the noise, and a
+    finite ``snr_db`` must give a finite positive ``10 ** (snr_db / 10)``.
+    At ``change_at`` (``>= 0``) every interferer leaves and
     ``users_post - 1`` fresh interferers (new codes, offsets, and bit
     streams) join; the desired user is untouched.
     """
@@ -270,12 +290,13 @@ class CdmaConfig:
         if not 1 <= self.users <= GOLD_FAMILY_SIZE:
             raise ValueError(f"users must lie in 1..{GOLD_FAMILY_SIZE}")
         if self.change_at is not None:
+            if self.change_at < 0:
+                raise ValueError("change_at must be nonnegative")
             if self.users_post is None:
                 raise ValueError("users_post required with change_at")
             if not 1 <= self.users_post <= GOLD_FAMILY_SIZE:
                 raise ValueError(f"users_post must lie in 1..{GOLD_FAMILY_SIZE}")
-        if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
-            raise ValueError("snr_db must be finite or +inf")
+        _check_snr_db(self.snr_db)
         if not 0.0 < self.interferer_amplitude < math.inf:
             raise ValueError("interferer_amplitude must be finite and positive")
 
@@ -315,6 +336,7 @@ class CdmaScenario:
     """
 
     kind = "cdma"
+    constants = {"rng": "pcg64-seedsequence", "asynchrony": "chip-offset-partial-symbols"}
     n = GOLD_LENGTH
 
     def __init__(self, config: CdmaConfig):
@@ -385,9 +407,4 @@ class CdmaScenario:
             start += m
 
     def serialize(self) -> dict:
-        meta = _config_items(self.config)
-        meta["kind"] = self.kind
-        meta["rng"] = "pcg64-seedsequence"
-        meta["asynchrony"] = "chip-offset-partial-symbols"
-        meta["noise_std"] = f"{self.noise_std:.12g}"
-        return meta
+        return _serialize(self)

@@ -11,7 +11,8 @@ the filters built on them. They use the library's value types
 kernels, so the references stay independent of the code they check.
 The last one, ``SetLoopKrrApspBatch``, is the batch itself with its old
 set-by-set reduced step: it freezes the order of the stacked products,
-which the fused r = 1 step must reproduce bit for bit.
+which the batch's all-sets step must reproduce bit for bit, for every
+error length r.
 """
 
 import math
@@ -974,13 +975,14 @@ class Rls:
         return StepOutput(y, True, self.h.copy(), 3 * self.n * self.n + 4 * self.n)
 
 
-# KrrApspBatch's reduced step as it was before the r = 1 sets were computed
-# all at once: a dozen stacked calls per projection set, for every
-# error_dim. Kept unchanged, comments dropped.
+# KrrApspBatch's reduced step as it was before the projection sets were
+# computed all at once: a dozen stacked calls per set, the bit-for-bit
+# reference of the batch's step for every error_dim. Kept unchanged,
+# comments dropped.
 
 
 class SetLoopKrrApspBatch(KrrApspBatch):
-    """A ``KrrApspBatch`` whose reduced step loops over the projection sets."""
+    """A ``KrrApspBatch`` whose reduced step loops over the projection sets, any r."""
 
     def _reduced_step(self, idx, rank: int, u: np.ndarray):
         p = self.params

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import krrapsp
@@ -274,7 +274,7 @@ def same_bits(got, want) -> bool:
 
 
 @st.composite
-def r1_family_setups(draw):
+def family_setups(draw):
     n = draw(st.integers(2, 12))
     refresh_period = draw(st.integers(1, 6))
     forgetting = draw(st.floats(0.5, 0.999))
@@ -287,7 +287,8 @@ def r1_family_setups(draw):
                                          max_size=projections)))
             weights = tuple(raw / raw.sum())
         specs.append(KrrParams(
-            rank=draw(st.integers(1, n)), projections=projections, error_dim=1,
+            rank=draw(st.integers(1, n)), projections=projections,
+            error_dim=draw(st.integers(1, 3)),
             rho=draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5, 1e6])),
             refresh_period=refresh_period, step_size=draw(st.floats(0.0, 2.0)),
             forgetting=forgetting, weights=weights))
@@ -312,9 +313,21 @@ def r1_family_setups(draw):
     return specs, streams, mode, h0
 
 
+# N = 3 below q + r - 1 = 6: sets reach past the ring until it has filled
+SHORT_RING = (
+    [KrrParams(rank=3, projections=4, error_dim=3, rho=0.0, refresh_period=2,
+               forgetting=0.9),
+     KrrParams(rank=2, projections=2, error_dim=2, rho=1e-3, refresh_period=2,
+               step_size=0.5, forgetting=0.9),
+     KrrParams(rank=1, projections=3, error_dim=1, rho=0.0, refresh_period=2,
+               forgetting=0.9)],
+    [sysid_stream(3, 16, seed) for seed in (3, 4)], "toeplitz", None)
+
+
 @settings(max_examples=80, deadline=None)
-@given(r1_family_setups())
-def test_fused_r1_step_equals_the_set_loop_bit_for_bit(setup):
+@given(family_setups())
+@example(SHORT_RING)
+def test_reduced_step_equals_the_set_loop_bit_for_bit(setup):
     specs, streams, mode, h0 = setup
     n, runs = len(streams[0][0][0]), len(streams)
     families = []

@@ -149,16 +149,3 @@ class TestInstrumentedCounters:
 def test_counter_notes_present():
     assert "cost model" in cx.COUNTER_NOTES.lower()
 
-
-def test_measure_multiplications_helper():
-    from krrapsp.experiments import measure_multiplications
-
-    n = 16
-    params = KrrParams(rank=3, projections=2, error_dim=1, rho=0.0,
-                       refresh_period=10, step_size=0.4)
-    filt = KrrApsp(params, n)
-    scen = SysIdScenario(SysIdConfig(n=n, snr_db=10.0, seed=2))
-    per_step, totals = measure_multiplications(filt, scen.samples(60))
-    assert len(per_step) == 60
-    assert sum(per_step) == totals["stats"] + totals["transform"] + totals["filter"]
-    assert totals["basis"] > 0

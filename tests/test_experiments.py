@@ -14,6 +14,7 @@ from krrapsp.experiments import (
     FilterSpec,
     MetricsRecord,
     config_metadata,
+    format_csv,
     mean_update_rate,
     read_csv,
     run_experiment,
@@ -222,6 +223,82 @@ class TestCsv:
         assert lines[(0.75, 0.25)] == lines[None] + " weights=(0.75,0.25)"
 
 
+HEADER_CONFIGS = {
+    "sysid": ExperimentConfig(
+        kind="sysid",
+        scenario=SysIdConfig(n=12, snr_db=20.0, change_at=30, change_mode="fresh", seed=7),
+        filters=(FilterSpec("krr-apsp", label="krr", options={"params": KrrParams(
+                     rank=3, projections=2, error_dim=2, rho=0.1, weights=(0.75, 0.25))}),
+                 FilterSpec("cgrrf", options={"rank": 3, "refresh_period": 5}),
+                 FilterSpec("nlms", options={"step_size": 0.3}),
+                 FilterSpec("rls", options={"forgetting": 0.99})),
+        runs=3, iters=40, seed=9),
+    "cdma": ExperimentConfig(
+        kind="cdma", scenario=CdmaConfig(users=4, snr_db=math.inf, interferer_amplitude=2.0,
+                                         change_at=100, users_post=2, seed=3),
+        filters=(FilterSpec("krr-apsp", options={"params": KrrParams(rank=5,
+                                                                     projections=5)}),),
+        runs=2, iters=200),
+}
+
+# the headers after the version line, as written when the metadata was
+# read off a scenario built for it
+HEADERS = {
+    "sysid": """\
+# kind=sysid
+# runs=3
+# iters=40
+# seed=9
+# scenario.n=12
+# scenario.snr_db=20.0
+# scenario.fir_len=30
+# scenario.change_at=30
+# scenario.change_mode=fresh
+# scenario.seed=0
+# scenario.rng=pcg64-seedsequence
+# filter.krr=krr-apsp
+# filter.krr.params=rank=3 projections=2 error_dim=2 rho=0.1 refresh_period=10 \
+step_size=1.0 forgetting=0.999 weights=(0.75,0.25)
+# filter.cgrrf=cgrrf
+# filter.cgrrf.rank=3
+# filter.cgrrf.refresh_period=5
+# filter.nlms=nlms
+# filter.nlms.step_size=0.3
+# filter.rls=rls
+# filter.rls.forgetting=0.99
+""",
+    "cdma": """\
+# kind=cdma
+# runs=2
+# iters=200
+# seed=0
+# scenario.users=4
+# scenario.snr_db=inf
+# scenario.interferer_amplitude=2.0
+# scenario.change_at=100
+# scenario.users_post=2
+# scenario.seed=0
+# scenario.rng=pcg64-seedsequence
+# scenario.asynchrony=chip-offset-partial-symbols
+# filter.krr-apsp=krr-apsp
+# filter.krr-apsp.params=rank=5 projections=5 error_dim=1 rho=0.0 refresh_period=10 \
+step_size=1.0 forgetting=0.999
+""",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HEADERS))
+def test_metadata_header_is_pinned_and_builds_no_scenario(kind, monkeypatch):
+    def refuse(self, config):
+        raise AssertionError("config_metadata built a scenario")
+
+    monkeypatch.setattr(krrapsp.SysIdScenario, "__init__", refuse)
+    monkeypatch.setattr(krrapsp.CdmaScenario, "__init__", refuse)
+    text = format_csv([], config_metadata(HEADER_CONFIGS[kind]))
+    assert text == (f"# version={krrapsp.__version__}\n" + HEADERS[kind]
+                    + "k,algorithm,mse_db,mismatch_db,update_rate,mults\n")
+
+
 class TestFilterSpec:
     def test_options_are_read_only(self):
         spec = FilterSpec("nlms", options={"step_size": 0.3})
@@ -312,6 +389,33 @@ class TestCli:
         proc = self.run_cli("cdma", "--snr-db", "nan", "--runs", "1", "--iters", "5")
         assert proc.returncode == 2
         assert "snr_db" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["sysid", "cdma"])
+    @pytest.mark.parametrize("snr_db", ["3090", "-3300"])
+    def test_extreme_snr_exit_code(self, command, snr_db):
+        # 10 ** (snr_db / 10) overflows or is zero: a configuration error
+        proc = self.run_cli(command, "--snr-db", snr_db, "--runs", "1", "--iters", "5")
+        assert proc.returncode == 2, proc.stderr
+        assert "snr_db" in proc.stderr
+
+    @pytest.mark.parametrize("command", [("sysid",), ("cdma", "--users-post", "2")],
+                             ids=["sysid", "cdma"])
+    def test_negative_change_at_exit_code(self, command):
+        proc = self.run_cli(*command, "--change-at", "-5", "--runs", "1", "--iters", "5")
+        assert proc.returncode == 2, proc.stderr
+        assert "change_at" in proc.stderr
+
+    def test_error_length_3_csv_is_the_library_run(self):
+        proc = self.run_cli("sysid", "--r", "3", "--q", "2", "--N", "10", "--D", "3",
+                            "--runs", "2", "--iters", "40")
+        assert proc.returncode == 0, proc.stderr
+        params = KrrParams(rank=3, projections=2, error_dim=3, rho=0.15,
+                           refresh_period=10, step_size=0.03, forgetting=0.999)
+        config = ExperimentConfig(
+            kind="sysid", scenario=SysIdConfig(n=10, snr_db=15.0),
+            filters=(FilterSpec("krr-apsp", options={"params": params}),),
+            runs=2, iters=40)
+        assert proc.stdout == format_csv(run_experiment(config), config_metadata(config))
 
     def test_irrelevant_flag_rejected(self):
         proc = self.run_cli("cdma", "--N", "31")

@@ -42,6 +42,21 @@ def assert_sysid_matches_oracle(config, count):
         assert s.d == d and s.truth_h is truth, k
 
 
+@pytest.mark.parametrize("config", [SysIdConfig, CdmaConfig])
+@pytest.mark.parametrize("snr_db", [3090.0, -3300.0])
+def test_snr_without_a_finite_positive_ratio_rejected(config, snr_db):
+    # 10 ** 309 overflows and 10 ** -330 underflows to zero
+    with pytest.raises(ValueError, match="snr_db"):
+        config(snr_db=snr_db)
+
+
+@pytest.mark.parametrize("snr_db", [3000.0, -3000.0, 0.0, math.inf])
+def test_extreme_but_representable_snr_accepted(snr_db):
+    for config, scenario in ((SysIdConfig(n=4, snr_db=snr_db), SysIdScenario),
+                             (CdmaConfig(users=2, snr_db=snr_db), CdmaScenario)):
+        assert math.isfinite(scenario(config).noise_std)
+
+
 class TestGoldFamily:
     def test_family_size_and_alphabet(self):
         fam = gold_family()
@@ -208,6 +223,16 @@ class TestSysIdScenario:
             SysIdConfig(n=0)
         with pytest.raises(ValueError):
             SysIdConfig(change_mode="swap")
+        with pytest.raises(ValueError, match="change_at"):
+            SysIdConfig(change_at=-5)
+        SysIdConfig(change_at=0)
+
+    def test_serialize_metadata(self):
+        meta = SysIdScenario(SysIdConfig(n=8, snr_db=10.0, change_at=5, seed=2)).serialize()
+        assert list(meta.items()) == [
+            ("n", "8"), ("snr_db", "10.0"), ("fir_len", "30"), ("change_at", "5"),
+            ("change_mode", "negate"), ("seed", "2"), ("kind", "sysid"),
+            ("rng", "pcg64-seedsequence"), ("noise_std", "0.230592951884")]
 
 
 class TestCdmaScenario:
@@ -216,6 +241,12 @@ class TestCdmaScenario:
             CdmaConfig(users=34)
         with pytest.raises(ValueError):
             CdmaConfig(users=4, change_at=100)  # users_post missing
+
+    def test_negative_change_at_rejected(self):
+        # it would never switch, yet the CSV header would record it
+        with pytest.raises(ValueError, match="change_at"):
+            CdmaConfig(users=4, change_at=-5, users_post=2)
+        CdmaConfig(users=4, change_at=0, users_post=2)
 
     @pytest.mark.parametrize("kwargs", [
         dict(snr_db=math.nan), dict(snr_db=-math.inf),
@@ -272,6 +303,10 @@ class TestCdmaScenario:
         assert meta["kind"] == "cdma"
         assert meta["asynchrony"] == "chip-offset-partial-symbols"
         assert meta["rng"] == "pcg64-seedsequence"
+        assert list(meta) == ["users", "snr_db", "interferer_amplitude", "change_at",
+                              "users_post", "seed", "kind", "rng", "asynchrony",
+                              "noise_std"]
+        assert meta["noise_std"] == "0.177827941004"
 
     @pytest.mark.parametrize("count", COUNTS)
     def test_chunked_stream_matches_oracle(self, count):
