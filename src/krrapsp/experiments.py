@@ -6,9 +6,11 @@ the trace as a flat CSV whose header echoes the full configuration.
 
 KRR-APSP, CGRRF and NLMS run all trials in lockstep, one batch of
 :mod:`krrapsp.filters` per filter, fed from every trial's scenario stream
-at once. The KRR-APSP specs of one forgetting factor and refresh period
-form a family that steps as one: one statistics stack, one sample ring and
-one Krylov build at the family's largest rank serve them all. RLS is the
+at once: each trial's chunk is written once into one buffer for all
+trials, and the steps are read row by row from that stack. The KRR-APSP
+specs of one forgetting factor and refresh period form a family that
+steps as one: one statistics stack, one sample ring and one Krylov build
+at the family's largest rank serve them all. RLS is the
 only filter outside that pass: it runs one trial after another, because
 its N x N inverse correlation for 100 trials at N = 200 would hold 32 MB.
 Each trial's scenario is seeded and consumed as in a trial-by-trial run,
@@ -138,6 +140,28 @@ def _make_batch(spec: FilterSpec, n: int, mode: str, runs: int, signatures=None)
     return KrrApspBatch(opts["params"], n, runs, mode=mode, h0=init)
 
 
+def _lockstep_samples(scenarios, iters: int):
+    """Every step's ``(u, d, truth, truth . truth)``, stacked over the trials.
+
+    Each trial's stream writes its chunks into its row of one buffer; the
+    outputs and truths (None for CDMA) are stacked once per chunk, and each
+    step's regressors are copied into one ``(R, N)`` array that the next
+    step overwrites.
+    """
+    bufs, regressors = scenarios[0].chunk_buffer(len(scenarios))
+    streams = [sc.chunks(iters, row) for sc, row in zip(scenarios, zip(bufs, regressors))]
+    u = np.empty((len(scenarios), regressors.shape[-1]))
+    for chunk in zip(*streams):
+        ds = np.stack([c.d for c in chunk], axis=1)  # a step's outputs are one row
+        truth = truth_sq = None
+        if chunk[0].truth is not None:
+            truth = np.stack([c.truth for c in chunk])
+            truth_sq = stacked_dot(truth, truth)
+        for t, d in enumerate(ds):
+            np.copyto(u, regressors[:, t])
+            yield u, d, truth, truth_sq
+
+
 def _run_lockstep(config: ExperimentConfig, specs, seeds, sums: dict) -> None:
     """Run the specs (no RLS among them) over all trials at once, adding into ``sums``.
 
@@ -157,18 +181,7 @@ def _run_lockstep(config: ExperimentConfig, specs, seeds, sums: dict) -> None:
             if members:
                 members[0].family.join(filt)
             members.append(filt)
-    streams = [sc.samples(config.iters) for sc in scenarios]
-    u = np.empty((runs, n))
-    d = np.empty(runs)
-    truth = np.empty((runs, n)) if config.kind == "sysid" else None
-    for k in range(config.iters):
-        for i, stream in enumerate(streams):
-            sample = next(stream)
-            u[i] = sample.u
-            d[i] = sample.d
-            if truth is not None:
-                truth[i] = sample.truth_h
-        truth_sq = None if truth is None else stacked_dot(truth, truth)
+    for k, (u, d, truth, truth_sq) in enumerate(_lockstep_samples(scenarios, config.iters)):
         outs = {member: out for members in families.values()
                 for member, out in zip(members, members[0].family.step(members, u, d))}
         for label, filt in filters.items():

@@ -13,12 +13,18 @@ order (sysid): unknown system, coloring filter, input signal, noise,
 post-change system, SNR calibration. Substream order (cdma): code
 selection, chip offsets, data bits, noise, post-change selection.
 
-Streams are drawn in chunks of up to ``_CHUNK`` steps: one block draw per
-substream and chunk. A block draw returns the values of the per-step
-draws it replaces and leaves the generator in the same state, and the
-chunk arithmetic is the per-step arithmetic, element by element, so the
-samples are the ones a step-by-step generator gives. A stream therefore
-draws up to one chunk ahead of what it has yielded.
+Each scenario has one stream, ``chunks(count)``, the only place where it
+draws and builds samples; ``samples(count)`` is a per-step view of it. A
+chunk is up to ``_CHUNK`` consecutive steps: ``(m, n)`` regressors,
+``(m,)`` outputs and the truth they share. A chunk ends at ``change_at``,
+so every step of a chunk has the same truth. Each substream is drawn in
+blocks, one per chunk (sysid: one per ``_CHUNK`` steps of a fixed grid,
+so a chunk that ends at ``change_at`` shares its block with the next). A
+block draw returns the values of the per-step draws it replaces and
+leaves the generator in the same state, and the chunk arithmetic is the
+per-step arithmetic, element by element, so the samples are those of a
+step-by-step generator and the RNG contract above is unchanged. A stream
+therefore draws up to one chunk ahead of what it has yielded.
 """
 
 from __future__ import annotations
@@ -26,10 +32,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .linalg import stacked_dot
 
 GOLD_LENGTH = 31
 GOLD_FAMILY_SIZE = 33
@@ -38,6 +46,10 @@ GOLD_FAMILY_SIZE = 33
 # per-call cost of the draws, few enough that the streams of a lockstep
 # ensemble (one chunk each) stay small
 _CHUNK = 64
+# the lowest finite SNR accepted: the noise is about 10 ** (-snr_db / 20)
+# times the signal, and its fourth power (a squared error times a
+# statistics entry) must stay far inside the float range
+SNR_DB_FLOOR = -300.0
 
 
 @dataclass(frozen=True)
@@ -51,15 +63,34 @@ class StreamSample:
     truth_bit: int | None = None
 
 
+class StreamChunk(NamedTuple):  # not a dataclass, whose definition costs about 1 ms per import
+    """Steps ``start, start + 1, ...`` of a stream.
+
+    ``u`` holds the ``(m, n)`` regressors, a view of the stream's buffer
+    that the next chunk overwrites; ``d`` the ``(m,)`` outputs; ``truth``
+    the system of every step (None for CDMA, whose truth is ``d``).
+    """
+
+    start: int
+    u: np.ndarray
+    d: np.ndarray
+    truth: np.ndarray | None = None
+
+
 def _spawn(seed: int, count: int):
     children = np.random.SeedSequence(int(seed)).spawn(count)
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
 
 
 def _check_snr_db(snr_db: float) -> None:
-    """Reject an SNR whose linear ratio is not a finite positive float; +inf means no noise."""
+    """Reject an SNR below ``SNR_DB_FLOOR`` or without a finite positive linear ratio.
+
+    +inf means no noise.
+    """
     if snr_db == math.inf:
         return
+    if snr_db < SNR_DB_FLOOR:
+        raise ValueError(f"snr_db must be +inf or at least {SNR_DB_FLOOR} dB, got {snr_db}")
     try:
         ratio = 10.0 ** (snr_db / 10.0)  # NaN for NaN, 0 for -inf
     except OverflowError:
@@ -97,7 +128,8 @@ class SysIdConfig:
     input is white Gaussian noise shaped by a random unit-energy FIR
     filter of length ``fir_len`` (weakly correlated input). ``snr_db``
     fixes the ratio of clean output power to noise power; ``math.inf``
-    disables the noise; a finite ``snr_db`` must give a finite positive
+    disables the noise; a finite ``snr_db`` must be at least
+    ``SNR_DB_FLOOR`` (-300 dB) and give a finite positive
     ``10 ** (snr_db / 10)``.
 
     At ``change_at`` (``>= 0``) the unknown system is replaced while the input
@@ -182,16 +214,29 @@ class SysIdScenario:
             return self.h_star_post
         return self.h_star
 
-    def samples(self, count: int) -> Iterator[StreamSample]:
-        """Generate ``count`` samples; restartable only via a fresh scenario.
+    def chunk_buffer(self, *rows: int):
+        """A buffer for :meth:`chunks`, stacked over ``rows``, and its regressor view.
 
-        Input and noise are drawn one chunk at a time into buffers the
-        stream keeps. Each chunk's colored input comes from the chunk's
-        white samples plus the last ``n - 1 + fir_len - 1`` white samples
-        before it, which its first windows and filter outputs reach back to.
+        The buffer holds one chunk's colored input, ``_CHUNK + n - 1``
+        samples; the view is its ``(*rows, _CHUNK, n)`` reversed windows.
         """
         n = self.config.n
+        buf = np.empty(rows + (_CHUNK + n - 1,))
+        return buf, sliding_window_view(buf, n, axis=-1)[..., ::-1]
+
+    def chunks(self, count: int, buffer=None) -> Iterator[StreamChunk]:
+        """The first ``count`` steps in chunks; restartable only via a fresh scenario.
+
+        Input and noise are drawn every ``_CHUNK`` steps into buffers the
+        stream keeps. Each draw's colored input comes from its white
+        samples plus the last ``n - 1 + fir_len - 1`` white samples before
+        it, which its first windows and filter outputs reach back to. A
+        chunk's input is written into ``buffer``, a pair from
+        :meth:`chunk_buffer` (by default one of the stream's own).
+        """
+        n, change = self.config.n, self.config.change_at
         carry = n - 1 + self.config.fir_len - 1
+        buf, windows = self.chunk_buffer() if buffer is None else buffer
         white = np.empty(carry + _CHUNK)
         noise = np.zeros(_CHUNK)
         self._rng_input.standard_normal(out=white[:carry])
@@ -204,11 +249,24 @@ class SysIdScenario:
             if self.noise_std > 0.0:
                 self._rng_noise.standard_normal(out=noise[:m])
                 noise[:m] *= self.noise_std
-            for t in range(m):
-                window = x[t:t + n][::-1].copy()
-                truth = self.truth_at(start + t)
-                d = float(window @ truth) + float(noise[t])
-                yield StreamSample(k=start + t, u=window, d=d, truth_h=truth)
+            cuts = [0, m]
+            if change is not None and start < change < start + m:
+                cuts.insert(1, change - start)
+            for a, b in zip(cuts, cuts[1:]):
+                buf[:b - a + n - 1] = x[a:b + n - 1]
+                truth = self.truth_at(start + a)
+                # each row's BLAS dot over a contiguous copy, as the per-step
+                # `window @ truth` (over the strided view matmul rounds
+                # differently); the copy is not kept while suspended
+                d = stacked_dot(np.ascontiguousarray(windows[:b - a]), truth) + noise[a:b]
+                yield StreamChunk(start + a, windows[:b - a], d, truth)
+
+    def samples(self, count: int) -> Iterator[StreamSample]:
+        """The steps of :meth:`chunks` one at a time, each with its own ``u``."""
+        for chunk in self.chunks(count):
+            for t, d in enumerate(chunk.d.tolist()):
+                yield StreamSample(k=chunk.start + t, u=chunk.u[t].copy(), d=d,
+                                   truth_h=chunk.truth)
 
     def serialize(self) -> dict:
         return _serialize(self)
@@ -273,7 +331,8 @@ class CdmaConfig:
     and every interferer amplitude ``interferer_amplitude`` (finite,
     positive). ``snr_db`` is the ratio of the desired user's received power
     to the per-chip noise variance; ``math.inf`` disables the noise, and a
-    finite ``snr_db`` must give a finite positive ``10 ** (snr_db / 10)``.
+    finite ``snr_db`` must be at least ``SNR_DB_FLOOR`` (-300 dB) and give
+    a finite positive ``10 ** (snr_db / 10)``.
     At ``change_at`` (``>= 0``) every interferer leaves and
     ``users_post - 1`` fresh interferers (new codes, offsets, and bit
     streams) join; the desired user is untouched.
@@ -374,14 +433,26 @@ class CdmaScenario:
         snr = 10.0 ** (config.snr_db / 10.0)
         self.noise_std = math.sqrt(1.0 / snr) if math.isfinite(config.snr_db) else 0.0
 
-    def samples(self, count: int) -> Iterator[StreamSample]:
-        """Generate ``count`` samples; restartable only via a fresh scenario.
+    def chunk_buffer(self, *rows: int):
+        """A buffer for :meth:`chunks`, stacked over ``rows``, and its regressor view.
+
+        A chunk's ``(m, n)`` chip vectors are built in the buffer's
+        ``(*rows, _CHUNK, n)`` rows, so the view is the buffer itself.
+        """
+        buf = np.empty(rows + (_CHUNK, self.n))
+        return buf, buf
+
+    def chunks(self, count: int, buffer=None) -> Iterator[StreamChunk]:
+        """The first ``count`` steps in chunks; restartable only via a fresh scenario.
 
         Bits and noise are drawn one chunk at a time; a chunk ends at
         ``change_at``, where the user set changes. Every step draws one bit
         per active user, in user order, and the bits a user sent before the
-        chunk carry into its first row as the previous symbol.
+        chunk carry into its first row as the previous symbol. The chip
+        vectors are built in ``buffer``, a pair from :meth:`chunk_buffer`
+        (by default one of the stream's own).
         """
+        chips = (self.chunk_buffer() if buffer is None else buffer)[1]
         change = self.config.change_at
         users = self._pre_users
         prev = np.array([user.prev_bit for user in users])
@@ -395,16 +466,24 @@ class CdmaScenario:
             bits = 1 - 2 * self._rng_bits.integers(0, 2, size=m * len(users))
             bits = bits.reshape(m, len(users))
             before = np.concatenate((prev[None, :], bits[:-1]))
-            u = np.zeros((m, self.n))
+            u = chips[:m]
+            u[...] = 0.0
             for j, user in enumerate(users):
                 u += user.amplitude * (before[:, j, None] * user.tail
                                        + bits[:, j, None] * user.head)
             if self.noise_std > 0.0:
-                u = u + self.noise_std * self._rng_noise.standard_normal((m, self.n))
-            prev = bits[-1]
-            for t, bit in enumerate(bits[:, 0].tolist()):
-                yield StreamSample(k=start + t, u=u[t], d=float(bit), truth_bit=bit)
+                u += self.noise_std * self._rng_noise.standard_normal((m, self.n))
+            prev, d = bits[-1].copy(), bits[:, 0].astype(float)
+            del bits, before  # a suspended stream keeps only what its next chunk reads
+            yield StreamChunk(start, u, d)
             start += m
+
+    def samples(self, count: int) -> Iterator[StreamSample]:
+        """The steps of :meth:`chunks` one at a time, each with its own ``u``."""
+        for chunk in self.chunks(count):
+            for t, d in enumerate(chunk.d.tolist()):
+                yield StreamSample(k=chunk.start + t, u=chunk.u[t].copy(), d=d,
+                                   truth_bit=int(d))
 
     def serialize(self) -> dict:
         return _serialize(self)

@@ -2,17 +2,19 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import krrapsp
-from krrapsp import CdmaConfig, KrrParams, SysIdConfig
+from krrapsp import CdmaConfig, CdmaScenario, KrrParams, SysIdConfig, SysIdScenario
 from krrapsp.experiments import (
     ExperimentConfig,
     FilterSpec,
     MetricsRecord,
+    _lockstep_samples,
     config_metadata,
     format_csv,
     mean_update_rate,
@@ -22,6 +24,7 @@ from krrapsp.experiments import (
     trial_seeds,
     write_csv,
 )
+from krrapsp.scenarios import SNR_DB_FLOOR
 
 from oracles import trial_by_trial_records
 
@@ -139,6 +142,13 @@ SWEEP = ExperimentConfig(
                                  KrrParams(rank=5, projections=2, error_dim=2, rho=0.02,
                                            refresh_period=5, step_size=1.0))),
     runs=4, iters=90, seed=5)
+# a length that is no multiple of the chunk and a change inside a chunk
+LOCKSTEP_CONFIGS["sysid_change_mid_chunk"] = replace(
+    LOCKSTEP_CONFIGS["sysid_all_four"], runs=3, iters=150,
+    scenario=SysIdConfig(n=12, snr_db=15.0, change_at=70, change_mode="fresh", seed=0))
+LOCKSTEP_CONFIGS["cdma_change_mid_chunk"] = replace(
+    LOCKSTEP_CONFIGS["cdma_krr_cgrrf_nlms"], runs=3, iters=150,
+    scenario=CdmaConfig(users=4, snr_db=10.0, change_at=70, users_post=3, seed=0))
 # two KRR-APSP families (forgetting 0.999 and 0.99) beside CGRRF and NLMS
 LOCKSTEP_CONFIGS["sysid_two_families"] = replace(SWEEP, filters=SWEEP.filters + (
     FilterSpec("krr-apsp", label="krr-fast", options={"params": KrrParams(
@@ -163,6 +173,28 @@ def test_records_equal_trial_by_trial_loop(name):
                  (run_experiment(config), trial_by_trial_records(config)))
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("scenario_type, config", [
+    (SysIdScenario, SysIdConfig(n=50, change_at=100)),
+    (CdmaScenario, CdmaConfig(users=4, change_at=100, users_post=2)),
+], ids=["sysid", "cdma"])
+def test_lockstep_feeding_holds_only_its_buffer(scenario_type, config):
+    # the rank-sweep and dynamic-CDMA shapes: 100 trials of 12000 steps, fed
+    # through a chunk and a change; beside the stacked chunk buffer the feed
+    # holds per-step and per-chunk stacks and each stream's draw state
+    # (an (R, m, N) regressor stack would be 2.4 MiB more at N = 50)
+    scenarios = [scenario_type(replace(config, seed=s)) for s in range(100)]
+    buffer_bytes = scenarios[0].chunk_buffer(100)[0].nbytes
+    tracemalloc.start()
+    try:
+        feed = _lockstep_samples(scenarios, 12000)
+        steps = [next(feed)[1][0] for _ in range(200)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(steps) == 200
+    assert peak - buffer_bytes < 2 ** 20, (peak, buffer_bytes)
 
 
 class TestCsv:
@@ -391,12 +423,28 @@ class TestCli:
         assert "snr_db" in proc.stderr
 
     @pytest.mark.parametrize("command", ["sysid", "cdma"])
-    @pytest.mark.parametrize("snr_db", ["3090", "-3300"])
+    @pytest.mark.parametrize("snr_db", ["3090", "-3300", "-3080"])
     def test_extreme_snr_exit_code(self, command, snr_db):
-        # 10 ** (snr_db / 10) overflows or is zero: a configuration error
+        # 10 ** (snr_db / 10) overflows or is zero, or (-3080) its noise
+        # overflows the filters: a configuration error
         proc = self.run_cli(command, "--snr-db", snr_db, "--runs", "1", "--iters", "5")
         assert proc.returncode == 2, proc.stderr
         assert "snr_db" in proc.stderr
+
+    @pytest.mark.parametrize("command", [("sysid", "--N", "5"), ("cdma", "--users", "3")],
+                             ids=["sysid", "cdma"])
+    def test_snr_floor_run_is_finite(self, command, tmp_path):
+        out = tmp_path / "run.csv"
+        proc = self.run_cli(*command, "--snr-db", str(SNR_DB_FLOOR), "--D", "2",
+                            "--runs", "2", "--iters", "60", "--filter", "krr-apsp",
+                            "--filter", "cgrrf", "--filter", "nlms", "--filter", "rls",
+                            "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        _, records = read_csv(str(out))
+        assert len(records) == 4 * 60
+        for rec in records:
+            assert math.isfinite(rec.mse_db) and math.isfinite(rec.mults), rec
+            assert math.isfinite(rec.mismatch_db) == (command[0] == "sysid"), rec
 
     @pytest.mark.parametrize("command", [("sysid",), ("cdma", "--users-post", "2")],
                              ids=["sysid", "cdma"])

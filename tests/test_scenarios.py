@@ -13,33 +13,64 @@ from krrapsp import (
     SysIdScenario,
     gold_family,
 )
-from krrapsp.scenarios import GOLD_FAMILY_SIZE, GOLD_LENGTH
+from krrapsp.scenarios import _CHUNK, GOLD_FAMILY_SIZE, GOLD_LENGTH, SNR_DB_FLOOR
 
 from oracles import cdma_stream_per_step, sysid_noise_std, sysid_stream_per_step
 
 COUNTS = (1, 63, 64, 65, 301)
 
 
+def chunk_steps(scen, count, n):
+    """The steps of ``scen.chunks(count)`` as ``(u, d, truth)``, each ``u`` copied.
+
+    Checks the layout on the way: consecutive chunks of 1 to ``_CHUNK``
+    steps, none of which spans the change.
+    """
+    steps = []
+    change = scen.config.change_at
+    for chunk in scen.chunks(count):
+        m = len(chunk.d)
+        assert chunk.start == len(steps) and 1 <= m <= _CHUNK
+        assert chunk.u.shape == (m, n)
+        assert change is None or not chunk.start < change < chunk.start + m
+        steps += [(u.copy(), d, chunk.truth) for u, d in zip(chunk.u, chunk.d.tolist())]
+    return steps
+
+
+def float_bits(x):
+    return np.float64(x).tobytes()
+
+
 def assert_cdma_matches_oracle(config, count):
     scen = CdmaScenario(config)
     got = list(scen.samples(count))
+    chunked = chunk_steps(CdmaScenario(config), count, GOLD_LENGTH)
     want = list(cdma_stream_per_step(scen, count))
-    assert len(got) == len(want) == count
-    for k, (s, (u, d)) in enumerate(zip(got, want)):
+    assert len(got) == len(chunked) == len(want) == count
+    for k, (s, (cu, cd, truth), (u, d)) in enumerate(zip(got, chunked, want)):
         assert s.k == k
-        assert s.u.tobytes() == u.tobytes(), k
-        assert s.d == d and s.truth_bit == int(d), k
+        assert s.u.tobytes() == cu.tobytes() == u.tobytes(), k
+        assert float_bits(s.d) == float_bits(cd) == float_bits(d), k
+        assert s.truth_bit == int(d) and truth is None, k
 
 
 def assert_sysid_matches_oracle(config, count):
     scen = SysIdScenario(config)
     got = list(scen.samples(count))
+    chunked = chunk_steps(SysIdScenario(config), count, config.n)
     want = list(sysid_stream_per_step(scen, count))
-    assert len(got) == len(want) == count
-    for k, (s, (u, d, truth)) in enumerate(zip(got, want)):
+    assert len(got) == len(chunked) == len(want) == count
+    for k, (s, (cu, cd, ctruth), (u, d, truth)) in enumerate(zip(got, chunked, want)):
         assert s.k == k
-        assert s.u.tobytes() == u.tobytes(), k
-        assert s.d == d and s.truth_h is truth, k
+        assert s.u.tobytes() == cu.tobytes() == u.tobytes(), k
+        assert float_bits(s.d) == float_bits(cd) == float_bits(d), k
+        assert s.truth_h is truth and ctruth.tobytes() == truth.tobytes(), k
+
+
+# step counts around the chunk length, and changes at the start, inside a
+# chunk, on a chunk boundary and past the count
+CHUNK_COUNTS = st.sampled_from([1, 63, 64, 65, 127, 128, 129, 150])
+CHANGES = st.one_of(st.none(), st.sampled_from([0, 64, 128, 1000]), st.integers(1, 149))
 
 
 @pytest.mark.parametrize("config", [SysIdConfig, CdmaConfig])
@@ -50,7 +81,15 @@ def test_snr_without_a_finite_positive_ratio_rejected(config, snr_db):
         config(snr_db=snr_db)
 
 
-@pytest.mark.parametrize("snr_db", [3000.0, -3000.0, 0.0, math.inf])
+@pytest.mark.parametrize("config", [SysIdConfig, CdmaConfig])
+@pytest.mark.parametrize("snr_db", [-3080.0, SNR_DB_FLOOR - 1e-9])
+def test_snr_below_the_floor_rejected(config, snr_db):
+    # -3080 dB has a finite positive ratio, but its noise overflows the filters
+    with pytest.raises(ValueError, match="snr_db"):
+        config(snr_db=snr_db)
+
+
+@pytest.mark.parametrize("snr_db", [3000.0, SNR_DB_FLOOR, 0.0, math.inf])
 def test_extreme_but_representable_snr_accepted(snr_db):
     for config, scenario in ((SysIdConfig(n=4, snr_db=snr_db), SysIdScenario),
                              (CdmaConfig(users=2, snr_db=snr_db), CdmaScenario)):
@@ -198,6 +237,25 @@ class TestSysIdScenario:
                           change_mode=change_mode, snr_db=snr_db, seed=seed)
         assert_sysid_matches_oracle(cfg, count)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([2, 10, 50, 200]), count=CHUNK_COUNTS, change_at=CHANGES,
+           snr_db=st.sampled_from([15.0, math.inf]), seed=st.integers(0, 2 ** 32))
+    def test_chunks_property(self, n, count, change_at, snr_db, seed):
+        cfg = SysIdConfig(n=n, snr_db=snr_db, change_at=change_at, change_mode="fresh",
+                          seed=seed)
+        assert_sysid_matches_oracle(cfg, count)
+
+    def test_noiseless_chunk_outputs_are_the_window_dots(self):
+        # at n = 10 a matmul over the strided windows, or one (m, n) @ (n,)
+        # product, rounds differently from the dot of each copied window
+        scen = SysIdScenario(SysIdConfig(n=10, snr_db=math.inf, change_at=70, seed=5))
+        chunks = 0
+        for chunk in scen.chunks(200):
+            chunks += 1
+            for u, d in zip(chunk.u, chunk.d.tolist()):
+                assert d == float(u.copy() @ chunk.truth)
+        assert chunks == 5  # cut at 70
+
     @pytest.mark.parametrize("n", [2, 50, 200])
     def test_noise_level_matches_the_window_loop(self, n):
         for seed in range(6):
@@ -343,6 +401,15 @@ class TestCdmaScenario:
                          change_at=change_at,
                          users_post=None if change_at is None else users_post,
                          seed=seed)
+        assert_cdma_matches_oracle(cfg, count)
+
+    @settings(max_examples=40, deadline=None)
+    @given(users=st.integers(1, GOLD_FAMILY_SIZE), count=CHUNK_COUNTS, change_at=CHANGES,
+           users_post=st.integers(1, GOLD_FAMILY_SIZE),
+           snr_db=st.sampled_from([10.0, math.inf]), seed=st.integers(0, 2 ** 32))
+    def test_chunks_property(self, users, count, change_at, users_post, snr_db, seed):
+        cfg = CdmaConfig(users=users, snr_db=snr_db, change_at=change_at,
+                         users_post=None if change_at is None else users_post, seed=seed)
         assert_cdma_matches_oracle(cfg, count)
 
     # frozen from the per-step generator this chunked one replaced (seed
