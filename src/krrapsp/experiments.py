@@ -13,8 +13,10 @@ steps as one: one statistics stack, one sample ring and one Krylov build
 at the family's largest rank serve them all. RLS is the
 only filter outside that pass: it runs one trial after another, because
 its N x N inverse correlation for 100 trials at N = 200 would hold 32 MB.
-Each trial's scenario is seeded and consumed as in a trial-by-trial run,
-so neither the path nor the families change the output.
+It reads each trial's chunk stream as well, checks a chunk once and steps
+``Rls._update`` on it, and forms the chunk's metrics at once. Each trial's
+scenario is seeded and consumed as in a trial-by-trial run, so neither the
+path nor the families change the output.
 """
 
 from __future__ import annotations
@@ -197,23 +199,46 @@ def _run_lockstep(config: ExperimentConfig, specs, seeds, sums: dict) -> None:
 
 
 def _run_trial(config: ExperimentConfig, trial_seed: int, specs, sums: dict) -> None:
-    """Run the RLS specs over one trial, adding its per-step metrics into ``sums``."""
+    """Run the RLS specs over one trial, adding its per-step metrics into ``sums``.
+
+    The trial's chunk stream is read chunk by chunk. A chunk is checked once,
+    with the errors of ``Rls.step``, before any filter steps on it; each
+    step's regressor is copied into one contiguous vector (a product over
+    the reversed window view rounds differently) and the coefficients are
+    kept in an ``(m, N)`` history, so the squared errors and mismatches are
+    formed once per chunk.
+    """
     scenario = _make_scenario(config, trial_seed)
     n, _ = _scenario_shape(config, scenario)
-    filters = {spec.label: Rls(n, **spec.options) for spec in specs}
-    rows = {label: [] for label in filters}  # one (se, mis, upd, mults) per step
-    for sample in scenario.samples(config.iters):
-        for label, filt in filters.items():
-            out = filt.step(sample.u, sample.d)
-            err = sample.d - out.y
-            mis = math.nan
-            if sample.truth_h is not None:
-                diff = sample.truth_h - out.h_full
-                mis = float(diff @ diff) / float(sample.truth_h @ sample.truth_h)
-            rows[label].append((err * err, mis, float(out.updated), out.mults))
-    for label, trial in rows.items():
-        for key, values in zip(METRICS, np.array(trial).T):
-            sums[label][key] += values
+    filters = [Rls(n, **spec.options) for spec in specs]
+    rows = [np.empty((len(METRICS), config.iters)) for _ in specs]  # se, mis, upd, mults
+    v = np.empty(n)
+    for chunk in scenario.chunks(config.iters):
+        if not np.isfinite(chunk.u).all():
+            raise ValueError("vector entries must be finite")
+        if not np.isfinite(chunk.d).all():
+            raise ValueError("desired output d must be finite")
+        m = len(chunk.d)
+        ys, hs = np.empty((len(filters), m)), np.empty((len(filters), m, n))
+        for t, d in enumerate(chunk.d.tolist()):
+            np.copyto(v, chunk.u[t])
+            for i, filt in enumerate(filters):
+                ys[i, t] = filt._update(v, d)
+                hs[i, t] = filt.h
+        truth_sq = None if chunk.truth is None else float(chunk.truth @ chunk.truth)
+        for filt, trial, y, h in zip(filters, rows, ys, hs):
+            out = trial[:, chunk.start:chunk.start + m]
+            err = chunk.d - y
+            out[0] = err * err
+            if truth_sq is None:
+                out[1] = math.nan
+            else:
+                diff = chunk.truth - h
+                out[1] = stacked_dot(diff, diff) / truth_sq
+            out[2], out[3] = 1.0, filt._mults
+    for spec, trial in zip(specs, rows):
+        for key, values in zip(METRICS, trial):
+            sums[spec.label][key] += values
 
 
 def run_experiment(config: ExperimentConfig) -> list:

@@ -24,10 +24,14 @@ rank for all of them. A KRR-APSP step takes all q projection sets of all
 trials at once: elementwise for r = 1, as windows of r samples otherwise.
 ``Rls`` has no batch: 100 inverse correlations at N = 200 hold 32 MB, and
 a stacked RLS step measured slower than the scalar one (142-159 against
-129 us per trial-step; one BLAS thread, 2-core x86-64).
+129 us per trial-step; one BLAS thread, 2-core x86-64). Its arithmetic is
+one private core, ``Rls._update``, which ``Rls.step`` calls after checking
+the sample and which the Monte-Carlo harness calls on samples it has
+checked a chunk at a time.
 
-Every filter reports its full-dimension coefficient vector, and rejects
-a sample with a non-finite entry before any state changes.
+Every filter reports its full-dimension coefficient vector, rejects a
+filter length that is not a positive integer when it is constructed, and
+rejects a sample with a non-finite entry before any state changes.
 
 Multiplication accounting
 -------------------------
@@ -41,6 +45,7 @@ Multiplication accounting
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +174,17 @@ def _initial_stack(x, trials: int, n: int, name: str):
     return x
 
 
+def _filter_length(n) -> int:
+    """``n`` as an int; a filter length must be a positive integer."""
+    try:
+        length = operator.index(n)
+    except TypeError:
+        raise ValueError(f"filter length must be an integer, got {n!r}") from None
+    if length < 1:
+        raise ValueError(f"filter length must be at least 1, got {length}")
+    return length
+
+
 def _leading(basis: np.ndarray, rank: int) -> np.ndarray:
     # the leading columns of a zero-padded basis, laid out as a BasisMatrix
     return np.ascontiguousarray(basis[:, :rank])
@@ -180,7 +196,7 @@ class _Lockstep:
     def __init__(self, n: int, trials: int):
         if trials < 1:
             raise ValueError("trials must be at least 1")
-        self.n, self.trials = int(n), int(trials)
+        self.n, self.trials = _filter_length(n), int(trials)
         self.steps = np.zeros(self.trials, dtype=np.int64)
         self.update_count = np.zeros(self.trials, dtype=np.int64)
         self.mult_totals = {cat: np.zeros(self.trials, dtype=np.int64)
@@ -713,8 +729,9 @@ class Rls:
     The inverse-correlation matrix starts at ``I / delta``; an explicit
     ``delta`` must be finite and positive. When ``delta`` is omitted it is
     set on the first sample to ``0.01`` times the measured input power
-    (falling back to ``0.01`` on a zero first sample); the realized value
-    is kept as ``delta``.
+    (falling back to ``0.01`` on a zero first sample); a first sample whose
+    power makes it infinite or zero is rejected like a non-finite one, and
+    the realized value is kept as ``delta``.
     """
 
     name = "rls"
@@ -724,11 +741,12 @@ class Rls:
             raise ValueError("forgetting must lie in (0, 1]")
         if delta is not None and not 0.0 < delta < math.inf:
             raise ValueError(f"delta must be finite and positive, got {delta}")
-        self.n = int(n)
+        self.n = _filter_length(n)
         self.forgetting = float(forgetting)
         self.delta = delta
-        self.h = np.zeros(n)
+        self.h = np.zeros(self.n)
         self._pinv = None
+        self._mults = 3 * self.n * self.n + 4 * self.n  # charged at every step
         self.steps = 0
         self.update_count = 0
         self.mult_totals = _zero_counters()
@@ -743,11 +761,25 @@ class Rls:
         v, d = as_vector(u, self.n), float(d)
         if not math.isfinite(d):
             raise ValueError("desired output d must be finite")
+        y = self._update(v, d)
+        return StepOutput(y, True, self.h.copy(), self._mults)
+
+    def _update(self, v: np.ndarray, d: float) -> float:
+        """One recursion on a finite contiguous ``(N,)`` regressor; returns ``y``.
+
+        ``v`` is only read, and ``h`` is a fresh array after every call.
+        """
         if self._pinv is None:
-            if self.delta is None:
-                power = float(v @ v) / self.n
-                self.delta = 0.01 * power if power > 0.0 else 0.01
-            self._pinv = np.eye(self.n) / self.delta
+            delta = self.delta
+            if delta is None:
+                with np.errstate(over="ignore"):  # an overflow is rejected below
+                    power = float(v @ v) / self.n
+                delta = 0.01 * power if power > 0.0 else 0.01
+                if not 0.0 < delta < math.inf:
+                    raise ValueError(f"the first sample sets delta to {delta}; "
+                                     "it must be finite and positive")
+            self.delta = delta
+            self._pinv = np.eye(self.n) / delta
             # buffer of the rank-one correction: a step allocates no N x N
             # temporaries, which the allocator may return to the system and
             # fault in again at every step
@@ -760,8 +792,7 @@ class Rls:
         # np.outer, which broadcasts at about twice the cost
         self._pinv -= np.dot(gain[:, None], pi[None, :], out=self._outer)
         self._pinv /= self.forgetting
-        mults = 3 * self.n * self.n + 4 * self.n
-        self.mult_totals["filter"] += mults
+        self.mult_totals["filter"] += self._mults
         self.steps += 1
         self.update_count += 1
-        return StepOutput(y, True, self.h.copy(), mults)
+        return y

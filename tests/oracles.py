@@ -9,10 +9,13 @@ solve, statistics estimator and Toeplitz expansion as scalar kernels, and
 the filters built on them. They use the library's value types
 (``SymMatrix``, ``BasisMatrix``) and input validation, but none of its
 kernels, so the references stay independent of the code they check.
-The last one, ``SetLoopKrrApspBatch``, is the batch itself with its old
-set-by-set reduced step: it freezes the order of the stacked products,
-which the batch's all-sets step must reproduce bit for bit, for every
-error length r.
+``SetLoopKrrApspBatch`` is the batch itself with its old set-by-set
+reduced step: it freezes the order of the stacked products, which the
+batch's all-sets step must reproduce bit for bit, for every error length
+r. ``FrozenRls`` is the library's RLS step as it was before its arithmetic
+moved into a core that the harness feeds a chunk at a time; the
+trial-by-trial records step it, so the harness is checked against that
+arithmetic and not against its own core.
 """
 
 import math
@@ -272,8 +275,9 @@ def trial_by_trial_records(config):
 
     The harness loop before the lockstep batches: each trial builds its
     scenario and one single-stream filter per spec (the frozen ones of this
-    module, and the library's ``Rls``), runs them over its samples, and the
-    per-step metrics are added over trials in trial-index order.
+    module, ``FrozenRls`` for RLS), runs them over its samples one step at a
+    time, and the per-step metrics are added over trials in trial-index
+    order.
     """
     from dataclasses import replace
 
@@ -303,7 +307,7 @@ def trial_by_trial_records(config):
             elif spec.algorithm == "nlms":
                 filt = Nlms(n, **opts)
             else:
-                filt = Rls(n, **opts)
+                filt = FrozenRls(n, **opts)
             filters[spec.label] = filt
         trial = {label: np.zeros((4, iters)) for label in filters}
         for s in scen.samples(iters):
@@ -1061,3 +1065,38 @@ class SetLoopKrrApspBatch(KrrApspBatch):
                          + contributed * rank + updated * (2 + rank))
         self.h_tilde[idx, :rank] = h
         return ips[:, 0], updated, stacked_matvec(basis, h), transform_mults, filter_mults
+
+
+# Rls.step as the library wrote it before its arithmetic became the private
+# core Rls._update: the in-place recursion with the rank-one correction as
+# one BLAS product into a kept buffer. Kept unchanged except that its
+# counters, which the records do not read, and its comments are dropped.
+
+
+class FrozenRls:
+    """Exponentially weighted recursive least squares, in place."""
+
+    def __init__(self, n: int, forgetting: float = 0.999, delta: float | None = None):
+        self.n = int(n)
+        self.forgetting = float(forgetting)
+        self.delta = delta
+        self.h = np.zeros(n)
+        self._pinv = None
+
+    def step(self, u, d: float) -> StepOutput:
+        v, d = as_vector(u, self.n), float(d)
+        if not math.isfinite(d):
+            raise ValueError("desired output d must be finite")
+        if self._pinv is None:
+            if self.delta is None:
+                power = float(v @ v) / self.n
+                self.delta = 0.01 * power if power > 0.0 else 0.01
+            self._pinv = np.eye(self.n) / self.delta
+            self._outer = np.empty((self.n, self.n))
+        y = float(self.h @ v)
+        pi = self._pinv @ v
+        gain = pi / (self.forgetting + float(v @ pi))
+        self.h = self.h + (d - y) * gain
+        self._pinv -= np.dot(gain[:, None], pi[None, :], out=self._outer)
+        self._pinv /= self.forgetting
+        return StepOutput(y, True, self.h.copy(), 3 * self.n * self.n + 4 * self.n)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import krrapsp
-from krrapsp import CdmaConfig, CdmaScenario, KrrParams, SysIdConfig, SysIdScenario
+from krrapsp import CdmaConfig, CdmaScenario, KrrParams, Rls, SysIdConfig, SysIdScenario
 from krrapsp.experiments import (
     ExperimentConfig,
     FilterSpec,
@@ -149,6 +149,16 @@ LOCKSTEP_CONFIGS["sysid_change_mid_chunk"] = replace(
 LOCKSTEP_CONFIGS["cdma_change_mid_chunk"] = replace(
     LOCKSTEP_CONFIGS["cdma_krr_cgrrf_nlms"], runs=3, iters=150,
     scenario=CdmaConfig(users=4, snr_db=10.0, change_at=70, users_post=3, seed=0))
+# RLS alone (no lockstep pass), two filters per trial, a change inside a chunk
+LOCKSTEP_CONFIGS["sysid_rls_only"] = replace(
+    LOCKSTEP_CONFIGS["sysid_change_mid_chunk"], filters=(
+        FilterSpec("rls", options={"forgetting": 0.99}),
+        FilterSpec("rls", label="rls-delta", options={"delta": 0.5})))
+# RLS on CDMA, whose mismatch is NaN, beside NLMS in the lockstep pass
+LOCKSTEP_CONFIGS["cdma_rls_nlms"] = replace(
+    LOCKSTEP_CONFIGS["cdma_change_mid_chunk"], filters=(
+        FilterSpec("rls", options={"forgetting": 0.995}),
+        FilterSpec("nlms", options={"step_size": 0.2})))
 # two KRR-APSP families (forgetting 0.999 and 0.99) beside CGRRF and NLMS
 LOCKSTEP_CONFIGS["sysid_two_families"] = replace(SWEEP, filters=SWEEP.filters + (
     FilterSpec("krr-apsp", label="krr-fast", options={"params": KrrParams(
@@ -173,6 +183,34 @@ def test_records_equal_trial_by_trial_loop(name):
                  (run_experiment(config), trial_by_trial_records(config)))
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("field", ["u", "d"])
+def test_rls_pass_checks_a_chunk_before_stepping_on_it(monkeypatch, field):
+    # a non-finite sample at step 67 stops the RLS pass with the error of
+    # Rls.step, before any filter has stepped on its chunk (steps 64-69,
+    # cut at the change)
+    chunks = SysIdScenario.chunks
+
+    def poisoned(self, count, buffer=None):
+        for chunk in chunks(self, count, buffer):
+            if chunk.start == 64:
+                bad = getattr(chunk, field).copy()
+                bad[3] = math.nan
+                chunk = chunk._replace(**{field: bad})
+            yield chunk
+
+    update, stepped = Rls._update, []
+    monkeypatch.setattr(SysIdScenario, "chunks", poisoned)
+    monkeypatch.setattr(Rls, "_update", lambda filt, v, d: stepped.append(d) or update(filt, v, d))
+    config = replace(LOCKSTEP_CONFIGS["sysid_rls_only"], runs=1)
+    with pytest.raises(ValueError) as harness:
+        run_experiment(config)
+    assert len(stepped) == 64 * len(config.filters)
+    u, d = (np.full(12, math.nan), 1.0) if field == "u" else (np.ones(12), math.nan)
+    with pytest.raises(ValueError) as step:
+        Rls(12).step(u, d)
+    assert str(harness.value) == str(step.value)
 
 
 @pytest.mark.parametrize("scenario_type, config", [

@@ -19,6 +19,7 @@ from krrapsp import (
     project_half_space,
     project_subspace,
 )
+from krrapsp.filters import CgrrfBatch, KrrApspBatch, NlmsBatch
 from krrapsp.linalg import BasisMatrix
 
 import oracles
@@ -103,6 +104,16 @@ class TestInputContract:
         Nlms(4, 0.0)
         Nlms(4, 2.0)
         Rls(4, delta=1e-300)
+
+    @pytest.mark.parametrize("n", [0, -1, 3.5])
+    @pytest.mark.parametrize("make", [
+        Rls, Nlms, lambda n: NlmsBatch(n, 2), lambda n: Cgrrf(n, rank=1),
+        lambda n: CgrrfBatch(n, 2, rank=1), lambda n: KrrApsp(KrrParams(rank=1), n),
+        lambda n: KrrApspBatch(KrrParams(rank=1), n, 2),
+    ], ids=["rls", "nlms", "nlms-batch", "cgrrf", "cgrrf-batch", "krr", "krr-batch"])
+    def test_filter_length_rejected(self, make, n):
+        with pytest.raises(ValueError):
+            make(n)
 
 
 class TestKrrApsp:
@@ -453,6 +464,20 @@ class TestRls:
         u = rng.standard_normal(6)
         filt.step(u, 1.0)
         assert abs(filt.delta - 0.01 * float(u @ u) / 6) <= 1e-15
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-161], ids=["overflow", "underflow"])
+    def test_first_sample_without_a_usable_delta_rejected(self, scale):
+        # a finite first sample whose power makes delta infinite (v . v
+        # overflows) or zero (0.01 * power underflows) is rejected before
+        # the inverse correlation is set, like an explicit delta
+        filt = Rls(3)
+        before = pickle.dumps(filt)
+        with pytest.raises(ValueError, match="delta"):
+            filt.step(np.full(3, scale), 1.0)
+        assert pickle.dumps(filt) == before
+        assert filt.delta is None and filt._pinv is None
+        filt.step(np.ones(3), 1.0)
+        assert filt.delta == 0.01 and filt.steps == 1
 
 
 class TestFullCoefficients:
