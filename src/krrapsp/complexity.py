@@ -47,6 +47,10 @@ vector after a refresh costs 2*D*N per refresh; it is basis maintenance
 outside the printed model and is tracked in the separate `rebase`
 category.
 
+Each filter is charged its statistics update as if it ran alone, even
+where a family or a statistics group shares one update among several
+filters, so the mults columns do not depend on what runs beside a filter.
+
 CGRRF charges the statistics update and N for its output h . u per step,
 and the construction rate above per solve into `basis`. cgrrf_count omits
 the output product, so an m-window reconciliation in Toeplitz mode shows a

@@ -8,7 +8,9 @@ models where the autocorrelation is not Toeplitz).
 
 The update is written once, in ``_StatsStack``, which keeps the statistics
 of R trials stepped in lockstep; ``CorrelationEstimator`` is its one-trial
-view.
+view. Full-symmetric stacks of one shape fed the same stream can be joined
+into a statistics group, which forms each step's outer products once for
+all of them.
 """
 
 from __future__ import annotations
@@ -32,9 +34,17 @@ class _StatsStack:
     ``R <- gamma*R + u u^T`` (full) and ``p <- gamma*p + d*u``; without one
     the estimates are plain sample sums. Dense matrices exist a chunk of
     trials at a time, at most ``_BUILD_CHUNK_BYTES`` of them: the outer
-    products of a full-matrix update in a buffer the stack keeps (a fresh
+    products of a full-matrix update in a buffer kept across steps (a fresh
     one every step would be faulted in again each time), the Toeplitz
     matrices in one buffer per :meth:`dense` call.
+
+    Full-symmetric stacks of one ``(N, R)`` fed the same stream form a
+    statistics group (:meth:`join`; a stack starts as a group of one). The
+    first member updated in a step folds the sample into every member's
+    ``r``, each with its own forgetting factor, forming each chunk's outer
+    products once in the group's one buffer; every member updates its own
+    ``p``. Each entry still gets ``r*gamma`` and then ``+ u_i*u_j``, so a
+    member's estimates are those it would reach alone.
     """
 
     def __init__(self, mode: str, n: int, trials: int, forgetting: float | None):
@@ -44,22 +54,55 @@ class _StatsStack:
         self.r = np.zeros((trials, n) if mode == "toeplitz" else (trials, n, n))
         self.p = np.zeros((trials, n))
         self._outer = np.empty((self.chunk, n, n)) if mode == "fullsym" else None
+        self.steps = 0
+        self.group = [self]
+
+    def join(self, other: "_StatsStack") -> None:
+        """Merge ``other``'s group into this one's.
+
+        Both must be full-symmetric stacks of one ``(N, R)``, fed the same
+        stream, and neither group may have been updated yet.
+        """
+        if self.mode != "fullsym" or (other.mode, other.r.shape) != (self.mode, self.r.shape):
+            raise ValueError("a statistics group joins full-symmetric stacks of one (N, R)")
+        if any(s.steps for s in self.group + other.group):
+            raise ValueError("a statistics group joins stacks before their first update")
+        if other.group is self.group:
+            raise ValueError("the stack is already in this statistics group")
+        self.group += other.group
+        for s in other.group:
+            s.group, s._outer = self.group, self._outer
 
     def update(self, u: np.ndarray, d: np.ndarray) -> None:
-        """Fold one sample of every trial into the estimates, in place."""
-        g = self.forgetting
-        if g is not None:
-            self.r *= g
-            self.p *= g
+        """Fold one sample of every trial into the estimates, in place.
+
+        In a group, the first member updated in a step folds ``u`` into
+        every member's ``r``; a member updated a second time before the
+        others have had this step raises ``ValueError``.
+        """
+        steps = [s.steps for s in self.group]
+        if min(steps) == max(steps):
+            self._fold(u)
+        elif self.steps != min(steps):
+            raise ValueError("each stack of a statistics group is updated once per step")
+        self.steps += 1
+        if self.forgetting is not None:
+            self.p *= self.forgetting
+        self.p += d[:, None] * u
+
+    def _fold(self, u: np.ndarray) -> None:
+        # forget, then add u u^T: one einsum per chunk of trials for the group
+        for s in self.group:
+            if s.forgetting is not None:
+                s.r *= s.forgetting
         if self.mode == "toeplitz":
             self.r += u[:, :1] * u
-        else:
-            for lo in range(0, len(u), self.chunk):
-                part = u[lo:lo + self.chunk]
-                outer = np.multiply(part[:, :, None], part[:, None, :],
-                                    out=self._outer[:len(part)])
-                self.r[lo:lo + len(part)] += outer
-        self.p += d[:, None] * u
+            return
+        for lo in range(0, len(u), self.chunk):
+            part = u[lo:lo + self.chunk]
+            outer = np.einsum("ri,rj->rij", part, part, out=self._outer[:len(part)])
+            for s in self.group:
+                s.r[lo:lo + len(part)] += outer
 
     def dense(self, pos: np.ndarray):
         """Yield ``(part, matrices)`` over the trials ``pos``, a chunk at a time.

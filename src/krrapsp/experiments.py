@@ -10,13 +10,16 @@ at once: each trial's chunk is written once into one buffer for all
 trials, and the steps are read row by row from that stack. The KRR-APSP
 specs of one forgetting factor and refresh period form a family that
 steps as one: one statistics stack, one sample ring and one Krylov build
-at the family's largest rank serve them all. RLS is the
-only filter outside that pass: it runs one trial after another, because
-its N x N inverse correlation for 100 trials at N = 200 would hold 32 MB.
-It reads each trial's chunk stream as well, checks a chunk once and steps
-``Rls._update`` on it, and forms the chunk's metrics at once. Each trial's
-scenario is seeded and consumed as in a trial-by-trial run, so neither the
-path nor the families change the output.
+at the family's largest rank serve them all. With full N x N statistics
+(CDMA), every statistics stack of the pass (one per family, one per CGRRF)
+joins one statistics group, which forms each step's outer products
+``u u^T`` once for all of them. RLS is the only filter outside that pass:
+it runs one trial after another, because its N x N inverse correlation for
+100 trials at N = 200 would hold 32 MB. It reads each trial's chunk stream
+as well, checks a chunk once and steps ``Rls._update`` on it, and forms the
+chunk's metrics at once. Each trial's scenario is seeded and consumed as in
+a trial-by-trial run, so neither the path nor the families nor the group
+change the output.
 """
 
 from __future__ import annotations
@@ -183,6 +186,11 @@ def _run_lockstep(config: ExperimentConfig, specs, seeds, sums: dict) -> None:
             if members:
                 members[0].family.join(filt)
             members.append(filt)
+    if mode == "fullsym":  # one statistics group: each step's u u^T is formed once
+        stacks = [members[0].stats for members in families.values()]
+        stacks += [filt.stats for filt in filters.values() if isinstance(filt, CgrrfBatch)]
+        for stack in stacks[1:]:
+            stacks[0].join(stack)
     for k, (u, d, truth, truth_sq) in enumerate(_lockstep_samples(scenarios, config.iters)):
         outs = {member: out for members in families.values()
                 for member, out in zip(members, members[0].family.step(members, u, d))}

@@ -30,8 +30,9 @@ the sample and which the Monte-Carlo harness calls on samples it has
 checked a chunk at a time.
 
 Every filter reports its full-dimension coefficient vector, rejects a
-filter length that is not a positive integer when it is constructed, and
-rejects a sample with a non-finite entry before any state changes.
+filter length (and a batch its trial count) that is not a positive
+integer when it is constructed, and rejects a sample with a non-finite
+entry before any state changes.
 
 Multiplication accounting
 -------------------------
@@ -174,15 +175,15 @@ def _initial_stack(x, trials: int, n: int, name: str):
     return x
 
 
-def _filter_length(n) -> int:
-    """``n`` as an int; a filter length must be a positive integer."""
+def _positive_int(x, name: str = "filter length") -> int:
+    """``x`` as an int; a filter length or trial count must be a positive integer."""
     try:
-        length = operator.index(n)
+        value = operator.index(x)
     except TypeError:
-        raise ValueError(f"filter length must be an integer, got {n!r}") from None
-    if length < 1:
-        raise ValueError(f"filter length must be at least 1, got {length}")
-    return length
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
 
 
 def _cache_aligned(n: int) -> np.ndarray:
@@ -201,9 +202,7 @@ class _Lockstep:
     """Counters of R filters stepped in lockstep: ``(R,)`` integer arrays."""
 
     def __init__(self, n: int, trials: int):
-        if trials < 1:
-            raise ValueError("trials must be at least 1")
-        self.n, self.trials = _filter_length(n), int(trials)
+        self.n, self.trials = _positive_int(n), _positive_int(trials, "trials")
         self.steps = np.zeros(self.trials, dtype=np.int64)
         self.update_count = np.zeros(self.trials, dtype=np.int64)
         self.mult_totals = {cat: np.zeros(self.trials, dtype=np.int64)
@@ -730,15 +729,22 @@ class Nlms(_OneTrial):
         return self._step(u, d)
 
 
+def _check_delta(delta: float, source: str = "delta") -> None:
+    # I / delta must be finite too: below about 5.6e-309 the reciprocal overflows
+    if not (0.0 < delta < math.inf and 1.0 / float(delta) < math.inf):
+        raise ValueError(f"{source} {delta} must be positive with a finite reciprocal")
+
+
 class Rls:
     """Exponentially weighted recursive least squares filter.
 
     The inverse-correlation matrix starts at ``I / delta``; an explicit
-    ``delta`` must be finite and positive. When ``delta`` is omitted it is
-    set on the first sample to ``0.01`` times the measured input power
-    (falling back to ``0.01`` on a zero first sample); a first sample whose
-    power makes it infinite or zero is rejected like a non-finite one, and
-    the realized value is kept as ``delta``.
+    ``delta`` must be finite and positive with a finite reciprocal. When
+    ``delta`` is omitted it is set on the first sample to ``0.01`` times the
+    measured input power (falling back to ``0.01`` on a zero first sample);
+    a first sample whose power makes it infinite, zero or too small to
+    invert is rejected like a non-finite one, and the realized value is kept
+    as ``delta``.
     """
 
     name = "rls"
@@ -746,9 +752,9 @@ class Rls:
     def __init__(self, n: int, forgetting: float = 0.999, delta: float | None = None):
         if not 0.0 < forgetting <= 1.0:
             raise ValueError("forgetting must lie in (0, 1]")
-        if delta is not None and not 0.0 < delta < math.inf:
-            raise ValueError(f"delta must be finite and positive, got {delta}")
-        self.n = _filter_length(n)
+        if delta is not None:
+            _check_delta(delta)
+        self.n = _positive_int(n)
         self.forgetting = float(forgetting)
         self.delta = delta
         self.h = np.zeros(self.n)
@@ -782,9 +788,7 @@ class Rls:
                 with np.errstate(over="ignore"):  # an overflow is rejected below
                     power = float(v @ v) / self.n
                 delta = 0.01 * power if power > 0.0 else 0.01
-                if not 0.0 < delta < math.inf:
-                    raise ValueError(f"the first sample sets delta to {delta}; "
-                                     "it must be finite and positive")
+                _check_delta(delta, "the first sample's delta")
             self.delta = delta
             # both N x N arrays start on a cache line: on the allocator's
             # 16-byte alignment a step took about 79 against 61 us at N = 200

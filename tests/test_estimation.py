@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from krrapsp import CorrelationEstimator
+from krrapsp.estimation import _StatsStack
 
 from oracles import weighted_window_sums
 
@@ -110,3 +113,91 @@ class TestProperties:
         assert np.allclose(doubled.r_matrix().dense(), 4.0 * base.r_matrix().dense(),
                            rtol=1e-12)
         assert np.allclose(doubled.p_vector(), 2.0 * base.p_vector(), rtol=1e-12)
+
+
+GAMMAS = (0.999, 0.99, None)
+
+
+def grouped_stacks(runs=45, n=40):
+    # 45 trials at N = 40: chunks of 20, 20 and 5 trials
+    stacks = [_StatsStack("fullsym", n, runs, g) for g in GAMMAS]
+    for stack in stacks[1:]:
+        stacks[0].join(stack)
+    return stacks
+
+
+class TestStatsGroup:
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_group_equals_separate_stacks(self, order):
+        rng = np.random.default_rng(11)
+        group = grouped_stacks()
+        alone = [_StatsStack("fullsym", 40, 45, g) for g in GAMMAS]
+        assert group[0].chunk == 20 and all(s._outer is group[0]._outer for s in group)
+        for step in range(4):
+            u, d = rng.standard_normal((45, 40)), rng.standard_normal(45)
+            # the first member updated folds u for all; rotate which one that is
+            for i in order[step % 3:] + order[:step % 3]:
+                group[i].update(u, d)
+            for stack in alone:
+                stack.update(u, d)
+        for got, want in zip(group, alone):
+            assert np.array_equal(got.r, want.r) and np.array_equal(got.p, want.p)
+
+    @pytest.mark.parametrize("mode, n, runs", [
+        ("toeplitz", 40, 45), ("fullsym", 39, 45), ("fullsym", 40, 44)],
+        ids=["toeplitz", "other-n", "other-runs"])
+    def test_join_of_another_shape_rejected(self, mode, n, runs):
+        stack = _StatsStack("fullsym", 40, 45, 0.99)
+        with pytest.raises(ValueError, match="full-symmetric"):
+            stack.join(_StatsStack(mode, n, runs, 0.99))
+        with pytest.raises(ValueError, match="full-symmetric"):
+            _StatsStack(mode, n, runs, 0.99).join(stack)
+        assert stack.group == [stack]
+
+    def test_join_of_a_member_rejected(self):
+        stacks = grouped_stacks(runs=3, n=4)
+        for stack in stacks:
+            with pytest.raises(ValueError, match="already"):
+                stacks[1].join(stack)
+        assert all(s.group == stacks for s in stacks)
+
+    @pytest.mark.parametrize("updated", [0, 1])
+    def test_join_after_an_update_rejected(self, updated):
+        stacks = [_StatsStack("fullsym", 4, 3, 0.99) for _ in range(2)]
+        stacks[updated].update(np.ones((3, 4)), np.ones(3))
+        with pytest.raises(ValueError, match="first update"):
+            stacks[0].join(stacks[1])
+
+    def test_member_updated_twice_in_a_step_rejected(self):
+        rng = np.random.default_rng(12)
+        first, second, third = grouped_stacks(runs=3, n=4)
+        u, d = rng.standard_normal((3, 4)), rng.standard_normal(3)
+        first.update(u, d)
+        second.update(u, d)
+        before = [(s.r.copy(), s.p.copy(), s.steps) for s in (first, second, third)]
+        for stack in (first, second):
+            with pytest.raises(ValueError, match="once per step"):
+                stack.update(u, d)
+        for stack, (r, p, steps) in zip((first, second, third), before):
+            assert np.array_equal(stack.r, r) and np.array_equal(stack.p, p)
+            assert stack.steps == steps
+        third.update(u, d)  # the step completes; the next may start anywhere
+        second.update(u, d)
+        assert [s.steps for s in (first, second, third)] == [1, 2, 1]
+
+    def test_one_einsum_per_chunk_per_step(self, monkeypatch):
+        calls = []
+        einsum = np.einsum
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counted)
+        stacks = grouped_stacks()
+        rng = np.random.default_rng(13)
+        for _ in range(2):
+            u, d = rng.standard_normal((45, 40)), rng.standard_normal(45)
+            for stack in stacks:
+                stack.update(u, d)
+        assert calls == ["ri,rj->rij"] * 6  # 3 chunks, 2 steps

@@ -10,6 +10,7 @@ import pytest
 
 import krrapsp
 from krrapsp import CdmaConfig, CdmaScenario, KrrParams, Rls, SysIdConfig, SysIdScenario
+from krrapsp.estimation import _StatsStack
 from krrapsp.experiments import (
     ExperimentConfig,
     FilterSpec,
@@ -166,12 +167,45 @@ LOCKSTEP_CONFIGS["sysid_two_families"] = replace(SWEEP, filters=SWEEP.filters + 
     FilterSpec("cgrrf", options={"rank": 3, "refresh_period": 5}),
     FilterSpec("nlms", options={"step_size": 0.3})))
 
+# CDMA's full statistics: a CGRRF listed before two KRR-APSP families
+# (forgetting 0.999 and 0.99) and a CGRRF with forgetting, all in one group
+LOCKSTEP_CONFIGS["cdma_stats_group"] = replace(
+    LOCKSTEP_CONFIGS["cdma_change_mid_chunk"], filters=(
+        FilterSpec("cgrrf", options={"rank": 3, "refresh_period": 5}),
+        FilterSpec("krr-apsp", options={"params": KrrParams(
+            rank=3, projections=3, rho=0.1, refresh_period=5, step_size=0.1)}),
+        FilterSpec("krr-apsp", label="krr-fast", options={"params": KrrParams(
+            rank=2, projections=2, rho=0.1, refresh_period=5, step_size=0.2,
+            forgetting=0.99)}),
+        FilterSpec("cgrrf", label="cgrrf-exp",
+                   options={"rank": 2, "refresh_period": 3, "forgetting": 0.97})))
+
 
 def test_family_records_equal_each_spec_alone():
     # the three sweep specs form one family; run alone each is a family of one
     got = record_table(run_experiment(SWEEP))
     alone = [record_table(run_experiment(replace(SWEEP, filters=(spec,))))
              for spec in SWEEP.filters]
+    np.testing.assert_array_equal(got[0], np.concatenate([a[0] for a in alone]))
+    np.testing.assert_array_equal(got[1], np.concatenate([a[1] for a in alone]))
+
+
+def test_grouped_records_equal_each_spec_alone(monkeypatch):
+    # the four statistics stacks form one group, which forms u u^T once a
+    # step; run alone each spec is a group of one
+    config = LOCKSTEP_CONFIGS["cdma_stats_group"]
+    folds = []
+    fold = _StatsStack._fold
+
+    def counted(self, u):
+        folds.append(len(self.group))
+        fold(self, u)
+
+    monkeypatch.setattr(_StatsStack, "_fold", counted)
+    got = record_table(run_experiment(config))
+    assert folds == [4] * config.iters
+    alone = [record_table(run_experiment(replace(config, filters=(spec,))))
+             for spec in config.filters]
     np.testing.assert_array_equal(got[0], np.concatenate([a[0] for a in alone]))
     np.testing.assert_array_equal(got[1], np.concatenate([a[1] for a in alone]))
 

@@ -95,9 +95,10 @@ class TestInputContract:
         with pytest.raises(ValueError):
             Nlms(4, step_size)
 
-    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf, 1e-310, np.float64(5e-309)])
     def test_rls_delta_rejected(self, delta):
-        with pytest.raises(ValueError):
+        # 1 / delta must be finite too: I / 1e-310 overflows
+        with pytest.raises(ValueError, match="delta"):
             Rls(4, delta=delta)
 
     def test_limits_accepted(self):
@@ -114,6 +115,16 @@ class TestInputContract:
     def test_filter_length_rejected(self, make, n):
         with pytest.raises(ValueError):
             make(n)
+
+    @pytest.mark.parametrize("trials", [0, -1, 2.5, "2"])
+    @pytest.mark.parametrize("make", [
+        lambda r: NlmsBatch(4, r), lambda r: CgrrfBatch(4, r, rank=1),
+        lambda r: KrrApspBatch(KrrParams(rank=1), 4, r),
+    ], ids=["nlms-batch", "cgrrf-batch", "krr-batch"])
+    def test_trial_count_rejected(self, make, trials):
+        # the filter length's rule: 2.5 trials is not truncated to 2
+        with pytest.raises(ValueError, match="trials"):
+            make(trials)
 
 
 class TestKrrApsp:
@@ -474,11 +485,13 @@ class TestRls:
         assert filt._pinv.ctypes.data % 64 == 0 and filt._outer.ctypes.data % 64 == 0
         assert filt._pinv.flags.c_contiguous and filt._outer.flags.c_contiguous
 
-    @pytest.mark.parametrize("scale", [1e200, 1e-161], ids=["overflow", "underflow"])
+    @pytest.mark.parametrize("scale", [1e200, 1e-161, 1e-156],
+                             ids=["overflow", "underflow", "subnormal"])
     def test_first_sample_without_a_usable_delta_rejected(self, scale):
         # a finite first sample whose power makes delta infinite (v . v
-        # overflows) or zero (0.01 * power underflows) is rejected before
-        # the inverse correlation is set, like an explicit delta
+        # overflows), zero (0.01 * power underflows) or so small that
+        # 1 / delta overflows (about 1e-314 here) is rejected before the
+        # inverse correlation is set, like an explicit delta
         filt = Rls(3)
         before = pickle.dumps(filt)
         with pytest.raises(ValueError, match="delta"):
