@@ -132,7 +132,7 @@ def _scenario_shape(config: ExperimentConfig, scenario):
     return (scenario.config.n, "toeplitz") if config.kind == "sysid" else (scenario.n, "fullsym")
 
 
-METRICS = ("se", "mis", "upd", "mults")
+METRICS = ("se", "mis", "upd", "mults")  # the rows of each label's ensemble sums
 
 
 def _make_batch(spec: FilterSpec, n: int, mode: str, runs: int, signatures=None):
@@ -143,6 +143,19 @@ def _make_batch(spec: FilterSpec, n: int, mode: str, runs: int, signatures=None)
     if spec.algorithm == "cgrrf":
         return CgrrfBatch(n, runs, mode=mode, init_vector=init, **opts)
     return KrrApspBatch(opts["params"], n, runs, mode=mode, h0=init)
+
+
+def _errors(d, y, truth, truth_sq, h):
+    """Squared errors and mismatches (NaN without a truth) of outputs ``y``, coefficients ``h``.
+
+    Of a step of R trials (``(R, N)`` truths) or a chunk of one trial (one
+    ``(N,)`` truth, ``(m, N)`` coefficients): the shapes broadcast.
+    """
+    err = d - y
+    if truth is None:
+        return err * err, np.full(err.shape, math.nan)
+    diff = truth - h
+    return err * err, stacked_dot(diff, diff) / truth_sq
 
 
 def _lockstep_samples(scenarios, iters: int):
@@ -170,15 +183,16 @@ def _lockstep_samples(scenarios, iters: int):
 def _run_lockstep(config: ExperimentConfig, specs, seeds, sums: dict) -> None:
     """Run the specs (no RLS among them) over all trials at once, adding into ``sums``.
 
-    At every step the trials' values are added in trial-index order
-    (``np.add.accumulate`` adds strictly left to right), as
-    :func:`run_experiment` adds per-trial rows.
+    At every step the trials' values of each metric are added in
+    trial-index order (``np.add.accumulate`` along a row adds strictly left
+    to right), as :func:`run_experiment` adds per-trial rows.
     """
     scenarios = [_make_scenario(config, int(s)) for s in seeds]
     n, mode = _scenario_shape(config, scenarios[0])
     signatures = np.stack([sc.signature for sc in scenarios]) if config.kind == "cdma" else None
     runs = len(seeds)
     filters = {spec.label: _make_batch(spec, n, mode, runs, signatures) for spec in specs}
+    step = np.empty((len(METRICS), runs))  # one step's metrics of every trial
     families = {}  # the KRR-APSP batches of each family key, stepped as one family
     for filt in filters.values():
         if isinstance(filt, KrrApspBatch):
@@ -196,14 +210,9 @@ def _run_lockstep(config: ExperimentConfig, specs, seeds, sums: dict) -> None:
                 for member, out in zip(members, members[0].family.step(members, u, d))}
         for label, filt in filters.items():
             out = outs[filt] if filt in outs else filt.step(u, d)
-            err = d - out.y
-            if truth is not None:
-                diff = truth - out.h_full
-                mis = stacked_dot(diff, diff) / truth_sq
-            else:
-                mis = np.full(runs, math.nan)
-            for key, vals in zip(METRICS, (err * err, mis, out.updated, out.mults)):
-                sums[label][key][k] = np.add.accumulate(vals.astype(float))[-1]
+            step[0], step[1] = _errors(d, out.y, truth, truth_sq, out.h_full)
+            step[2], step[3] = out.updated, out.mults
+            sums[label][:, k] = np.add.accumulate(step, axis=1)[:, -1]
 
 
 def _run_trial(config: ExperimentConfig, trial_seed: int, specs, sums: dict) -> None:
@@ -219,7 +228,7 @@ def _run_trial(config: ExperimentConfig, trial_seed: int, specs, sums: dict) -> 
     scenario = _make_scenario(config, trial_seed)
     n, _ = _scenario_shape(config, scenario)
     filters = [Rls(n, **spec.options) for spec in specs]
-    rows = [np.empty((len(METRICS), config.iters)) for _ in specs]  # se, mis, upd, mults
+    rows = [np.empty((len(METRICS), config.iters)) for _ in specs]
     v = np.empty(n)
     for chunk in scenario.chunks(config.iters):
         if not np.isfinite(chunk.u).all():
@@ -236,17 +245,10 @@ def _run_trial(config: ExperimentConfig, trial_seed: int, specs, sums: dict) -> 
         truth_sq = None if chunk.truth is None else float(chunk.truth @ chunk.truth)
         for filt, trial, y, h in zip(filters, rows, ys, hs):
             out = trial[:, chunk.start:chunk.start + m]
-            err = chunk.d - y
-            out[0] = err * err
-            if truth_sq is None:
-                out[1] = math.nan
-            else:
-                diff = chunk.truth - h
-                out[1] = stacked_dot(diff, diff) / truth_sq
+            out[0], out[1] = _errors(chunk.d, y, chunk.truth, truth_sq, h)
             out[2], out[3] = 1.0, filt._mults
     for spec, trial in zip(specs, rows):
-        for key, values in zip(METRICS, trial):
-            sums[spec.label][key] += values
+        sums[spec.label] += trial
 
 
 def run_experiment(config: ExperimentConfig) -> list:
@@ -257,8 +259,7 @@ def run_experiment(config: ExperimentConfig) -> list:
     order.
     """
     seeds = trial_seeds(config.seed, config.runs)
-    sums = {spec.label: {key: np.zeros(config.iters) for key in METRICS}
-            for spec in config.filters}
+    sums = {spec.label: np.zeros((len(METRICS), config.iters)) for spec in config.filters}
     rls = [spec for spec in config.filters if spec.algorithm == "rls"]
     lockstep = [spec for spec in config.filters if spec.algorithm != "rls"]
     if lockstep:
@@ -269,7 +270,7 @@ def run_experiment(config: ExperimentConfig) -> list:
 
     records = []
     for spec in config.filters:
-        se, mis, upd, mults = (sums[spec.label][key] / float(config.runs) for key in METRICS)
+        se, mis, upd, mults = sums[spec.label] / float(config.runs)
         with np.errstate(divide="ignore"):  # NaN stays NaN, zero reads -inf
             mse_db, mis_db = 10.0 * np.log10(se), 10.0 * np.log10(mis)
         records += [MetricsRecord(k, spec.label, float(mse_db[k]), float(mis_db[k]),

@@ -780,27 +780,32 @@ class Rls:
     def _update(self, v: np.ndarray, d: float) -> float:
         """One recursion on a finite contiguous ``(N,)`` regressor; returns ``y``.
 
-        ``v`` is only read, and ``h`` is a fresh array after every call.
+        ``v`` is only read, and ``h`` is a fresh array after every call. A ``v``
+        that overflows ``forgetting + v . P v`` raises before any state changes.
         """
-        if self._pinv is None:
+        pinv = self._pinv
+        if pinv is None:
             delta = self.delta
             if delta is None:
                 with np.errstate(over="ignore"):  # an overflow is rejected below
                     power = float(v @ v) / self.n
                 delta = 0.01 * power if power > 0.0 else 0.01
                 _check_delta(delta, "the first sample's delta")
-            self.delta = delta
             # both N x N arrays start on a cache line: on the allocator's
             # 16-byte alignment a step took about 79 against 61 us at N = 200
             # (one BLAS thread, 2-core x86-64), with the same arithmetic
-            self._pinv = np.divide(np.eye(self.n), delta, out=_cache_aligned(self.n))
-            # buffer of the rank-one correction: a step allocates no N x N
+            pinv = np.divide(np.eye(self.n), delta, out=_cache_aligned(self.n))
+        y = float(self.h @ v)
+        pi = pinv @ v
+        denom = self.forgetting + float(v @ pi)
+        if not math.isfinite(denom):  # the gain would be 0 or NaN
+            raise ValueError("the regressor overflows the RLS gain: v . P v is not finite")
+        if self._pinv is None:
+            # _outer buffers the rank-one correction: a step allocates no N x N
             # temporaries, which the allocator may return to the system and
             # fault in again at every step
-            self._outer = _cache_aligned(self.n)
-        y = float(self.h @ v)
-        pi = self._pinv @ v
-        gain = pi / (self.forgetting + float(v @ pi))
+            self.delta, self._pinv, self._outer = delta, pinv, _cache_aligned(self.n)
+        gain = pi / denom
         self.h = self.h + (d - y) * gain
         # gain pi^T as one BLAS product, each entry one rounded product as in
         # np.outer, which broadcasts at about twice the cost

@@ -247,6 +247,16 @@ def test_rls_pass_checks_a_chunk_before_stepping_on_it(monkeypatch, field):
     assert str(harness.value) == str(step.value)
 
 
+def test_rls_overflowing_gain_stops_the_run():
+    # P = I / 1e-307 makes v . P v overflow at N = 50: a ValueError, not rows
+    # of mismatch 0 dB from a filter that never adapts
+    config = ExperimentConfig(
+        kind="sysid", scenario=SysIdConfig(n=50),
+        filters=(FilterSpec("rls", options={"delta": 1e-307}),), runs=2, iters=20)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        run_experiment(config)
+
+
 @pytest.mark.parametrize("scenario_type, config", [
     (SysIdScenario, SysIdConfig(n=50, change_at=100)),
     (CdmaScenario, CdmaConfig(users=4, change_at=100, users_post=2)),

@@ -501,6 +501,23 @@ class TestRls:
         filt.step(np.ones(3), 1.0)
         assert filt.delta == 0.01 and filt.steps == 1
 
+    def test_overflowing_gain_rejected_before_any_state_changes(self):
+        # delta passes its rule, but v . P v = 3e310 overflows at the first
+        # step: the gain would be 0 and the filter would never adapt
+        filt = Rls(3, delta=1e-300)
+        before = pickle.dumps(filt)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            filt.step(np.full(3, 1e5), 1.0)
+        assert pickle.dumps(filt) == before
+        assert filt.delta == 1e-300 and filt._pinv is None
+        # and once P is set, at a later step
+        filt = Rls(3, delta=1e-10)
+        filt.step(np.ones(3), 1.0)
+        before = pickle.dumps(filt)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            filt.step(np.full(3, 1e160), 1.0)
+        assert pickle.dumps(filt) == before
+
 
 class TestFullCoefficients:
     def test_krr_exposes_basis_times_reduced(self):

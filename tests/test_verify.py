@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from krrapsp import HalfSpace, SymMatrix, r_norm
+from krrapsp import HalfSpace, SymMatrix, r_norm, verify
+from krrapsp.cli import main
 from krrapsp.linalg import BasisMatrix, project_subspace
 from krrapsp.verify import (
     PhiMap,
@@ -311,10 +312,37 @@ class TestSubgradientCheck:
             assert defect <= 1e-10
 
 
+CHECK_NAMES = [
+    "krylov-orthonormality", "krylov-span", "halfspace-boundary", "projector-pythagoras",
+    "phi-nonexpansive", "phi-fixed-points", "theta-convexity", "theta-feasible-zero",
+    "update-equivalence", "monotone-approximation", "asymptotic-surrogate",
+    "mse-bound-chain", "subgradient-inequality",
+]
+
+
 class TestRunAll:
     def test_all_checks_pass(self):
         results = run_all(seed=0)
         report = format_report(results)
         assert "FAIL" not in report
         assert all(r.passed for r in results)
-        assert len(results) == 13
+        # the benchmark's verdicts and the CLI report key on these, in order
+        assert [r.name for r in results] == CHECK_NAMES
+
+    def test_failing_check_exits_1(self, monkeypatch, capsys):
+        # one check of the table made to fail: its defect exceeds the tolerance
+        # while the draws (and so every other check) stay as they were
+        def failing(rng, seed):
+            return halfspace_boundary(rng, seed) + 1.0
+
+        halfspace_boundary = verify._halfspace_boundary
+        table = [(failing, *row[1:]) if row[0] is halfspace_boundary else row
+                 for row in verify._CHECKS]
+        monkeypatch.setattr(verify, "_CHECKS", tuple(table))
+        assert main(["verify", "--seed", "0"]) == 1
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert [line.split()[0] for line in lines] == CHECK_NAMES
+        assert [line.split()[1] for line in lines].count("FAIL") == 1
+        assert lines[2].startswith("halfspace-boundary") and " FAIL " in lines[2]
+        assert err.strip() == "1 of 13 checks failed"
