@@ -21,8 +21,14 @@ from .linalg import SymMatrix, as_vector, toeplitz_dense
 
 MODES = ("toeplitz", "fullsym")
 
-# bytes of the dense matrices one chunk of trials may hold
+# bytes of the dense matrices one chunk of trials may hold in a full-symmetric
+# fold and a CG solve; a Krylov build sizes its own chunks (filters._KrrFamily)
 _BUILD_CHUNK_BYTES = 1 << 18
+
+
+def _chunk_trials(nbytes: int, n: int, trials: int) -> int:
+    """How many of ``trials`` dense ``(N, N)`` matrices fit in ``nbytes``; at least one."""
+    return min(trials, max(1, nbytes // (8 * n * n)))
 
 
 class _StatsStack:
@@ -33,10 +39,11 @@ class _StatsStack:
     every update is ``r <- gamma*r + u[0]*u`` (Toeplitz) or
     ``R <- gamma*R + u u^T`` (full) and ``p <- gamma*p + d*u``; without one
     the estimates are plain sample sums. Dense matrices exist a chunk of
-    trials at a time, at most ``_BUILD_CHUNK_BYTES`` of them: the outer
-    products of a full-matrix update in a buffer kept across steps (a fresh
-    one every step would be faulted in again each time), the Toeplitz
-    matrices in one buffer per :meth:`dense` call.
+    trials at a time: the outer products of a full-matrix update in a
+    buffer of ``chunk`` trials (at most ``_BUILD_CHUNK_BYTES``) kept across
+    steps (a fresh one every step would be faulted in again each time), the
+    Toeplitz matrices in one buffer per :meth:`dense` call, whose caller
+    sizes the chunks.
 
     Full-symmetric stacks of one ``(N, R)`` fed the same stream form a
     statistics group (:meth:`join`; a stack starts as a group of one). The
@@ -50,7 +57,7 @@ class _StatsStack:
     def __init__(self, mode: str, n: int, trials: int, forgetting: float | None):
         self.mode = mode
         self.forgetting = forgetting
-        self.chunk = min(trials, max(1, _BUILD_CHUNK_BYTES // (8 * n * n)))
+        self.chunk = _chunk_trials(_BUILD_CHUNK_BYTES, n, trials)
         self.r = np.zeros((trials, n) if mode == "toeplitz" else (trials, n, n))
         self.p = np.zeros((trials, n))
         self._outer = np.empty((self.chunk, n, n)) if mode == "fullsym" else None
@@ -104,17 +111,17 @@ class _StatsStack:
             for s in self.group:
                 s.r[lo:lo + len(part)] += outer
 
-    def dense(self, pos: np.ndarray):
-        """Yield ``(part, matrices)`` over the trials ``pos``, a chunk at a time.
+    def dense(self, pos: np.ndarray, chunk: int):
+        """Yield ``(part, matrices)`` over the trials ``pos``, ``chunk`` trials at a time.
 
         ``matrices`` holds the dense statistics of the trials ``part``; a
         Toeplitz chunk is overwritten by the next one.
         """
         n = self.p.shape[1]
         if self.mode == "toeplitz":
-            buffer = np.empty((min(self.chunk, pos.size), n, n))
-        for lo in range(0, pos.size, self.chunk):
-            part = pos[lo:lo + self.chunk]
+            buffer = np.empty((min(chunk, pos.size), n, n))
+        for lo in range(0, pos.size, chunk):
+            part = pos[lo:lo + chunk]
             if self.mode == "toeplitz":
                 mats = toeplitz_dense(self.r[part], out=buffer[:part.size])
             else:

@@ -53,7 +53,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
-from .estimation import MODES, _StatsStack
+from .estimation import MODES, _chunk_trials, _StatsStack
 from .linalg import (
     BasisMatrix,
     as_vector,
@@ -198,6 +198,20 @@ def _leading(basis: np.ndarray, rank: int) -> np.ndarray:
     return np.ascontiguousarray(basis[:, :rank])
 
 
+def _aged(ring: np.ndarray, spare: np.ndarray):
+    # (new ring, new spare): ring copied one slot older into spare; slot 0 is stale
+    np.copyto(spare[:, 1:], ring[:, :-1])
+    return spare, ring
+
+
+def _sum_sets(x: np.ndarray) -> np.ndarray:
+    # np.add.accumulate(x, axis=1)[:, -1] bit for bit: one set after another
+    total = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        total += x[:, j]
+    return total
+
+
 class _Lockstep:
     """Counters of R filters stepped in lockstep: ``(R,)`` integer arrays."""
 
@@ -216,13 +230,14 @@ class _KrrFamily:
     refresh period and ``(R, N)`` shape fed the same streams. They share
     the ``_StatsStack``, the ``(u, d)`` ring (of the longest ``q + r - 1``),
     the warm-up gate, the refresh steps and ``has_basis``. A build runs
-    once per chunk of trials at the largest rank; a member of rank D takes
-    the leading D columns and ranks ``min(rank, D)``, which a build of rank
-    D would give (column i is built from the columns before it only). Each
-    member keeps its bases, reduced filters and counters and charges its
-    own multiplications. A batch starts as a family of one and :meth:`join`
-    groups batches before their first step. Members hold their family, not
-    the reverse, so :meth:`step` is given them all.
+    once per ``chunk`` of trials at the largest rank; a member of rank D
+    takes the leading D columns and ranks ``min(rank, D)``, which a build
+    of rank D would give (column i is built from the columns before it
+    only). Each member keeps its bases, reduced filters and counters and
+    charges its own multiplications. A ring (newest first) ages by one copy
+    into a spare, which takes its place. A batch starts as a family of one
+    and :meth:`join` groups batches before their first step. Members hold
+    their family, not the reverse, so :meth:`step` is given them all.
     """
 
     def __init__(self, mode: str, member):
@@ -230,6 +245,7 @@ class _KrrFamily:
         self.key = (mode, member.n, member.trials, p.forgetting, p.refresh_period)
         self.n, self.trials, self.refresh_period = member.n, member.trials, p.refresh_period
         self.stats = _StatsStack(mode, self.n, self.trials, p.forgetting)
+        self.chunk = _chunk_trials(1 << 20, self.n, self.trials)  # 1 MiB: 52 trials at N = 50
         self.has_basis = np.zeros(self.trials, dtype=bool)
         self.ds = np.zeros((self.trials, 0))  # the rings are sized as members join
         self.filled = 0  # filled ring slots, shared by all trials
@@ -244,8 +260,8 @@ class _KrrFamily:
         member.family = self
         self.size += 1
         ring = max(self.ds.shape[1], member._ut.shape[1])
-        self.us = np.zeros((self.trials, ring, self.n))  # newest first
-        self.ds = np.zeros((self.trials, ring))
+        self.us, self._us_spare = np.zeros((2, self.trials, ring, self.n))
+        self.ds, self._ds_spare = np.zeros((2, self.trials, ring))
 
     def _build(self, members, among: np.ndarray) -> None:
         """Build and install the members' bases of trials ``among``, chunk by chunk.
@@ -255,7 +271,7 @@ class _KrrFamily:
         """
         pos = np.flatnonzero(among & np.any(self.stats.p, axis=1))
         rank = max(m.params.rank for m in members)
-        for part, mats in self.stats.dense(pos):
+        for part, mats in self.stats.dense(pos, self.chunk):
             seeds = self.stats.p[part]
             if not (np.all(np.isfinite(mats)) and np.all(np.isfinite(seeds))):
                 raise ValueError("statistics estimates must be finite")
@@ -269,13 +285,12 @@ class _KrrFamily:
         if len(members) != self.size or any(m.family is not self for m in members):
             raise ValueError("a family steps with all its members")
         u, d = _checked_stack(u, d, self.trials, self.n)
-        # age the rings slot by slot: an overlapping slice copy would
-        # allocate a temporary of the whole ring every step
-        for ring in [self.us, self.ds] + [m._ut for m in members]:
-            for age in range(ring.shape[1] - 1, 0, -1):
-                ring[:, age] = ring[:, age - 1]
-        self.us[:, 0] = u
-        self.ds[:, 0] = d
+        # age each ring into its spare: a shift in place would copy via a temporary
+        self.us, self._us_spare = _aged(self.us, self._us_spare)
+        self.ds, self._ds_spare = _aged(self.ds, self._ds_spare)
+        for m in members:
+            m._ut, m._ut_spare = _aged(m._ut, m._ut_spare)
+        self.us[:, 0], self.ds[:, 0] = u, d
         self.filled = min(self.filled + 1, self.us.shape[1])
         self.stats.update(u, d)
         # the estimators have now seen k + 1 samples: mature from N on
@@ -323,7 +338,7 @@ class KrrApspBatch(_Lockstep):
         self.params = params
         n, r, d = self.n, self.trials, params.rank
         self._h0 = _initial_stack(h0, r, n, "h0")
-        self._ut = np.zeros((r, params.projections + params.error_dim - 1, d))
+        self._ut, self._ut_spare = np.zeros((2, r, params.projections + params.error_dim - 1, d))
         self._ut_valid = np.zeros(r, dtype=bool)
         self.basis = np.zeros((r, n, d))
         self.rank_eff = np.zeros(r, dtype=np.int64)
@@ -336,6 +351,7 @@ class KrrApspBatch(_Lockstep):
         self.build_count = np.zeros(r, dtype=np.int64)
         self.skipped_zero_direction = np.zeros(r, dtype=np.int64)
         self.cancelled_updates = np.zeros(r, dtype=np.int64)
+        self._groups = []  # (rank, trials) of each effective rank, set after a build
         self.family = _KrrFamily(mode, self)  # a family of one until joined
 
     def _take(self, part: np.ndarray, bases: np.ndarray, ranks: np.ndarray) -> None:
@@ -361,6 +377,7 @@ class KrrApspBatch(_Lockstep):
         self.build_count[part] += 1
         self.mult_totals["basis"][part] += _basis_build_charge(self.params.rank, self.n)
         self._ut_valid[part] = False
+        self._groups = None
 
     def _reduced_step(self, idx, rank: int, u: np.ndarray):
         """Transform, output and update of trials ``idx``, all of basis rank ``rank``.
@@ -372,44 +389,43 @@ class KrrApspBatch(_Lockstep):
         p = self.params
         n, ring = self.n, min(self.family.filled, self._ut.shape[1])
         if isinstance(idx, slice) and rank == self.basis.shape[2]:
-            basis, ut = self.basis, self._ut  # the whole batch at full rank
+            basis, ut, h = self.basis, self._ut, self.h_tilde  # the whole batch at full rank
         else:
-            basis = np.ascontiguousarray(self.basis[idx][:, :, :rank])
-            ut = np.ascontiguousarray(self._ut[idx][:, :, :rank])
+            basis, ut, h = (np.ascontiguousarray(x[idx][..., :rank])
+                            for x in (self.basis, self._ut, self.h_tilde))
         basis_t = basis.transpose(0, 2, 1)
-        count = basis.shape[0]
 
         # cached reduced regressors: the newest column for every trial, all
         # columns for trials whose basis changed since the last step
         ut[:, 0] = stacked_matvec(basis_t, u)
-        stale = ~self._ut_valid[idx]
-        if stale.any():
+        transform_mults = rank * n
+        valid = self._ut_valid[idx]
+        if not valid.all():
+            stale = ~valid
             us = self.family.us[idx]
             ut[stale, 1:ring] = stacked_matvec(basis_t[stale][:, None], us[stale, 1:ring])
+            self._ut_valid[idx] = True
+            transform_mults = np.where(stale, ring, 1) * transform_mults
         if ut is not self._ut:
             self._ut[idx, :, :rank] = ut
-        self._ut_valid[idx] = True
-        transform_mults = np.where(stale, ring, 1) * rank * n
 
         # set j holds the errors of samples j, ..., j + r - 1; in a ring
         # shorter than q + r - 1 the slots past it are zero in both the
         # reduced regressors and the outputs, so their errors are exactly 0
         r, q_eff = p.error_dim, min(p.projections, ring)
         width = q_eff + r - 1
-        h = np.ascontiguousarray(self.h_tilde[idx][:, :rank])
         ips = stacked_dot(ut[:, :max(ring, width)], h[:, None, :])
         e = ips[:, :width] - self.family.ds[idx, :width]
 
-        # each projection set's squared error, its subgradient a = (S^T U) e,
-        # c = a . a and the guard scale (an uncharged safeguard outside the
+        # each projection set's squared error, its subgradient g = (S^T U) e,
+        # c = g . g and the guard scale (an uncharged safeguard outside the
         # cost model), all sets of all trials at once, each product the one
         # a single set's own BLAS call makes; a set that no trial violates
         # meets only a zero coefficient below
         filter_mults = ring * rank  # the inner products, then each set's error
-        a = np.zeros((count, q_eff + 1, rank))  # slot 0 stays zero: f_dir's start
         if r == 1:
             sq = e * e
-            a[:, 1:] = ut[:, :q_eff] * e[..., None]
+            g = ut[:, :q_eff] * e[..., None]
             block_sq = (ut[:, :q_eff] * ut[:, :q_eff]).sum(axis=2)
             filter_mults += q_eff
             charges = np.full(q_eff, 2 * rank)  # of a violated set
@@ -419,44 +435,44 @@ class KrrApspBatch(_Lockstep):
             # copied, as matmul on the strided view rounds differently
             u_win = np.ascontiguousarray(sliding_window_view(ut[:, :width], r, axis=1))
             sq = stacked_dot(e_win, e_win)
-            a[:, 1:] = stacked_matvec(u_win, e_win)
+            g = stacked_matvec(u_win, e_win)
             block_sq = (u_win * u_win).sum(axis=(2, 3))
             r_eff = np.minimum(r, ring - np.arange(q_eff))  # the samples a set holds
             filter_mults += int(r_eff.sum())
             charges = (r_eff + 1) * rank  # of a violated set
         violated = sq > p.rho
-        c = stacked_dot(a[:, 1:], a[:, 1:])
+        c = stacked_dot(g, g)
 
         # every set at once, elementwise; a violated set with a vanishing
         # subgradient (an inconsistent data corner) is skipped and counted
         zero = violated & (c <= TOL.zero_direction_rel ** 2 * (block_sq * sq))
         if zero.any():
             self.skipped_zero_direction[idx] += zero.sum(axis=1)
-        ok = violated & ~zero
+        ok = violated ^ zero  # zero only where violated
         gap = p.rho - sq
         c_ok = np.where(ok, c, 1.0)
         w_gap = self._weights[q_eff] * gap
-        coef = np.where(ok, w_gap / (2.0 * c_ok), 0.0)
-        loss = np.where(ok, w_gap * gap / (4.0 * c_ok), 0.0)
-        # the sums over the sets add in set order, as one set after another
-        a[:, 1:] *= coef[:, :, None]
-        f_dir = np.ascontiguousarray(np.add.accumulate(a, axis=1)[:, -1])
-        loss_sum = np.add.accumulate(loss, axis=1)[:, -1]
-        delta_norm_sum = np.add.accumulate(np.abs(coef) * np.sqrt(c), axis=1)[:, -1]
+        coef = np.divide(w_gap, 2.0 * c_ok, out=np.zeros(c.shape), where=ok)
+        loss = np.divide(w_gap * gap, 4.0 * c_ok, out=np.zeros(c.shape), where=ok)
+        # the sums over the sets add in set order, as one set after another;
+        # f_dir starts at zero, and + 0.0 turns only a -0 sum into that +0
+        f_dir = _sum_sets(g * coef[:, :, None])
+        f_dir += 0.0
         n_ok = ok.sum(axis=1)
         contributed = n_ok > 0
 
         nf = stacked_dot(f_dir, f_dir)
+        delta_norm_sum = _sum_sets(np.abs(coef) * np.sqrt(c))
         cancelled = contributed & (np.sqrt(nf) <= TOL.cancellation * delta_norm_sum)
         self.cancelled_updates[idx] += cancelled
-        updated = contributed & ~cancelled
-        relax = loss_sum / np.where(updated, nf, 1.0)
-        self.last_relaxation[idx] = np.where(updated, relax, np.nan)
-        scale = p.step_size * relax
-        h = np.where(updated[:, None], h + scale[:, None] * f_dir, h)
+        updated = contributed ^ cancelled  # cancelled only where contributed
+        relax = np.divide(_sum_sets(loss), nf, out=np.full(nf.shape, np.nan), where=updated)
+        self.last_relaxation[idx] = relax
+        np.add(h, (p.step_size * relax)[:, None] * f_dir, out=h, where=updated[:, None])
+        if h is not self.h_tilde:
+            self.h_tilde[idx, :rank] = h
         filter_mults += (np.dot(violated, charges) + n_ok * (7 + rank)
                          + contributed * rank + updated * (2 + rank))
-        self.h_tilde[idx, :rank] = h
         return ips[:, 0], updated, stacked_matvec(basis, h), transform_mults, filter_mults
 
     def _step(self, u: np.ndarray) -> StepOutput:
@@ -464,23 +480,25 @@ class KrrApspBatch(_Lockstep):
         r, n = self.trials, self.n
         stats_mults = _stats_cost(self.family.stats.mode, n)
         self.mult_totals["stats"] += stats_mults
-        # trials without a basis pass through: output 0, no update
-        y = np.zeros(r)
-        updated = np.zeros(r, dtype=bool)
-        h_full = np.zeros((r, n))
-        mults = np.full(r, stats_mults, dtype=np.int64)
-        # (a set, not np.unique, which imports numpy.ma on its first call)
-        for rank in sorted(set(self.rank_eff[self.has_basis].tolist())):
-            group = self.has_basis & (self.rank_eff == rank)
-            idx = slice(None) if group.all() else np.flatnonzero(group)
-            y[idx], updated[idx], h_full[idx], transform_mults, filter_mults = \
-                self._reduced_step(idx, rank, u[idx])
-            self.mult_totals["transform"][idx] += transform_mults
-            self.mult_totals["filter"][idx] += filter_mults
-            mults[idx] += transform_mults + filter_mults
+        if self._groups is None:  # effective ranks change only at a build
+            # (a set, not np.unique, which imports numpy.ma on its first call)
+            self._groups = [(rank, np.flatnonzero(self.has_basis & (self.rank_eff == rank)))
+                            for rank in sorted(set(self.rank_eff[self.has_basis].tolist()))]
+        if len(self._groups) == 1 and self._groups[0][1].size == r:  # every trial, one rank
+            y, updated, h_full, transform_mults, filter_mults = \
+                self._reduced_step(slice(None), self._groups[0][0], u)
+        else:
+            # trials without a basis pass through: output 0, no update
+            y, updated, h_full = np.zeros(r), np.zeros(r, dtype=bool), np.zeros((r, n))
+            transform_mults, filter_mults = np.zeros((2, r), dtype=np.int64)
+            for rank, idx in self._groups:
+                y[idx], updated[idx], h_full[idx], transform_mults[idx], filter_mults[idx] = \
+                    self._reduced_step(idx, rank, u[idx])
+        self.mult_totals["transform"] += transform_mults
+        self.mult_totals["filter"] += filter_mults
         self.steps += 1
         self.update_count += updated
-        return StepOutput(y, updated, h_full, mults)
+        return StepOutput(y, updated, h_full, stats_mults + transform_mults + filter_mults)
 
     def step(self, u, d) -> StepOutput:
         """Consume one ``(R, N)`` regressor stack and its ``(R,)`` outputs."""
@@ -538,7 +556,7 @@ class CgrrfBatch(_Lockstep):
         pos = np.flatnonzero(ok)
         if pos.size:
             self.h = self.h.copy()  # the last step returned the old one
-        for part, mats in self.stats.dense(pos):
+        for part, mats in self.stats.dense(pos, self.stats.chunk):
             x0 = np.zeros((part.size, self.n)) if self._init is None else self._init[part]
             self.h[part] = cg_solve_stack(mats, p[part], x0, self.rank)
         self.mult_totals["basis"][pos] += _basis_build_charge(self.rank, self.n)

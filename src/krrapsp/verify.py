@@ -37,6 +37,12 @@ from .linalg import (
 from .tolerances import TOL
 
 
+def _worst(values, pick=max) -> float:
+    """``pick(values)``, or NaN if any is NaN (``max`` and ``min`` keep only a first NaN)."""
+    values = list(values)
+    return math.nan if any(math.isnan(v) for v in values) else pick(values)
+
+
 # ---------------------------------------------------------------------------
 # basis-transition map
 # ---------------------------------------------------------------------------
@@ -118,7 +124,7 @@ def attracting_check(phi: PhiMap, trials: int = 50, rng=None) -> AttractingRepor
     """
     rng = np.random.default_rng(rng)
     if np.array_equal(phi.s_prev.matrix, phi.s_next.matrix):
-        defect = 0.0
+        defects = [0.0]
         s = phi.s_prev.matrix
         for _ in range(trials):
             x = rng.standard_normal(phi.n)
@@ -126,8 +132,8 @@ def attracting_check(phi: PhiMap, trials: int = 50, rng=None) -> AttractingRepor
             px = apply_phi(phi, x)
             lhs = float(np.sum((x - px) ** 2))
             rhs = float(np.sum((x - f) ** 2) - np.sum((px - f) ** 2))
-            defect = max(defect, abs(lhs - rhs))
-        return AttractingReport(projection_case=True, max_identity_defect=defect)
+            defects.append(abs(lhs - rhs))
+        return AttractingReport(projection_case=True, max_identity_defect=_worst(defects))
 
     diff = phi.s_next.matrix - phi.s_prev.matrix
     _, sing, vt = np.linalg.svd(diff)
@@ -358,7 +364,7 @@ def monotone_probe(steps, slack: float | None = None) -> MonotoneReport:
     certified = 0
     unchecked = 0
     violations = []
-    max_over = 0.0
+    overs = [0.0]
     for idx, st in enumerate(steps):
         same_basis = np.array_equal(st.instance.basis.matrix, st.basis_next.matrix)
         omega = None
@@ -372,12 +378,12 @@ def monotone_probe(steps, slack: float | None = None) -> MonotoneReport:
         before = float(np.linalg.norm(st.h - omega))
         after = float(np.linalg.norm(st.h_next - omega))
         over = after - before
-        max_over = max(max_over, over)
+        overs.append(over)
         if over > slack:
             violations.append((idx, over))
     return MonotoneReport(total=len(steps), certified=certified,
                           unchecked=unchecked, violations=violations,
-                          max_overshoot=max_over)
+                          max_overshoot=_worst(overs))
 
 
 def _error_bound_half_spaces(ring, count: int, error_dim: int, h, rho: float) -> tuple:
@@ -478,7 +484,7 @@ class CgBoundReport:
     @property
     def max_scaled_violation(self) -> float:
         mse = -self.mse_slack / (1.0 + abs(self.mse_value) + abs(self.mse_bound))
-        return max([mse] + [t.scaled_violation for t in self.chain])
+        return _worst([mse] + [t.scaled_violation for t in self.chain])
 
     def passed(self, tol: float) -> bool:
         return self.max_scaled_violation <= tol
@@ -541,17 +547,16 @@ def subgradient_inequality_check(basis: BasisMatrix, u_block, d_block,
 
     e_y = ured.T @ y - d
     grad = 2.0 * (ured @ e_y)
-    worst = 0.0
+    defects = [0.0]
     for _ in range(trials):
         x = y + rng.standard_normal(basis.rank) * 2.0
-        defect = float((x - y) @ grad) + g(y) - g(x)
-        worst = max(worst, defect)
+        defects.append(float((x - y) @ grad) + g(y) - g(x))
     gy = g(y)
     if gy > 0.0:
         hs = HalfSpace(normal=grad, offset=gy, anchor=y)
         proj = project_half_space(y, hs)
-        worst = max(worst, hs.violation(proj))
-    return worst
+        defects.append(hs.violation(proj))
+    return _worst(defects)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +621,7 @@ def _krylov_bases(rng, seed):
         resid = v - project_subspace(v, basis)
         spans.append(float(np.linalg.norm(resid)) / float(np.linalg.norm(v)))
         v = mat.matvec(v)
-    return float(np.max(np.abs(gram - np.eye(basis.rank)))), max(spans)
+    return float(np.max(np.abs(gram - np.eye(basis.rank)))), _worst(spans)
 
 
 def _halfspace_boundary(rng, seed):
@@ -662,7 +667,7 @@ def _phi_maps(rng, seed):
     fix.append(attracting_check(same, trials=5, rng=rng).max_identity_defect)
     if fixed_point_set(same).shape[1] != d:
         fix.append(1.0)
-    return max(gain, zero_img), _Outcome(max(fix), gate=attracting_ok)
+    return _worst((gain, zero_img)), _Outcome(_worst(fix), gate=attracting_ok)
 
 
 def _theta_convexity(rng, seed):
@@ -671,18 +676,18 @@ def _theta_convexity(rng, seed):
     x = rng.standard_normal(inst.basis.n) * 2.0
     y = rng.standard_normal(inst.basis.n) * 2.0
     tx, ty = theta_value(inst, x), theta_value(inst, y)
-    worst = 0.0
+    gaps = [0.0]
     for nu in np.linspace(0.0, 1.0, 7):
         mid = theta_value(inst, nu * x + (1 - nu) * y)
-        worst = max(worst, mid - (nu * tx + (1 - nu) * ty))
-    return max(worst, -min(tx, ty))
+        gaps.append(mid - (nu * tx + (1 - nu) * ty))
+    return _worst(gaps + [-_worst((tx, ty), min)])
 
 
 def _theta_feasible_zero(rng, seed):
     """The objective vanishes at an oracle-found feasible point (0 without one)."""
     inst = _random_instance(rng)
     omega = find_feasible_point(inst.half_spaces, inst.basis, start=inst.anchor)
-    return 0.0 if omega is None else max(0.0, theta_value(inst, omega))
+    return 0.0 if omega is None else _worst((0.0, theta_value(inst, omega)))
 
 
 def _update_equivalence(rng, seed, rho: float = 0.05, step_size: float = 0.8):
@@ -697,7 +702,7 @@ def _update_equivalence(rng, seed, rho: float = 0.05, step_size: float = 0.8):
     filt = KrrApsp(params, n)
     us = [rng.standard_normal(n) for _ in range(q + 8)]
     ds = [float(rng.standard_normal()) for _ in range(q + 8)]
-    worst = 0.0
+    defects = [0.0]
     ring = []
     for u, dv in zip(us, ds):
         ring.insert(0, (u, dv))
@@ -715,8 +720,8 @@ def _update_equivalence(rng, seed, rho: float = 0.05, step_size: float = 0.8):
         # a refresh rebases the reduced vector after the update; compare
         # only when the basis survived the step
         if predicted is not None and filt.build_count == builds_before:
-            worst = max(worst, float(np.max(np.abs(predicted - filt.h_tilde))))
-    return worst
+            defects.append(float(np.max(np.abs(predicted - filt.h_tilde))))
+    return _worst(defects)
 
 
 def _monotone_approximation(rng, seed):
@@ -734,7 +739,7 @@ def _asymptotic_surrogate(rng, seed):
                                  rho=1e-4, step_size=1.0, noiseless=True,
                                  subspace_target=True, seed=seed + 11)
     initial = next((t for t in thetas if t > 0.0), 0.0)
-    return _Outcome(min(thetas[-max(1, len(thetas) // 10):]), scale=initial)
+    return _Outcome(_worst(thetas[-max(1, len(thetas) // 10):], min), scale=initial)
 
 
 def _mse_bound_chain(rng, seed):
@@ -745,8 +750,8 @@ def _mse_bound_chain(rng, seed):
     p = mat.matvec(h_star)
     sigma_n2 = float(rng.uniform(0.0, 0.5))
     sigma_d2 = r_norm(h_star, mat) ** 2 + sigma_n2
-    return max(cg_bound_check(mat, p, h_star, d, sigma_d2).max_scaled_violation
-               for d in range(1, n + 1))
+    return _worst(cg_bound_check(mat, p, h_star, d, sigma_d2).max_scaled_violation
+                  for d in range(1, n + 1))
 
 
 def _subgradient_inequality(rng, seed):
@@ -781,7 +786,8 @@ _CHECKS = (
 def run_all(seed: int = 0) -> list:
     """Run the whole verification suite; returns one result per check name.
 
-    A name reports its worst defect over the draws (the first of equal ones).
+    A name reports its worst defect over the draws (the first of equal ones);
+    a NaN defect is the worst and fails its check.
     """
     rng = np.random.default_rng(seed)
     results = []
@@ -791,11 +797,12 @@ def run_all(seed: int = 0) -> list:
             outcomes = check(rng, seed)
             for i, out in enumerate(outcomes if len(named) > 1 else (outcomes,)):
                 out = out if isinstance(out, _Outcome) else _Outcome(out)
-                worst[i] = out._replace(defect=max(worst[i].defect, out.defect),
+                worst[i] = out._replace(defect=_worst((worst[i].defect, out.defect)),
                                         gate=worst[i].gate and out.gate)
         for (name, tol), out in zip(named, worst):
             limit = tol if out.scale is None else tol * out.scale
-            passed = out.gate and (out.scale == 0.0 or out.defect <= limit)
+            passed = (out.gate and not math.isnan(out.defect)
+                      and (out.scale == 0.0 or out.defect <= limit))
             results.append(CheckResult(name, passed, out.defect,
                                        limit if limit > 0 else tol, out.detail))
     return results

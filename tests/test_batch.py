@@ -577,6 +577,47 @@ def test_family_joins_only_unstepped_batches_of_its_key():
     leader.family.step([leader, member], np.ones((2, N)), np.ones(2))
 
 
+def test_build_chunk_changes_no_output(monkeypatch):
+    # the rank-sweep family (D = 3, 5, 8 at N = 50, R = 100) through its first
+    # build and two refreshes, built in chunks of 13 trials and at its own size
+    runs, n, steps = 100, 50, 62
+    rng = np.random.default_rng(7)
+    x = np.convolve(rng.standard_normal(runs * (steps + n)), [1.0, 0.6, 0.3], "same")
+    x = x.reshape(runs, steps + n)
+    us = [np.ascontiguousarray(x[:, k:k + n][:, ::-1]) for k in range(steps)]
+    h = rng.standard_normal((runs, n)) / n
+    ds = [np.einsum("rn,rn->r", u, h) + 0.1 * rng.standard_normal(runs) for u in us]
+    calls = []
+
+    def counted(*args):
+        calls[-1] += 1
+        return krylov_basis_stack(*args)
+
+    monkeypatch.setattr(krrapsp.filters, "krylov_basis_stack", counted)
+    runs_of = []
+    for chunk in (13, None):
+        members = [KrrApspBatch(KrrParams(rank=d, rho=0.15, step_size=0.03), n, runs)
+                   for d in (3, 5, 8)]
+        for batch in members[1:]:
+            members[0].family.join(batch)
+        if chunk is not None:
+            monkeypatch.setattr(members[0].family, "chunk", chunk)
+        calls.append(0)
+        outs = [members[0].family.step(members, u, d) for u, d in zip(us, ds)]
+        runs_of.append((members, outs))
+    (small, small_outs), (own, own_outs) = runs_of
+    assert own[0].family.chunk == 52
+    assert calls == [3 * 8, 3 * 2]  # a first build and two refreshes
+    assert all(batch.build_count.min() == 3 for batch in small + own)
+    for got, want in zip(small, own):
+        assert got.h_tilde.tobytes() == want.h_tilde.tobytes()
+        assert got.basis.tobytes() == want.basis.tobytes()
+    for got_step, want_step in zip(small_outs, own_outs):
+        for got, want in zip(got_step, want_step):
+            for name in ("y", "updated", "h_full", "mults"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def test_full_matrix_statistics_match_the_row_loop():
     # the chunked outer products add what one row at a time would
     rng = np.random.default_rng(10)

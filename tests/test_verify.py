@@ -346,3 +346,76 @@ class TestRunAll:
         assert [line.split()[1] for line in lines].count("FAIL") == 1
         assert lines[2].startswith("halfspace-boundary") and " FAIL " in lines[2]
         assert err.strip() == "1 of 13 checks failed"
+
+    def test_nan_defect_fails_its_check(self, monkeypatch, capsys):
+        # a NaN in a check's first draw, in a later draw of the second defect
+        # of a paired check, and with a zero scale (which passes any number):
+        # each fails and reports nan
+        def single(rng, seed):
+            value = halfspace_boundary(rng, seed)
+            draws.append(None)
+            return math.nan if len(draws) == 1 else value
+
+        def paired(rng, seed):
+            ortho, span = krylov_bases(rng, seed)
+            span_draws.append(None)
+            return ortho, math.nan if len(span_draws) == 3 else span
+
+        draws, span_draws = [], []
+        halfspace_boundary, krylov_bases = verify._halfspace_boundary, verify._krylov_bases
+        swap = {halfspace_boundary: single, krylov_bases: paired,
+                verify._asymptotic_surrogate: lambda rng, seed: verify._Outcome(
+                    math.nan, scale=0.0)}
+        monkeypatch.setattr(verify, "_CHECKS", tuple(
+            (swap.get(row[0], row[0]), *row[1:]) for row in verify._CHECKS))
+        assert main(["verify", "--seed", "0"]) == 1
+        out, err = capsys.readouterr()
+        failed = [line.split() for line in out.splitlines() if " FAIL " in line]
+        assert [(fields[0], fields[2]) for fields in failed] == [
+            ("krylov-span", "max=nan"), ("halfspace-boundary", "max=nan"),
+            ("asymptotic-surrogate", "max=nan")]
+        assert err.strip() == "3 of 13 checks failed"
+
+
+def nan_on_call(fn, call):
+    """``fn`` with every output entry NaN on its ``call``-th call (1-based)."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        out = fn(*args, **kwargs)
+        return np.full_like(out, np.nan) if len(calls) == call else out
+    return wrapped
+
+
+class TestFoldsKeepNan:
+    # a NaN met after a finite defect inside one draw is that draw's defect
+    def test_worst(self):
+        assert verify._worst([0.0, 2.0, -1.0]) == 2.0
+        assert verify._worst([0.0, 2.0, -1.0], min) == -1.0
+        for values in ([math.nan, 1.0], [1.0, math.nan], [0.0, 3.0, math.nan, 1.0]):
+            assert math.isnan(verify._worst(values)) and math.isnan(verify._worst(values, min))
+
+    def test_attracting_check(self, monkeypatch, rng):
+        basis = BasisMatrix(random_orthonormal(6, 2, rng))
+        monkeypatch.setattr(verify, "apply_phi", nan_on_call(verify.apply_phi, 3))
+        report = attracting_check(PhiMap(basis, basis), trials=5, rng=rng)
+        assert math.isnan(report.max_identity_defect)
+
+    def test_subgradient_inequality_check(self, monkeypatch, rng):
+        basis = BasisMatrix(random_orthonormal(8, 3, rng))
+        u, d, y = rng.standard_normal((8, 2)), 10.0 + rng.standard_normal(2), np.zeros(3)
+        # g(y) > 0, so the relaxed projection is checked after the probes
+
+        class NanHalfSpace(HalfSpace):
+            def violation(self, x):
+                return math.nan
+
+        monkeypatch.setattr(verify, "HalfSpace", NanHalfSpace)
+        assert math.isnan(subgradient_inequality_check(basis, u, d, 0.1, y, rng))
+
+    def test_krylov_span(self, monkeypatch, rng):
+        monkeypatch.setattr(verify, "project_subspace", nan_on_call(verify.project_subspace, 2))
+        rng = np.random.default_rng(0)  # a draw of a rank-7 basis
+        _, span = verify._krylov_bases(rng, 0)
+        assert math.isnan(span)
