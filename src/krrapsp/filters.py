@@ -267,15 +267,17 @@ class _KrrFamily:
         """Build and install the members' bases of trials ``among``, chunk by chunk.
 
         A trial with a zero cross-correlation estimate passes through (a
-        first build) or keeps its bases (a refresh).
+        first build) or keeps its bases (a refresh). Every trial's statistics
+        are checked before the first chunk is installed.
         """
         pos = np.flatnonzero(among & np.any(self.stats.p, axis=1))
+        r, p = self.stats.r, self.stats.p
+        if not (np.isfinite(r.reshape(len(r), -1)).all(axis=1)[pos].all()
+                and np.isfinite(p[pos]).all()):
+            raise ValueError("statistics estimates must be finite")
         rank = max(m.params.rank for m in members)
         for part, mats in self.stats.dense(pos, self.chunk):
-            seeds = self.stats.p[part]
-            if not (np.all(np.isfinite(mats)) and np.all(np.isfinite(seeds))):
-                raise ValueError("statistics estimates must be finite")
-            bases, ranks = krylov_basis_stack(mats, seeds, rank)
+            bases, ranks = krylov_basis_stack(mats, self.stats.p[part], rank)
             for m in members:
                 m._take(part, bases[:, :, :m.params.rank], np.minimum(ranks, m.params.rank))
         self.has_basis[pos] = True

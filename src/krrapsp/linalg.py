@@ -10,12 +10,14 @@ one-row calls of ``krylov_basis_stack`` and ``cg_solve_stack``.
 
 All values are immutable after construction and safe to share across
 threads; every function here is a pure function of its inputs, apart
-from ``toeplitz_dense`` writing into a given ``out``.
+from writing into a given ``out`` or ``iterates``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,12 +41,25 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
     return v
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a``."""
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a float array, by its own formula without the wrapper."""
+    v = x.ravel(order="K")
+    return math.sqrt(float(v.dot(v)))
+
+
 class SymMatrix:
     """Symmetric n x n real matrix.
 
     Symmetry is exact by construction: the matrix is the given square
     array's upper triangle mirrored below the diagonal. Instances are
-    immutable.
+    immutable; the eigenvalues are computed once, on first use.
     """
 
     def __init__(self, dense):
@@ -70,6 +85,13 @@ class SymMatrix:
         v = as_vector(x, self._n)
         return self._dense @ v
 
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues (read-only)."""
+        eigs = np.linalg.eigvalsh(self._dense)
+        eigs.flags.writeable = False
+        return eigs
+
     def __repr__(self) -> str:
         return f"SymMatrix(n={self._n})"
 
@@ -90,9 +112,7 @@ class BasisMatrix:
         gram_defect = np.max(np.abs(m.T @ m - np.eye(d)))
         if gram_defect > TOL.orthonormality:
             raise ValueError(f"basis columns not orthonormal: max |S^T S - I| = {gram_defect:.3e}")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(m))
 
     @property
     def n(self) -> int:
@@ -118,13 +138,8 @@ class HalfSpace:
 
     def __post_init__(self):
         normal = as_vector(self.normal)
-        anchor = as_vector(self.anchor, normal.shape[0])
-        normal = normal.copy()
-        anchor = anchor.copy()
-        normal.flags.writeable = False
-        anchor.flags.writeable = False
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "anchor", _frozen(as_vector(self.anchor, normal.shape[0])))
+        object.__setattr__(self, "normal", _frozen(normal))
         object.__setattr__(self, "offset", float(self.offset))
 
     @property
@@ -133,26 +148,28 @@ class HalfSpace:
 
     def violation(self, x) -> float:
         """Constraint value at ``x``; positive means ``x`` is outside."""
-        v = as_vector(x, self.n)
+        return self._violation(as_vector(x, self.n))
+
+    def _violation(self, v: np.ndarray) -> float:
         return float((v - self.anchor) @ self.normal + self.offset)
 
 
 def r_norm(x, matrix: SymMatrix) -> float:
     """Energy norm ``sqrt(x^T R x)`` induced by a symmetric PSD matrix."""
-    v = as_vector(x, matrix.n)
-    quad = float(v @ matrix.matvec(v))
+    return _r_norm(as_vector(x, matrix.n), matrix)
+
+
+def _r_norm(v: np.ndarray, matrix: SymMatrix) -> float:
+    quad = float(v @ (matrix.dense() @ v))
     scale = max(1.0, float(v @ v) * max(1.0, float(np.max(np.abs(matrix.dense()), initial=0.0))))
     if quad < -TOL.quadform_negative * scale:
         raise ValueError(f"negative quadratic form ({quad:.3e}): matrix is not PSD")
-    return float(np.sqrt(max(quad, 0.0)))
+    return math.sqrt(max(quad, 0.0))
 
 
 def condition_number(matrix: SymMatrix) -> float:
-    """Ratio of extreme eigenvalues of a symmetric positive definite matrix.
-
-    Diagnostic-path helper; not used by the streaming filters.
-    """
-    eigs = np.linalg.eigvalsh(matrix.dense())
+    """Ratio of extreme eigenvalues of a symmetric positive definite matrix."""
+    eigs = matrix.eigenvalues
     lo, hi = float(eigs[0]), float(eigs[-1])
     if lo <= 0.0:
         raise ValueError(f"matrix is not positive definite (min eigenvalue {lo:.3e})")
@@ -162,16 +179,11 @@ def condition_number(matrix: SymMatrix) -> float:
 def krylov_basis(matrix: SymMatrix, p, rank: int) -> BasisMatrix:
     """Orthonormal basis of ``span{p, Rp, ..., R^(D_eff-1) p}``.
 
-    The one-row call of :func:`krylov_basis_stack`: the symmetric Arnoldi
-    (Lanczos) recurrence with full reorthogonalization. ``p`` is the seed,
-    of length N; ``rank`` the requested dimension D, ``1 <= rank <= N``.
+    The one-row call of :func:`krylov_basis_stack`. ``p`` is the seed, of
+    length N; ``rank`` the requested dimension D, ``1 <= rank <= N``.
     The effective rank ``D_eff`` falls short of ``rank`` only when the
-    Krylov sequence becomes numerically dependent.
-
-    Raises
-    ------
-    DegenerateCrossCorrelationError
-        If ``p`` is zero (callers handle warm-up).
+    Krylov sequence becomes numerically dependent. Raises
+    ``DegenerateCrossCorrelationError`` if ``p`` is zero (callers handle warm-up).
     """
     seed = as_vector(p, matrix.n)
     bases, ranks = krylov_basis_stack(matrix.dense()[None], seed[None], rank)
@@ -185,7 +197,7 @@ def project_half_space(x, half_space: HalfSpace) -> np.ndarray:
     otherwise the unique boundary point along the normal direction.
     """
     v = as_vector(x, half_space.n)
-    g = half_space.violation(v)
+    g = half_space._violation(v)
     if g <= 0.0:
         return v.copy()
     nn = float(half_space.normal @ half_space.normal)
@@ -196,7 +208,10 @@ def project_half_space(x, half_space: HalfSpace) -> np.ndarray:
 
 def project_subspace(x, basis: BasisMatrix) -> np.ndarray:
     """Orthogonal projection ``S (S^T x)`` onto the basis column space."""
-    v = as_vector(x, basis.n)
+    return _project(as_vector(x, basis.n), basis)
+
+
+def _project(v: np.ndarray, basis: BasisMatrix) -> np.ndarray:
     return basis.matrix @ (basis.matrix.T @ v)
 
 
@@ -243,23 +258,20 @@ def krylov_basis_stack(matrices: np.ndarray, seeds: np.ndarray, rank: int):
 
     ``matrices`` is ``(R, N, N)`` (symmetric) and ``seeds`` is ``(R, N)``
     with no zero row. Each row runs the symmetric Arnoldi (Lanczos)
-    recurrence: every new direction ``R q`` is orthogonalized against the
-    columns built so far twice by classical Gram-Schmidt, and the row
-    stops growing once a direction's norm is at most ``1e-10 * ||R q||``
-    (``TOL.basis_truncation_rel``), its norm before orthogonalization, so
-    the test scales with R and not with the seed. A seed whose ``p . p``
-    underflows or overflows is replaced by ``p / max|p|``, which has the
-    same basis.
-    Every row makes the BLAS calls of a one-row stack, so its basis does
-    not depend on R. Returns ``(bases, ranks)``: ``bases`` is
-    ``(R, N, rank)`` with the effective rank ``ranks[i]`` of row ``i`` in
-    its leading columns and zeros after them. Raises as ``BasisMatrix``
-    does if a basis is not orthonormal.
+    recurrence: each new direction ``R q`` is orthogonalized twice against
+    the columns so far by classical Gram-Schmidt, and the row stops
+    growing once that leaves at most ``TOL.basis_truncation_rel * ||R q||``,
+    a test that scales with R and not with the seed. A seed whose ``p . p``
+    under- or overflows is replaced by ``p / max|p|`` (same basis). Every
+    row makes the BLAS calls of a one-row stack. Returns ``(bases,
+    ranks)``: ``(R, N, rank)`` bases, row ``i``'s effective rank
+    ``ranks[i]`` in its leading columns and zeros after them; a rank-``d``
+    build gives their leading ``d`` columns and ranks ``min(ranks, d)``.
+    Raises as ``BasisMatrix`` does if a basis is not orthonormal.
     """
     count, n = seeds.shape
     with np.errstate(over="ignore"):
         norms = np.sqrt(stacked_dot(seeds, seeds))
-    # a seed whose p.p under- or overflows builds the basis of p / max|p|
     rescale = ((norms < TOL.seed_rescale_below) | np.isinf(norms)) & np.any(seeds, axis=1)
     if rescale.any():
         seeds = seeds / np.where(rescale, np.max(np.abs(seeds), axis=1), 1.0)[:, None]
@@ -293,7 +305,7 @@ def krylov_basis_stack(matrices: np.ndarray, seeds: np.ndarray, rank: int):
 
 
 def cg_solve_stack(matrices: np.ndarray, rhs: np.ndarray, x0: np.ndarray,
-                   iters: int) -> np.ndarray:
+                   iters: int, iterates: list | None = None) -> np.ndarray:
     """Conjugate gradient iterations on a stack of systems ``R h = b``.
 
     ``matrices`` is ``(R, N, N)`` (symmetric), ``rhs`` and ``x0`` are
@@ -301,9 +313,12 @@ def cg_solve_stack(matrices: np.ndarray, rhs: np.ndarray, x0: np.ndarray,
     stops early on a zero residual or a non-positive curvature direction
     (breakdown on semidefinite systems), keeping its current iterate.
     Every row makes the BLAS calls of a one-row stack. Returns the
-    ``(R, N)`` iterates.
+    ``(R, N)`` iterates. A list ``iterates`` gets copies of ``x0`` and of
+    each step's iterates: ``d`` steps give ``iterates[min(d, len - 1)]``.
     """
     x = x0.copy()
+    if iterates is not None:
+        iterates.append(x.copy())
     r = rhs - stacked_matvec(matrices, x)
     p = r.copy()
     rs = stacked_dot(r, r)
@@ -325,6 +340,8 @@ def cg_solve_stack(matrices: np.ndarray, rhs: np.ndarray, x0: np.ndarray,
                 break
         alpha = rs / curvature
         x[live] = x[live] + alpha[:, None] * p
+        if iterates is not None:
+            iterates.append(x.copy())
         r = r - alpha[:, None] * ap
         rs_next = stacked_dot(r, r)
         p = r + (rs_next / rs)[:, None] * p

@@ -10,13 +10,18 @@ convexity of the objective, monotone approximation of feasible points,
 the conjugate-gradient MSE bound) hold on concrete instances.
 
 Reports are plain data; the CLI ``verify`` subcommand formats them one
-line per check.
+line per check. Public functions and constructors validate their
+arguments and pass checked arrays on. A ``SymMatrix`` keeps its
+eigenvalues and a ``ThetaInstance`` its half-spaces' projected normals
+and values at the anchor; one CG solve and one Krylov build serve every
+rank of an MSE chain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -26,13 +31,17 @@ from .linalg import (
     BasisMatrix,
     HalfSpace,
     SymMatrix,
+    _frozen,
+    _norm,
+    _project,
+    _r_norm,
     as_vector,
-    cg_solve,
+    cg_solve_stack,
     condition_number,
     krylov_basis,
+    krylov_basis_stack,
     project_half_space,
     project_subspace,
-    r_norm,
 )
 from .tolerances import TOL
 
@@ -41,11 +50,6 @@ def _worst(values, pick=max) -> float:
     """``pick(values)``, or NaN if any is NaN (``max`` and ``min`` keep only a first NaN)."""
     values = list(values)
     return math.nan if any(math.isnan(v) for v in values) else pick(values)
-
-
-# ---------------------------------------------------------------------------
-# basis-transition map
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -72,32 +76,30 @@ class PhiMap:
 
 def apply_phi(phi: PhiMap, x) -> np.ndarray:
     """Apply the transition map; nonexpansive for orthonormal bases."""
-    v = as_vector(x, phi.n)
+    return _apply_phi(phi, as_vector(x, phi.n))
+
+
+def _apply_phi(phi: PhiMap, v: np.ndarray) -> np.ndarray:
     return phi.s_next.matrix @ (phi.s_prev.matrix.T @ v)
 
 
 def fixed_point_set(phi: PhiMap, tol: float | None = None) -> np.ndarray:
     """Orthonormal basis (N x dim, possibly dim 0) of the fixed points.
 
-    The fixed points are exactly ``{S_prev z = S_next z}`` for reduced
-    vectors ``z`` fixed by ``S_prev^T S_next``; that eigenspace for
-    eigenvalue one is extracted as the null space of ``S_prev^T S_next - I``
-    (singular values below ``tol``), then mapped up through ``S_prev``.
-    Every returned column is re-verified against both characterizations.
+    They are ``S_prev z = S_next z`` for the ``z`` fixed by ``S_prev^T
+    S_next``: the null space of ``S_prev^T S_next - I`` (singular values
+    below ``tol``) mapped up through ``S_prev``, each column re-verified
+    against both characterizations.
     """
-    if tol is None:
-        tol = TOL.fixed_point_eigen
-    d = phi.rank
+    tol = TOL.fixed_point_eigen if tol is None else tol
     gram = phi.s_prev.matrix.T @ phi.s_next.matrix
-    _, sing, vt = np.linalg.svd(gram - np.eye(d))
-    keep = sing <= tol
-    z_basis = vt[keep].T  # orthonormal columns of the reduced fixed space
+    _, sing, vt = np.linalg.svd(gram - np.eye(phi.rank))
     verified = []
-    for z in z_basis.T:
-        gap = float(np.linalg.norm(phi.s_next.matrix @ z - phi.s_prev.matrix @ z))
+    for z in vt[sing <= tol]:  # rows spanning the reduced fixed space
         v = phi.s_prev.matrix @ z
-        move = float(np.linalg.norm(apply_phi(phi, v) - v))
-        if gap <= tol and move <= tol * max(1.0, float(np.linalg.norm(v))):
+        gap = _norm(phi.s_next.matrix @ z - v)
+        move = _norm(_apply_phi(phi, v) - v)
+        if gap <= tol and move <= tol * max(1.0, _norm(v)):
             verified.append(v)
     return np.column_stack(verified) if verified else np.zeros((phi.n, 0))
 
@@ -115,12 +117,11 @@ class AttractingReport:
 def attracting_check(phi: PhiMap, trials: int = 50, rng=None) -> AttractingReport:
     """Check the two attracting-nonexpansivity regimes of the map.
 
-    Identical bases: the map is the orthogonal projection onto the shared
-    range and satisfies the 1-attracting identity
+    Identical bases: the map projects onto the shared range and satisfies
     ``||x - Phi x||^2 = ||x - f||^2 - ||Phi x - f||^2`` for every fixed
-    point ``f``; verified on random pairs. Distinct bases: the map is
-    nonexpansive but not attracting, witnessed by a vector whose norm the
-    map preserves even though it is not fixed.
+    point ``f`` (checked on random pairs). Distinct bases: it is
+    nonexpansive but not attracting, witnessed by a vector not fixed whose
+    norm it preserves.
     """
     rng = np.random.default_rng(rng)
     if np.array_equal(phi.s_prev.matrix, phi.s_next.matrix):
@@ -133,25 +134,15 @@ def attracting_check(phi: PhiMap, trials: int = 50, rng=None) -> AttractingRepor
             lhs = float(np.sum((x - px) ** 2))
             rhs = float(np.sum((x - f) ** 2) - np.sum((px - f) ** 2))
             defects.append(abs(lhs - rhs))
-        return AttractingReport(projection_case=True, max_identity_defect=_worst(defects))
+        return AttractingReport(True, _worst(defects))
 
-    diff = phi.s_next.matrix - phi.s_prev.matrix
-    _, sing, vt = np.linalg.svd(diff)
+    _, sing, vt = np.linalg.svd(phi.s_next.matrix - phi.s_prev.matrix)
     if sing[0] <= TOL.fixed_point_eigen:
         raise ValueError("bases differ but no separating direction found")
-    z = vt[0]
-    witness = phi.s_prev.matrix @ z
+    witness = phi.s_prev.matrix @ vt[0]
     pw = apply_phi(phi, witness)
-    return AttractingReport(
-        projection_case=False,
-        witness_norm_gap=abs(float(np.linalg.norm(pw)) - float(np.linalg.norm(witness))),
-        witness_displacement=float(np.linalg.norm(pw - witness)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# the weighted distance objective
-# ---------------------------------------------------------------------------
+    return AttractingReport(False, witness_norm_gap=abs(_norm(pw) - _norm(witness)),
+                            witness_displacement=_norm(pw - witness))
 
 
 @dataclass(frozen=True)
@@ -160,7 +151,8 @@ class ThetaInstance:
 
     ``half_spaces`` are the outer approximations of the data-consistent
     sets linearized at ``anchor``, which must lie in the range of
-    ``basis``; ``weights`` are positive and sum to one.
+    ``basis``; ``weights`` are positive and sum to one. The geometry of
+    the half-spaces is derived once, on first use.
     """
 
     half_spaces: tuple
@@ -172,9 +164,8 @@ class ThetaInstance:
         hs = tuple(self.half_spaces)
         if not hs:
             raise ValueError("at least one half-space is required")
-        for h in hs:
-            if h.n != self.basis.n:
-                raise ValueError("half-space dimension mismatch")
+        if any(h.n != self.basis.n for h in hs):
+            raise ValueError("half-space dimension mismatch")
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (len(hs),):
             raise ValueError("one weight per half-space required")
@@ -183,62 +174,75 @@ class ThetaInstance:
         anchor = as_vector(self.anchor, self.basis.n)
         if not _in_range(anchor, self.basis):
             raise ValueError("anchor must lie in the basis range")
-        w = w.copy()
-        anchor = anchor.copy()
-        w.flags.writeable = False
-        anchor.flags.writeable = False
         object.__setattr__(self, "half_spaces", hs)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "weights", _frozen(w))
+        object.__setattr__(self, "anchor", _frozen(anchor))
+
+    _geometry = cached_property(lambda self: _geometry_of(self))
 
 
-def _in_range(x, basis: BasisMatrix) -> bool:
-    resid = float(np.linalg.norm(x - project_subspace(x, basis)))
-    return resid <= TOL.range_confinement * (1.0 + float(np.linalg.norm(x)))
+def _geometry_of(inst: ThetaInstance) -> tuple:
+    """``(g, Q s, Q s . Q s, ||Q s||)`` per half-space: its value at the anchor and
+    its normal ``s`` projected onto the range."""
+    return tuple((hs._violation(inst.anchor), qn, float(qn @ qn), _norm(qn)) for hs, qn
+                 in ((h, _project(h.normal, inst.basis)) for h in inst.half_spaces))
 
 
-def halfspace_range_distance(x, half_space: HalfSpace, basis: BasisMatrix) -> float:
-    """Distance from ``x`` to ``half_space`` within the range of ``basis``.
+def _in_range(v: np.ndarray, basis: BasisMatrix) -> bool:
+    return _norm(v - _project(v, basis)) <= TOL.range_confinement * (1.0 + _norm(v))
 
-    Closed form by Pythagoras: ``hypot(||x - Qx||, max(0, g(Qx)) / ||Q s||)``
-    with ``Q`` the range projector and ``s`` the half-space normal; a point
-    in the range is measured as ``max(0, g(x)) / ||Q s||``. Raises if the
-    half-space misses the subspace entirely (projected normal zero with
-    positive violation).
-    """
-    v = as_vector(x, basis.n)
-    off_range = 0.0
-    if not _in_range(v, basis):
-        in_range = project_subspace(v, basis)
-        off_range = float(np.linalg.norm(v - in_range))
-        v = in_range
-    g = half_space.violation(v)
+
+def _range_split(v: np.ndarray, basis: BasisMatrix):
+    """``(Qv, ||v - Qv||)``, or ``(v, 0.0)`` for ``v`` in the range."""
+    if _in_range(v, basis):
+        return v, 0.0
+    q = as_vector(_project(v, basis))  # a projection can overflow
+    return q, _norm(v - q)
+
+
+def _distance(off_range: float, g: float, norm_qn: float) -> float:
+    """:func:`halfspace_range_distance` from ``||x - Qx||``, ``g(Qx)`` and ``||Q s||``."""
     if g <= 0.0:
         return off_range
-    qn = project_subspace(half_space.normal, basis)
-    norm_qn = float(np.linalg.norm(qn))
     if norm_qn == 0.0:
         raise ValueError("half-space does not intersect the subspace")
     return math.hypot(off_range, g / norm_qn)
 
 
+def halfspace_range_distance(x, half_space: HalfSpace, basis: BasisMatrix) -> float:
+    """Distance from ``x`` to ``half_space`` within the range of ``basis``.
+
+    By Pythagoras ``hypot(||x - Qx||, max(0, g(Qx)) / ||Q s||)``, ``Q`` the
+    range projector and ``s`` the normal; ``Qx = x`` for ``x`` in the range.
+    Raises if the half-space misses the subspace (``Q s = 0``, ``g > 0``).
+    """
+    v, off_range = _range_split(as_vector(x, basis.n), basis)
+    return _distance(off_range, half_space._violation(v),
+                     _norm(_project(half_space.normal, basis)))
+
+
 def theta_value(inst: ThetaInstance, x) -> float:
     """Weighted distance objective at ``x``.
 
-    Zero when the anchor already satisfies every half-space (the
-    normalization constant vanishes); otherwise a convex, nonnegative
-    combination of distances to the half-space/subspace intersections,
-    each weighted by the anchor's own distance to that set.
+    Zero when the anchor satisfies every half-space (the normalization
+    vanishes); else a convex, nonnegative combination of distances to the
+    half-space/subspace intersections, each weighted by the anchor's.
     """
+    return _theta_value(inst, x, inst._geometry)
+
+
+def _theta_value(inst: ThetaInstance, x, geometry) -> float:
     v = as_vector(x, inst.basis.n)
-    anchor_d = np.array([
-        halfspace_range_distance(inst.anchor, hs, inst.basis) for hs in inst.half_spaces
-    ])
+    anchor_d = np.array([_distance(0.0, g, nrm) for g, _, _, nrm in geometry])
     norm_const = float(inst.weights @ anchor_d)
     if norm_const == 0.0:
         return 0.0
-    total = sum(w * da * halfspace_range_distance(v, hs, inst.basis)
-                for w, hs, da in zip(inst.weights, inst.half_spaces, anchor_d) if da != 0.0)
+    at_anchor = v is inst.anchor
+    if not at_anchor:
+        v, off_range = _range_split(v, inst.basis)
+    total = sum(w * da * (da if at_anchor else _distance(off_range, hs._violation(v), nrm))
+                for w, hs, da, (*_, nrm)
+                in zip(inst.weights, inst.half_spaces, anchor_d, geometry) if da != 0.0)
     return total / norm_const
 
 
@@ -246,24 +250,27 @@ def rapsm_step(h, inst: ThetaInstance, phi: PhiMap, step_size: float) -> np.ndar
     """One full-space update of the reduced-rank projected subgradient method.
 
     A relaxed convex combination of the projections of ``h`` onto each
-    half-space intersected with the basis range, scaled by the parallel
-    over-relaxation factor, then passed through the transition map. A
-    feasible ``h`` (vanishing subgradient) is only mapped through the
-    transition.
+    half-space within the basis range, scaled by the parallel
+    over-relaxation factor, then the transition map (alone for a feasible
+    ``h``).
     """
+    return _rapsm_step(h, inst, phi, step_size, inst._geometry)
+
+
+def _rapsm_step(h, inst: ThetaInstance, phi: PhiMap, step_size: float, geometry):
     if not 0.0 <= step_size <= 2.0:
         raise ValueError("step_size must lie in [0, 2]")
     v = as_vector(h, inst.basis.n)
-    if not _in_range(v, inst.basis):
+    at_anchor = v is inst.anchor  # in the range by construction
+    if not (at_anchor or _in_range(v, inst.basis)):
         raise ValueError("iterate must lie in the basis range")
+    gs = ([geo[0] for geo in geometry] if at_anchor
+          else [hs._violation(v) for hs in inst.half_spaces])
     f_dir = np.zeros_like(v)
     loss = 0.0
-    for w, hs in zip(inst.weights, inst.half_spaces):
-        g = hs.violation(v)
+    for w, g, (_, qn, nq2, _) in zip(inst.weights, gs, geometry):
         if g <= 0.0:  # a satisfied set adds nothing
             continue
-        qn = project_subspace(hs.normal, inst.basis)
-        nq2 = float(qn @ qn)
         if nq2 == 0.0:
             raise ValueError("half-space does not intersect the subspace")
         dvec = -(g / nq2) * qn
@@ -271,14 +278,9 @@ def rapsm_step(h, inst: ThetaInstance, phi: PhiMap, step_size: float) -> np.ndar
         loss += w * float(dvec @ dvec)
     nf = float(f_dir @ f_dir)
     if nf == 0.0:  # no violated set, or directions that cancel
-        return apply_phi(phi, v)
+        return _apply_phi(phi, v)
     relax = loss / nf
     return apply_phi(phi, v + step_size * relax * f_dir)
-
-
-# ---------------------------------------------------------------------------
-# feasibility oracle and monotone approximation probe
-# ---------------------------------------------------------------------------
 
 
 def find_feasible_point(half_spaces, basis: BasisMatrix, start=None,
@@ -299,25 +301,17 @@ def find_feasible_point(half_spaces, basis: BasisMatrix, start=None,
             if bound < 0.0:
                 return None  # constraint excludes the whole subspace
             continue
-        margin = 1e-9 * (1.0 + abs(bound) + float(np.sqrt(nn)))
+        margin = 1e-9 * (1.0 + abs(bound) + math.sqrt(nn))
         reduced.append((nr, bound, nn, margin))
     z = (basis.matrix.T @ as_vector(start, basis.n)) if start is not None \
         else np.zeros(basis.rank)
-    if not reduced:
-        return basis.matrix @ z
-
-    def all_feasible(zz):
-        return all(float(nr @ zz) <= bound for nr, bound, _, _ in reduced)
-
-    for _ in range(max_iter):
-        if all_feasible(z):
+    for _ in range(max(max_iter, 0) + 1):  # the last pass only checks
+        if all(float(nr @ z) <= bound for nr, bound, _, _ in reduced):
             return basis.matrix @ z
         for nr, bound, nn, margin in reduced:
             g = float(nr @ z) - (bound - margin)
             if g > 0.0:
                 z = z - (g / nn) * nr
-    if all_feasible(z):
-        return basis.matrix @ z
     return None
 
 
@@ -353,37 +347,27 @@ class MonotoneReport:
 def monotone_probe(steps, slack: float | None = None) -> MonotoneReport:
     """Check distance non-increase toward certified feasible points.
 
-    A step is certified when the basis did not move (the transition map is
-    then the range projector, whose fixed points are the whole range) and
-    the feasibility oracle produces a point in the intersection of all the
-    step's half-spaces with the range. Steps the oracle cannot certify are
-    reported as unchecked, never as failures.
+    A step is certified when the basis did not move (the map is then the
+    range projector, fixing the whole range) and the oracle finds a point
+    in all the step's half-spaces within the range. Steps it cannot
+    certify are reported as unchecked, never as failures.
     """
-    if slack is None:
-        slack = TOL.monotone_slack
-    certified = 0
+    slack = TOL.monotone_slack if slack is None else slack
     unchecked = 0
     violations = []
     overs = [0.0]
     for idx, st in enumerate(steps):
-        same_basis = np.array_equal(st.instance.basis.matrix, st.basis_next.matrix)
-        omega = None
-        if same_basis:
-            omega = find_feasible_point(st.instance.half_spaces, st.instance.basis,
-                                        start=st.instance.anchor)
+        inst = st.instance
+        omega = (find_feasible_point(inst.half_spaces, inst.basis, start=inst.anchor)
+                 if np.array_equal(inst.basis.matrix, st.basis_next.matrix) else None)
         if omega is None:
             unchecked += 1
             continue
-        certified += 1
-        before = float(np.linalg.norm(st.h - omega))
-        after = float(np.linalg.norm(st.h_next - omega))
-        over = after - before
-        overs.append(over)
-        if over > slack:
-            violations.append((idx, over))
-    return MonotoneReport(total=len(steps), certified=certified,
-                          unchecked=unchecked, violations=violations,
-                          max_overshoot=_worst(overs))
+        overs.append(_norm(st.h_next - omega) - _norm(st.h - omega))
+        if overs[-1] > slack:
+            violations.append((idx, overs[-1]))
+    return MonotoneReport(len(steps), len(steps) - unchecked, unchecked, violations,
+                          _worst(overs))
 
 
 def _error_bound_half_spaces(ring, count: int, error_dim: int, h, rho: float) -> tuple:
@@ -397,8 +381,7 @@ def _error_bound_half_spaces(ring, count: int, error_dim: int, h, rho: float) ->
     for j in range(count):
         u_block = np.column_stack([u for u, _ in ring[j:j + error_dim]])
         e = u_block.T @ h - np.array([d for _, d in ring[j:j + error_dim]])
-        half_spaces.append(HalfSpace(normal=2.0 * (u_block @ e), offset=float(e @ e) - rho,
-                                     anchor=h))
+        half_spaces.append(HalfSpace(2.0 * (u_block @ e), float(e @ e) - rho, h))
     return tuple(half_spaces)
 
 
@@ -409,51 +392,40 @@ def static_rapsm_run(*, n: int, rank: int, projections: int, iters: int,
                      seed: int = 0):
     """Drive the full-space update on a stationary stream with a frozen basis.
 
-    Warm-up samples feed the statistics estimator; the Krylov basis built
-    from the warmed-up estimates is then frozen while the update runs for
-    ``iters`` steps. With ``subspace_target`` the supervision is re-derived
-    from the projection of the unknown system onto the frozen subspace, so
-    the bounded-error sets share a common subspace point (a consistent
-    scenario by construction). Returns ``(probe_steps, theta_values)``.
+    The Krylov basis of the warmed-up estimates is frozen for ``iters``
+    steps. With ``subspace_target`` the supervision comes from the
+    unknown system projected onto that subspace, so the bounded-error sets
+    share a subspace point (consistent by construction). Returns
+    ``(probe_steps, theta_values)``.
     """
     from .scenarios import SysIdConfig, SysIdScenario
 
-    cfg = SysIdConfig(n=n, snr_db=math.inf if noiseless else snr_db, seed=seed)
-    scen = SysIdScenario(cfg)
+    scen = SysIdScenario(SysIdConfig(n=n, snr_db=math.inf if noiseless else snr_db, seed=seed))
     est = CorrelationEstimator("toeplitz", n, 0.999)
-    samples = list(scen.samples(warmup + iters))
-    for s in samples[:warmup]:
-        est.update(s.u, s.d)
+    pairs = [(s.u, s.d) for s in scen.samples(warmup + iters)]
+    for u, d in pairs[:warmup]:
+        est.update(u, d)
     basis = krylov_basis(est.r_matrix(), est.p_vector(), rank)
     phi = PhiMap(basis, basis)
-
     if subspace_target:
-        target = project_subspace(scen.h_star, basis)
-        samples = [type(s)(k=s.k, u=s.u, d=float(s.u @ target), truth_h=s.truth_h)
-                   for s in samples]
+        target = _project(scen.h_star, basis)
+        pairs = [(u, float(u @ target)) for u, _ in pairs]
 
     ring_len = projections + error_dim - 1
-    ring = [(s.u, s.d) for s in reversed(samples[warmup - ring_len:warmup])]
+    ring = pairs[warmup - ring_len:warmup][::-1]
     weights = np.full(projections, 1.0 / projections)
     h = np.zeros(n)
-    probe_steps = []
-    thetas = []
-    for s in samples[warmup:]:
-        ring.insert(0, (s.u, s.d))
-        ring = ring[:ring_len]
+    probe_steps, thetas = [], []
+    for pair in pairs[warmup:]:
+        ring = [pair] + ring[:ring_len - 1]
         inst = ThetaInstance(_error_bound_half_spaces(ring, projections, error_dim, h, rho),
                              basis, weights, h)
-        h_next = rapsm_step(h, inst, phi, step_size)
-        probe_steps.append(ProbeStep(h=h, h_next=h_next, instance=inst,
-                                     basis_next=basis))
-        thetas.append(theta_value(inst, h))
+        geometry = _geometry_of(inst)  # not cached: the steps keep their instances
+        h_next = _rapsm_step(inst.anchor, inst, phi, step_size, geometry)
+        probe_steps.append(ProbeStep(h, h_next, inst, basis))
+        thetas.append(_theta_value(inst, inst.anchor, geometry))
         h = h_next
     return probe_steps, thetas
-
-
-# ---------------------------------------------------------------------------
-# MSE bound and subgradient checks
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -495,35 +467,43 @@ def cg_bound_check(matrix: SymMatrix, p, h_star, rank: int,
     """Evaluate the reduced-rank MSE bound and its Euclidean consequence.
 
     With ``p = R h_star`` and ``sigma_d2 = ||h_star||_R^2 + sigma_n^2``,
-    the MSE at the energy-norm best approximation of ``h_star`` over the
-    rank-``rank`` Krylov subspace is bounded by
-    ``(4 a^(2 rank) - 1) ||h_star||_R^2 + sigma_d2`` where
+    the MSE at the energy-norm best approximation of ``h_star`` in the
+    rank-``rank`` Krylov subspace is at most
+    ``(4 a^(2 rank) - 1) ||h_star||_R^2 + sigma_d2``,
     ``a = (sqrt(kappa) - 1) / (sqrt(kappa) + 1)``. The report also carries
-    the chain linking the Euclidean identification error to the same decay
-    factor through the smallest eigenvalue.
+    the chain tying the Euclidean error to the same decay factor through
+    the smallest eigenvalue.
     """
     hs = as_vector(h_star, matrix.n)
-    pv = as_vector(p, matrix.n)
-    scale = max(1.0, float(np.linalg.norm(pv)))
-    if float(np.linalg.norm(matrix.matvec(hs) - pv)) > 1e-8 * scale:
+    return _mse_chain(matrix, as_vector(p, matrix.n), hs, sigma_d2, (rank,))[0]
+
+
+def _mse_chain(matrix: SymMatrix, pv: np.ndarray, hs: np.ndarray, sigma_d2: float,
+               ranks) -> list:
+    """:func:`cg_bound_check` at each of ``ranks`` from one CG run and one Krylov build."""
+    dense = matrix.dense()
+    if _norm(dense @ hs - pv) > 1e-8 * max(1.0, _norm(pv)):
         raise ValueError("cross-correlation must equal R @ h_star")
     kappa = condition_number(matrix)
-    lam_min = float(np.linalg.eigvalsh(matrix.dense())[0])
+    lam_min = float(matrix.eigenvalues[0])
     alpha = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
-    h_r2 = r_norm(hs, matrix) ** 2
-
-    proj_r = cg_solve(matrix, pv, iters=rank)
-    mse = float(proj_r @ matrix.matvec(proj_r) - 2.0 * proj_r @ pv) + sigma_d2
-    bound = (4.0 * alpha ** (2 * rank) - 1.0) * h_r2 + sigma_d2
-
-    span = krylov_basis(matrix, pv, rank)
-    proj_e = project_subspace(hs, span)
-    t1 = float(np.linalg.norm(proj_e - proj_r))
-    t2 = float(np.linalg.norm(hs - proj_r))
-    t3 = r_norm(hs - proj_r, matrix) / math.sqrt(lam_min)
-    t4 = 2.0 * math.sqrt(h_r2) * alpha ** rank / math.sqrt(lam_min)
-    chain = (ChainTerm(t1, t2), ChainTerm(t2, t3), ChainTerm(t3, t4))
-    return CgBoundReport(mse_value=mse, mse_bound=bound, chain=chain)
+    h_r2 = _r_norm(hs, matrix) ** 2
+    top, steps = max(ranks), []
+    cg_solve_stack(dense[None], pv[None], np.zeros((1, matrix.n)), top, steps)
+    bases, built = krylov_basis_stack(dense[None], pv[None], top)
+    reports = []
+    for rank in ranks:
+        proj_r = steps[min(rank, len(steps) - 1)][0]
+        mse = float(proj_r @ (dense @ proj_r) - 2.0 * proj_r @ pv) + sigma_d2
+        bound = (4.0 * alpha ** (2 * rank) - 1.0) * h_r2 + sigma_d2
+        proj_e = _project(hs, BasisMatrix(bases[0, :, :min(built[0], rank)]))
+        t1 = _norm(proj_e - proj_r)
+        t2 = _norm(hs - proj_r)
+        t3 = _r_norm(hs - proj_r, matrix) / math.sqrt(lam_min)
+        t4 = 2.0 * math.sqrt(h_r2) * alpha ** rank / math.sqrt(lam_min)
+        reports.append(CgBoundReport(mse, bound, (ChainTerm(t1, t2), ChainTerm(t2, t3),
+                                                  ChainTerm(t3, t4))))
+    return reports
 
 
 def subgradient_inequality_check(basis: BasisMatrix, u_block, d_block,
@@ -531,10 +511,9 @@ def subgradient_inequality_check(basis: BasisMatrix, u_block, d_block,
     """Max defect of the subdifferential inequality for the error bound map.
 
     The map is ``g(z) = ||(S^T U)^T z - d||^2 - rho`` with gradient
-    ``2 (S^T U) e``; for each random probe ``x`` the defect
-    ``<x - y, grad(y)> + g(y) - g(x)`` must be nonpositive. Also verifies
-    that the relaxed projection of ``y`` lands inside the separating
-    half-space.
+    ``2 (S^T U) e``; at each random ``x`` the defect
+    ``<x - y, grad(y)> + g(y) - g(x)`` must be nonpositive, and the
+    projection of ``y`` must land in the separating half-space.
     """
     rng = np.random.default_rng(rng)
     ured = basis.matrix.T @ np.asarray(u_block, dtype=float)
@@ -545,23 +524,17 @@ def subgradient_inequality_check(basis: BasisMatrix, u_block, d_block,
         e = ured.T @ z - d
         return float(e @ e) - rho
 
-    e_y = ured.T @ y - d
-    grad = 2.0 * (ured @ e_y)
+    grad = 2.0 * (ured @ (ured.T @ y - d))
+    gy = g(y)
     defects = [0.0]
     for _ in range(trials):
         x = y + rng.standard_normal(basis.rank) * 2.0
-        defects.append(float((x - y) @ grad) + g(y) - g(x))
-    gy = g(y)
+        defects.append(float((x - y) @ grad) + gy - g(x))
     if gy > 0.0:
         hs = HalfSpace(normal=grad, offset=gy, anchor=y)
         proj = project_half_space(y, hs)
         defects.append(hs.violation(proj))
     return _worst(defects)
-
-
-# ---------------------------------------------------------------------------
-# the check suite behind the CLI `verify` subcommand
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -588,14 +561,12 @@ class _Outcome(NamedTuple):
 
 def _random_orthonormal(n: int, d: int, rng) -> BasisMatrix:
     q, r = np.linalg.qr(rng.standard_normal((n, d)))
-    q = q * np.sign(np.diag(r))
-    return BasisMatrix(q)
+    return BasisMatrix(q * np.sign(np.diag(r)))
 
 
 def _random_spd(n: int, rng, lo: float = 0.5, hi: float = 3.0) -> SymMatrix:
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    eigs = rng.uniform(lo, hi, size=n)
-    return SymMatrix(q @ np.diag(eigs) @ q.T)
+    return SymMatrix(q @ np.diag(rng.uniform(lo, hi, size=n)) @ q.T)
 
 
 def _random_instance(rng, n: int = 8, d: int = 3, q: int = 3,
@@ -603,8 +574,8 @@ def _random_instance(rng, n: int = 8, d: int = 3, q: int = 3,
     basis = _random_orthonormal(n, d, rng)
     anchor = basis.matrix @ rng.standard_normal(d)
     ring = [(rng.standard_normal(n), rng.standard_normal()) for _ in range(q)]
-    w = np.full(q, 1.0 / q)
-    return ThetaInstance(_error_bound_half_spaces(ring, q, 1, anchor, rho), basis, w, anchor)
+    return ThetaInstance(_error_bound_half_spaces(ring, q, 1, anchor, rho), basis,
+                         np.full(q, 1.0 / q), anchor)
 
 
 def _krylov_bases(rng, seed):
@@ -614,22 +585,20 @@ def _krylov_bases(rng, seed):
     mat = _random_spd(n, rng)
     p = rng.standard_normal(n)
     basis = krylov_basis(mat, p, d)
-    gram = basis.matrix.T @ basis.matrix
     spans = []
-    v = p.copy()
+    v = p
     for _ in range(basis.rank):
-        resid = v - project_subspace(v, basis)
-        spans.append(float(np.linalg.norm(resid)) / float(np.linalg.norm(v)))
+        spans.append(_norm(v - project_subspace(v, basis)) / _norm(v))
         v = mat.matvec(v)
+    gram = basis.matrix.T @ basis.matrix
     return float(np.max(np.abs(gram - np.eye(basis.rank)))), _worst(spans)
 
 
 def _halfspace_boundary(rng, seed):
     """Half-space projection boundary placement."""
     n = int(rng.integers(2, 9))
-    hs = HalfSpace(normal=rng.standard_normal(n),
-                   offset=abs(rng.standard_normal()) + 0.1,
-                   anchor=rng.standard_normal(n))
+    hs = HalfSpace(rng.standard_normal(n), abs(rng.standard_normal()) + 0.1,
+                   rng.standard_normal(n))
     proj = project_half_space(hs.anchor, hs)
     return abs(hs.violation(proj))
 
@@ -640,7 +609,7 @@ def _projector_pythagoras(rng, seed):
     d = int(rng.integers(1, n))
     basis = _random_orthonormal(n, d, rng)
     x = rng.standard_normal(n)
-    px = project_subspace(x, basis)
+    px = _project(x, basis)
     lhs = float(x @ x)
     rhs = float(px @ px) + float(np.sum((x - px) ** 2))
     return abs(lhs - rhs) / max(lhs, 1.0)
@@ -654,9 +623,9 @@ def _phi_maps(rng, seed):
     nxt = _random_orthonormal(n, d, rng)
     phi = PhiMap(prev, nxt)
     x = rng.standard_normal(n)
-    gain = float(np.linalg.norm(apply_phi(phi, x))) - float(np.linalg.norm(x))
-    zero_img = float(np.linalg.norm(apply_phi(phi, np.zeros(n))))
-    fix = [float(np.linalg.norm(col - project_subspace(col, b)))
+    gain = _norm(_apply_phi(phi, x)) - _norm(x)
+    zero_img = _norm(_apply_phi(phi, np.zeros(n)))
+    fix = [_norm(col - _project(col, b))
            for col in fixed_point_set(phi).T for b in (prev, nxt)]
     attracting_ok = True
     try:
@@ -705,17 +674,16 @@ def _update_equivalence(rng, seed, rho: float = 0.05, step_size: float = 0.8):
     defects = [0.0]
     ring = []
     for u, dv in zip(us, ds):
-        ring.insert(0, (u, dv))
-        ring = ring[:q]
+        ring = [(u, dv)] + ring[:q - 1]
         predicted = None
         builds_before = filt.build_count
         if filt.basis is not None:
             basis = filt.basis
             h_full = basis.matrix @ filt.h_tilde
-            w = np.full(len(ring), 1.0 / len(ring))
             inst = ThetaInstance(_error_bound_half_spaces(ring, len(ring), 1, h_full, rho),
-                                 basis, w, h_full)
-            predicted = basis.matrix.T @ rapsm_step(h_full, inst, PhiMap(basis, basis), step_size)
+                                 basis, np.full(len(ring), 1.0 / len(ring)), h_full)
+            predicted = basis.matrix.T @ rapsm_step(inst.anchor, inst, PhiMap(basis, basis),
+                                                    step_size)
         filt.step(u, dv)
         # a refresh rebases the reduced vector after the update; compare
         # only when the basis survived the step
@@ -749,9 +717,9 @@ def _mse_bound_chain(rng, seed):
     h_star = rng.standard_normal(n)
     p = mat.matvec(h_star)
     sigma_n2 = float(rng.uniform(0.0, 0.5))
-    sigma_d2 = r_norm(h_star, mat) ** 2 + sigma_n2
-    return _worst(cg_bound_check(mat, p, h_star, d, sigma_d2).max_scaled_violation
-                  for d in range(1, n + 1))
+    sigma_d2 = _r_norm(h_star, mat) ** 2 + sigma_n2
+    return _worst(rep.max_scaled_violation
+                  for rep in _mse_chain(mat, p, h_star, sigma_d2, range(1, n + 1)))
 
 
 def _subgradient_inequality(rng, seed):
@@ -764,9 +732,8 @@ def _subgradient_inequality(rng, seed):
     return subgradient_inequality_check(basis, ub, db, 0.1, y, rng)
 
 
-# The suite in the order it draws from its one generator. A row is a check, called
-# with the generator and the suite seed to make one draw, its number of draws and the
-# (name, tolerance) of each defect it returns (the paired checks return two).
+# The suite in the order it draws from its one generator. A row is a check (one draw
+# from the generator and suite seed), its draws and the (name, tolerance) of each defect.
 _CHECKS = (
     (_krylov_bases, 25, ("krylov-orthonormality", TOL.orthonormality),
      ("krylov-span", TOL.krylov_span_rel)),

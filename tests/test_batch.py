@@ -618,6 +618,24 @@ def test_build_chunk_changes_no_output(monkeypatch):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+def test_non_finite_statistics_install_no_basis():
+    # trial 60 lies in the second 52-trial chunk of the first build: the build
+    # must raise before the first chunk's bases are installed
+    runs, n = 100, 50
+    rng = np.random.default_rng(12)
+    batch = KrrApspBatch(KrrParams(rank=3), n, runs)
+    assert batch.family.chunk == 52
+    for _ in range(n - 1):
+        batch.step(rng.standard_normal((runs, n)), rng.standard_normal(runs))
+    names = ("basis", "rank_eff", "h_tilde", "build_count", "has_basis")
+    before = {name: getattr(batch, name).copy() for name in names}
+    batch.stats.r[60, 0] = np.inf
+    with pytest.raises(ValueError, match="statistics estimates must be finite"):
+        batch.step(rng.standard_normal((runs, n)), rng.standard_normal(runs))
+    for name in names:
+        assert getattr(batch, name).tobytes() == before[name].tobytes(), name
+
+
 def test_full_matrix_statistics_match_the_row_loop():
     # the chunked outer products add what one row at a time would
     rng = np.random.default_rng(10)

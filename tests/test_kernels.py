@@ -16,7 +16,13 @@ each kernel and every layout the code passes:
   {31, 50}, so a family build may size its chunks freely;
 * the set sums of a KRR-APSP step (``filters._sum_sets``): slice by slice
   adds equal ``np.add.accumulate(x, axis=1)[:, -1]``, signed zeros
-  included, and ``+ 0.0`` after them gives the sum from a zero start.
+  included, and ``+ 0.0`` after them gives the sum from a zero start;
+* prefixes, for N = 2..10: the ``d``-step ``cg_solve_stack`` iterates are
+  entry ``d`` of the iterates an N-step run keeps (a zero residual, zero
+  curvature on a semidefinite matrix and a zero right-hand side
+  included), and a rank-``d`` ``krylov_basis_stack`` build is the leading
+  ``d`` columns of the rank-N one, with ranks ``min(rank_N, d)``. The MSE
+  chain of ``verify`` serves every rank from one run and one build.
 
 Each output entry of the outer product is one rounded product
 ``u_i * u_j`` with no sum, so any call that forms it once agrees. The
@@ -33,7 +39,7 @@ import pytest
 
 from krrapsp.estimation import _StatsStack
 from krrapsp.filters import _sum_sets
-from krrapsp.linalg import krylov_basis_stack, stacked_matvec
+from krrapsp.linalg import cg_solve_stack, krylov_basis_stack, stacked_matvec
 
 
 @pytest.mark.parametrize("runs", [1, 2, 100])
@@ -107,3 +113,57 @@ def test_set_sums_equal_the_accumulated_sums(shape):
     # from a zero start, as a zero slot in front of the sets adds
     padded = np.concatenate((np.zeros_like(x[:, :1]), x), axis=1)
     assert (got + 0.0).tobytes() == np.add.accumulate(padded, axis=1)[:, -1].tobytes()
+
+
+def prefix_systems(n, rng):
+    """Four ``n x n`` systems for CG from zero: SPD, ``2 I`` (a zero residual after one
+    step), ``diag(1, 0, ...)`` with ``b = e0 + e1`` (zero curvature at step two) and
+    SPD with ``b = 0``."""
+    a = rng.standard_normal((n, n))
+    semidefinite = np.zeros((n, n))
+    semidefinite[0, 0] = 1.0
+    mats = np.stack([a @ a.T + np.eye(n), 2.0 * np.eye(n), semidefinite, a @ a.T + np.eye(n)])
+    rhs = rng.standard_normal((4, n))
+    rhs[2] = 0.0
+    rhs[2, :2] = 1.0
+    rhs[3] = 0.0
+    return mats, rhs
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_cg_steps_are_a_prefix_of_a_longer_run(n):
+    # verify's MSE chain reads every rank d <= n off one n-step run
+    mats, rhs = prefix_systems(n, np.random.default_rng(n))
+    for rows in ([0, 1, 2, 3], [0], [1], [2], [3]):
+        x0 = np.zeros((len(rows), n))
+        iterates = []
+        last = cg_solve_stack(mats[rows], rhs[rows], x0, n, iterates)
+        assert iterates[-1].tobytes() == last.tobytes()
+        for d in range(1, n + 1):
+            got = cg_solve_stack(mats[rows], rhs[rows], x0, d)
+            assert got.tobytes() == iterates[min(d, len(iterates) - 1)].tobytes()
+    # the identity row stops after one step, the semidefinite one after one
+    # update, the zero right-hand side at once
+    for row, steps in ((1, 1), (2, 1), (3, 0)):
+        iterates = []
+        cg_solve_stack(mats[[row]], rhs[[row]], np.zeros((1, n)), n, iterates)
+        assert len(iterates) == 1 + steps
+    assert np.array_equal(iterates[0], np.zeros((1, n)))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_krylov_builds_are_a_prefix_of_the_full_rank_build(n):
+    # verify's MSE chain reads every rank d <= n off one rank-n build
+    rng = np.random.default_rng(100 + n)
+    a = rng.standard_normal((n, n))
+    spd = a @ a.T + np.eye(n)
+    eigvecs = np.linalg.eigh(spd)[1]
+    mats = np.stack([spd, spd, 2.0 * np.eye(n)])
+    seeds = np.stack([rng.standard_normal(n), eigvecs[:, -2:] @ rng.standard_normal(2),
+                      rng.standard_normal(n)])
+    bases, ranks = krylov_basis_stack(mats, seeds, n)
+    assert ranks[2] == 1 and (n == 2 or ranks[1] < n)  # truncated builds
+    for d in range(1, n + 1):
+        got, got_ranks = krylov_basis_stack(mats, seeds, d)
+        assert got.tobytes() == np.ascontiguousarray(bases[:, :, :d]).tobytes()
+        assert np.array_equal(got_ranks, np.minimum(ranks, d))

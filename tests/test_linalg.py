@@ -18,7 +18,7 @@ from krrapsp import (
     project_subspace,
     r_norm,
 )
-from krrapsp.linalg import krylov_basis_stack, toeplitz_dense
+from krrapsp.linalg import _norm, krylov_basis_stack, toeplitz_dense
 
 from conftest import random_orthonormal, random_spd
 from oracles import (
@@ -404,3 +404,43 @@ def test_krylov_stack_leading_columns_of_a_truncated_build(toeplitz):
     ranks = assert_leading_columns(mats, seeds, 8, 3)
     assert np.all(ranks == 2)
     assert_leading_columns(mats, seeds, 8, 1)
+
+
+# -- the private norm is numpy's, bit for bit ---------------------------------
+
+EXTREMES = [0.0, -0.0, 5e-324, -2.5e-320, 1e-160, 1e154, 1.5e308, -1.7e308,
+            np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def norm_inputs(draw):
+    n = draw(st.integers(0, 12))
+    entry = st.one_of(st.floats(width=64), st.sampled_from(EXTREMES))
+    x = np.array(draw(st.lists(entry, min_size=2 * n, max_size=2 * n)), dtype=float)
+    layout = draw(st.sampled_from(["contiguous", "strided", "reversed", "2-d", "2-d transposed"]))
+    if layout == "strided":
+        return x[::2]
+    if layout == "reversed":
+        return x[::-1]
+    if layout.startswith("2-d"):
+        m = x.reshape(2, n)
+        return m.T if layout.endswith("transposed") else m
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(norm_inputs())
+def test_private_norm_is_numpys_norm(x):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want, got = np.linalg.norm(x), _norm(x)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("x", [np.zeros(5), np.full(3, 1e-320), np.full(4, 1e200),
+                               np.array([3.0, np.nan]), np.array([np.inf, -np.inf])])
+def test_private_norm_at_the_extremes(x):
+    # zeros, subnormals, squares that overflow to inf, NaN and infinities
+    with np.errstate(over="ignore", invalid="ignore"):
+        want, got = np.linalg.norm(x), _norm(x)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -301,6 +301,56 @@ class TestCgBound:
             cg_bound_check(mat, np.ones(3), 2 * np.ones(3), 1, 1.0)
 
 
+def counting(calls, name, fn):
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+class TestSharedWork:
+    def test_mse_chain_equals_the_per_rank_checks(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            n = int(rng.integers(2, 11))
+            mat = SymMatrix(random_spd(n, rng, lo=0.4, hi=4.0))
+            h_star = rng.standard_normal(n)
+            p = mat.matvec(h_star)
+            sigma_d2 = r_norm(h_star, mat) ** 2 + float(rng.uniform(0.0, 0.5))
+            shared = verify._mse_chain(mat, p, h_star, sigma_d2, range(1, n + 1))
+            # each rank on a fresh matrix: its own CG run, build and eigenvalues
+            each = [cg_bound_check(SymMatrix(mat.dense()), p, h_star, rank, sigma_d2)
+                    for rank in range(1, n + 1)]
+            assert repr(shared) == repr(each)
+
+    def test_one_build_one_solve_one_eigendecomposition_per_chain(self, monkeypatch):
+        calls = dict.fromkeys(("krylov", "cg", "eig"), 0)
+        monkeypatch.setattr(verify, "krylov_basis_stack",
+                            counting(calls, "krylov", verify.krylov_basis_stack))
+        monkeypatch.setattr(verify, "cg_solve_stack", counting(calls, "cg", verify.cg_solve_stack))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting(calls, "eig", np.linalg.eigvalsh))
+        rng = np.random.default_rng(3)
+        for draw in range(1, 6):
+            verify._mse_bound_chain(rng, 0)
+            assert calls == {"krylov": draw, "cg": draw, "eig": draw}
+
+    def test_theta_at_the_anchor_computes_each_distance_once(self, monkeypatch, rng):
+        inst = make_instance(rng, q=4, rho=1e-9)
+        assert all(hs.violation(inst.anchor) > 0.0 for hs in inst.half_spaces)
+        calls = {"distance": 0}
+        monkeypatch.setattr(verify, "_distance", counting(calls, "distance", verify._distance))
+        value = theta_value(inst, inst.anchor)
+        assert calls["distance"] == 4  # not 8: the distances at x are the anchor's
+        # an equal point that is not the anchor is measured afresh, to the same value
+        assert theta_value(inst, inst.anchor.copy()) == value and calls["distance"] == 12
+
+    def test_static_step_range_tests_its_anchor_once(self, monkeypatch):
+        calls = {"range": 0}
+        monkeypatch.setattr(verify, "_in_range", counting(calls, "range", verify._in_range))
+        steps, _ = static_rapsm_run(n=10, rank=3, projections=3, iters=20, seed=4)
+        assert calls["range"] == len(steps) == 20  # at construction of each instance
+
+
 class TestSubgradientCheck:
     def test_random_instances(self, rng):
         for _ in range(10):
