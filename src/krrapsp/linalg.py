@@ -1,16 +1,14 @@
 """Dense real linear algebra kernels.
 
-Symmetric matrices, the energy norm they induce, orthonormal Krylov
-subspace bases, and the projections onto half-spaces and column spaces
-that the adaptive filters and their analysis rely on.
-The Krylov basis, the conjugate gradient solve and the Toeplitz expansion
-are each written once, for a stack of R systems whose rows make the BLAS
-calls a single system would; ``krylov_basis`` and ``cg_solve`` are
-one-row calls of ``krylov_basis_stack`` and ``cg_solve_stack``.
+Symmetric matrices, the energy norm, orthonormal Krylov bases and the
+projections onto half-spaces and column spaces that the filters and their
+analysis rely on. The Krylov basis, the conjugate gradient solve and the
+Toeplitz expansion are written once, for a stack of R systems whose rows
+make the BLAS calls of a one-row stack (``tests/test_kernels.py`` checks
+the layouts); ``krylov_basis`` and ``cg_solve`` are one-row calls.
 
-All values are immutable after construction and safe to share across
-threads; every function here is a pure function of its inputs, apart
-from writing into a given ``out`` or ``iterates``.
+Values are immutable; functions are pure apart from writing into a given
+``out`` or ``iterates``.
 """
 
 from __future__ import annotations
@@ -48,6 +46,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _unchecked(cls, **fields):
+    """The frozen dataclass ``cls`` of fields its caller has checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _norm(x: np.ndarray) -> float:
     """``np.linalg.norm(x)`` of a float array, by its own formula without the wrapper."""
     v = x.ravel(order="K")
@@ -57,9 +62,8 @@ def _norm(x: np.ndarray) -> float:
 class SymMatrix:
     """Symmetric n x n real matrix.
 
-    Symmetry is exact by construction: the matrix is the given square
-    array's upper triangle mirrored below the diagonal. Instances are
-    immutable; the eigenvalues are computed once, on first use.
+    Exactly symmetric: the given square array's upper triangle, mirrored.
+    Immutable; the eigenvalues are computed on first use.
     """
 
     def __init__(self, dense):
@@ -127,9 +131,8 @@ class BasisMatrix:
 class HalfSpace:
     """Closed half-space ``{x : <x - anchor, normal> + offset <= 0}``.
 
-    ``anchor`` is the point at which a convex constraint was linearized and
-    ``offset`` the constraint value there; ``offset > 0`` means the anchor
-    itself violates the half-space.
+    A convex constraint linearized at ``anchor``, where its value is
+    ``offset`` (``> 0``: the anchor violates it). All three are finite.
     """
 
     normal: np.ndarray
@@ -140,7 +143,9 @@ class HalfSpace:
         normal = as_vector(self.normal)
         object.__setattr__(self, "anchor", _frozen(as_vector(self.anchor, normal.shape[0])))
         object.__setattr__(self, "normal", _frozen(normal))
-        object.__setattr__(self, "offset", float(self.offset))
+        if not math.isfinite(offset := float(self.offset)):
+            raise ValueError("offset must be finite")
+        object.__setattr__(self, "offset", offset)
 
     @property
     def n(self) -> int:
@@ -179,10 +184,9 @@ def condition_number(matrix: SymMatrix) -> float:
 def krylov_basis(matrix: SymMatrix, p, rank: int) -> BasisMatrix:
     """Orthonormal basis of ``span{p, Rp, ..., R^(D_eff-1) p}``.
 
-    The one-row call of :func:`krylov_basis_stack`. ``p`` is the seed, of
-    length N; ``rank`` the requested dimension D, ``1 <= rank <= N``.
-    The effective rank ``D_eff`` falls short of ``rank`` only when the
-    Krylov sequence becomes numerically dependent. Raises
+    ``p`` is the seed, of length N; ``rank`` the requested dimension D,
+    ``1 <= rank <= N``, which ``D_eff`` falls short of only when the Krylov
+    sequence becomes numerically dependent. Raises
     ``DegenerateCrossCorrelationError`` if ``p`` is zero (callers handle warm-up).
     """
     seed = as_vector(p, matrix.n)
@@ -191,11 +195,8 @@ def krylov_basis(matrix: SymMatrix, p, rank: int) -> BasisMatrix:
 
 
 def project_half_space(x, half_space: HalfSpace) -> np.ndarray:
-    """Metric projection of ``x`` onto a half-space.
-
-    Returns ``x`` unchanged when it already satisfies the constraint;
-    otherwise the unique boundary point along the normal direction.
-    """
+    """Metric projection of ``x`` onto a half-space: ``x`` if inside, else the
+    boundary point along the normal."""
     v = as_vector(x, half_space.n)
     g = half_space._violation(v)
     if g <= 0.0:
@@ -216,12 +217,12 @@ def _project(v: np.ndarray, basis: BasisMatrix) -> np.ndarray:
 
 
 def cg_solve(matrix: SymMatrix, b, x0=None, iters: int | None = None) -> np.ndarray:
-    """Conjugate gradient iterations on ``R h = b``, the one-row call of :func:`cg_solve_stack`.
+    """Conjugate gradient iterations on ``R h = b``.
 
-    Runs at most ``iters`` steps (N by default) from ``x0`` (zero by
-    default). With exact arithmetic and ``x0 = 0`` the ``D``-step iterate
-    is the best approximation of the solution in the energy norm over the
-    Krylov subspace of dimension ``D``.
+    At most ``iters`` steps (N by default) from ``x0`` (zero by default).
+    With exact arithmetic and ``x0 = 0`` the ``D``-step iterate is the
+    energy-norm best approximation of the solution in the ``D``-dimensional
+    Krylov subspace.
     """
     rhs = as_vector(b, matrix.n)
     x = np.zeros(matrix.n) if x0 is None else as_vector(x0, matrix.n)
@@ -256,18 +257,16 @@ def toeplitz_dense(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 def krylov_basis_stack(matrices: np.ndarray, seeds: np.ndarray, rank: int):
     """Orthonormal Krylov bases of a stack of ``(matrix, seed)`` pairs.
 
-    ``matrices`` is ``(R, N, N)`` (symmetric) and ``seeds`` is ``(R, N)``
-    with no zero row. Each row runs the symmetric Arnoldi (Lanczos)
-    recurrence: each new direction ``R q`` is orthogonalized twice against
-    the columns so far by classical Gram-Schmidt, and the row stops
-    growing once that leaves at most ``TOL.basis_truncation_rel * ||R q||``,
-    a test that scales with R and not with the seed. A seed whose ``p . p``
-    under- or overflows is replaced by ``p / max|p|`` (same basis). Every
-    row makes the BLAS calls of a one-row stack. Returns ``(bases,
-    ranks)``: ``(R, N, rank)`` bases, row ``i``'s effective rank
-    ``ranks[i]`` in its leading columns and zeros after them; a rank-``d``
-    build gives their leading ``d`` columns and ranks ``min(ranks, d)``.
-    Raises as ``BasisMatrix`` does if a basis is not orthonormal.
+    ``matrices`` is ``(R, N, N)`` (symmetric), ``seeds`` ``(R, N)`` with no
+    zero row. Each row runs the Lanczos recurrence, orthogonalizing each new
+    ``R q`` twice against the columns so far (classical Gram-Schmidt), and
+    stops growing once that leaves at most ``TOL.basis_truncation_rel *
+    ||R q||``, which scales with R, not with the seed. A seed whose ``p . p``
+    under- or overflows is replaced by ``p / max|p|`` (same basis). Returns
+    ``(bases, ranks)``: ``(R, N, rank)`` bases, row ``i``'s effective rank
+    ``ranks[i]`` in its leading columns, zeros after; a rank-``d`` build
+    gives their leading ``d`` columns and ranks ``min(ranks, d)``. Raises
+    as ``BasisMatrix`` does if a basis is not orthonormal.
     """
     count, n = seeds.shape
     with np.errstate(over="ignore"):
@@ -308,13 +307,12 @@ def cg_solve_stack(matrices: np.ndarray, rhs: np.ndarray, x0: np.ndarray,
                    iters: int, iterates: list | None = None) -> np.ndarray:
     """Conjugate gradient iterations on a stack of systems ``R h = b``.
 
-    ``matrices`` is ``(R, N, N)`` (symmetric), ``rhs`` and ``x0`` are
-    ``(R, N)``. Each row runs at most ``iters`` steps from its ``x0`` and
-    stops early on a zero residual or a non-positive curvature direction
-    (breakdown on semidefinite systems), keeping its current iterate.
-    Every row makes the BLAS calls of a one-row stack. Returns the
-    ``(R, N)`` iterates. A list ``iterates`` gets copies of ``x0`` and of
-    each step's iterates: ``d`` steps give ``iterates[min(d, len - 1)]``.
+    ``matrices`` is ``(R, N, N)`` (symmetric), ``rhs`` and ``x0`` ``(R, N)``.
+    Each row runs at most ``iters`` steps from its ``x0``, stopping early on
+    a zero residual or non-positive curvature (semidefinite breakdown) with
+    its current iterate. Returns the ``(R, N)`` iterates. A list ``iterates``
+    gets copies of ``x0`` and of each step's: ``d`` steps give
+    ``iterates[min(d, len - 1)]``.
     """
     x = x0.copy()
     if iterates is not None:

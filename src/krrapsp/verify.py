@@ -1,20 +1,19 @@
 """Executable numerical checks of the convergence analysis.
 
-The reduced-rank parallel projection filter can be written, in the full
-space, as a relaxed subgradient step on a weighted distance objective
-followed by a basis-transition map ``Phi = S_next S_prev^T`` between
-consecutive Krylov subspaces. This module implements those analysis
-objects directly and provides checks that the properties the algorithm's
-guarantees rest on (nonexpansivity and fixed-point structure of ``Phi``,
-convexity of the objective, monotone approximation of feasible points,
-the conjugate-gradient MSE bound) hold on concrete instances.
+In the full space, the reduced-rank parallel projection filter is a
+relaxed subgradient step on a weighted distance objective, then the map
+``Phi = S_next S_prev^T`` between consecutive Krylov subspaces. This
+module implements those objects and checks what the guarantees rest on
+(nonexpansivity and fixed points of ``Phi``, convexity of the objective,
+monotone approximation of feasible points, the CG MSE bound) on concrete
+instances.
 
-Reports are plain data; the CLI ``verify`` subcommand formats them one
-line per check. Public functions and constructors validate their
-arguments and pass checked arrays on. A ``SymMatrix`` keeps its
-eigenvalues and a ``ThetaInstance`` its half-spaces' projected normals
-and values at the anchor; one CG solve and one Krylov build serve every
-rank of an MSE chain.
+Reports are plain data; the CLI ``verify`` subcommand prints them. Public
+functions and constructors validate their arguments and pass checked
+arrays on. A step's half-spaces and instance are built internally
+(``_error_bound_instance``): one frozen anchor, derived normals and
+offsets checked once. A ``SymMatrix`` keeps its eigenvalues, a
+``ThetaInstance`` its geometry; an MSE chain shares one CG run.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .linalg import (
     _norm,
     _project,
     _r_norm,
+    _unchecked,
     as_vector,
     cg_solve_stack,
     condition_number,
@@ -42,6 +42,8 @@ from .linalg import (
     krylov_basis_stack,
     project_half_space,
     project_subspace,
+    stacked_dot,
+    stacked_matvec,
 )
 from .tolerances import TOL
 
@@ -86,10 +88,9 @@ def _apply_phi(phi: PhiMap, v: np.ndarray) -> np.ndarray:
 def fixed_point_set(phi: PhiMap, tol: float | None = None) -> np.ndarray:
     """Orthonormal basis (N x dim, possibly dim 0) of the fixed points.
 
-    They are ``S_prev z = S_next z`` for the ``z`` fixed by ``S_prev^T
-    S_next``: the null space of ``S_prev^T S_next - I`` (singular values
-    below ``tol``) mapped up through ``S_prev``, each column re-verified
-    against both characterizations.
+    They are ``S_prev z`` for ``z`` in the null space of ``S_prev^T S_next - I``
+    (singular values below ``tol``), each re-verified as ``S_next z`` and as
+    a fixed point of the map.
     """
     tol = TOL.fixed_point_eigen if tol is None else tol
     gram = phi.s_prev.matrix.T @ phi.s_next.matrix
@@ -117,11 +118,10 @@ class AttractingReport:
 def attracting_check(phi: PhiMap, trials: int = 50, rng=None) -> AttractingReport:
     """Check the two attracting-nonexpansivity regimes of the map.
 
-    Identical bases: the map projects onto the shared range and satisfies
-    ``||x - Phi x||^2 = ||x - f||^2 - ||Phi x - f||^2`` for every fixed
-    point ``f`` (checked on random pairs). Distinct bases: it is
-    nonexpansive but not attracting, witnessed by a vector not fixed whose
-    norm it preserves.
+    Identical bases: the map is the range projector and satisfies
+    ``||x - Phi x||^2 = ||x - f||^2 - ||Phi x - f||^2`` for fixed ``f``
+    (checked on random pairs). Distinct bases: nonexpansive but not
+    attracting, witnessed by a vector not fixed whose norm it keeps.
     """
     rng = np.random.default_rng(rng)
     if np.array_equal(phi.s_prev.matrix, phi.s_next.matrix):
@@ -145,14 +145,20 @@ def attracting_check(phi: PhiMap, trials: int = 50, rng=None) -> AttractingRepor
                             witness_displacement=_norm(pw - witness))
 
 
+def _geometry_of(inst: ThetaInstance) -> tuple:
+    """``(g, Q s, Q s . Q s, ||Q s||)`` per half-space: its value at the anchor and
+    its normal ``s`` projected onto the range."""
+    return tuple((hs._violation(inst.anchor), qn, float(qn @ qn), _norm(qn)) for hs, qn
+                 in ((h, _project(h.normal, inst.basis)) for h in inst.half_spaces))
+
+
 @dataclass(frozen=True)
 class ThetaInstance:
     """One evaluation context of the weighted distance objective.
 
-    ``half_spaces`` are the outer approximations of the data-consistent
-    sets linearized at ``anchor``, which must lie in the range of
-    ``basis``; ``weights`` are positive and sum to one. The geometry of
-    the half-spaces is derived once, on first use.
+    ``half_spaces`` outer-approximate the data-consistent sets, linearized
+    at ``anchor`` in the range of ``basis``; ``weights`` are positive and
+    sum to one. Their geometry is derived on first use.
     """
 
     half_spaces: tuple
@@ -166,26 +172,28 @@ class ThetaInstance:
             raise ValueError("at least one half-space is required")
         if any(h.n != self.basis.n for h in hs):
             raise ValueError("half-space dimension mismatch")
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(hs),):
-            raise ValueError("one weight per half-space required")
-        if np.any(w <= 0) or abs(float(w.sum()) - 1.0) > TOL.weights_sum:
-            raise ValueError("weights must be positive and sum to 1")
+        object.__setattr__(self, "weights", _checked_weights(self.weights, len(hs)))
         anchor = as_vector(self.anchor, self.basis.n)
         if not _in_range(anchor, self.basis):
             raise ValueError("anchor must lie in the basis range")
         object.__setattr__(self, "half_spaces", hs)
-        object.__setattr__(self, "weights", _frozen(w))
         object.__setattr__(self, "anchor", _frozen(anchor))
 
-    _geometry = cached_property(lambda self: _geometry_of(self))
+    _geometry = cached_property(_geometry_of)
 
 
-def _geometry_of(inst: ThetaInstance) -> tuple:
-    """``(g, Q s, Q s . Q s, ||Q s||)`` per half-space: its value at the anchor and
-    its normal ``s`` projected onto the range."""
-    return tuple((hs._violation(inst.anchor), qn, float(qn @ qn), _norm(qn)) for hs, qn
-                 in ((h, _project(h.normal, inst.basis)) for h in inst.half_spaces))
+def _checked_weights(weights, count: int) -> np.ndarray:
+    """Frozen ``count`` positive (so not NaN) weights summing to one."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (count,):
+        raise ValueError("one weight per half-space required")
+    if not (np.all(w > 0) and abs(float(w.sum()) - 1.0) <= TOL.weights_sum):
+        raise ValueError("weights must be positive and sum to 1")
+    return _frozen(w)
+
+
+def _uniform_weights(count: int) -> np.ndarray:
+    return _checked_weights(np.full(count, 1.0 / count), count)
 
 
 def _in_range(v: np.ndarray, basis: BasisMatrix) -> bool:
@@ -213,8 +221,8 @@ def halfspace_range_distance(x, half_space: HalfSpace, basis: BasisMatrix) -> fl
     """Distance from ``x`` to ``half_space`` within the range of ``basis``.
 
     By Pythagoras ``hypot(||x - Qx||, max(0, g(Qx)) / ||Q s||)``, ``Q`` the
-    range projector and ``s`` the normal; ``Qx = x`` for ``x`` in the range.
-    Raises if the half-space misses the subspace (``Q s = 0``, ``g > 0``).
+    range projector and ``s`` the normal. Raises if the half-space misses
+    the subspace (``Q s = 0``, ``g > 0``).
     """
     v, off_range = _range_split(as_vector(x, basis.n), basis)
     return _distance(off_range, half_space._violation(v),
@@ -224,15 +232,14 @@ def halfspace_range_distance(x, half_space: HalfSpace, basis: BasisMatrix) -> fl
 def theta_value(inst: ThetaInstance, x) -> float:
     """Weighted distance objective at ``x``.
 
-    Zero when the anchor satisfies every half-space (the normalization
-    vanishes); else a convex, nonnegative combination of distances to the
-    half-space/subspace intersections, each weighted by the anchor's.
+    Zero when the anchor satisfies every half-space; else a convex,
+    nonnegative combination of distances to the half-space/subspace
+    intersections, each weighted by the anchor's.
     """
-    return _theta_value(inst, x, inst._geometry)
+    return _theta_value(inst, as_vector(x, inst.basis.n), inst._geometry)
 
 
-def _theta_value(inst: ThetaInstance, x, geometry) -> float:
-    v = as_vector(x, inst.basis.n)
+def _theta_value(inst: ThetaInstance, v: np.ndarray, geometry) -> float:
     anchor_d = np.array([_distance(0.0, g, nrm) for g, _, _, nrm in geometry])
     norm_const = float(inst.weights @ anchor_d)
     if norm_const == 0.0:
@@ -250,17 +257,15 @@ def rapsm_step(h, inst: ThetaInstance, phi: PhiMap, step_size: float) -> np.ndar
     """One full-space update of the reduced-rank projected subgradient method.
 
     A relaxed convex combination of the projections of ``h`` onto each
-    half-space within the basis range, scaled by the parallel
-    over-relaxation factor, then the transition map (alone for a feasible
-    ``h``).
+    half-space within the range, scaled by the parallel over-relaxation
+    factor, then the transition map (alone for a feasible ``h``).
     """
-    return _rapsm_step(h, inst, phi, step_size, inst._geometry)
+    return _rapsm_step(as_vector(h, inst.basis.n), inst, phi, step_size, inst._geometry)
 
 
-def _rapsm_step(h, inst: ThetaInstance, phi: PhiMap, step_size: float, geometry):
+def _rapsm_step(v: np.ndarray, inst: ThetaInstance, phi: PhiMap, step_size: float, geometry):
     if not 0.0 <= step_size <= 2.0:
         raise ValueError("step_size must lie in [0, 2]")
-    v = as_vector(h, inst.basis.n)
     at_anchor = v is inst.anchor  # in the range by construction
     if not (at_anchor or _in_range(v, inst.basis)):
         raise ValueError("iterate must lie in the basis range")
@@ -288,13 +293,13 @@ def find_feasible_point(half_spaces, basis: BasisMatrix, start=None,
     """Point in the intersection of the half-spaces and the basis range.
 
     Cyclic projections in reduced coordinates with a small inward margin;
-    returns a point whose constraint values are all ``<= 0`` exactly, or
-    ``None`` when the iteration cap is hit (certification failure, not a
-    proof of emptiness).
+    a point whose constraint values are all ``<= 0`` exactly, or ``None``
+    at the iteration cap (a certification failure, not a proof of emptiness).
     """
+    s = basis.matrix
     reduced = []
     for hs in half_spaces:
-        nr = basis.matrix.T @ hs.normal
+        nr = s.T @ hs.normal
         bound = float(hs.anchor @ hs.normal) - hs.offset
         nn = float(nr @ nr)
         if nn == 0.0:
@@ -302,16 +307,21 @@ def find_feasible_point(half_spaces, basis: BasisMatrix, start=None,
                 return None  # constraint excludes the whole subspace
             continue
         margin = 1e-9 * (1.0 + abs(bound) + math.sqrt(nn))
-        reduced.append((nr, bound, nn, margin))
-    z = (basis.matrix.T @ as_vector(start, basis.n)) if start is not None \
-        else np.zeros(basis.rank)
+        reduced.append((nr, bound, nn, bound - margin))
+    z = s.T @ as_vector(start, basis.n) if start is not None else np.zeros(basis.rank)
     for _ in range(max(max_iter, 0) + 1):  # the last pass only checks
-        if all(float(nr @ z) <= bound for nr, bound, _, _ in reduced):
-            return basis.matrix @ z
-        for nr, bound, nn, margin in reduced:
-            g = float(nr @ z) - (bound - margin)
+        products = []  # nr . z up to the first unsatisfied set, kept until z moves
+        for nr, bound, _, _ in reduced:
+            products.append(float(nr @ z))
+            if not products[-1] <= bound:
+                break
+        else:
+            return s @ z
+        for nr, _, nn, inner in reduced:
+            g = (products.pop(0) if products else float(nr @ z)) - inner
             if g > 0.0:
                 z = z - (g / nn) * nr
+                products.clear()
     return None
 
 
@@ -347,10 +357,9 @@ class MonotoneReport:
 def monotone_probe(steps, slack: float | None = None) -> MonotoneReport:
     """Check distance non-increase toward certified feasible points.
 
-    A step is certified when the basis did not move (the map is then the
-    range projector, fixing the whole range) and the oracle finds a point
-    in all the step's half-spaces within the range. Steps it cannot
-    certify are reported as unchecked, never as failures.
+    A step is certified when the basis did not move (the map then fixes the
+    whole range) and the oracle finds a point of all its half-spaces in the
+    range. Other steps count as unchecked, not as failures.
     """
     slack = TOL.monotone_slack if slack is None else slack
     unchecked = 0
@@ -359,30 +368,41 @@ def monotone_probe(steps, slack: float | None = None) -> MonotoneReport:
     for idx, st in enumerate(steps):
         inst = st.instance
         omega = (find_feasible_point(inst.half_spaces, inst.basis, start=inst.anchor)
-                 if np.array_equal(inst.basis.matrix, st.basis_next.matrix) else None)
+                 if st.basis_next is inst.basis
+                 or np.array_equal(inst.basis.matrix, st.basis_next.matrix) else None)
         if omega is None:
             unchecked += 1
             continue
         overs.append(_norm(st.h_next - omega) - _norm(st.h - omega))
         if overs[-1] > slack:
             violations.append((idx, overs[-1]))
-    return MonotoneReport(len(steps), len(steps) - unchecked, unchecked, violations,
-                          _worst(overs))
+    return MonotoneReport(len(steps), len(steps) - unchecked, unchecked, violations, _worst(overs))
 
 
-def _error_bound_half_spaces(ring, count: int, error_dim: int, h, rho: float) -> tuple:
-    """Linearizations at ``h`` of ``count`` bounded-error sets ``||U^T x - d||^2 <= rho``.
+def _error_bound_instance(ring, error_dim: int, h: np.ndarray, rho: float,
+                          basis: BasisMatrix, weights: np.ndarray) -> ThetaInstance:
+    """The sets ``||U^T x - d||^2 <= rho`` linearized at ``h``, one per checked weight.
 
-    Set ``j`` stacks the ``error_dim`` newest-first ``(u, d)`` pairs from ``ring[j]``
-    into ``U`` and ``d``. With ``e = U^T h - d`` its half-space has normal ``2 U e``
-    and offset ``e . e - rho``, the constraint value at ``h``.
+    Set ``j`` stacks the ``error_dim`` newest-first ``(u, d)`` from ``ring[j]``.
+    With ``e = U^T h - d`` its normal is ``2 U e`` and its offset ``e . e - rho``.
+    The sets share one frozen anchor; normals and offsets are checked once.
     """
-    half_spaces = []
-    for j in range(count):
-        u_block = np.column_stack([u for u, _ in ring[j:j + error_dim]])
-        e = u_block.T @ h - np.array([d for _, d in ring[j:j + error_dim]])
-        half_spaces.append(HalfSpace(2.0 * (u_block @ e), float(e @ e) - rho, h))
-    return tuple(half_spaces)
+    anchor = _frozen(h)
+    u, d = map(np.array, zip(*ring))
+    windows = np.arange(len(weights))[:, None] + np.arange(error_dim)
+    blocks = np.ascontiguousarray(u[windows].transpose(0, 2, 1))  # as np.column_stack lays U
+    e = stacked_matvec(blocks.transpose(0, 2, 1), anchor) - d[windows]
+    normals = 2.0 * stacked_matvec(blocks, e)
+    offsets = stacked_dot(e, e) - rho
+    if not (np.isfinite(normals).all() and np.isfinite(offsets).all()):
+        raise ValueError("half-space normals and offsets must be finite")
+    if not _in_range(anchor, basis):
+        raise ValueError("anchor must lie in the basis range")
+    normals.flags.writeable = False
+    half_spaces = tuple(_unchecked(HalfSpace, normal=v, offset=o, anchor=anchor)
+                        for v, o in zip(normals, offsets.tolist()))
+    return _unchecked(ThetaInstance, half_spaces=half_spaces, basis=basis, weights=weights,
+                      anchor=anchor)
 
 
 def static_rapsm_run(*, n: int, rank: int, projections: int, iters: int,
@@ -392,10 +412,9 @@ def static_rapsm_run(*, n: int, rank: int, projections: int, iters: int,
                      seed: int = 0):
     """Drive the full-space update on a stationary stream with a frozen basis.
 
-    The Krylov basis of the warmed-up estimates is frozen for ``iters``
-    steps. With ``subspace_target`` the supervision comes from the
-    unknown system projected onto that subspace, so the bounded-error sets
-    share a subspace point (consistent by construction). Returns
+    The warmed-up estimates' Krylov basis is kept for ``iters`` steps.
+    With ``subspace_target`` the supervision is the unknown system projected
+    onto that subspace, so the sets share a subspace point. Returns
     ``(probe_steps, theta_values)``.
     """
     from .scenarios import SysIdConfig, SysIdScenario
@@ -412,14 +431,12 @@ def static_rapsm_run(*, n: int, rank: int, projections: int, iters: int,
         pairs = [(u, float(u @ target)) for u, _ in pairs]
 
     ring_len = projections + error_dim - 1
-    ring = pairs[warmup - ring_len:warmup][::-1]
-    weights = np.full(projections, 1.0 / projections)
+    weights = _uniform_weights(projections)
     h = np.zeros(n)
     probe_steps, thetas = [], []
-    for pair in pairs[warmup:]:
-        ring = [pair] + ring[:ring_len - 1]
-        inst = ThetaInstance(_error_bound_half_spaces(ring, projections, error_dim, h, rho),
-                             basis, weights, h)
+    for k in range(warmup, len(pairs)):
+        ring = pairs[k + 1 - ring_len:k + 1][::-1]  # newest first
+        inst = _error_bound_instance(ring, error_dim, h, rho, basis, weights)
         geometry = _geometry_of(inst)  # not cached: the steps keep their instances
         h_next = _rapsm_step(inst.anchor, inst, phi, step_size, geometry)
         probe_steps.append(ProbeStep(h, h_next, inst, basis))
@@ -462,24 +479,21 @@ class CgBoundReport:
         return self.max_scaled_violation <= tol
 
 
-def cg_bound_check(matrix: SymMatrix, p, h_star, rank: int,
-                   sigma_d2: float) -> CgBoundReport:
+def cg_bound_check(matrix: SymMatrix, p, h_star, rank: int, sigma_d2: float) -> CgBoundReport:
     """Evaluate the reduced-rank MSE bound and its Euclidean consequence.
 
     With ``p = R h_star`` and ``sigma_d2 = ||h_star||_R^2 + sigma_n^2``,
     the MSE at the energy-norm best approximation of ``h_star`` in the
     rank-``rank`` Krylov subspace is at most
     ``(4 a^(2 rank) - 1) ||h_star||_R^2 + sigma_d2``,
-    ``a = (sqrt(kappa) - 1) / (sqrt(kappa) + 1)``. The report also carries
-    the chain tying the Euclidean error to the same decay factor through
-    the smallest eigenvalue.
+    ``a = (sqrt(kappa) - 1) / (sqrt(kappa) + 1)``; the chain ties the
+    Euclidean error to ``a`` through the smallest eigenvalue.
     """
     hs = as_vector(h_star, matrix.n)
     return _mse_chain(matrix, as_vector(p, matrix.n), hs, sigma_d2, (rank,))[0]
 
 
-def _mse_chain(matrix: SymMatrix, pv: np.ndarray, hs: np.ndarray, sigma_d2: float,
-               ranks) -> list:
+def _mse_chain(matrix: SymMatrix, pv: np.ndarray, hs: np.ndarray, sigma_d2: float, ranks) -> list:
     """:func:`cg_bound_check` at each of ``ranks`` from one CG run and one Krylov build."""
     dense = matrix.dense()
     if _norm(dense @ hs - pv) > 1e-8 * max(1.0, _norm(pv)):
@@ -508,12 +522,11 @@ def _mse_chain(matrix: SymMatrix, pv: np.ndarray, hs: np.ndarray, sigma_d2: floa
 
 def subgradient_inequality_check(basis: BasisMatrix, u_block, d_block,
                                  rho: float, point, rng, trials: int = 50) -> float:
-    """Max defect of the subdifferential inequality for the error bound map.
+    """Max defect of the subdifferential inequality for the error bound map
+    ``g(z) = ||(S^T U)^T z - d||^2 - rho``, gradient ``2 (S^T U) e``.
 
-    The map is ``g(z) = ||(S^T U)^T z - d||^2 - rho`` with gradient
-    ``2 (S^T U) e``; at each random ``x`` the defect
-    ``<x - y, grad(y)> + g(y) - g(x)`` must be nonpositive, and the
-    projection of ``y`` must land in the separating half-space.
+    At random ``x``, ``<x - y, grad(y)> + g(y) - g(x)`` must be nonpositive,
+    and ``y``'s projection must land in the separating half-space.
     """
     rng = np.random.default_rng(rng)
     ured = basis.matrix.T @ np.asarray(u_block, dtype=float)
@@ -550,7 +563,7 @@ class _Outcome(NamedTuple):
     """A draw's worst defect and what its pass rule adds to ``defect <= tolerance``.
 
     ``gate`` must hold in every draw; a ``scale`` makes the tolerance
-    ``tolerance * scale``, and a zero scale passes outright.
+    ``tolerance * scale`` (a zero scale passes).
     """
 
     defect: float
@@ -569,13 +582,11 @@ def _random_spd(n: int, rng, lo: float = 0.5, hi: float = 3.0) -> SymMatrix:
     return SymMatrix(q @ np.diag(rng.uniform(lo, hi, size=n)) @ q.T)
 
 
-def _random_instance(rng, n: int = 8, d: int = 3, q: int = 3,
-                     rho: float = 0.1) -> ThetaInstance:
+def _random_instance(rng, n: int = 8, d: int = 3, q: int = 3, rho: float = 0.1) -> ThetaInstance:
     basis = _random_orthonormal(n, d, rng)
     anchor = basis.matrix @ rng.standard_normal(d)
     ring = [(rng.standard_normal(n), rng.standard_normal()) for _ in range(q)]
-    return ThetaInstance(_error_bound_half_spaces(ring, q, 1, anchor, rho), basis,
-                         np.full(q, 1.0 / q), anchor)
+    return _error_bound_instance(ring, 1, anchor, rho, basis, _uniform_weights(q))
 
 
 def _krylov_bases(rng, seed):
@@ -680,13 +691,12 @@ def _update_equivalence(rng, seed, rho: float = 0.05, step_size: float = 0.8):
         if filt.basis is not None:
             basis = filt.basis
             h_full = basis.matrix @ filt.h_tilde
-            inst = ThetaInstance(_error_bound_half_spaces(ring, len(ring), 1, h_full, rho),
-                                 basis, np.full(len(ring), 1.0 / len(ring)), h_full)
+            inst = _error_bound_instance(ring, 1, h_full, rho, basis, _uniform_weights(len(ring)))
             predicted = basis.matrix.T @ rapsm_step(inst.anchor, inst, PhiMap(basis, basis),
                                                     step_size)
         filt.step(u, dv)
-        # a refresh rebases the reduced vector after the update; compare
-        # only when the basis survived the step
+        # a refresh rebases the reduced vector after the update: compare
+        # only if the basis survived
         if predicted is not None and filt.build_count == builds_before:
             defects.append(float(np.max(np.abs(predicted - filt.h_tilde))))
     return _worst(defects)
@@ -732,8 +742,8 @@ def _subgradient_inequality(rng, seed):
     return subgradient_inequality_check(basis, ub, db, 0.1, y, rng)
 
 
-# The suite in the order it draws from its one generator. A row is a check (one draw
-# from the generator and suite seed), its draws and the (name, tolerance) of each defect.
+# The suite in the order it draws from its one generator: a check (one draw from it and
+# the suite seed), its draws and each defect's (name, tolerance).
 _CHECKS = (
     (_krylov_bases, 25, ("krylov-orthonormality", TOL.orthonormality),
      ("krylov-span", TOL.krylov_span_rel)),

@@ -15,7 +15,11 @@ batch's all-sets step must reproduce bit for bit, for every error length
 r. ``FrozenRls`` is the library's RLS step as it was before its arithmetic
 moved into a core that the harness feeds a chunk at a time; the
 trial-by-trial records step it, so the harness is checked against that
-arithmetic and not against its own core.
+arithmetic and not against its own core. ``frozen_error_bound_half_spaces``
+and ``frozen_find_feasible_point`` are ``verify``'s static-run half-space
+build (public ``HalfSpace``s, one validated anchor copy each) and
+feasibility oracle (every reduced product recomputed) as they were before
+the build shared one anchor per step.
 """
 
 import math
@@ -28,6 +32,7 @@ from krrapsp.filters import KrrApspBatch, KrrParams, StepOutput
 from krrapsp.linalg import (
     BasisMatrix,
     DegenerateCrossCorrelationError,
+    HalfSpace,
     SymMatrix,
     as_vector,
     stacked_dot,
@@ -1100,3 +1105,42 @@ class FrozenRls:
         self._pinv -= np.dot(gain[:, None], pi[None, :], out=self._outer)
         self._pinv /= self.forgetting
         return StepOutput(y, True, self.h.copy(), 3 * self.n * self.n + 4 * self.n)
+
+
+# verify._error_bound_half_spaces and verify.find_feasible_point as the library
+# wrote them before a static step's half-spaces shared one frozen anchor and
+# the oracle kept its reduced products until the iterate moved. Kept unchanged.
+
+
+def frozen_error_bound_half_spaces(ring, count: int, error_dim: int, h, rho: float) -> tuple:
+    half_spaces = []
+    for j in range(count):
+        u_block = np.column_stack([u for u, _ in ring[j:j + error_dim]])
+        e = u_block.T @ h - np.array([d for _, d in ring[j:j + error_dim]])
+        half_spaces.append(HalfSpace(2.0 * (u_block @ e), float(e @ e) - rho, h))
+    return tuple(half_spaces)
+
+
+def frozen_find_feasible_point(half_spaces, basis: BasisMatrix, start=None,
+                               max_iter: int = 5000) -> np.ndarray | None:
+    reduced = []
+    for hs in half_spaces:
+        nr = basis.matrix.T @ hs.normal
+        bound = float(hs.anchor @ hs.normal) - hs.offset
+        nn = float(nr @ nr)
+        if nn == 0.0:
+            if bound < 0.0:
+                return None  # constraint excludes the whole subspace
+            continue
+        margin = 1e-9 * (1.0 + abs(bound) + math.sqrt(nn))
+        reduced.append((nr, bound, nn, margin))
+    z = (basis.matrix.T @ as_vector(start, basis.n)) if start is not None \
+        else np.zeros(basis.rank)
+    for _ in range(max(max_iter, 0) + 1):  # the last pass only checks
+        if all(float(nr @ z) <= bound for nr, bound, _, _ in reduced):
+            return basis.matrix @ z
+        for nr, bound, nn, margin in reduced:
+            g = float(nr @ z) - (bound - margin)
+            if g > 0.0:
+                z = z - (g / nn) * nr
+    return None

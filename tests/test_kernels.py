@@ -22,7 +22,17 @@ each kernel and every layout the code passes:
   curvature on a semidefinite matrix and a zero right-hand side
   included), and a rank-``d`` ``krylov_basis_stack`` build is the leading
   ``d`` columns of the rank-N one, with ranks ``min(rank_N, d)``. The MSE
-  chain of ``verify`` serves every rank from one run and one build.
+  chain of ``verify`` serves every rank from one run and one build;
+* the bounded-error sets of a ``verify`` static step
+  (``verify._error_bound_instance``): over ``(q, N, r)`` blocks, each set's
+  ``U`` laid out as ``np.column_stack`` lays it out, ``stacked_matvec`` of the
+  transposed blocks and a broadcast anchor, ``stacked_matvec`` of the blocks
+  and ``e`` and ``stacked_dot(e, e)`` equal the per-set ``U.T @ h``, ``U @ e``
+  and ``e @ e`` for r in {1, 2, 3}, odd N, zero and signed-zero regressor
+  entries and zero errors. With r = 1 both sides take numpy's loop for a
+  one-column product, which adds each product to a zero (a -0 product
+  reads +0). A C-contiguous copy of the transposed blocks rounds
+  differently for r > 1.
 
 Each output entry of the outer product is one rounded product
 ``u_i * u_j`` with no sum, so any call that forms it once agrees. The
@@ -39,7 +49,7 @@ import pytest
 
 from krrapsp.estimation import _StatsStack
 from krrapsp.filters import _sum_sets
-from krrapsp.linalg import cg_solve_stack, krylov_basis_stack, stacked_matvec
+from krrapsp.linalg import cg_solve_stack, krylov_basis_stack, stacked_dot, stacked_matvec
 
 
 @pytest.mark.parametrize("runs", [1, 2, 100])
@@ -167,3 +177,29 @@ def test_krylov_builds_are_a_prefix_of_the_full_rank_build(n):
         got, got_ranks = krylov_basis_stack(mats, seeds, d)
         assert got.tobytes() == np.ascontiguousarray(bases[:, :, :d]).tobytes()
         assert np.array_equal(got_ranks, np.minimum(ranks, d))
+
+
+@pytest.mark.parametrize("error_dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 7, 16])
+@pytest.mark.parametrize("count", [1, 3, 6])
+def test_bounded_error_sets_equal_the_per_set_products(count, error_dim, n):
+    rng = np.random.default_rng(100 * count + 10 * error_dim + n)
+    for draw in range(20):
+        u = rng.standard_normal((count + error_dim - 1, n)) * 10.0 ** rng.uniform(-8, 8, n)
+        u[rng.random(u.shape) < 0.2] = 0.0
+        u[rng.random(u.shape) < 0.1] = -0.0
+        h = rng.standard_normal(n)
+        d = rng.standard_normal(len(u))
+        if draw % 4 == 0:  # zero errors
+            d = np.array([row @ h for row in u])
+        windows = np.arange(count)[:, None] + np.arange(error_dim)
+        blocks = np.ascontiguousarray(u[windows].transpose(0, 2, 1))
+        e = stacked_matvec(blocks.transpose(0, 2, 1), h) - d[windows]
+        normals = stacked_matvec(blocks, e)
+        squares = stacked_dot(e, e)
+        for j in range(count):
+            u_block = np.column_stack(list(u[j:j + error_dim]))
+            e_j = u_block.T @ h - d[j:j + error_dim]
+            assert e[j].tobytes() == e_j.tobytes()
+            assert normals[j].tobytes() == (u_block @ e_j).tobytes()
+            assert squares[j].tobytes() == np.float64(e_j @ e_j).tobytes()

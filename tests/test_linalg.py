@@ -195,6 +195,12 @@ class TestHalfSpaceProjection:
         with pytest.raises(ValueError):
             project_half_space([0.0, 0.0], hs)
 
+    @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+    def test_non_finite_offset_rejected(self, offset):
+        # else every violation would read NaN or an infinity
+        with pytest.raises(ValueError, match="offset must be finite"):
+            HalfSpace(np.ones(2), offset, np.zeros(2))
+
 
 class TestSubspaceProjection:
     def test_fixes_range(self, rng):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from krrapsp import HalfSpace, SymMatrix, r_norm, verify
+from krrapsp import HalfSpace, SymMatrix, linalg, r_norm, verify
 from krrapsp.cli import main
 from krrapsp.linalg import BasisMatrix, project_subspace
 from krrapsp.verify import (
@@ -26,6 +26,7 @@ from krrapsp.verify import (
 )
 
 from conftest import random_orthonormal, random_spd
+from oracles import frozen_error_bound_half_spaces, frozen_find_feasible_point
 
 
 def make_instance(rng, n=8, d=3, q=3, rho=0.1, anchor=None):
@@ -195,6 +196,14 @@ class TestTheta:
         with pytest.raises(ValueError):
             ThetaInstance((hs,), basis, np.array([1.0]), rng.standard_normal(6) * 3)
 
+    def test_non_finite_weights_rejected(self, rng):
+        # a NaN weight fails no comparison and makes the sum NaN, which is not
+        # "off by more than the tolerance" either
+        inst = make_instance(rng, q=2)
+        for w in ([np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan], [np.inf, 0.5]):
+            with pytest.raises(ValueError, match="weights must be positive"):
+                ThetaInstance(inst.half_spaces, inst.basis, np.array(w), inst.anchor)
+
 
 class TestRapsmStep:
     def test_feasible_point_passes_through_phi(self, rng):
@@ -349,6 +358,123 @@ class TestSharedWork:
         monkeypatch.setattr(verify, "_in_range", counting(calls, "range", verify._in_range))
         steps, _ = static_rapsm_run(n=10, rank=3, projections=3, iters=20, seed=4)
         assert calls["range"] == len(steps) == 20  # at construction of each instance
+
+
+def frozen_instance(ring, error_dim, h, rho, basis, weights):
+    """``verify._error_bound_instance`` through the frozen build and the public constructors."""
+    return ThetaInstance(frozen_error_bound_half_spaces(ring, len(weights), error_dim, h, rho),
+                         basis, weights, h)
+
+
+def same_bytes(x, y):
+    return np.asarray(x, dtype=float).tobytes() == np.asarray(y, dtype=float).tobytes()
+
+
+def same_point(got, want):
+    return got is want is None or (got is not None and want is not None
+                                   and same_bytes(got, want))
+
+
+# the monotone-approximation and asymptotic-surrogate shapes, other seeds, r = 2
+STATIC_RUNS = [
+    *(dict(n=16, rank=4, projections=3, iters=150, rho=0.05, step_size=0.6, seed=seed)
+      for seed in (0, 7, 13)),
+    dict(n=12, rank=3, projections=3, iters=300, rho=1e-4, noiseless=True,
+         subspace_target=True, seed=11),
+    *(dict(n=10, rank=3, projections=3, iters=100, error_dim=2, rho=0.05, step_size=0.8,
+           seed=seed) for seed in (2, 9)),
+    dict(n=12, rank=3, projections=2, iters=150, error_dim=2, rho=1e-4, noiseless=True,
+         subspace_target=True, seed=5),
+]
+
+
+class TestLeanStaticBuild:
+    @pytest.mark.parametrize("kwargs", STATIC_RUNS)
+    def test_static_run_equals_the_frozen_build(self, monkeypatch, kwargs):
+        steps, thetas = static_rapsm_run(**kwargs)
+        monkeypatch.setattr(verify, "_error_bound_instance", frozen_instance)
+        want_steps, want_thetas = static_rapsm_run(**kwargs)
+        assert same_bytes(thetas, want_thetas) and len(steps) == len(want_steps)
+        for st, want in zip(steps, want_steps):
+            assert same_bytes(st.h, want.h) and same_bytes(st.h_next, want.h_next)
+            inst, ref = st.instance, want.instance
+            assert same_bytes(inst.anchor, ref.anchor) and same_bytes(inst.weights, ref.weights)
+            assert len(inst.half_spaces) == len(ref.half_spaces) == kwargs["projections"]
+            for hs, ref_hs in zip(inst.half_spaces, ref.half_spaces):
+                assert same_bytes(hs.normal, ref_hs.normal)
+                assert same_bytes(hs.offset, ref_hs.offset) and type(hs.offset) is float
+                assert same_bytes(hs.anchor, ref_hs.anchor)
+                # one read-only anchor per step, shared with the instance
+                assert hs.anchor is inst.anchor and not hs.normal.flags.writeable
+            assert not inst.anchor.flags.writeable and inst.anchor is not st.h
+
+    @pytest.mark.parametrize("kwargs", [STATIC_RUNS[0], STATIC_RUNS[4]])
+    def test_oracle_equals_the_frozen_loop_on_static_steps(self, kwargs):
+        steps, _ = static_rapsm_run(**kwargs)
+        found = 0
+        for st in steps:
+            inst = st.instance
+            for start, cap in ((inst.anchor, 5000), (None, 5000), (inst.anchor, 1)):
+                got = find_feasible_point(inst.half_spaces, inst.basis, start, cap)
+                want = frozen_find_feasible_point(inst.half_spaces, inst.basis, start, cap)
+                assert same_point(got, want)
+                found += got is not None
+        assert found > len(steps)
+
+    def test_oracle_equals_the_frozen_loop_at_the_cap_and_on_random_sets(self, rng):
+        outcomes = set()
+        for _ in range(30):
+            inst = make_instance(rng, q=int(rng.integers(1, 6)), rho=float(rng.uniform(1e-3, 1.0)))
+            for cap in (0, 1, 2, 5, 40, 5000):
+                for start in (inst.anchor, None):
+                    got = find_feasible_point(inst.half_spaces, inst.basis, start, cap)
+                    want = frozen_find_feasible_point(inst.half_spaces, inst.basis, start, cap)
+                    assert same_point(got, want)
+                    outcomes.add((cap, got is None))
+        assert {(0, True), (0, False), (5000, False)} <= outcomes
+        # an empty intersection within the range: None at every cap
+        basis = BasisMatrix(random_orthonormal(6, 2, rng))
+        s = basis.matrix[:, 0]
+        empty = (HalfSpace(s, 1.0, np.zeros(6)), HalfSpace(-s, 1.0, np.zeros(6)))
+        for cap in (0, 3, 5000):
+            assert find_feasible_point(empty, basis, max_iter=cap) is None
+            assert frozen_find_feasible_point(empty, basis, max_iter=cap) is None
+
+    def test_oracle_equals_the_frozen_loop_off_the_range(self):
+        # a normal orthogonal to the range: excluded (bound < 0) or skipped (bound >= 0)
+        n, d = 5, 2
+        axes = BasisMatrix(np.eye(n)[:, :d])
+        off = np.eye(n)[d]
+        inside = HalfSpace(np.eye(n)[0], 0.5, np.zeros(n))
+        for offset, excluded in ((1.0, True), (-1.0, False), (0.0, False)):
+            sets = (inside, HalfSpace(off, offset, np.zeros(n)))
+            got = find_feasible_point(sets, axes)
+            assert same_point(got, frozen_find_feasible_point(sets, axes))
+            assert (got is None) == excluded
+        assert same_point(find_feasible_point((), axes), frozen_find_feasible_point((), axes))
+
+    @pytest.mark.parametrize("u_scale, h_scale", [(1e200, 1.0), (1e200, 1e-50), (1e-100, 1e260)])
+    def test_overflowing_ring_raises_before_any_instance(self, u_scale, h_scale):
+        # e . e and 2 U e overflow; only 2 U e; only e . e
+        basis = BasisMatrix(np.eye(4)[:, :2])
+        ring = [(u_scale * np.ones(4), 0.0), (np.ones(4), 0.0)]
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+            verify._error_bound_instance(ring, 1, h_scale * basis.matrix[:, 0], 0.05, basis,
+                                         verify._uniform_weights(2))
+
+    def test_static_validation_grows_per_step_not_per_half_space(self, monkeypatch):
+        calls = {"as_vector": 0}
+        spy = counting(calls, "as_vector", linalg.as_vector)
+        monkeypatch.setattr(verify, "as_vector", spy)
+        monkeypatch.setattr(linalg, "as_vector", spy)  # the public constructors' checks
+        for q in (1, 3, 6):
+            counts = []
+            for iters in (10, 20):
+                calls["as_vector"] = 0
+                static_rapsm_run(n=10, rank=3, projections=q, iters=iters, seed=4)
+                counts.append(calls["as_vector"])
+            # at most the check of each step's relaxed iterate
+            assert 0 < counts[1] - counts[0] <= 10
 
 
 class TestSubgradientCheck:
