@@ -108,23 +108,15 @@ def krr_update_multi(n: int, rank: int, r: int, m: int) -> Fraction:
 def krr_single_count(n: int, rank: int, q: int, r: int, m: int) -> Fraction:
     """Total single-processor per-iteration count.
 
-    Basis construction share plus the 4N statistics update plus the
-    filter-update share.
+    Basis construction share plus the 4N statistics update (together CGRRF's
+    count) plus the filter-update share.
     """
-    d = rank
-    return (Fraction((d - 1) * n * n, m)
-            + (Fraction(5 * d - 4, m) + 4) * n
-            + 2 * (d - 1)
-            + krr_update_single(n, rank, q, r, m))
+    return cgrrf_count(n, rank, m) + krr_update_single(n, rank, q, r, m)
 
 
 def krr_multi_count(n: int, rank: int, r: int, m: int) -> Fraction:
     """Total per-processor per-iteration count with q processors."""
-    d = rank
-    return (Fraction((d - 1) * n * n, m)
-            + (Fraction(5 * d - 4, m) + 4) * n
-            + 2 * (d - 1)
-            + krr_update_multi(n, rank, r, m))
+    return cgrrf_count(n, rank, m) + krr_update_multi(n, rank, r, m)
 
 
 def count(algorithm: str, n: int, rank: int = 1, q: int = 1, r: int = 1,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SymMatrix, as_vector, toeplitz_dense
+from .linalg import SymMatrix, as_vector, check_int, toeplitz_dense
 
 MODES = ("toeplitz", "fullsym")
 
@@ -156,10 +156,8 @@ class CorrelationEstimator:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         if not 0.0 < gamma < 1.0:
             raise ValueError(f"forgetting factor must lie in (0, 1), got {gamma}")
-        if n < 1:
-            raise ValueError(f"dimension must be positive, got {n}")
         self.mode = mode
-        self.n = int(n)
+        self.n = check_int(n, "dimension")
         self.gamma = float(gamma)
         self._stats = _StatsStack(mode, self.n, 1, self.gamma)
 

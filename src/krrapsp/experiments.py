@@ -16,10 +16,11 @@ joins one statistics group, which forms each step's outer products
 ``u u^T`` once for all of them. RLS is the only filter outside that pass:
 it runs one trial after another, because its N x N inverse correlation for
 100 trials at N = 200 would hold 32 MB. It reads each trial's chunk stream
-as well, checks a chunk once and steps ``Rls._update`` on it, and forms the
-chunk's metrics at once. Each trial's scenario is seeded and consumed as in
-a trial-by-trial run, so neither the path nor the families nor the group
-change the output.
+as well, checks a chunk once and steps ``Rls._update`` on it, and adds the
+chunk's metrics into the ensemble sums at once. Each trial's scenario is
+built once, and both passes read it: a scenario's stream replays from step
+0 at every read, as in a trial-by-trial run, so neither the passes nor the
+families nor the group change the output.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .filters import CgrrfBatch, KrrApspBatch, KrrParams, NlmsBatch, Rls
-from .linalg import stacked_dot
+from .linalg import check_int, stacked_dot
 from .scenarios import CdmaConfig, CdmaScenario, SysIdConfig, SysIdScenario, config_items
 
 # the construction keywords each algorithm takes in FilterSpec.options
@@ -43,8 +44,9 @@ _OPTIONS = {"krr-apsp": {"params", "init_from_signature"},
             "cgrrf": {"rank", "refresh_period", "forgetting", "init_from_signature"},
             "nlms": {"step_size"}, "rls": {"forgetting", "delta"}}
 ALGORITHMS = tuple(_OPTIONS)
-# the scenario config and scenario class of each experiment kind
-_SCENARIOS = {"sysid": (SysIdConfig, SysIdScenario), "cdma": (CdmaConfig, CdmaScenario)}
+# the scenario config, scenario class and statistics mode of each experiment kind
+_SCENARIOS = {"sysid": (SysIdConfig, SysIdScenario, "toeplitz"),
+              "cdma": (CdmaConfig, CdmaScenario, "fullsym")}
 CSV_COLUMNS = ("k", "algorithm", "mse_db", "mismatch_db", "update_rate", "mults")
 
 
@@ -96,8 +98,9 @@ class ExperimentConfig:
         if not isinstance(self.scenario, config_type):
             raise ValueError(f"a {self.kind} experiment needs a {config_type.__name__} "
                              f"scenario, got {type(self.scenario).__name__}")
-        if self.runs < 1 or self.iters < 1:
-            raise ValueError("runs and iters must be at least 1")
+        check_int(self.runs, "runs")
+        check_int(self.iters, "iters")
+        check_int(self.seed, "seed", 0)
         if not self.filters:
             raise ValueError("at least one filter is required")
         labels = [f.label for f in self.filters]
@@ -117,19 +120,9 @@ class MetricsRecord:
     mults: float
 
 
-def _make_scenario(config: ExperimentConfig, trial_seed: int):
-    scenario_type = _SCENARIOS[config.kind][1]
-    return scenario_type(replace(config.scenario, seed=trial_seed))
-
-
 def trial_seeds(seed: int, runs: int) -> np.ndarray:
     """Per-trial 63-bit seeds derived from the master seed."""
     return np.random.SeedSequence(int(seed)).generate_state(runs, dtype=np.uint64) >> 1
-
-
-def _scenario_shape(config: ExperimentConfig, scenario):
-    """Filter length and statistics mode of one trial."""
-    return (scenario.config.n, "toeplitz") if config.kind == "sysid" else (scenario.n, "fullsym")
 
 
 METRICS = ("se", "mis", "upd", "mults")  # the rows of each label's ensemble sums
@@ -180,17 +173,15 @@ def _lockstep_samples(scenarios, iters: int):
             yield u, d, truth, truth_sq
 
 
-def _run_lockstep(config: ExperimentConfig, specs, seeds, sums: dict) -> None:
-    """Run the specs (no RLS among them) over all trials at once, adding into ``sums``.
+def _run_lockstep(config: ExperimentConfig, specs, scenarios, sums: dict) -> None:
+    """Run the specs (no RLS among them) over all trials' scenarios at once, adding into ``sums``.
 
     At every step the trials' values of each metric are added in
     trial-index order (``np.add.accumulate`` along a row adds strictly left
-    to right), as :func:`run_experiment` adds per-trial rows.
+    to right), as a trial-by-trial run adds per-trial rows.
     """
-    scenarios = [_make_scenario(config, int(s)) for s in seeds]
-    n, mode = _scenario_shape(config, scenarios[0])
+    n, mode, runs = scenarios[0].n, _SCENARIOS[config.kind][2], len(scenarios)
     signatures = np.stack([sc.signature for sc in scenarios]) if config.kind == "cdma" else None
-    runs = len(seeds)
     filters = {spec.label: _make_batch(spec, n, mode, runs, signatures) for spec in specs}
     step = np.empty((len(METRICS), runs))  # one step's metrics of every trial
     families = {}  # the KRR-APSP batches of each family key, stepped as one family
@@ -215,22 +206,20 @@ def _run_lockstep(config: ExperimentConfig, specs, seeds, sums: dict) -> None:
             sums[label][:, k] = np.add.accumulate(step, axis=1)[:, -1]
 
 
-def _run_trial(config: ExperimentConfig, trial_seed: int, specs, sums: dict) -> None:
-    """Run the RLS specs over one trial, adding its per-step metrics into ``sums``.
+def _run_rls(scenario, specs, iters: int, sums: dict) -> None:
+    """Run the RLS specs over one trial's scenario, adding its per-step metrics into ``sums``.
 
     The trial's chunk stream is read chunk by chunk. A chunk is checked once,
     with the errors of ``Rls.step``, before any filter steps on it; each
     step's regressor is copied into one contiguous vector (a product over
     the reversed window view rounds differently) and the coefficients are
     kept in an ``(m, N)`` history, so the squared errors and mismatches are
-    formed once per chunk.
+    formed once per chunk and added into the chunk's columns of ``sums``.
     """
-    scenario = _make_scenario(config, trial_seed)
-    n, _ = _scenario_shape(config, scenario)
+    n = scenario.n
     filters = [Rls(n, **spec.options) for spec in specs]
-    rows = [np.empty((len(METRICS), config.iters)) for _ in specs]
     v = np.empty(n)
-    for chunk in scenario.chunks(config.iters):
+    for chunk in scenario.chunks(iters):
         if not np.isfinite(chunk.u).all():
             raise ValueError("vector entries must be finite")
         if not np.isfinite(chunk.d).all():
@@ -243,30 +232,32 @@ def _run_trial(config: ExperimentConfig, trial_seed: int, specs, sums: dict) -> 
                 ys[i, t] = filt._update(v, d)
                 hs[i, t] = filt.h
         truth_sq = None if chunk.truth is None else float(chunk.truth @ chunk.truth)
-        for filt, trial, y, h in zip(filters, rows, ys, hs):
-            out = trial[:, chunk.start:chunk.start + m]
-            out[0], out[1] = _errors(chunk.d, y, chunk.truth, truth_sq, h)
-            out[2], out[3] = 1.0, filt._mults
-    for spec, trial in zip(specs, rows):
-        sums[spec.label] += trial
+        for spec, filt, y, h in zip(specs, filters, ys, hs):
+            out = sums[spec.label][:, chunk.start:chunk.start + m]
+            out[:2] += _errors(chunk.d, y, chunk.truth, truth_sq, h)
+            out[2:] += [[1.0], [filt._mults]]  # every step updates and is charged alike
 
 
 def run_experiment(config: ExperimentConfig) -> list:
     """Run all trials and return per-iteration ensemble-averaged records.
 
-    RLS filters run trial by trial, all others step all trials in
-    lockstep; either way the ensemble sums add the trials in trial-index
-    order.
+    Each trial's scenario is built once and read by both passes: every
+    filter but RLS steps all trials in lockstep, then RLS runs trial by
+    trial. Either way the ensemble sums add the trials in trial-index order.
     """
-    seeds = trial_seeds(config.seed, config.runs)
+    scenario_type = _SCENARIOS[config.kind][1]
+    scenarios = [scenario_type(replace(config.scenario, seed=int(s)))
+                 for s in trial_seeds(config.seed, config.runs)]
     sums = {spec.label: np.zeros((len(METRICS), config.iters)) for spec in config.filters}
     rls = [spec for spec in config.filters if spec.algorithm == "rls"]
     lockstep = [spec for spec in config.filters if spec.algorithm != "rls"]
+    for spec in rls:  # a bad option raises before either pass; P waits for a first sample
+        Rls(scenarios[0].n, **spec.options)
     if lockstep:
-        _run_lockstep(config, lockstep, seeds, sums)
+        _run_lockstep(config, lockstep, scenarios, sums)
     if rls:
-        for s in seeds:  # fixed order
-            _run_trial(config, int(s), rls, sums)
+        for scenario in scenarios:  # trial-index order
+            _run_rls(scenario, rls, config.iters, sums)
 
     records = []
     for spec in config.filters:

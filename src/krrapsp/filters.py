@@ -46,7 +46,6 @@ Multiplication accounting
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +57,7 @@ from .linalg import (
     BasisMatrix,
     as_vector,
     cg_solve_stack,
+    check_int,
     krylov_basis,  # noqa: F401  (unused; the benchmark's layer trace checks it here)
     krylov_basis_stack,
     stacked_dot,
@@ -102,14 +102,10 @@ class KrrParams:
     weights: tuple = None
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be at least 1")
-        if self.projections < 1 or self.error_dim < 1:
-            raise ValueError("projections and error_dim must be at least 1")
-        if self.rho < 0.0:
-            raise ValueError("rho must be nonnegative")
-        if self.refresh_period < 1:
-            raise ValueError("refresh_period must be at least 1")
+        for name in ("rank", "projections", "error_dim", "refresh_period"):
+            check_int(getattr(self, name), name)
+        if not self.rho >= 0.0:
+            raise ValueError(f"rho must be nonnegative, got {self.rho}")
         if not 0.0 <= self.step_size <= 2.0:
             raise ValueError("step_size must lie in [0, 2]")
         if self.weights is None:
@@ -175,17 +171,6 @@ def _initial_stack(x, trials: int, n: int, name: str):
     return x
 
 
-def _positive_int(x, name: str = "filter length") -> int:
-    """``x`` as an int; a filter length or trial count must be a positive integer."""
-    try:
-        value = operator.index(x)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {x!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-    return value
-
-
 def _cache_aligned(n: int) -> np.ndarray:
     """An uninitialized ``(n, n)`` float array whose data starts on a 64-byte boundary."""
     raw = np.empty(n * n + 7)
@@ -216,7 +201,7 @@ class _Lockstep:
     """Counters of R filters stepped in lockstep: ``(R,)`` integer arrays."""
 
     def __init__(self, n: int, trials: int):
-        self.n, self.trials = _positive_int(n), _positive_int(trials, "trials")
+        self.n, self.trials = check_int(n, "filter length"), check_int(trials, "trials")
         self.steps = np.zeros(self.trials, dtype=np.int64)
         self.update_count = np.zeros(self.trials, dtype=np.int64)
         self.mult_totals = {cat: np.zeros(self.trials, dtype=np.int64)
@@ -529,10 +514,9 @@ class CgrrfBatch(_Lockstep):
     def __init__(self, n: int, trials: int, rank: int, refresh_period: int = 10,
                  forgetting: float | None = None, mode: str = "toeplitz",
                  init_vector=None):
-        if not 1 <= rank <= n:
+        if not 1 <= check_int(rank, "rank") <= n:
             raise ValueError(f"rank {rank} outside 1..{n}")
-        if refresh_period < 1:
-            raise ValueError("refresh_period must be at least 1")
+        check_int(refresh_period, "refresh_period")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if forgetting is not None and not 0.0 < forgetting < 1.0:
@@ -774,7 +758,7 @@ class Rls:
             raise ValueError("forgetting must lie in (0, 1]")
         if delta is not None:
             _check_delta(delta)
-        self.n = _positive_int(n)
+        self.n = check_int(n, "filter length")
         self.forgetting = float(forgetting)
         self.delta = delta
         self.h = np.zeros(self.n)

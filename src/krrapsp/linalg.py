@@ -14,6 +14,7 @@ Values are immutable; functions are pure apart from writing into a given
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,6 +38,20 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
+
+
+def check_int(x, name: str, low: int = 1) -> int:
+    """``x`` as an int (``operator.index``); a count must be an integer of at least ``low``.
+
+    Configs call it to validate only, so a field keeps the value it was given.
+    """
+    try:
+        value = operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

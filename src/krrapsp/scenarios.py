@@ -28,7 +28,12 @@ block draw returns the values of the per-step draws it replaces and
 leaves the generator in the same state, and the chunk arithmetic is the
 per-step arithmetic, element by element, so the samples are those of a
 step-by-step generator and the RNG contract above is unchanged. A stream
-therefore draws up to one chunk ahead of what it has yielded.
+therefore draws up to one chunk ahead of what it has yielded. Every call
+replays the stream from step 0: a scenario saves the states of its stream
+generators when it is built (CDMA: after the interferers' first bits) and
+restores them into the same generators before it draws, so one scenario
+serves every pass over its trial; a stream opened while another is still
+being read takes the generators over.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import stacked_dot
+from .linalg import check_int, stacked_dot
 
 GOLD_LENGTH = 31
 GOLD_FAMILY_SIZE = 33
@@ -113,10 +118,20 @@ def config_items(cfg) -> dict:
     return out
 
 
-def _serialize(scenario) -> dict:
+# samples and serialize are written once and bound in each scenario class's
+# own body, where the benchmark's layer trace finds them
+def _samples(self, count: int) -> Iterator[StreamSample]:
+    """The steps of :meth:`chunks` one at a time, each with its own ``u`` (CDMA: bit ``d``)."""
+    for chunk in self.chunks(count):
+        for t, d in enumerate(chunk.d.tolist()):
+            yield StreamSample(k=chunk.start + t, u=chunk.u[t].copy(), d=d, truth_h=chunk.truth,
+                               truth_bit=None if chunk.truth is not None else int(d))
+
+
+def _serialize(self) -> dict:
     # the config's fields, the kind, the class's constants, the noise level
-    return {**config_items(scenario.config), "kind": scenario.kind, **scenario.constants,
-            "noise_std": f"{scenario.noise_std:.12g}"}
+    return {**config_items(self.config), "kind": self.kind, **self.constants,
+            "noise_std": f"{self.noise_std:.12g}"}
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +169,14 @@ class SysIdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.fir_len < 1:
-            raise ValueError("fir_len must be positive")
+        check_int(self.n, "n")
+        check_int(self.fir_len, "fir_len")
         _check_snr_db(self.snr_db)
-        if self.change_at is not None and self.change_at < 0:
-            raise ValueError("change_at must be nonnegative")
+        if self.change_at is not None:
+            check_int(self.change_at, "change_at", 0)
         if self.change_mode not in ("negate", "fresh"):
             raise ValueError("change_mode must be negate or fresh")
+        check_int(self.seed, "seed", 0)
 
 
 class SysIdScenario:
@@ -179,9 +193,10 @@ class SysIdScenario:
 
     def __init__(self, config: SysIdConfig):
         self.config = config
-        n = config.n
+        self.n = n = config.n
         (rng_h, rng_fir, self._rng_input, self._rng_noise, rng_post,
          rng_calib) = _spawn(config.seed, 6)
+        self._saved = [(g, g.bit_generator.state) for g in (self._rng_input, self._rng_noise)]
 
         h = rng_h.standard_normal(n)
         self.h_star = h / np.linalg.norm(h)
@@ -224,12 +239,11 @@ class SysIdScenario:
         The buffer holds one chunk's colored input, ``_CHUNK + n - 1``
         samples; the view is its ``(*rows, _CHUNK, n)`` reversed windows.
         """
-        n = self.config.n
-        buf = np.empty(rows + (_CHUNK + n - 1,))
-        return buf, sliding_window_view(buf, n, axis=-1)[..., ::-1]
+        buf = np.empty(rows + (_CHUNK + self.n - 1,))
+        return buf, sliding_window_view(buf, self.n, axis=-1)[..., ::-1]
 
     def chunks(self, count: int, buffer=None) -> Iterator[StreamChunk]:
-        """The first ``count`` steps in chunks; restartable only via a fresh scenario.
+        """The first ``count`` steps in chunks, replayed from step 0 at every call.
 
         Input and noise are drawn every ``_CHUNK`` steps into buffers the
         stream keeps. Each draw's colored input comes from its white
@@ -238,11 +252,13 @@ class SysIdScenario:
         chunk's input is written into ``buffer``, a pair from
         :meth:`chunk_buffer` (by default one of the stream's own).
         """
-        n, change = self.config.n, self.config.change_at
+        n, change = self.n, self.config.change_at
         carry = n - 1 + self.config.fir_len - 1
         buf, windows = self.chunk_buffer() if buffer is None else buffer
         white = np.empty(carry + _CHUNK)
         noise = np.zeros(_CHUNK)
+        for g, state in self._saved:
+            g.bit_generator.state = state
         self._rng_input.standard_normal(out=white[:carry])
         for start in range(0, count, _CHUNK):
             m = min(_CHUNK, count - start)
@@ -265,15 +281,7 @@ class SysIdScenario:
                 d = stacked_dot(np.ascontiguousarray(windows[:b - a]), truth) + noise[a:b]
                 yield StreamChunk(start + a, windows[:b - a], d, truth)
 
-    def samples(self, count: int) -> Iterator[StreamSample]:
-        """The steps of :meth:`chunks` one at a time, each with its own ``u``."""
-        for chunk in self.chunks(count):
-            for t, d in enumerate(chunk.d.tolist()):
-                yield StreamSample(k=chunk.start + t, u=chunk.u[t].copy(), d=d,
-                                   truth_h=chunk.truth)
-
-    def serialize(self) -> dict:
-        return _serialize(self)
+    samples, serialize = _samples, _serialize
 
 
 # ---------------------------------------------------------------------------
@@ -350,18 +358,18 @@ class CdmaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.users <= GOLD_FAMILY_SIZE:
-            raise ValueError(f"users must lie in 1..{GOLD_FAMILY_SIZE}")
+        for name in ("users", "users_post"):
+            count = getattr(self, name)
+            if count is not None and not 1 <= check_int(count, name) <= GOLD_FAMILY_SIZE:
+                raise ValueError(f"{name} must lie in 1..{GOLD_FAMILY_SIZE}")
         if self.change_at is not None:
-            if self.change_at < 0:
-                raise ValueError("change_at must be nonnegative")
+            check_int(self.change_at, "change_at", 0)
             if self.users_post is None:
                 raise ValueError("users_post required with change_at")
-            if not 1 <= self.users_post <= GOLD_FAMILY_SIZE:
-                raise ValueError(f"users_post must lie in 1..{GOLD_FAMILY_SIZE}")
         _check_snr_db(self.snr_db)
         if not 0.0 < self.interferer_amplitude < math.inf:
             raise ValueError("interferer_amplitude must be finite and positive")
+        check_int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -436,6 +444,7 @@ class CdmaScenario:
 
         snr = 10.0 ** (config.snr_db / 10.0)
         self.noise_std = math.sqrt(1.0 / snr) if math.isfinite(config.snr_db) else 0.0
+        self._saved = [(g, g.bit_generator.state) for g in (self._rng_bits, self._rng_noise)]
 
     def chunk_buffer(self, *rows: int):
         """A buffer for :meth:`chunks`, stacked over ``rows``, and its regressor view.
@@ -447,7 +456,7 @@ class CdmaScenario:
         return buf, buf
 
     def chunks(self, count: int, buffer=None) -> Iterator[StreamChunk]:
-        """The first ``count`` steps in chunks; restartable only via a fresh scenario.
+        """The first ``count`` steps in chunks, replayed from step 0 at every call.
 
         Bits and noise are drawn one chunk at a time; a chunk ends at
         ``change_at``, where the user set changes. Every step draws one bit
@@ -458,6 +467,8 @@ class CdmaScenario:
         """
         chips = (self.chunk_buffer() if buffer is None else buffer)[1]
         change = self.config.change_at
+        for g, state in self._saved:
+            g.bit_generator.state = state
         users = self._pre_users
         prev = np.array([user.prev_bit for user in users])
         start = 0
@@ -482,12 +493,4 @@ class CdmaScenario:
             yield StreamChunk(start, u, d)
             start += m
 
-    def samples(self, count: int) -> Iterator[StreamSample]:
-        """The steps of :meth:`chunks` one at a time, each with its own ``u``."""
-        for chunk in self.chunks(count):
-            for t, d in enumerate(chunk.d.tolist()):
-                yield StreamSample(k=chunk.start + t, u=chunk.u[t].copy(), d=d,
-                                   truth_bit=int(d))
-
-    def serialize(self) -> dict:
-        return _serialize(self)
+    samples, serialize = _samples, _serialize

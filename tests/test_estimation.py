@@ -28,6 +28,12 @@ class TestInit:
         with pytest.raises(ValueError):
             CorrelationEstimator("hankel", 4, 0.9)
 
+    @pytest.mark.parametrize("n", [2.5, np.float64(3.0), "3", 0, -1])
+    def test_dimension_not_a_positive_integer(self, n):
+        # a ValueError here, not a TypeError at the first snapshot
+        with pytest.raises(ValueError, match="dimension"):
+            CorrelationEstimator("toeplitz", n, 0.9)
+
 
 class TestUpdate:
     def test_toeplitz_single_sample(self):

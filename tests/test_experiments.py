@@ -11,6 +11,7 @@ import pytest
 import krrapsp
 from krrapsp import CdmaConfig, CdmaScenario, KrrParams, Rls, SysIdConfig, SysIdScenario
 from krrapsp.estimation import _StatsStack
+from krrapsp.filters import CgrrfBatch, NlmsBatch, _KrrFamily
 from krrapsp.experiments import (
     ExperimentConfig,
     FilterSpec,
@@ -85,6 +86,20 @@ class TestRunExperiment:
     def test_scenario_of_another_kind_rejected(self, kind, scenario):
         with pytest.raises(ValueError, match="scenario"):
             ExperimentConfig(kind=kind, scenario=scenario, filters=(FilterSpec("nlms"),))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(runs=2.5), dict(runs=0), dict(iters=3.0), dict(iters=0), dict(seed=1.5),
+        dict(seed=-1), dict(seed="1"),
+    ])
+    def test_non_integral_counts_rejected(self, kwargs):
+        # seed=1.5 would run as seed 1 under a header that reads seed=1.5
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            replace(tiny_config(), **kwargs)
+
+    def test_integer_counts_keep_their_text(self):
+        config = replace(tiny_config(), runs=np.int64(2), seed=np.uint64(5))
+        meta = config_metadata(config)
+        assert (meta["runs"], meta["seed"]) == ("2", "5")
 
     @pytest.mark.parametrize("algorithm, options", [
         ("krr-apsp", {}),
@@ -217,6 +232,49 @@ def test_records_equal_trial_by_trial_loop(name):
                  (run_experiment(config), trial_by_trial_records(config)))
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("name", ["sysid_all_four", "cdma_rls_nlms"])
+def test_each_trial_scenario_is_built_once(name, monkeypatch):
+    # both passes (RLS beside lockstep filters) read the same scenarios
+    config, built = LOCKSTEP_CONFIGS[name], []
+    for scenario_type in (SysIdScenario, CdmaScenario):
+        init = scenario_type.__init__
+        monkeypatch.setattr(scenario_type, "__init__",
+                            lambda self, cfg, init=init: built.append(cfg.seed) or init(self, cfg))
+    run_experiment(config)
+    assert built == [int(s) for s in trial_seeds(config.seed, config.runs)]
+
+
+def test_bad_rls_option_rejected_before_the_lockstep_pass(monkeypatch):
+    steps = []
+    for batch in (_KrrFamily, CgrrfBatch, NlmsBatch):
+        monkeypatch.setattr(batch, "step",
+                            lambda *a, step=batch.step: steps.append(1) or step(*a))
+    config = LOCKSTEP_CONFIGS["sysid_all_four"]
+    bad = replace(config, filters=config.filters[:-1] + (
+        FilterSpec("rls", options={"forgetting": 1.5}),))
+    with pytest.raises(ValueError, match="forgetting"):
+        run_experiment(bad)
+    assert steps == []
+    run_experiment(config)
+    assert steps  # the counters see the batches step
+
+
+def test_rls_pass_holds_one_trial_at_a_time():
+    # an inverse correlation and its buffer are 2 x 320 KB at N = 200; held
+    # for every trial they would take about 10 MiB
+    config = ExperimentConfig(
+        kind="sysid", scenario=SysIdConfig(n=200, change_at=100),
+        filters=(FilterSpec("rls"),), runs=16, iters=150, seed=3)
+    run_experiment(replace(config, runs=1))  # first-use allocations
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("field", ["u", "d"])

@@ -48,6 +48,16 @@ class TestKrrParams:
         with pytest.raises(ValueError):
             KrrParams(rank=3, step_size=2.5)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(rank=1.5), dict(rank=0), dict(projections=2.0), dict(projections=0),
+        dict(error_dim=1.5), dict(error_dim=0), dict(refresh_period=2.5),
+        dict(refresh_period=0), dict(rho=np.nan), dict(rho=-0.1),
+    ])
+    def test_non_integral_count_or_nan_rho_rejected(self, kwargs):
+        # refresh_period=2.5 would refresh at k = 1, 6, 11, ...; rho=nan never updates
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            KrrParams(**{"rank": 3, **kwargs})
+
     def test_uniform_default(self):
         p = KrrParams(rank=3, projections=4)
         assert np.allclose(p.weights, 0.25)
@@ -125,6 +135,15 @@ class TestInputContract:
         # the filter length's rule: 2.5 trials is not truncated to 2
         with pytest.raises(ValueError, match="trials"):
             make(trials)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(rank=1.5), dict(rank=np.float64(2.0)), dict(rank=0), dict(rank=5),
+        dict(refresh_period=2.5), dict(refresh_period=0),
+    ])
+    def test_cgrrf_batch_counts_rejected(self, kwargs):
+        # rank=1.5 would run at rank 1
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            CgrrfBatch(4, 2, **{"rank": 2, **kwargs})
 
 
 class TestKrrApsp:

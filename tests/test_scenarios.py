@@ -285,6 +285,15 @@ class TestSysIdScenario:
             SysIdConfig(change_at=-5)
         SysIdConfig(change_at=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(n=2.5), dict(n=np.float64(8.0)), dict(fir_len=3.0), dict(fir_len=0),
+        dict(change_at=70.5), dict(seed=1.5), dict(seed=-1), dict(seed="1"),
+    ])
+    def test_non_integral_counts_rejected(self, kwargs):
+        # n=2.5 would fail later with a TypeError; seed=1.5 would run as seed 1
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            SysIdConfig(**kwargs)
+
     def test_serialize_metadata(self):
         meta = SysIdScenario(SysIdConfig(n=8, snr_db=10.0, change_at=5, seed=2)).serialize()
         assert list(meta.items()) == [
@@ -299,6 +308,17 @@ class TestCdmaScenario:
             CdmaConfig(users=34)
         with pytest.raises(ValueError):
             CdmaConfig(users=4, change_at=100)  # users_post missing
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("users", dict(users=2.0)), ("users", dict(users=0)),
+        ("users_post", dict(change_at=50, users_post=2.5)),
+        ("users_post", dict(change_at=50, users_post=34)),
+        ("change_at", dict(change_at=50.0, users_post=2)),
+        ("seed", dict(seed=1.5)), ("seed", dict(seed=-1)),
+    ])
+    def test_non_integral_counts_rejected(self, name, kwargs):
+        with pytest.raises(ValueError, match=name):
+            CdmaConfig(**kwargs)
 
     def test_negative_change_at_rejected(self):
         # it would never switch, yet the CSV header would record it
@@ -432,3 +452,41 @@ class TestCdmaScenario:
         got = [(s.d, s.u[:4].tolist()) for s in scen.samples(4)]
         assert got == self.GOLDEN
 
+
+
+# the change at 70 lies inside the second chunk; sysid draws a fresh system
+REPLAY_CONFIGS = [SysIdConfig(n=12, change_at=70, change_mode="fresh", seed=3),
+                  CdmaConfig(users=4, change_at=70, users_post=3, seed=3)]
+
+
+def make_scenario(config):
+    return (SysIdScenario if isinstance(config, SysIdConfig) else CdmaScenario)(config)
+
+
+def chunk_bytes(chunks):
+    # each chunk's u is read before the next one overwrites it
+    return [(c.start, c.u.tobytes(), c.d.tobytes(), None if c.truth is None else c.truth.tobytes())
+            for c in chunks]
+
+
+def sample_bytes(samples):
+    return [(s.k, s.u.tobytes(), float_bits(s.d), s.truth_bit) for s in samples]
+
+
+@pytest.mark.parametrize("config", REPLAY_CONFIGS, ids=["sysid", "cdma"])
+def test_chunks_replay_from_step_0(config):
+    fresh = chunk_bytes(make_scenario(config).chunks(150))
+    scen = make_scenario(config)
+    assert chunk_bytes(scen.chunks(150)) == fresh
+    assert chunk_bytes(scen.chunks(150)) == fresh
+
+
+@pytest.mark.parametrize("config", REPLAY_CONFIGS, ids=["sysid", "cdma"])
+def test_samples_after_a_partly_read_stream_start_at_step_0(config):
+    scen = make_scenario(config)
+    partial = scen.chunks(150)
+    next(partial)
+    next(partial)  # up to the change at 70
+    got = sample_bytes(scen.samples(150))
+    assert got == sample_bytes(make_scenario(config).samples(150))
+    assert [k for k, *_ in got] == list(range(150))
