@@ -18,10 +18,8 @@ filters in lockstep on stacked ``(R, N)`` samples. Their stacked products
 make a single filter's BLAS calls trial by trial, so a trial's arithmetic
 does not depend on R. ``KrrApsp``, ``Cgrrf`` and ``Nlms`` are their
 one-trial views. KRR-APSP batches of one statistics mode, forgetting
-factor and refresh period can form a family (``_KrrFamily``): one
-statistics stack, one sample ring and one Krylov build at the largest
-rank for all of them. A KRR-APSP step takes all q projection sets of all
-trials at once: elementwise for r = 1, as windows of r samples otherwise.
+factor and refresh period can form a family (``_KrrFamily``) with one
+statistics stack, sample ring, Krylov build and reduced pass per ``(q, r)``.
 ``Rls`` has no batch: 100 inverse correlations at N = 200 hold 32 MB, and
 a stacked RLS step measured slower than the scalar one (142-159 against
 129 us per trial-step; one BLAS thread, 2-core x86-64). Its arithmetic is
@@ -114,9 +112,9 @@ class KrrParams:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (self.projections,):
                 raise ValueError("weights must have one entry per projection")
-            if np.any(w <= 0.0):
+            if not np.all(w > 0.0):  # NaN is not positive either
                 raise ValueError("weights must be positive")
-            if abs(float(w.sum()) - 1.0) > TOL.weights_sum:
+            if not abs(float(w.sum()) - 1.0) <= TOL.weights_sum:
                 raise ValueError("weights must sum to 1")
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
 
@@ -178,11 +176,6 @@ def _cache_aligned(n: int) -> np.ndarray:
     return raw[start:start + n * n].reshape(n, n)
 
 
-def _leading(basis: np.ndarray, rank: int) -> np.ndarray:
-    # the leading columns of a zero-padded basis, laid out as a BasisMatrix
-    return np.ascontiguousarray(basis[:, :rank])
-
-
 def _aged(ring: np.ndarray, spare: np.ndarray):
     # (new ring, new spare): ring copied one slot older into spare; slot 0 is stale
     np.copyto(spare[:, 1:], ring[:, :-1])
@@ -218,11 +211,10 @@ class _KrrFamily:
     once per ``chunk`` of trials at the largest rank; a member of rank D
     takes the leading D columns and ranks ``min(rank, D)``, which a build
     of rank D would give (column i is built from the columns before it
-    only). Each member keeps its bases, reduced filters and counters and
-    charges its own multiplications. A ring (newest first) ages by one copy
-    into a spare, which takes its place. A batch starts as a family of one
-    and :meth:`join` groups batches before their first step. Members hold
-    their family, not the reverse, so :meth:`step` is given them all.
+    only). Members of one ``(q, r)`` step as one :class:`_KrrSets`. A batch
+    starts as a family of one and :meth:`join` groups batches before their
+    first step. Members hold their family, not the reverse, so :meth:`step`
+    is given them all.
     """
 
     def __init__(self, mode: str, member):
@@ -233,6 +225,7 @@ class _KrrFamily:
         self.chunk = _chunk_trials(1 << 20, self.n, self.trials)  # 1 MiB: 52 trials at N = 50
         self.has_basis = np.zeros(self.trials, dtype=bool)
         self.ds = np.zeros((self.trials, 0))  # the rings are sized as members join
+        self.sets = {}  # the _KrrSets of each (q, r)
         self.filled = 0  # filled ring slots, shared by all trials
         self.size = self._k = 0
         member.family = self
@@ -244,9 +237,12 @@ class _KrrFamily:
             raise ValueError("a family joins batches of one key before their first step")
         member.family = self
         self.size += 1
-        ring = max(self.ds.shape[1], member._ut.shape[1])
+        key = (member.params.projections, member.params.error_dim)
+        ring = max(self.ds.shape[1], sum(key) - 1)
         self.us, self._us_spare = np.zeros((2, self.trials, ring, self.n))
         self.ds, self._ds_spare = np.zeros((2, self.trials, ring))
+        self.sets[key] = _KrrSets(self.sets[key].members + [member] if key in self.sets
+                                  else [member])
 
     def _build(self, members, among: np.ndarray) -> None:
         """Build and install the members' bases of trials ``among``, chunk by chunk.
@@ -275,18 +271,173 @@ class _KrrFamily:
         # age each ring into its spare: a shift in place would copy via a temporary
         self.us, self._us_spare = _aged(self.us, self._us_spare)
         self.ds, self._ds_spare = _aged(self.ds, self._ds_spare)
-        for m in members:
-            m._ut, m._ut_spare = _aged(m._ut, m._ut_spare)
+        for sets in self.sets.values():
+            sets.ut, sets.spare = _aged(sets.ut, sets.spare)
         self.us[:, 0], self.ds[:, 0] = u, d
         self.filled = min(self.filled + 1, self.us.shape[1])
         self.stats.update(u, d)
         # the estimators have now seen k + 1 samples: mature from N on
         if self._k + 1 >= self.n and not self.has_basis.all():
             self._build(members, ~self.has_basis)
-        outs = [m._step(u) for m in members]
+        outs = {m: out for sets in self.sets.values()
+                for m, out in zip(sets.members, sets.step(self, u))}
         if self._k % self.refresh_period == 1 % self.refresh_period:
             self._build(members, self.has_basis)
         self._k += 1
+        return [outs[m] for m in members]
+
+
+class _KrrSets:
+    """The members of a family with one ``(q, r)``, stepped as one reduced pass.
+
+    Member ``i`` owns rows ``i R`` to ``i R + R - 1`` of the reduced
+    regressors' ring (newest first) and its spare, ``(M R, q + r - 1,
+    D_max)``, the reduced filters ``(M R, D_max)`` (its ``h_tilde`` their
+    leading D columns) and the per-trial state ``_ROWS``; both are zero past
+    a row's ``rank_eff`` (0 without a basis). Products in N-space and sums
+    over the rank axis run per member and effective rank on its own columns;
+    the rest runs once over all rows, where the zero columns change no bit
+    (``tests/test_kernels.py``) but in a one-column window product (r > 1).
+    """
+
+    _ROWS = dict(rank_eff=0, _ut_valid=False, last_relaxation=np.nan, build_count=0,
+                 skipped_zero_direction=0, cancelled_updates=0, steps=0, update_count=0)
+
+    def __init__(self, members):
+        self.members, trials, p = members, members[0].trials, members[0].params
+        self.q, self.r = p.projections, p.error_dim
+        rows, width = len(members) * trials, max(m.params.rank for m in members)
+        self.rings = np.zeros((2, rows, self.q + self.r - 1, width))
+        self.ut, self.spare = self.rings
+        self.h = np.zeros((rows, width))
+        for name, value in self._ROWS.items():
+            setattr(self, name, np.full(rows, value))
+        self.mult_totals = {cat: np.zeros(rows, dtype=np.int64) for cat in _zero_counters()}
+        self.rho, self.step_size, self.full = (
+            np.repeat([getattr(m.params, name) for m in members], trials)
+            for name in ("rho", "step_size", "rank"))
+        # normalized weights of the newest q_eff sets, by q_eff
+        weights = [m.params.weight_array for m in members]
+        self.weights = [None] + [np.repeat([w[:q] / float(w[:q].sum()) for w in weights],
+                                           trials, axis=0) for q in range(1, self.q + 1)]
+        held = [np.minimum(self.r, ring - np.arange(min(self.q, ring)))  # by ring length
+                for ring in range(1, self.q + self.r)]  # the samples each set holds
+        self.charges = [None] + [(x + 1, int(x.sum())) for x in held]
+        for i, m in enumerate(members):
+            m._sets, m._rows = self, slice(i * trials, (i + 1) * trials)
+            m.h_tilde = self.h[m._rows, :m.params.rank]
+            for name in self._ROWS:
+                setattr(m, name, getattr(self, name)[m._rows])
+            m.mult_totals = {cat: v[m._rows] for cat, v in self.mult_totals.items()}
+        self.built = True  # a build changed ranks or bases since the last step
+
+    def step(self, family, u: np.ndarray) -> list:
+        """Every member's transform, output and update on a checked sample; returns the outputs."""
+        n, trials, ranks, ut, h = family.n, family.trials, self.rank_eff, self.ut, self.h
+        ring, stats_mults = min(family.filled, ut.shape[1]), _stats_cost(family.stats.mode, n)
+        self.mult_totals["stats"] += stats_mults
+        self.steps += 1
+        if self.built:  # ranks, bases and has_basis change only at a build
+            self.whole, self.idle = (ranks == self.full).all(), not family.has_basis.any()
+            self.transform = ranks * n  # S^T u of the newest sample
+        valid, self.built = not self.built, False
+        if self.idle:  # every trial passes through: output 0, no update
+            return [StepOutput(np.zeros(trials), np.zeros(trials, dtype=bool),
+                               np.zeros((trials, n)), np.full(trials, stats_mults))
+                    for _ in self.members]
+        transform_mults = (self.transform if valid
+                           else self.transform * np.where(self._ut_valid, 1, ring))
+        # S^T u of the newest sample into the ring, of every slot for a trial whose
+        # basis changed; parts: each member's (rows, rank, trials, bases) by D_eff
+        parts = []
+        for m in self.members:
+            parts.append([])
+            for rank, idx in [(m.params.rank, slice(None))] if self.whole else [
+                    (d, np.flatnonzero(m.rank_eff == d)) for d in set(m.rank_eff.tolist()) - {0}]:
+                basis = m.basis if self.whole else np.ascontiguousarray(m.basis[idx][..., :rank])
+                basis_t, mine = basis.transpose(0, 2, 1), ut[m._rows]
+                mine[idx, 0, :rank] = stacked_matvec(basis_t, u[idx])
+                if not valid and (stale := ~m._ut_valid[idx]).any():
+                    at = np.arange(trials)[idx][stale]
+                    mine[at, 1:ring, :rank] = stacked_matvec(basis_t[stale][:, None],
+                                                             family.us[at, 1:ring])
+                rows = m._rows if self.whole else idx + m._rows.start
+                parts[-1].append((rows, rank, idx, basis))
+        self._ut_valid.fill(True)
+
+        # set j holds the errors of samples j, ..., j + r - 1; ring slots not yet
+        # filled are zero in regressors and outputs, so their errors are exactly 0
+        r, q_eff, rho = self.r, min(self.q, ring), self.rho[:, None]
+        width = q_eff + r - 1
+        ips = stacked_dot(ut[:, :max(ring, width)], h[:, None, :])
+        e = ips[:, :width].reshape(len(self.members), trials, width) - family.ds[:, :width]
+        if not self.whole:  # a trial without a basis has no sets
+            e[:, ~family.has_basis] = 0.0
+        e = e.reshape(len(h), width)
+
+        # each set's squared error, its subgradient g = (S^T U) e, c = g . g and
+        # the guard scale (uncharged), each product the one a set's own BLAS call makes
+        if r == 1:
+            sq, g, squares = e * e, ut[:, :q_eff] * e[..., None], ut[:, :q_eff] * ut[:, :q_eff]
+        else:
+            e_win = sliding_window_view(e, r, axis=1)
+            # the columns ut[j], ..., ut[j + r - 1], copied: matmul on the view rounds differently
+            u_win = np.ascontiguousarray(sliding_window_view(ut[:, :width], r, axis=1))
+            sq, g, squares = stacked_dot(e_win, e_win), stacked_matvec(u_win, e_win), u_win * u_win
+        block_sq = np.zeros(sq.shape)
+        for rows, rank, _, _ in (group for groups in parts for group in groups):
+            block_sq[rows] = squares[rows, :, :rank].sum(axis=2 if r == 1 else (2, 3))
+            if rank == 1 < r:
+                g[rows, :, :1] = stacked_matvec(np.ascontiguousarray(u_win[rows, :, :1]),
+                                                e_win[rows])
+        violated = sq > rho
+        c = stacked_dot(g, g)
+
+        # a violated set with a vanishing subgradient (a data corner) is skipped and counted
+        zero = violated & (c <= TOL.zero_direction_rel ** 2 * (block_sq * sq))
+        if zero.any():
+            self.skipped_zero_direction += zero.sum(axis=1)
+        ok = violated ^ zero  # zero only where violated
+        gap = rho - sq
+        c_ok = np.where(ok, c, 1.0)
+        w_gap = self.weights[q_eff] * gap
+        coef, loss = np.zeros((2,) + c.shape)
+        np.divide(w_gap, 2.0 * c_ok, out=coef, where=ok)
+        np.divide(w_gap * gap, 4.0 * c_ok, out=loss, where=ok)
+        # the sums over the sets add in set order, as one set after another;
+        # f_dir starts at zero, and + 0.0 turns only a -0 sum into that +0
+        f_dir = _sum_sets(g * coef[:, :, None])
+        f_dir += 0.0
+        n_ok = ok.sum(axis=1)
+        contributed = n_ok > 0
+
+        nf = stacked_dot(f_dir, f_dir)
+        delta_norm_sum = _sum_sets(np.abs(coef) * np.sqrt(c))
+        cancelled = contributed & (np.sqrt(nf) <= TOL.cancellation * delta_norm_sum)
+        self.cancelled_updates += cancelled
+        updated = contributed ^ cancelled  # cancelled only where contributed
+        self.last_relaxation.fill(np.nan)
+        relax = np.divide(_sum_sets(loss), nf, out=self.last_relaxation, where=updated)
+        np.add(h, (self.step_size * relax)[:, None] * f_dir, out=h, where=updated[:, None])
+        # the inner products, the errors, the violated sets and the updates
+        charges, samples = self.charges[ring]
+        filter_mults = (ranks * (ring + np.dot(violated, charges) + n_ok + contributed + updated)
+                        + (7 * n_ok + 2 * updated + samples))
+        if not self.whole:
+            filter_mults[ranks == 0] = 0
+        self.mult_totals["transform"] += transform_mults
+        self.mult_totals["filter"] += filter_mults
+        self.update_count += updated
+        mults, outs = stats_mults + transform_mults + filter_mults, []
+        for m, groups in zip(self.members, parts):
+            if self.whole:
+                (rows, rank, _, basis), = groups
+                h_full = stacked_matvec(basis, np.ascontiguousarray(h[rows, :rank]))
+            else:  # trials without a basis pass through
+                h_full = np.zeros((trials, n))
+                for rows, rank, idx, basis in groups:  # rows index: a contiguous copy
+                    h_full[idx] = stacked_matvec(basis, h[rows, :rank])
+            outs.append(StepOutput(ips[m._rows, 0], updated[m._rows], h_full, mults[m._rows]))
         return outs
 
 
@@ -299,15 +450,13 @@ class KrrApspBatch(_Lockstep):
     estimate) it passes through: output 0 and no update. All trials share
     the step index, hence the warm-up gate and the refresh steps. A basis
     that truncates to ``D_eff < D`` carries zero columns after its
-    ``D_eff`` leading ones; each step handles the trials of one effective
-    rank together.
+    ``D_eff`` leading ones.
 
     The statistics, sample ring and builds are the ``family``'s
     (:class:`_KrrFamily`); :meth:`step` steps a family of one. The batch
-    keeps the reduced regressors as ``(R, q + r - 1, D)`` (newest first),
-    the bases as ``(R, N, D)``, the reduced filters as ``(R, D)``, the last
-    relaxation factors (NaN where a trial did not update), ``(R,)`` integer
-    counters and one ``mult_totals`` array per category.
+    keeps its bases, ``(R, N, D)``. Its reduced filters ``(R, D)``, last
+    relaxation factors (NaN where a trial did not update) and ``(R,)``
+    counters are rows of the family's :class:`_KrrSets`.
     """
 
     stats = property(lambda self: self.family.stats)
@@ -323,22 +472,8 @@ class KrrApspBatch(_Lockstep):
             raise ValueError(f"forgetting factor must lie in (0, 1), got {params.forgetting}")
         super().__init__(n, trials)
         self.params = params
-        n, r, d = self.n, self.trials, params.rank
-        self._h0 = _initial_stack(h0, r, n, "h0")
-        self._ut, self._ut_spare = np.zeros((2, r, params.projections + params.error_dim - 1, d))
-        self._ut_valid = np.zeros(r, dtype=bool)
-        self.basis = np.zeros((r, n, d))
-        self.rank_eff = np.zeros(r, dtype=np.int64)
-        self.h_tilde = np.zeros((r, d))
-        # normalized weights of the newest q_eff sets, by q_eff
-        weights = params.weight_array
-        self._weights = [None] + [weights[:q] / float(weights[:q].sum())
-                                  for q in range(1, params.projections + 1)]
-        self.last_relaxation = np.full(r, np.nan)
-        self.build_count = np.zeros(r, dtype=np.int64)
-        self.skipped_zero_direction = np.zeros(r, dtype=np.int64)
-        self.cancelled_updates = np.zeros(r, dtype=np.int64)
-        self._groups = []  # (rank, trials) of each effective rank, set after a build
+        self._h0 = _initial_stack(h0, self.trials, self.n, "h0")
+        self.basis = np.zeros((self.trials, self.n, params.rank))
         self.family = _KrrFamily(mode, self)  # a family of one until joined
 
     def _take(self, part: np.ndarray, bases: np.ndarray, ranks: np.ndarray) -> None:
@@ -351,141 +486,21 @@ class KrrApspBatch(_Lockstep):
         """
         for j in np.flatnonzero(ranks != self.rank_eff[part]):
             i, old, new = part[j], int(self.rank_eff[part[j]]), int(ranks[j])
-            if self.has_basis[i]:
-                full = _leading(self.basis[i], old) @ self.h_tilde[i, :old]
+            if self.has_basis[i]:  # leading columns laid out as a BasisMatrix
+                full = np.ascontiguousarray(self.basis[i, :, :old]) @ self.h_tilde[i, :old]
                 self.mult_totals["rebase"][i] += (old + new) * self.n
             else:
                 full = None if self._h0 is None else self._h0[i]
             self.h_tilde[i] = 0.0
             if full is not None:
-                self.h_tilde[i, :new] = _leading(bases[j], new).T @ full
+                self.h_tilde[i, :new] = np.ascontiguousarray(bases[j, :, :new]).T @ full
             self.rank_eff[i] = new
         self.basis[part] = bases
         self.build_count[part] += 1
         self.mult_totals["basis"][part] += _basis_build_charge(self.params.rank, self.n)
         self._ut_valid[part] = False
-        self._groups = None
-
-    def _reduced_step(self, idx, rank: int, u: np.ndarray):
-        """Transform, output and update of trials ``idx``, all of basis rank ``rank``.
-
-        Every product runs on contiguous ``[..., :rank]`` arrays, the shapes
-        of a single filter's own. Returns ``(y, updated, h_full,
-        transform_mults, filter_mults)``.
-        """
-        p = self.params
-        n, ring = self.n, min(self.family.filled, self._ut.shape[1])
-        if isinstance(idx, slice) and rank == self.basis.shape[2]:
-            basis, ut, h = self.basis, self._ut, self.h_tilde  # the whole batch at full rank
-        else:
-            basis, ut, h = (np.ascontiguousarray(x[idx][..., :rank])
-                            for x in (self.basis, self._ut, self.h_tilde))
-        basis_t = basis.transpose(0, 2, 1)
-
-        # cached reduced regressors: the newest column for every trial, all
-        # columns for trials whose basis changed since the last step
-        ut[:, 0] = stacked_matvec(basis_t, u)
-        transform_mults = rank * n
-        valid = self._ut_valid[idx]
-        if not valid.all():
-            stale = ~valid
-            us = self.family.us[idx]
-            ut[stale, 1:ring] = stacked_matvec(basis_t[stale][:, None], us[stale, 1:ring])
-            self._ut_valid[idx] = True
-            transform_mults = np.where(stale, ring, 1) * transform_mults
-        if ut is not self._ut:
-            self._ut[idx, :, :rank] = ut
-
-        # set j holds the errors of samples j, ..., j + r - 1; in a ring
-        # shorter than q + r - 1 the slots past it are zero in both the
-        # reduced regressors and the outputs, so their errors are exactly 0
-        r, q_eff = p.error_dim, min(p.projections, ring)
-        width = q_eff + r - 1
-        ips = stacked_dot(ut[:, :max(ring, width)], h[:, None, :])
-        e = ips[:, :width] - self.family.ds[idx, :width]
-
-        # each projection set's squared error, its subgradient g = (S^T U) e,
-        # c = g . g and the guard scale (an uncharged safeguard outside the
-        # cost model), all sets of all trials at once, each product the one
-        # a single set's own BLAS call makes; a set that no trial violates
-        # meets only a zero coefficient below
-        filter_mults = ring * rank  # the inner products, then each set's error
-        if r == 1:
-            sq = e * e
-            g = ut[:, :q_eff] * e[..., None]
-            block_sq = (ut[:, :q_eff] * ut[:, :q_eff]).sum(axis=2)
-            filter_mults += q_eff
-            charges = np.full(q_eff, 2 * rank)  # of a violated set
-        else:
-            e_win = sliding_window_view(e, r, axis=1)
-            # (count, q_eff, rank, r) blocks: the columns ut[j], ..., ut[j + r - 1],
-            # copied, as matmul on the strided view rounds differently
-            u_win = np.ascontiguousarray(sliding_window_view(ut[:, :width], r, axis=1))
-            sq = stacked_dot(e_win, e_win)
-            g = stacked_matvec(u_win, e_win)
-            block_sq = (u_win * u_win).sum(axis=(2, 3))
-            r_eff = np.minimum(r, ring - np.arange(q_eff))  # the samples a set holds
-            filter_mults += int(r_eff.sum())
-            charges = (r_eff + 1) * rank  # of a violated set
-        violated = sq > p.rho
-        c = stacked_dot(g, g)
-
-        # every set at once, elementwise; a violated set with a vanishing
-        # subgradient (an inconsistent data corner) is skipped and counted
-        zero = violated & (c <= TOL.zero_direction_rel ** 2 * (block_sq * sq))
-        if zero.any():
-            self.skipped_zero_direction[idx] += zero.sum(axis=1)
-        ok = violated ^ zero  # zero only where violated
-        gap = p.rho - sq
-        c_ok = np.where(ok, c, 1.0)
-        w_gap = self._weights[q_eff] * gap
-        coef = np.divide(w_gap, 2.0 * c_ok, out=np.zeros(c.shape), where=ok)
-        loss = np.divide(w_gap * gap, 4.0 * c_ok, out=np.zeros(c.shape), where=ok)
-        # the sums over the sets add in set order, as one set after another;
-        # f_dir starts at zero, and + 0.0 turns only a -0 sum into that +0
-        f_dir = _sum_sets(g * coef[:, :, None])
-        f_dir += 0.0
-        n_ok = ok.sum(axis=1)
-        contributed = n_ok > 0
-
-        nf = stacked_dot(f_dir, f_dir)
-        delta_norm_sum = _sum_sets(np.abs(coef) * np.sqrt(c))
-        cancelled = contributed & (np.sqrt(nf) <= TOL.cancellation * delta_norm_sum)
-        self.cancelled_updates[idx] += cancelled
-        updated = contributed ^ cancelled  # cancelled only where contributed
-        relax = np.divide(_sum_sets(loss), nf, out=np.full(nf.shape, np.nan), where=updated)
-        self.last_relaxation[idx] = relax
-        np.add(h, (p.step_size * relax)[:, None] * f_dir, out=h, where=updated[:, None])
-        if h is not self.h_tilde:
-            self.h_tilde[idx, :rank] = h
-        filter_mults += (np.dot(violated, charges) + n_ok * (7 + rank)
-                         + contributed * rank + updated * (2 + rank))
-        return ips[:, 0], updated, stacked_matvec(basis, h), transform_mults, filter_mults
-
-    def _step(self, u: np.ndarray) -> StepOutput:
-        """This batch's part of a family step, after the shared update and first builds."""
-        r, n = self.trials, self.n
-        stats_mults = _stats_cost(self.family.stats.mode, n)
-        self.mult_totals["stats"] += stats_mults
-        if self._groups is None:  # effective ranks change only at a build
-            # (a set, not np.unique, which imports numpy.ma on its first call)
-            self._groups = [(rank, np.flatnonzero(self.has_basis & (self.rank_eff == rank)))
-                            for rank in sorted(set(self.rank_eff[self.has_basis].tolist()))]
-        if len(self._groups) == 1 and self._groups[0][1].size == r:  # every trial, one rank
-            y, updated, h_full, transform_mults, filter_mults = \
-                self._reduced_step(slice(None), self._groups[0][0], u)
-        else:
-            # trials without a basis pass through: output 0, no update
-            y, updated, h_full = np.zeros(r), np.zeros(r, dtype=bool), np.zeros((r, n))
-            transform_mults, filter_mults = np.zeros((2, r), dtype=np.int64)
-            for rank, idx in self._groups:
-                y[idx], updated[idx], h_full[idx], transform_mults[idx], filter_mults[idx] = \
-                    self._reduced_step(idx, rank, u[idx])
-        self.mult_totals["transform"] += transform_mults
-        self.mult_totals["filter"] += filter_mults
-        self.steps += 1
-        self.update_count += updated
-        return StepOutput(y, updated, h_full, stats_mults + transform_mults + filter_mults)
+        self._sets.rings[:, self._rows][:, part] = 0.0  # both rings, all columns
+        self._sets.built = True
 
     def step(self, u, d) -> StepOutput:
         """Consume one ``(R, N)`` regressor stack and its ``(R,)`` outputs."""

@@ -10,9 +10,10 @@ the filters built on them. They use the library's value types
 (``SymMatrix``, ``BasisMatrix``) and input validation, but none of its
 kernels, so the references stay independent of the code they check.
 ``SetLoopKrrApspBatch`` is the batch itself with its old set-by-set
-reduced step: it freezes the order of the stacked products, which the
-batch's all-sets step must reproduce bit for bit, for every error length
-r. ``FrozenRls`` is the library's RLS step as it was before its arithmetic
+reduced step, run per member and per effective rank: it freezes the order
+of the stacked products, which the family's one pass over all sets of all
+members must reproduce bit for bit, for every error length r.
+``FrozenRls`` is the library's RLS step as it was before its arithmetic
 moved into a core that the harness feeds a chunk at a time; the
 trial-by-trial records step it, so the harness is checked against that
 arithmetic and not against its own core. ``frozen_error_bound_half_spaces``
@@ -28,7 +29,8 @@ from collections import deque
 import numpy as np
 
 from krrapsp.estimation import MODES
-from krrapsp.filters import KrrApspBatch, KrrParams, StepOutput
+from krrapsp.filters import (KrrApspBatch, KrrParams, StepOutput, _KrrFamily, _KrrSets,
+                             _stats_cost)
 from krrapsp.linalg import (
     BasisMatrix,
     DegenerateCrossCorrelationError,
@@ -987,20 +989,76 @@ class Rls:
 # KrrApspBatch's reduced step as it was before the projection sets were
 # computed all at once: a dozen stacked calls per set, the bit-for-bit
 # reference of the batch's step for every error_dim. Kept unchanged,
-# comments dropped.
+# comments dropped, except that it reads and writes the member's reduced
+# regressors and filters in its rows of the family's padded arrays through
+# contiguous copies of its own columns. Its family steps each member apart,
+# one effective rank at a time, as the batch did before a family's members
+# of one (q, r) made one pass.
+
+
+class SetLoopSets(_KrrSets):
+    """Members of one (q, r) stepped one after another, each with its own set loop."""
+
+    def step(self, family, u):
+        return [m._step(u) for m in self.members]
+
+
+class SetLoopFamily(_KrrFamily):
+    """A family whose members of one (q, r) step with their own set loops."""
+
+    def join(self, member):
+        super().join(member)
+        self.sets = {key: SetLoopSets(sets.members) for key, sets in self.sets.items()}
 
 
 class SetLoopKrrApspBatch(KrrApspBatch):
-    """A ``KrrApspBatch`` whose reduced step loops over the projection sets, any r."""
+    """A ``KrrApspBatch`` whose reduced step loops over the projection sets, any r.
+
+    ``loop_steps`` counts the steps this member made through its own loop.
+    """
+
+    def __init__(self, params, n, trials, mode="toeplitz", h0=None):
+        super().__init__(params, n, trials, mode=mode, h0=h0)
+        self.family = SetLoopFamily(mode, self)
+        weights = params.weight_array
+        self._weights = [None] + [weights[:q] / float(weights[:q].sum())
+                                  for q in range(1, params.projections + 1)]
+        self.loop_steps = 0
+
+    @property
+    def _ut(self):
+        return self._sets.ut[self._rows, :, :self.params.rank]
+
+    def _step(self, u):
+        self.loop_steps += 1
+        r, n = self.trials, self.n
+        stats_mults = _stats_cost(self.family.stats.mode, n)
+        self.mult_totals["stats"] += stats_mults
+        groups = [(rank, np.flatnonzero(self.has_basis & (self.rank_eff == rank)))
+                  for rank in sorted(set(self.rank_eff[self.has_basis].tolist()))]
+        if len(groups) == 1 and groups[0][1].size == r:
+            y, updated, h_full, transform_mults, filter_mults = \
+                self._reduced_step(slice(None), groups[0][0], u)
+        else:
+            y, updated, h_full = np.zeros(r), np.zeros(r, dtype=bool), np.zeros((r, n))
+            transform_mults, filter_mults = np.zeros((2, r), dtype=np.int64)
+            for rank, idx in groups:
+                y[idx], updated[idx], h_full[idx], transform_mults[idx], filter_mults[idx] = \
+                    self._reduced_step(idx, rank, u[idx])
+        self.mult_totals["transform"] += transform_mults
+        self.mult_totals["filter"] += filter_mults
+        self.steps += 1
+        self.update_count += updated
+        return StepOutput(y, updated, h_full, stats_mults + transform_mults + filter_mults)
 
     def _reduced_step(self, idx, rank: int, u: np.ndarray):
         p = self.params
         n, ring = self.n, min(self.family.filled, self._ut.shape[1])
         if isinstance(idx, slice) and rank == self.basis.shape[2]:
-            basis, ut = self.basis, self._ut  # the whole batch at full rank
+            basis = self.basis  # the whole batch at full rank
         else:
             basis = np.ascontiguousarray(self.basis[idx][:, :, :rank])
-            ut = np.ascontiguousarray(self._ut[idx][:, :, :rank])
+        ut = np.ascontiguousarray(self._ut[idx][:, :, :rank])
         basis_t = basis.transpose(0, 2, 1)
         count = basis.shape[0]
 
@@ -1010,8 +1068,7 @@ class SetLoopKrrApspBatch(KrrApspBatch):
             us = self.family.us[idx]
             for t in range(1, ring):
                 ut[stale, t] = stacked_matvec(basis_t[stale], us[stale, t])
-        if ut is not self._ut:
-            self._ut[idx, :, :rank] = ut
+        self._ut[idx, :, :rank] = ut
         self._ut_valid[idx] = True
         transform_mults = np.where(stale, ring, 1) * rank * n
 

@@ -57,16 +57,19 @@ def cancelled_p_stream(n, steps, gamma, at):
     return out
 
 
-def subspace_stream(n, steps, seed, until=None):
-    """Regressors along the first coordinate only, until step ``until``.
+def subspace_stream(n, steps, seed, until=None, since=0):
+    """Regressors along the first coordinate only, from step ``since`` until step ``until``.
 
     Both the Toeplitz and the full statistics then keep ``p`` and ``R p``
-    parallel, so the Krylov basis has rank 1; later samples are ordinary.
+    parallel, so the Krylov basis has rank 1; other samples are ordinary.
+    From ``since`` on, the ordinary samples before it fade from the
+    statistics, and the effective rank falls to 1 once they are below the
+    truncation tolerance.
     """
     rng = np.random.default_rng(seed)
     out = []
     for k, (u, d) in enumerate(sysid_stream(n, steps, seed)):
-        if until is None or k < until:
+        if since <= k and (until is None or k < until):
             u = np.zeros(n)
             u[0] = rng.standard_normal()
             d = float(rng.standard_normal())

@@ -328,7 +328,11 @@ SHORT_RING = (
 @given(family_setups())
 @example(SHORT_RING)
 def test_reduced_step_equals_the_set_loop_bit_for_bit(setup):
-    specs, streams, mode, h0 = setup
+    fused_against_set_loop(*setup)
+
+
+def fused_against_set_loop(specs, streams, mode, h0=None):
+    """Step the batches of ``specs`` as one family and as a set-loop family; assert they agree."""
     n, runs = len(streams[0][0][0]), len(streams)
     families = []
     for kind in (KrrApspBatch, SetLoopKrrApspBatch):
@@ -348,6 +352,8 @@ def test_reduced_step_equals_the_set_loop_bit_for_bit(setup):
         for got, want in zip(fused, loop):
             assert same_bits(got.h_tilde, want.h_tilde), k
             assert same_bits(got.last_relaxation, want.last_relaxation), k
+    # the reference ran its own set loop at every step, member by member
+    assert [batch.loop_steps for batch in loop] == [len(streams[0])] * len(loop)
     for got, want in zip(fused, loop):
         for name in ("skipped_zero_direction", "cancelled_updates", "update_count"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -514,13 +520,15 @@ def family_against_alone(specs, streams, mode, h0=None):
         d = np.array([s[k][1] for s in streams])
         for out, batch in zip(members[0].family.step(members, u, d), alone):
             ref = batch.step(u, d)
-            for name in ("y", "updated", "h_full", "mults"):
+            assert same_bits(out.y, ref.y) and same_bits(out.h_full, ref.h_full), k
+            for name in ("updated", "mults"):
                 assert np.array_equal(getattr(out, name), getattr(ref, name)), (k, name)
     for got, want in zip(members, alone):
         for name in ("steps", "update_count", "build_count", "rank_eff", "has_basis",
-                     "skipped_zero_direction", "cancelled_updates", "last_relaxation",
-                     "basis", "h_tilde"):
+                     "skipped_zero_direction", "cancelled_updates", "basis"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        for name in ("h_tilde", "last_relaxation"):
+            assert same_bits(getattr(got, name), getattr(want, name)), name
         for cat, totals in want.mult_totals.items():
             assert np.array_equal(got.mult_totals[cat], totals), cat
     return members
@@ -544,6 +552,35 @@ def test_family_matches_batches_alone_on_corner_streams():
         assert batch.rank_eff[SUBSPACE] == 1
         assert batch.mult_totals["rebase"][RANK_CHANGE] > 0
     assert members[1].skipped_zero_direction[REPEATED] > 0
+
+
+def test_family_of_several_members_per_sets_matches_alone_and_the_set_loop():
+    # four members of (q, r) = (4, 1) and two of (2, 3) make two padded
+    # passes of several members each, with rows at D_eff = 1 (a rank-1
+    # member, and the subspace streams), an effective rank that rises and
+    # one that falls, trials without a basis (one of them with outputs but
+    # no input), cancelled updates and a zero reduced regressor
+    steps = 90
+    specs = [KrrParams(rank=d, projections=4, rho=0.05, refresh_period=5, step_size=0.7,
+                       forgetting=0.5) for d in (1, 2, 3, 5)]
+    specs += [KrrParams(rank=d, projections=2, error_dim=3, rho=0.02, refresh_period=5,
+                        step_size=1.2, forgetting=0.5) for d in (2, 4)]
+    streams = [
+        passthrough_stream(N, steps, seed=3, zero_until=2 * N + 3),
+        subspace_stream(N, steps, seed=4),
+        subspace_stream(N, steps, seed=5, until=N + 12),
+        subspace_stream(N, steps, seed=6, since=2 * N),
+        repeated_regressor_stream(N, steps, seed=7, at=N - 1, ring=4),
+        zero_regressor_stream(N, steps, seed=8, at=N + 2),
+        [(np.zeros(N), 1.0)] * steps,
+    ]
+    members = family_against_alone(specs, streams, "toeplitz")
+    assert [len(sets.members) for sets in members[0].family.sets.values()] == [4, 2]
+    assert all(batch.rank_eff[1] == batch.rank_eff[3] == 1 for batch in members)
+    assert all(batch.mult_totals["rebase"][3] > 0 for batch in members[1:])  # D_eff fell
+    assert not members[0].has_basis[6]
+    assert sum(int(batch.cancelled_updates.sum()) for batch in members) > 0
+    fused_against_set_loop(specs, streams, "toeplitz")
 
 
 def test_cdma_family_matches_batches_alone():

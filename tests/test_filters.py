@@ -44,6 +44,15 @@ class TestKrrParams:
         with pytest.raises(ValueError):
             KrrParams(rank=3, projections=2, weights=(1.0,))
 
+    @pytest.mark.parametrize("weights", [
+        (np.nan, np.nan), (0.5, np.nan), (np.nan, 0.5), (np.inf, 0.5), (0.5, -np.inf),
+    ])
+    def test_non_finite_weights_rejected(self, weights):
+        # a NaN compares false with every bound, so each check must accept
+        # only what it states, not reject what it excludes
+        with pytest.raises(ValueError, match="weights"):
+            KrrParams(rank=3, projections=2, weights=weights)
+
     def test_step_size_range(self):
         with pytest.raises(ValueError):
             KrrParams(rank=3, step_size=2.5)

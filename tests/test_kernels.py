@@ -32,7 +32,19 @@ each kernel and every layout the code passes:
   entries and zero errors. With r = 1 both sides take numpy's loop for a
   one-column product, which adds each product to a zero (a -0 product
   reads +0). A C-contiguous copy of the transposed blocks rounds
-  differently for r > 1.
+  differently for r > 1;
+* the padded rank axis of a family's reduced pass (``filters._KrrSets``):
+  for D in {1, 2, 3, 5, 7} zero-padded to 8 and R in {1, 2, 100},
+  ``stacked_dot`` of the ``(R, q, D)`` regressors with ``(R, 1, D)``
+  filters, of the subgradients and of their set sums, and
+  ``stacked_matvec`` of the ``(R, q, D, r)`` windows with ``(R, q, r)``
+  errors (r = 3) equal the unpadded calls, signed zeros included. The
+  one exception, a one-column window (D = 1, r > 1), takes numpy's dot
+  where the padded product takes a matrix-vector call, and rounds
+  differently, so the pass makes it apart. A sum of squares over the
+  rank axis equals the unpadded one over the member's own columns of the
+  padded rows; over the whole padded axis it does not once eight entries
+  are summed (numpy changes its order), so it is never taken there.
 
 Each output entry of the outer product is one rounded product
 ``u_i * u_j`` with no sum, so any call that forms it once agrees. The
@@ -46,6 +58,7 @@ bases) took 2.78 ms in chunks of 13 trials, 1.47 ms in chunks of 52 and
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from krrapsp.estimation import _StatsStack
 from krrapsp.filters import _sum_sets
@@ -203,3 +216,62 @@ def test_bounded_error_sets_equal_the_per_set_products(count, error_dim, n):
             assert e[j].tobytes() == e_j.tobytes()
             assert normals[j].tobytes() == (u_block @ e_j).tobytes()
             assert squares[j].tobytes() == np.float64(e_j @ e_j).tobytes()
+
+
+def padded(x, axis, width):
+    """``x`` zero-padded to ``width`` entries along its rank ``axis``."""
+    pad = [(0, 0)] * x.ndim
+    pad[axis] = (0, width - x.shape[axis])
+    return np.pad(x, pad)
+
+
+def reduced_regressors(rng, runs, slots, rank):
+    """``(runs, slots, rank)`` reduced regressors over 16 decades, with signed zeros."""
+    ut = rng.standard_normal((runs, slots, rank)) * 10.0 ** rng.uniform(-8, 8, (runs, 1, rank))
+    ut[rng.random(ut.shape) < 0.15] = -0.0
+    ut[rng.random(ut.shape) < 0.1] = 0.0
+    ut[0, :, :] = -0.0  # a zero regressor: zero products and sums
+    return ut
+
+
+@pytest.mark.parametrize("runs", [1, 2, 100])
+@pytest.mark.parametrize("error_dim", [1, 3])
+def test_padded_rank_products_equal_the_unpadded_ones(runs, error_dim):
+    # a family's D-space pass runs every member's reduced rows over the
+    # rank axis zero-padded to its widest member; each product must round
+    # as the member's own unpadded product, and a sum over the rank axis
+    # must run over the member's own columns of the padded array
+    projections, width = 4, 8
+    slots = projections + error_dim - 1
+    rng = np.random.default_rng(10 * runs + error_dim)
+    for rank in (1, 2, 3, 5, 7):
+        ut = reduced_regressors(rng, runs, slots, rank)
+        h = rng.standard_normal((runs, rank))
+        h[-1] = -0.0
+        d = rng.standard_normal((runs, slots))
+        ut_p, h_p = padded(ut, 2, width), padded(h, 1, width)
+        ips = stacked_dot(ut, h[:, None, :])
+        assert stacked_dot(ut_p, h_p[:, None, :]).tobytes() == ips.tobytes()
+        e = ips - d
+        if error_dim == 1:
+            g = ut[:, :projections] * e[..., None]
+            g_p = ut_p[:, :projections] * e[..., None]
+            squares = ut[:, :projections] * ut[:, :projections]
+            squares_p, axes = ut_p[:, :projections] * ut_p[:, :projections], 2
+        else:
+            e_win = sliding_window_view(e, error_dim, axis=1)
+            u_win = np.ascontiguousarray(sliding_window_view(ut, error_dim, axis=1))
+            u_win_p = np.ascontiguousarray(sliding_window_view(ut_p, error_dim, axis=1))
+            g, g_p = stacked_matvec(u_win, e_win), stacked_matvec(u_win_p, e_win)
+            if rank == 1:  # made apart: numpy's dot, not the padded gemv
+                g_p[..., :1] = stacked_matvec(np.ascontiguousarray(u_win_p[:, :, :1]), e_win)
+            squares, squares_p, axes = u_win * u_win, u_win_p * u_win_p, (2, 3)
+        assert g_p[..., :rank].tobytes() == g.tobytes()
+        assert stacked_dot(g_p, g_p).tobytes() == stacked_dot(g, g).tobytes()
+        f = _sum_sets(g) + 0.0
+        f_p = _sum_sets(g_p) + 0.0
+        assert stacked_dot(f_p, f_p).tobytes() == stacked_dot(f, f).tobytes()
+        # block_sq: the member's rows and own columns of a stack of members
+        stack = np.concatenate((np.ones_like(squares_p), squares_p, np.ones_like(squares_p)))
+        own = stack[runs:2 * runs, :, :rank].sum(axis=axes)
+        assert own.tobytes() == squares.sum(axis=axes).tobytes()
