@@ -15,6 +15,8 @@ all of them.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .linalg import SymMatrix, as_vector, check_int, toeplitz_dense
@@ -24,6 +26,13 @@ MODES = ("toeplitz", "fullsym")
 # bytes of the dense matrices one chunk of trials may hold in a full-symmetric
 # fold and a CG solve; a Krylov build sizes its own chunks (filters._KrrFamily)
 _BUILD_CHUNK_BYTES = 1 << 18
+
+
+def check_forgetting(gamma) -> float:
+    """``gamma`` as a float if it is a real forgetting factor in (0, 1); else ``ValueError``."""
+    if not (isinstance(gamma, numbers.Real) and 0.0 < gamma < 1.0):  # NaN fails the range
+        raise ValueError(f"forgetting factor must lie in (0, 1), got {gamma!r}")
+    return float(gamma)
 
 
 def _chunk_trials(nbytes: int, n: int, trials: int) -> int:
@@ -55,6 +64,10 @@ class _StatsStack:
     """
 
     def __init__(self, mode: str, n: int, trials: int, forgetting: float | None):
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if forgetting is not None:
+            check_forgetting(forgetting)
         self.mode = mode
         self.forgetting = forgetting
         self.chunk = _chunk_trials(_BUILD_CHUNK_BYTES, n, trials)
@@ -152,14 +165,10 @@ class CorrelationEstimator:
     """
 
     def __init__(self, mode: str, n: int, gamma: float):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if not 0.0 < gamma < 1.0:
-            raise ValueError(f"forgetting factor must lie in (0, 1), got {gamma}")
-        self.mode = mode
         self.n = check_int(n, "dimension")
-        self.gamma = float(gamma)
+        self.gamma = check_forgetting(gamma)
         self._stats = _StatsStack(mode, self.n, 1, self.gamma)
+        self.mode = mode
 
     def update(self, u, d: float) -> None:
         """Fold one sample pair into the running estimates."""

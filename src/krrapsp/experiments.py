@@ -8,19 +8,20 @@ KRR-APSP, CGRRF and NLMS run all trials in lockstep, one batch of
 :mod:`krrapsp.filters` per filter, fed from every trial's scenario stream
 at once: each trial's chunk is written once into one buffer for all
 trials, and the steps are read row by row from that stack. The KRR-APSP
-specs of one forgetting factor and refresh period form a family that
-steps as one: one statistics stack, one sample ring and one Krylov build
-at the family's largest rank serve them all. With full N x N statistics
-(CDMA), every statistics stack of the pass (one per family, one per CGRRF)
-joins one statistics group, which forms each step's outer products
-``u u^T`` once for all of them. RLS is the only filter outside that pass:
-it runs one trial after another, because its N x N inverse correlation for
-100 trials at N = 200 would hold 32 MB. It reads each trial's chunk stream
-as well, checks a chunk once and steps ``Rls._update`` on it, and adds the
-chunk's metrics into the ensemble sums at once. Each trial's scenario is
-built once, and both passes read it: a scenario's stream replays from step
-0 at every read, as in a trial-by-trial run, so neither the passes nor the
-families nor the group change the output.
+specs of one forgetting factor, refresh period and ``(q, r)`` form a
+family that steps as one: one statistics stack, one sample ring, one
+Krylov build at the family's largest rank and one reduced pass serve them
+all. With full N x N statistics (CDMA), every statistics stack of the pass
+(one per family, one per CGRRF) joins one statistics group, which forms
+each step's outer products ``u u^T`` once for all of them. RLS is the
+only filter outside that pass: it runs one trial after another, because
+its N x N inverse correlation for 100 trials at N = 200 would hold 32 MB.
+It reads each trial's chunk stream as well, checks a chunk once and steps
+``Rls._update`` on it, and adds the chunk's metrics into the ensemble sums
+at once. Each trial's scenario is built once, and both passes read it: a
+scenario's stream replays from step 0 at every read, as in a
+trial-by-trial run, so neither the passes nor the families nor the group
+change the output.
 """
 
 from __future__ import annotations
@@ -184,21 +185,20 @@ def _run_lockstep(config: ExperimentConfig, specs, scenarios, sums: dict) -> Non
     signatures = np.stack([sc.signature for sc in scenarios]) if config.kind == "cdma" else None
     filters = {spec.label: _make_batch(spec, n, mode, runs, signatures) for spec in specs}
     step = np.empty((len(METRICS), runs))  # one step's metrics of every trial
-    families = {}  # the KRR-APSP batches of each family key, stepped as one family
+    families = {}  # the one family of each key
     for filt in filters.values():
         if isinstance(filt, KrrApspBatch):
-            members = families.setdefault(filt.family.key, [])
-            if members:
-                members[0].family.join(filt)
-            members.append(filt)
+            family = families.setdefault(filt.family.key, filt.family)
+            if family is not filt.family:
+                family.join(filt)
     if mode == "fullsym":  # one statistics group: each step's u u^T is formed once
-        stacks = [members[0].stats for members in families.values()]
+        stacks = [family.stats for family in families.values()]
         stacks += [filt.stats for filt in filters.values() if isinstance(filt, CgrrfBatch)]
         for stack in stacks[1:]:
             stacks[0].join(stack)
     for k, (u, d, truth, truth_sq) in enumerate(_lockstep_samples(scenarios, config.iters)):
-        outs = {member: out for members in families.values()
-                for member, out in zip(members, members[0].family.step(members, u, d))}
+        outs = {member: out for family in families.values()
+                for member, out in zip(family.members, family.step(u, d))}
         for label, filt in filters.items():
             out = outs[filt] if filt in outs else filt.step(u, d)
             step[0], step[1] = _errors(d, out.y, truth, truth_sq, out.h_full)
@@ -241,18 +241,24 @@ def _run_rls(scenario, specs, iters: int, sums: dict) -> None:
 def run_experiment(config: ExperimentConfig) -> list:
     """Run all trials and return per-iteration ensemble-averaged records.
 
-    Each trial's scenario is built once and read by both passes: every
-    filter but RLS steps all trials in lockstep, then RLS runs trial by
-    trial. Either way the ensemble sums add the trials in trial-index order.
+    Each spec's filter is first constructed once at the experiment's N, so
+    a bad option raises before any scenario is built. Each trial's scenario
+    is built once and read by both passes: every filter but RLS steps all
+    trials in lockstep, then RLS runs trial by trial. Either way the
+    ensemble sums add the trials in trial-index order.
     """
-    scenario_type = _SCENARIOS[config.kind][1]
+    _, scenario_type, mode = _SCENARIOS[config.kind]
+    n = config.scenario.n if config.kind == "sysid" else CdmaScenario.n
+    for spec in config.filters:
+        if spec.algorithm == "rls":
+            Rls(n, **spec.options)  # P waits for a first sample
+        else:
+            _make_batch(spec, n, mode, 1)
     scenarios = [scenario_type(replace(config.scenario, seed=int(s)))
                  for s in trial_seeds(config.seed, config.runs)]
     sums = {spec.label: np.zeros((len(METRICS), config.iters)) for spec in config.filters}
     rls = [spec for spec in config.filters if spec.algorithm == "rls"]
     lockstep = [spec for spec in config.filters if spec.algorithm != "rls"]
-    for spec in rls:  # a bad option raises before either pass; P waits for a first sample
-        Rls(scenarios[0].n, **spec.options)
     if lockstep:
         _run_lockstep(config, lockstep, scenarios, sums)
     if rls:

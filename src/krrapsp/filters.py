@@ -18,8 +18,8 @@ filters in lockstep on stacked ``(R, N)`` samples. Their stacked products
 make a single filter's BLAS calls trial by trial, so a trial's arithmetic
 does not depend on R. ``KrrApsp``, ``Cgrrf`` and ``Nlms`` are their
 one-trial views. KRR-APSP batches of one statistics mode, forgetting
-factor and refresh period can form a family (``_KrrFamily``) with one
-statistics stack, sample ring, Krylov build and reduced pass per ``(q, r)``.
+factor, refresh period and ``(q, r)`` can form a family (``_KrrFamily``):
+one statistics stack, sample ring, Krylov build and reduced pass for all.
 ``Rls`` has no batch: 100 inverse correlations at N = 200 hold 32 MB, and
 a stacked RLS step measured slower than the scalar one (142-159 against
 129 us per trial-step; one BLAS thread, 2-core x86-64). Its arithmetic is
@@ -50,7 +50,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
-from .estimation import MODES, _chunk_trials, _StatsStack
+from .estimation import _chunk_trials, _StatsStack, check_forgetting
 from .linalg import (
     BasisMatrix,
     as_vector,
@@ -83,7 +83,7 @@ class KrrParams:
     step_size : float
         Relaxation in [0, 2].
     forgetting : float
-        Forgetting factor of the statistics estimator.
+        Forgetting factor of the statistics estimator, a real number in (0, 1).
     weights : sequence of float, optional
         q positive weights summing to one; uniform when omitted. Stored
         as a tuple, so parameter sets compare and hash by value; the
@@ -106,6 +106,7 @@ class KrrParams:
             raise ValueError(f"rho must be nonnegative, got {self.rho}")
         if not 0.0 <= self.step_size <= 2.0:
             raise ValueError("step_size must lie in [0, 2]")
+        check_forgetting(self.forgetting)
         if self.weights is None:
             w = np.full(self.projections, 1.0 / self.projections)
         else:
@@ -202,93 +203,18 @@ class _Lockstep:
 
 
 class _KrrFamily:
-    """The shared state and step of KRR-APSP batches of one family.
+    """The shared state and the one reduced pass of the KRR-APSP batches of a family.
 
-    A family is the batches of one statistics mode, forgetting factor,
-    refresh period and ``(R, N)`` shape fed the same streams. They share
-    the ``_StatsStack``, the ``(u, d)`` ring (of the longest ``q + r - 1``),
-    the warm-up gate, the refresh steps and ``has_basis``. A build runs
-    once per ``chunk`` of trials at the largest rank; a member of rank D
-    takes the leading D columns and ranks ``min(rank, D)``, which a build
+    A family is the batches of one statistics mode, ``(R, N)`` shape,
+    forgetting factor, refresh period and ``(q, r)`` fed the same streams.
+    They share the ``_StatsStack``, the ``(u, d)`` ring of ``q + r - 1``
+    samples, the warm-up gate, the refresh steps and ``has_basis``. A build
+    runs once per ``chunk`` of trials at the largest rank; a member of rank
+    D takes the leading D columns and ranks ``min(rank, D)``, which a build
     of rank D would give (column i is built from the columns before it
-    only). Members of one ``(q, r)`` step as one :class:`_KrrSets`. A batch
-    starts as a family of one and :meth:`join` groups batches before their
-    first step. Members hold their family, not the reverse, so :meth:`step`
-    is given them all.
-    """
-
-    def __init__(self, mode: str, member):
-        p = member.params
-        self.key = (mode, member.n, member.trials, p.forgetting, p.refresh_period)
-        self.n, self.trials, self.refresh_period = member.n, member.trials, p.refresh_period
-        self.stats = _StatsStack(mode, self.n, self.trials, p.forgetting)
-        self.chunk = _chunk_trials(1 << 20, self.n, self.trials)  # 1 MiB: 52 trials at N = 50
-        self.has_basis = np.zeros(self.trials, dtype=bool)
-        self.ds = np.zeros((self.trials, 0))  # the rings are sized as members join
-        self.sets = {}  # the _KrrSets of each (q, r)
-        self.filled = 0  # filled ring slots, shared by all trials
-        self.size = self._k = 0
-        member.family = self
-        self.join(member)
-
-    def join(self, member) -> None:
-        """Add ``member``, a batch of this family's key; neither side may have stepped."""
-        if member.family.key != self.key or member.family._k or self._k:
-            raise ValueError("a family joins batches of one key before their first step")
-        member.family = self
-        self.size += 1
-        key = (member.params.projections, member.params.error_dim)
-        ring = max(self.ds.shape[1], sum(key) - 1)
-        self.us, self._us_spare = np.zeros((2, self.trials, ring, self.n))
-        self.ds, self._ds_spare = np.zeros((2, self.trials, ring))
-        self.sets[key] = _KrrSets(self.sets[key].members + [member] if key in self.sets
-                                  else [member])
-
-    def _build(self, members, among: np.ndarray) -> None:
-        """Build and install the members' bases of trials ``among``, chunk by chunk.
-
-        A trial with a zero cross-correlation estimate passes through (a
-        first build) or keeps its bases (a refresh). Every trial's statistics
-        are checked before the first chunk is installed.
-        """
-        pos = np.flatnonzero(among & np.any(self.stats.p, axis=1))
-        r, p = self.stats.r, self.stats.p
-        if not (np.isfinite(r.reshape(len(r), -1)).all(axis=1)[pos].all()
-                and np.isfinite(p[pos]).all()):
-            raise ValueError("statistics estimates must be finite")
-        rank = max(m.params.rank for m in members)
-        for part, mats in self.stats.dense(pos, self.chunk):
-            bases, ranks = krylov_basis_stack(mats, self.stats.p[part], rank)
-            for m in members:
-                m._take(part, bases[:, :, :m.params.rank], np.minimum(ranks, m.params.rank))
-        self.has_basis[pos] = True
-
-    def step(self, members, u, d) -> list:
-        """Step all ``members`` on one ``(R, N)`` and ``(R,)`` sample; returns their outputs."""
-        if len(members) != self.size or any(m.family is not self for m in members):
-            raise ValueError("a family steps with all its members")
-        u, d = _checked_stack(u, d, self.trials, self.n)
-        # age each ring into its spare: a shift in place would copy via a temporary
-        self.us, self._us_spare = _aged(self.us, self._us_spare)
-        self.ds, self._ds_spare = _aged(self.ds, self._ds_spare)
-        for sets in self.sets.values():
-            sets.ut, sets.spare = _aged(sets.ut, sets.spare)
-        self.us[:, 0], self.ds[:, 0] = u, d
-        self.filled = min(self.filled + 1, self.us.shape[1])
-        self.stats.update(u, d)
-        # the estimators have now seen k + 1 samples: mature from N on
-        if self._k + 1 >= self.n and not self.has_basis.all():
-            self._build(members, ~self.has_basis)
-        outs = {m: out for sets in self.sets.values()
-                for m, out in zip(sets.members, sets.step(self, u))}
-        if self._k % self.refresh_period == 1 % self.refresh_period:
-            self._build(members, self.has_basis)
-        self._k += 1
-        return [outs[m] for m in members]
-
-
-class _KrrSets:
-    """The members of a family with one ``(q, r)``, stepped as one reduced pass.
+    only). A batch starts as a family of one, :meth:`join` adds batches
+    before their first step, and :meth:`step` steps the ``members`` in join
+    order.
 
     Member ``i`` owns rows ``i R`` to ``i R + R - 1`` of the reduced
     regressors' ring (newest first) and its spare, ``(M R, q + r - 1,
@@ -303,12 +229,38 @@ class _KrrSets:
     _ROWS = dict(rank_eff=0, _ut_valid=False, last_relaxation=np.nan, build_count=0,
                  skipped_zero_direction=0, cancelled_updates=0, steps=0, update_count=0)
 
-    def __init__(self, members):
-        self.members, trials, p = members, members[0].trials, members[0].params
+    def __init__(self, mode: str, member):
+        p = member.params
         self.q, self.r = p.projections, p.error_dim
+        self.key = (mode, member.n, member.trials, p.forgetting, p.refresh_period,
+                    self.q, self.r)
+        self.n, self.trials, self.refresh_period = member.n, member.trials, p.refresh_period
+        self.stats = _StatsStack(mode, self.n, self.trials, p.forgetting)
+        self.chunk = _chunk_trials(1 << 20, self.n, self.trials)  # 1 MiB: 52 trials at N = 50
+        self.has_basis = np.zeros(self.trials, dtype=bool)
+        ring = self.q + self.r - 1
+        self.us, self._us_spare = np.zeros((2, self.trials, ring, self.n))
+        self.ds, self._ds_spare = np.zeros((2, self.trials, ring))
+        held = [np.minimum(self.r, slots - np.arange(min(self.q, slots)))  # by ring length
+                for slots in range(1, ring + 1)]  # the samples each set holds
+        self.charges = [None] + [(x + 1, int(x.sum())) for x in held]
+        self.filled = self._k = 0  # filled ring slots, shared by all trials; step index
+        self.members = []
+        member.family = self
+        self.join(member)
+
+    def join(self, member) -> None:
+        """Add ``member``, a batch of this family's key; neither side may have stepped."""
+        if (member.family.key != self.key or member.family._k or self._k
+                or member in self.members):
+            raise ValueError("a family joins batches of one key before their first step, once")
+        member.family = self
+        self.members.append(member)
+        # the rows are laid out afresh: before a first step they hold initial values
+        members, trials = self.members, self.trials
         rows, width = len(members) * trials, max(m.params.rank for m in members)
         self.rings = np.zeros((2, rows, self.q + self.r - 1, width))
-        self.ut, self.spare = self.rings
+        self.ut, self._ut_spare = self.rings
         self.h = np.zeros((rows, width))
         for name, value in self._ROWS.items():
             setattr(self, name, np.full(rows, value))
@@ -320,25 +272,59 @@ class _KrrSets:
         weights = [m.params.weight_array for m in members]
         self.weights = [None] + [np.repeat([w[:q] / float(w[:q].sum()) for w in weights],
                                            trials, axis=0) for q in range(1, self.q + 1)]
-        held = [np.minimum(self.r, ring - np.arange(min(self.q, ring)))  # by ring length
-                for ring in range(1, self.q + self.r)]  # the samples each set holds
-        self.charges = [None] + [(x + 1, int(x.sum())) for x in held]
         for i, m in enumerate(members):
-            m._sets, m._rows = self, slice(i * trials, (i + 1) * trials)
+            m._rows = slice(i * trials, (i + 1) * trials)
             m.h_tilde = self.h[m._rows, :m.params.rank]
             for name in self._ROWS:
                 setattr(m, name, getattr(self, name)[m._rows])
             m.mult_totals = {cat: v[m._rows] for cat, v in self.mult_totals.items()}
         self.built = True  # a build changed ranks or bases since the last step
 
-    def step(self, family, u: np.ndarray) -> list:
+    def _build(self, among: np.ndarray) -> None:
+        """Build and install the members' bases of trials ``among``, chunk by chunk.
+
+        A trial with a zero cross-correlation estimate passes through (a
+        first build) or keeps its bases (a refresh). Every trial's statistics
+        are checked before the first chunk is installed.
+        """
+        pos = np.flatnonzero(among & np.any(self.stats.p, axis=1))
+        r, p = self.stats.r, self.stats.p
+        if not (np.isfinite(r.reshape(len(r), -1)).all(axis=1)[pos].all()
+                and np.isfinite(p[pos]).all()):
+            raise ValueError("statistics estimates must be finite")
+        for part, mats in self.stats.dense(pos, self.chunk):
+            bases, ranks = krylov_basis_stack(mats, self.stats.p[part], self.h.shape[1])
+            for m in self.members:
+                m._take(part, bases[:, :, :m.params.rank], np.minimum(ranks, m.params.rank))
+        self.has_basis[pos] = True
+
+    def step(self, u, d) -> list:
+        """Step every member on one ``(R, N)`` and ``(R,)`` sample; returns their outputs."""
+        u, d = _checked_stack(u, d, self.trials, self.n)
+        # age each ring into its spare: a shift in place would copy via a temporary
+        self.us, self._us_spare = _aged(self.us, self._us_spare)
+        self.ds, self._ds_spare = _aged(self.ds, self._ds_spare)
+        self.ut, self._ut_spare = _aged(self.ut, self._ut_spare)
+        self.us[:, 0], self.ds[:, 0] = u, d
+        self.filled = min(self.filled + 1, self.ds.shape[1])
+        self.stats.update(u, d)
+        # the estimators have now seen k + 1 samples: mature from N on
+        if self._k + 1 >= self.n and not self.has_basis.all():
+            self._build(~self.has_basis)
+        outs = self._pass(u)
+        if self._k % self.refresh_period == 1 % self.refresh_period:
+            self._build(self.has_basis)
+        self._k += 1
+        return outs
+
+    def _pass(self, u: np.ndarray) -> list:
         """Every member's transform, output and update on a checked sample; returns the outputs."""
-        n, trials, ranks, ut, h = family.n, family.trials, self.rank_eff, self.ut, self.h
-        ring, stats_mults = min(family.filled, ut.shape[1]), _stats_cost(family.stats.mode, n)
+        n, trials, ranks, ut, h = self.n, self.trials, self.rank_eff, self.ut, self.h
+        ring, stats_mults = self.filled, _stats_cost(self.stats.mode, n)
         self.mult_totals["stats"] += stats_mults
         self.steps += 1
         if self.built:  # ranks, bases and has_basis change only at a build
-            self.whole, self.idle = (ranks == self.full).all(), not family.has_basis.any()
+            self.whole, self.idle = (ranks == self.full).all(), not self.has_basis.any()
             self.transform = ranks * n  # S^T u of the newest sample
         valid, self.built = not self.built, False
         if self.idle:  # every trial passes through: output 0, no update
@@ -360,7 +346,7 @@ class _KrrSets:
                 if not valid and (stale := ~m._ut_valid[idx]).any():
                     at = np.arange(trials)[idx][stale]
                     mine[at, 1:ring, :rank] = stacked_matvec(basis_t[stale][:, None],
-                                                             family.us[at, 1:ring])
+                                                             self.us[at, 1:ring])
                 rows = m._rows if self.whole else idx + m._rows.start
                 parts[-1].append((rows, rank, idx, basis))
         self._ut_valid.fill(True)
@@ -370,9 +356,9 @@ class _KrrSets:
         r, q_eff, rho = self.r, min(self.q, ring), self.rho[:, None]
         width = q_eff + r - 1
         ips = stacked_dot(ut[:, :max(ring, width)], h[:, None, :])
-        e = ips[:, :width].reshape(len(self.members), trials, width) - family.ds[:, :width]
+        e = ips[:, :width].reshape(len(self.members), trials, width) - self.ds[:, :width]
         if not self.whole:  # a trial without a basis has no sets
-            e[:, ~family.has_basis] = 0.0
+            e[:, ~self.has_basis] = 0.0
         e = e.reshape(len(h), width)
 
         # each set's squared error, its subgradient g = (S^T U) e, c = g . g and
@@ -452,11 +438,11 @@ class KrrApspBatch(_Lockstep):
     that truncates to ``D_eff < D`` carries zero columns after its
     ``D_eff`` leading ones.
 
-    The statistics, sample ring and builds are the ``family``'s
-    (:class:`_KrrFamily`); :meth:`step` steps a family of one. The batch
-    keeps its bases, ``(R, N, D)``. Its reduced filters ``(R, D)``, last
-    relaxation factors (NaN where a trial did not update) and ``(R,)``
-    counters are rows of the family's :class:`_KrrSets`.
+    The statistics, sample ring, builds and reduced pass are the
+    ``family``'s (:class:`_KrrFamily`); :meth:`step` steps a family of one.
+    The batch keeps its bases, ``(R, N, D)``. Its reduced filters ``(R, D)``,
+    last relaxation factors (NaN where a trial did not update) and ``(R,)``
+    counters are its rows of the family's arrays.
     """
 
     stats = property(lambda self: self.family.stats)
@@ -466,10 +452,6 @@ class KrrApspBatch(_Lockstep):
                  h0=None):
         if params.rank > n:
             raise ValueError(f"rank {params.rank} exceeds filter length {n}")
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if not 0.0 < params.forgetting < 1.0:
-            raise ValueError(f"forgetting factor must lie in (0, 1), got {params.forgetting}")
         super().__init__(n, trials)
         self.params = params
         self._h0 = _initial_stack(h0, self.trials, self.n, "h0")
@@ -499,12 +481,14 @@ class KrrApspBatch(_Lockstep):
         self.build_count[part] += 1
         self.mult_totals["basis"][part] += _basis_build_charge(self.params.rank, self.n)
         self._ut_valid[part] = False
-        self._sets.rings[:, self._rows][:, part] = 0.0  # both rings, all columns
-        self._sets.built = True
+        self.family.rings[:, self._rows][:, part] = 0.0  # both rings, all columns
+        self.family.built = True
 
     def step(self, u, d) -> StepOutput:
-        """Consume one ``(R, N)`` regressor stack and its ``(R,)`` outputs."""
-        return self.family.step([self], u, d)[0]
+        """Consume one ``(R, N)`` regressor stack and its ``(R,)`` outputs (a family of one)."""
+        if len(self.family.members) > 1:
+            raise ValueError("a family steps with all its members")
+        return self.family.step(u, d)[0]
 
 
 class CgrrfBatch(_Lockstep):
@@ -532,10 +516,6 @@ class CgrrfBatch(_Lockstep):
         if not 1 <= check_int(rank, "rank") <= n:
             raise ValueError(f"rank {rank} outside 1..{n}")
         check_int(refresh_period, "refresh_period")
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if forgetting is not None and not 0.0 < forgetting < 1.0:
-            raise ValueError(f"forgetting factor must lie in (0, 1), got {forgetting}")
         super().__init__(n, trials)
         n, r = self.n, self.trials
         self.rank = int(rank)

@@ -29,8 +29,7 @@ from collections import deque
 import numpy as np
 
 from krrapsp.estimation import MODES
-from krrapsp.filters import (KrrApspBatch, KrrParams, StepOutput, _KrrFamily, _KrrSets,
-                             _stats_cost)
+from krrapsp.filters import KrrApspBatch, KrrParams, StepOutput, _KrrFamily, _stats_cost
 from krrapsp.linalg import (
     BasisMatrix,
     DegenerateCrossCorrelationError,
@@ -993,22 +992,14 @@ class Rls:
 # regressors and filters in its rows of the family's padded arrays through
 # contiguous copies of its own columns. Its family steps each member apart,
 # one effective rank at a time, as the batch did before a family's members
-# of one (q, r) made one pass.
-
-
-class SetLoopSets(_KrrSets):
-    """Members of one (q, r) stepped one after another, each with its own set loop."""
-
-    def step(self, family, u):
-        return [m._step(u) for m in self.members]
+# made one pass.
 
 
 class SetLoopFamily(_KrrFamily):
-    """A family whose members of one (q, r) step with their own set loops."""
+    """A family whose members step one after another, each with its own set loop."""
 
-    def join(self, member):
-        super().join(member)
-        self.sets = {key: SetLoopSets(sets.members) for key, sets in self.sets.items()}
+    def _pass(self, u):
+        return [m._step(u) for m in self.members]
 
 
 class SetLoopKrrApspBatch(KrrApspBatch):
@@ -1027,7 +1018,7 @@ class SetLoopKrrApspBatch(KrrApspBatch):
 
     @property
     def _ut(self):
-        return self._sets.ut[self._rows, :, :self.params.rank]
+        return self.family.ut[self._rows, :, :self.params.rank]
 
     def _step(self, u):
         self.loop_steps += 1

@@ -1,6 +1,7 @@
 """The lockstep batches against R independent frozen scalar filters."""
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -278,17 +279,18 @@ def family_setups(draw):
     n = draw(st.integers(2, 12))
     refresh_period = draw(st.integers(1, 6))
     forgetting = draw(st.floats(0.5, 0.999))
+    # two (q, r) keys for three specs: a family of several members, and often two families
+    keys = [(draw(st.integers(1, 4)), draw(st.integers(1, 3))) for _ in range(2)]
     specs = []
     for _ in range(3):
-        projections = draw(st.integers(1, 4))
+        projections, error_dim = draw(st.sampled_from(keys))
         weights = None
         if draw(st.booleans()):
             raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=projections,
                                          max_size=projections)))
             weights = tuple(raw / raw.sum())
         specs.append(KrrParams(
-            rank=draw(st.integers(1, n)), projections=projections,
-            error_dim=draw(st.integers(1, 3)),
+            rank=draw(st.integers(1, n)), projections=projections, error_dim=error_dim,
             rho=draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5, 1e6])),
             refresh_period=refresh_period, step_size=draw(st.floats(0.0, 2.0)),
             forgetting=forgetting, weights=weights))
@@ -331,21 +333,32 @@ def test_reduced_step_equals_the_set_loop_bit_for_bit(setup):
     fused_against_set_loop(*setup)
 
 
+def key_families(batches) -> list:
+    """Join ``batches`` into one family per key; returns the families."""
+    families = {}
+    for batch in batches:
+        family = families.setdefault(batch.family.key, batch.family)
+        if family is not batch.family:
+            family.join(batch)
+    return list(families.values())
+
+
+def families_step(families, u, d) -> dict:
+    """Step every family on one sample; returns each member's output."""
+    return {m: out for family in families for m, out in zip(family.members, family.step(u, d))}
+
+
 def fused_against_set_loop(specs, streams, mode, h0=None):
-    """Step the batches of ``specs`` as one family and as a set-loop family; assert they agree."""
+    """Step the batches of ``specs`` as families and as set-loop families; assert they agree."""
     n, runs = len(streams[0][0][0]), len(streams)
-    families = []
-    for kind in (KrrApspBatch, SetLoopKrrApspBatch):
-        members = [kind(p, n, runs, mode=mode, h0=h0) for p in specs]
-        for batch in members[1:]:
-            members[0].family.join(batch)
-        families.append(members)
-    fused, loop = families
+    fused, loop = ([kind(p, n, runs, mode=mode, h0=h0) for p in specs]
+                   for kind in (KrrApspBatch, SetLoopKrrApspBatch))
+    families = [key_families(fused), key_families(loop)]
     for k in range(len(streams[0])):
         u = np.stack([s[k][0] for s in streams])
         d = np.array([s[k][1] for s in streams])
-        outs = [members[0].family.step(members, u, d) for members in families]
-        for got, want in zip(*outs):
+        outs = [families_step(f, u, d) for f in families]
+        for got, want in ((outs[0][a], outs[1][b]) for a, b in zip(fused, loop)):
             assert same_bits(got.y, want.y) and same_bits(got.h_full, want.h_full), k
             assert np.array_equal(got.updated, want.updated), k
             assert np.array_equal(got.mults, want.mults), k
@@ -502,23 +515,24 @@ FAMILY = (
     KrrParams(rank=2, projections=3, error_dim=1, rho=0.05, refresh_period=5, step_size=0.7),
     KrrParams(rank=3, projections=2, error_dim=3, rho=0.05, refresh_period=5, step_size=0.7),
     KrrParams(rank=5, projections=2, error_dim=2, rho=0.02, refresh_period=5, step_size=1.2),
+    KrrParams(rank=4, projections=3, error_dim=1, rho=0.05, refresh_period=5, step_size=0.7),
 )
 
 
 def family_against_alone(specs, streams, mode, h0=None):
-    """Step the batches of ``specs`` as one family and each alone; assert they agree.
+    """Step the batches of ``specs`` as one family per key and each alone; assert they agree.
 
-    Returns the family's members.
+    Returns the families' members, in the order of ``specs``.
     """
     n, runs = len(streams[0][0][0]), len(streams)
     members = [KrrApspBatch(p, n, runs, mode=mode, h0=h0) for p in specs]
-    for batch in members[1:]:
-        members[0].family.join(batch)
+    families = key_families(members)
     alone = [KrrApspBatch(p, n, runs, mode=mode, h0=h0) for p in specs]
     for k in range(len(streams[0])):
         u = np.stack([s[k][0] for s in streams])
         d = np.array([s[k][1] for s in streams])
-        for out, batch in zip(members[0].family.step(members, u, d), alone):
+        outs = families_step(families, u, d)
+        for out, batch in zip((outs[m] for m in members), alone):
             ref = batch.step(u, d)
             assert same_bits(out.y, ref.y) and same_bits(out.h_full, ref.h_full), k
             for name in ("updated", "mults"):
@@ -544,8 +558,9 @@ def test_family_matches_batches_alone_on_corner_streams():
         repeated_regressor_stream(N, STEPS, seed=6, at=N - 1, ring=4),
     ]
     members = family_against_alone(FAMILY, streams, "toeplitz")
-    # one ring of the longest q + r - 1 (the middle member's) serves them all
-    assert members[0].family.us.shape[1] == 4
+    # one family per (q, r), each with a ring of its own q + r - 1
+    assert members[0].family.members == [members[0], members[3]]
+    assert [batch.family.us.shape[1] for batch in members] == [3, 4, 3, 3]
     # the corners were reached in every member
     for batch in members:
         assert batch.build_count[PASSTHROUGH] >= 1
@@ -555,8 +570,8 @@ def test_family_matches_batches_alone_on_corner_streams():
 
 
 def test_family_of_several_members_per_sets_matches_alone_and_the_set_loop():
-    # four members of (q, r) = (4, 1) and two of (2, 3) make two padded
-    # passes of several members each, with rows at D_eff = 1 (a rank-1
+    # four members of (q, r) = (4, 1) and two of (2, 3) make two families
+    # of several members each, with rows at D_eff = 1 (a rank-1
     # member, and the subspace streams), an effective rank that rises and
     # one that falls, trials without a basis (one of them with outputs but
     # no input), cancelled updates and a zero reduced regressor
@@ -575,7 +590,7 @@ def test_family_of_several_members_per_sets_matches_alone_and_the_set_loop():
         [(np.zeros(N), 1.0)] * steps,
     ]
     members = family_against_alone(specs, streams, "toeplitz")
-    assert [len(sets.members) for sets in members[0].family.sets.values()] == [4, 2]
+    assert [len(batch.family.members) for batch in members] == [4, 4, 4, 4, 2, 2]
     assert all(batch.rank_eff[1] == batch.rank_eff[3] == 1 for batch in members)
     assert all(batch.mult_totals["rebase"][3] > 0 for batch in members[1:])  # D_eff fell
     assert not members[0].has_basis[6]
@@ -595,23 +610,29 @@ def test_cdma_family_matches_batches_alone():
 
 def test_family_joins_only_unstepped_batches_of_its_key():
     leader = KrrApspBatch(FAMILY[0], N, 2)
-    for other in (KrrApspBatch(KrrParams(rank=3, forgetting=0.99, refresh_period=5), N, 2),
-                  KrrApspBatch(FAMILY[1], N, 2, mode="fullsym"),
-                  KrrApspBatch(FAMILY[1], N, 3)):
+    for other in (KrrApspBatch(replace(FAMILY[0], forgetting=0.99), N, 2),
+                  KrrApspBatch(replace(FAMILY[0], refresh_period=4), N, 2),
+                  KrrApspBatch(FAMILY[0], N, 2, mode="fullsym"),
+                  KrrApspBatch(FAMILY[0], N, 3),
+                  KrrApspBatch(FAMILY[1], N, 2),  # another (q, r)
+                  KrrApspBatch(replace(FAMILY[0], error_dim=2), N, 2)):
         with pytest.raises(ValueError):
             leader.family.join(other)
-    stepped = KrrApspBatch(FAMILY[1], N, 2)
+    stepped = KrrApspBatch(FAMILY[3], N, 2)
     stepped.step(np.ones((2, N)), np.ones(2))
     with pytest.raises(ValueError):
         leader.family.join(stepped)
-    member = KrrApspBatch(FAMILY[2], N, 2)
+    member = KrrApspBatch(FAMILY[3], N, 2)
     leader.family.join(member)
-    # a member of a family of several steps only with all its members
+    with pytest.raises(ValueError):
+        leader.family.join(member)
+    # a member of a family of several steps only with its family, in join order
     with pytest.raises(ValueError):
         leader.step(np.ones((2, N)), np.ones(2))
+    assert leader.family.members == [leader, member]
+    assert len(leader.family.step(np.ones((2, N)), np.ones(2))) == 2
     with pytest.raises(ValueError):
-        leader.family.step([leader], np.ones((2, N)), np.ones(2))
-    leader.family.step([leader, member], np.ones((2, N)), np.ones(2))
+        leader.family.join(KrrApspBatch(FAMILY[3], N, 2))
 
 
 def test_build_chunk_changes_no_output(monkeypatch):
@@ -640,7 +661,7 @@ def test_build_chunk_changes_no_output(monkeypatch):
         if chunk is not None:
             monkeypatch.setattr(members[0].family, "chunk", chunk)
         calls.append(0)
-        outs = [members[0].family.step(members, u, d) for u, d in zip(us, ds)]
+        outs = [members[0].family.step(u, d) for u, d in zip(us, ds)]
         runs_of.append((members, outs))
     (small, small_outs), (own, own_outs) = runs_of
     assert own[0].family.chunk == 52

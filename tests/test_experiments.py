@@ -12,6 +12,7 @@ import krrapsp
 from krrapsp import CdmaConfig, CdmaScenario, KrrParams, Rls, SysIdConfig, SysIdScenario
 from krrapsp.estimation import _StatsStack
 from krrapsp.filters import CgrrfBatch, NlmsBatch, _KrrFamily
+from krrapsp.linalg import krylov_basis_stack
 from krrapsp.experiments import (
     ExperimentConfig,
     FilterSpec,
@@ -196,13 +197,54 @@ LOCKSTEP_CONFIGS["cdma_stats_group"] = replace(
                    options={"rank": 2, "refresh_period": 3, "forgetting": 0.97})))
 
 
+# the rank-sweep shape: three ranks of one (q, r), one family
+RANK_SWEEP = replace(SWEEP, filters=tuple(
+    FilterSpec("krr-apsp", label=f"krr-D{rank}", options={"params": replace(
+        SWEEP.filters[0].options["params"], rank=rank)}) for rank in (2, 3, 5)))
+
+
 def test_family_records_equal_each_spec_alone():
-    # the three sweep specs form one family; run alone each is a family of one
-    got = record_table(run_experiment(SWEEP))
-    alone = [record_table(run_experiment(replace(SWEEP, filters=(spec,))))
-             for spec in SWEEP.filters]
-    np.testing.assert_array_equal(got[0], np.concatenate([a[0] for a in alone]))
-    np.testing.assert_array_equal(got[1], np.concatenate([a[1] for a in alone]))
+    # RANK_SWEEP's specs form one family and SWEEP's one family per (q, r);
+    # run alone each is a family of one
+    for config in (RANK_SWEEP, SWEEP):
+        got = record_table(run_experiment(config))
+        alone = [record_table(run_experiment(replace(config, filters=(spec,))))
+                 for spec in config.filters]
+        np.testing.assert_array_equal(got[0], np.concatenate([a[0] for a in alone]))
+        np.testing.assert_array_equal(got[1], np.concatenate([a[1] for a in alone]))
+
+
+def test_a_family_builds_once_per_chunk_and_refresh(monkeypatch):
+    # N = 12, 4 trials: one chunk. The first build comes at step N - 1 and a
+    # refresh at every step k = 1 mod 5 from then on (also at k = 11)
+    ranks = []
+    monkeypatch.setattr(krrapsp.filters, "krylov_basis_stack", lambda mats, p, rank: (
+        ranks.append(rank) or krylov_basis_stack(mats, p, rank)))
+    builds = 1 + sum(k % 5 == 1 for k in range(11, RANK_SWEEP.iters))
+    run_experiment(RANK_SWEEP)
+    assert ranks == [5] * builds  # one build at the largest rank serves D = 2, 3, 5
+    ranks.clear()
+    run_experiment(SWEEP)  # three (q, r): three families, each with its own builds
+    assert sorted(ranks) == [2] * builds + [3] * builds + [5] * builds
+
+
+@pytest.mark.parametrize("spec", [
+    FilterSpec("krr-apsp", options={"params": KrrParams(rank=40)}),  # rank above N
+    FilterSpec("cgrrf", options={"rank": 3, "refresh_period": 0}),
+    FilterSpec("nlms", options={"step_size": 5.0}),
+    FilterSpec("rls", options={"forgetting": 2.0}),
+], ids=lambda spec: spec.algorithm)
+def test_bad_filter_option_raises_before_any_scenario_is_built(spec, monkeypatch):
+    built = []
+    for scenario_type in (SysIdScenario, CdmaScenario):
+        init = scenario_type.__init__
+        monkeypatch.setattr(scenario_type, "__init__",
+                            lambda self, cfg, init=init: built.append(cfg.seed) or init(self, cfg))
+    for name in ("sysid_all_four", "cdma_krr_cgrrf_nlms"):
+        config = LOCKSTEP_CONFIGS[name]
+        with pytest.raises(ValueError):
+            run_experiment(replace(config, filters=config.filters + (replace(spec, label="bad"),)))
+    assert built == []
 
 
 def test_grouped_records_equal_each_spec_alone(monkeypatch):

@@ -67,6 +67,12 @@ class TestKrrParams:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             KrrParams(**{"rank": 3, **kwargs})
 
+    @pytest.mark.parametrize("forgetting", [None, "0.9", np.nan, 0.0, 1.0])
+    def test_forgetting_not_a_real_in_the_open_interval_rejected(self, forgetting):
+        # a ValueError here, not a TypeError when a batch is built on it
+        with pytest.raises(ValueError, match="forgetting"):
+            KrrParams(rank=3, forgetting=forgetting)
+
     def test_uniform_default(self):
         p = KrrParams(rank=3, projections=4)
         assert np.allclose(p.weights, 0.25)

@@ -33,7 +33,7 @@ each kernel and every layout the code passes:
   one-column product, which adds each product to a zero (a -0 product
   reads +0). A C-contiguous copy of the transposed blocks rounds
   differently for r > 1;
-* the padded rank axis of a family's reduced pass (``filters._KrrSets``):
+* the padded rank axis of a family's reduced pass (``filters._KrrFamily``):
   for D in {1, 2, 3, 5, 7} zero-padded to 8 and R in {1, 2, 100},
   ``stacked_dot`` of the ``(R, q, D)`` regressors with ``(R, 1, D)``
   filters, of the subgradients and of their set sums, and
