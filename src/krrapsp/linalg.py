@@ -78,7 +78,7 @@ class SymMatrix:
     """Symmetric n x n real matrix.
 
     Exactly symmetric: the given square array's upper triangle, mirrored.
-    Immutable; the eigenvalues are computed on first use.
+    Immutable; the eigenvalues and ``max |R_ij|`` are computed on first use.
     """
 
     def __init__(self, dense):
@@ -110,6 +110,10 @@ class SymMatrix:
         eigs = np.linalg.eigvalsh(self._dense)
         eigs.flags.writeable = False
         return eigs
+
+    @cached_property
+    def max_abs(self) -> float:
+        return float(np.max(np.abs(self._dense), initial=0.0))
 
     def __repr__(self) -> str:
         return f"SymMatrix(n={self._n})"
@@ -180,11 +184,18 @@ def r_norm(x, matrix: SymMatrix) -> float:
 
 
 def _r_norm(v: np.ndarray, matrix: SymMatrix) -> float:
-    quad = float(v @ (matrix.dense() @ v))
-    scale = max(1.0, float(v @ v) * max(1.0, float(np.max(np.abs(matrix.dense()), initial=0.0))))
-    if quad < -TOL.quadform_negative * scale:
-        raise ValueError(f"negative quadratic form ({quad:.3e}): matrix is not PSD")
-    return math.sqrt(max(quad, 0.0))
+    return _r_norms(v[None], matrix)[0]
+
+
+def _r_norms(rows: np.ndarray, matrix: SymMatrix) -> list:
+    """:func:`r_norm` of each row of ``rows``, from one stacked quadratic form."""
+    quads = stacked_dot(rows, stacked_matvec(matrix.dense(), rows)).tolist()
+    norms = []
+    for quad, sq in zip(quads, stacked_dot(rows, rows).tolist()):
+        if quad < -TOL.quadform_negative * max(1.0, sq * max(1.0, matrix.max_abs)):
+            raise ValueError(f"negative quadratic form ({quad:.3e}): matrix is not PSD")
+        norms.append(math.sqrt(max(quad, 0.0)))
+    return norms
 
 
 def condition_number(matrix: SymMatrix) -> float:
@@ -206,7 +217,7 @@ def krylov_basis(matrix: SymMatrix, p, rank: int) -> BasisMatrix:
     """
     seed = as_vector(p, matrix.n)
     bases, ranks = krylov_basis_stack(matrix.dense()[None], seed[None], rank)
-    return BasisMatrix(bases[0, :, :ranks[0]])
+    return _unchecked(BasisMatrix, matrix=_frozen(bases[0, :, :ranks[0]]))  # the build checks it
 
 
 def project_half_space(x, half_space: HalfSpace) -> np.ndarray:
@@ -352,7 +363,10 @@ def cg_solve_stack(matrices: np.ndarray, rhs: np.ndarray, x0: np.ndarray,
             if live.size == 0:
                 break
         alpha = rs / curvature
-        x[live] = x[live] + alpha[:, None] * p
+        if live.size == len(x):
+            x += alpha[:, None] * p
+        else:
+            x[live] = x[live] + alpha[:, None] * p
         if iterates is not None:
             iterates.append(x.copy())
         r = r - alpha[:, None] * ap

@@ -15,10 +15,10 @@ selection, chip offsets, data bits, noise, post-change selection.
 
 Each scenario has one stream, ``chunks(count)``, the only place where it
 draws and builds samples; ``samples(count)`` is a per-step view of it.
-The harness reads only ``chunks()``. ``samples()`` and ``StreamSample``
-stay public as the single-stream view: one step with its own ``u`` and
-truth, which is what a caller stepping one filter by hand reads (the
-README's library example and ``verify.static_rapsm_run``). A
+The harness and ``verify``'s static runs read only ``chunks()``.
+``samples()`` and ``StreamSample`` stay public as the single-stream view:
+one step with its own ``u`` and truth, which is what a caller stepping
+one filter by hand reads (the README's library example). A
 chunk is up to ``_CHUNK`` consecutive steps: ``(m, n)`` regressors,
 ``(m,)`` outputs and the truth they share. A chunk ends at ``change_at``,
 so every step of a chunk has the same truth. Each substream is drawn in

@@ -9,11 +9,11 @@ monotone approximation of feasible points, the CG MSE bound) on concrete
 instances.
 
 Reports are plain data; the CLI ``verify`` subcommand prints them. Public
-functions and constructors validate their arguments and pass checked
-arrays on. A step's half-spaces and instance are built internally
-(``_error_bound_instance``): one frozen anchor, derived normals and
-offsets checked once. A ``SymMatrix`` keeps its eigenvalues, a
-``ThetaInstance`` its geometry; an MSE chain shares one CG run.
+functions validate their arguments before any draw and pass checked arrays
+on. Per-item work (an instance's half-spaces, a check's trials, a map's
+fixed vectors, an MSE chain's ranks from one CG run) is one stacked call
+whose rows make the unstacked BLAS calls (``tests/test_kernels.py``); sums
+over sets add in set order.
 """
 
 from __future__ import annotations
@@ -34,9 +34,11 @@ from .linalg import (
     _norm,
     _project,
     _r_norm,
+    _r_norms,
     _unchecked,
     as_vector,
     cg_solve_stack,
+    check_int,
     condition_number,
     krylov_basis,
     krylov_basis_stack,
@@ -82,7 +84,8 @@ def apply_phi(phi: PhiMap, x) -> np.ndarray:
 
 
 def _apply_phi(phi: PhiMap, v: np.ndarray) -> np.ndarray:
-    return phi.s_next.matrix @ (phi.s_prev.matrix.T @ v)
+    """The map of ``v``, or of each row of a stack ``v``."""
+    return stacked_matvec(phi.s_next.matrix, stacked_matvec(phi.s_prev.matrix.T, v))
 
 
 def fixed_point_set(phi: PhiMap, tol: float | None = None) -> np.ndarray:
@@ -95,14 +98,11 @@ def fixed_point_set(phi: PhiMap, tol: float | None = None) -> np.ndarray:
     tol = TOL.fixed_point_eigen if tol is None else tol
     gram = phi.s_prev.matrix.T @ phi.s_next.matrix
     _, sing, vt = np.linalg.svd(gram - np.eye(phi.rank))
-    verified = []
-    for z in vt[sing <= tol]:  # rows spanning the reduced fixed space
-        v = phi.s_prev.matrix @ z
-        gap = _norm(phi.s_next.matrix @ z - v)
-        move = _norm(_apply_phi(phi, v) - v)
-        if gap <= tol and move <= tol * max(1.0, _norm(v)):
-            verified.append(v)
-    return np.column_stack(verified) if verified else np.zeros((phi.n, 0))
+    z = vt[sing <= tol]  # rows spanning the reduced fixed space
+    v = stacked_matvec(phi.s_prev.matrix, z)
+    gap, move, size = (np.sqrt(stacked_dot(x, x)) for x in (
+        stacked_matvec(phi.s_next.matrix, z) - v, _apply_phi(phi, v) - v, v))
+    return np.ascontiguousarray(v[(gap <= tol) & (move <= tol * np.maximum(1.0, size))].T)
 
 
 @dataclass
@@ -120,21 +120,18 @@ def attracting_check(phi: PhiMap, trials: int = 50, rng=None) -> AttractingRepor
 
     Identical bases: the map is the range projector and satisfies
     ``||x - Phi x||^2 = ||x - f||^2 - ||Phi x - f||^2`` for fixed ``f``
-    (checked on random pairs). Distinct bases: nonexpansive but not
-    attracting, witnessed by a vector not fixed whose norm it keeps.
+    (checked on ``trials >= 1`` random pairs). Distinct bases: nonexpansive
+    but not attracting, witnessed by a vector not fixed whose norm it keeps.
     """
+    check_int(trials, "trials")
     rng = np.random.default_rng(rng)
     if np.array_equal(phi.s_prev.matrix, phi.s_next.matrix):
-        defects = [0.0]
-        s = phi.s_prev.matrix
-        for _ in range(trials):
-            x = rng.standard_normal(phi.n)
-            f = s @ rng.standard_normal(phi.rank)
-            px = apply_phi(phi, x)
-            lhs = float(np.sum((x - px) ** 2))
-            rhs = float(np.sum((x - f) ** 2) - np.sum((px - f) ** 2))
-            defects.append(abs(lhs - rhs))
-        return AttractingReport(True, _worst(defects))
+        xz = rng.standard_normal((trials, phi.n + phi.rank))  # each trial's x, then f's z
+        x, f = xz[:, :phi.n], stacked_matvec(phi.s_prev.matrix, xz[:, phi.n:])
+        px = _apply_phi(phi, x)
+        lhs = np.sum((x - px) ** 2, axis=1)
+        rhs = np.sum((x - f) ** 2, axis=1) - np.sum((px - f) ** 2, axis=1)
+        return AttractingReport(True, _worst([0.0] + np.abs(lhs - rhs).tolist()))
 
     _, sing, vt = np.linalg.svd(phi.s_next.matrix - phi.s_prev.matrix)
     if sing[0] <= TOL.fixed_point_eigen:
@@ -145,11 +142,13 @@ def attracting_check(phi: PhiMap, trials: int = 50, rng=None) -> AttractingRepor
                             witness_displacement=_norm(pw - witness))
 
 
-def _geometry_of(inst: ThetaInstance) -> tuple:
-    """``(g, Q s, Q s . Q s, ||Q s||)`` per half-space: its value at the anchor and
-    its normal ``s`` projected onto the range."""
-    return tuple((hs._violation(inst.anchor), qn, float(qn @ qn), _norm(qn)) for hs, qn
-                 in ((h, _project(h.normal, inst.basis)) for h in inst.half_spaces))
+def _geometry_of(anchor: np.ndarray, planes: tuple, basis: BasisMatrix) -> tuple:
+    """``(g, Q, Q . Q, ||Q||)``, a row per half-space of ``planes`` (its anchors, normals and
+    offsets): its value at ``anchor``, its normal projected onto the range."""
+    anchors, normals, offsets = planes
+    q = stacked_matvec(basis.matrix, stacked_matvec(basis.matrix.T, normals))
+    qq = stacked_dot(q, q)
+    return stacked_dot(anchor - anchors, normals) + offsets, q, qq, np.sqrt(qq)
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,11 @@ class ThetaInstance:
         object.__setattr__(self, "half_spaces", hs)
         object.__setattr__(self, "anchor", _frozen(anchor))
 
-    _geometry = cached_property(_geometry_of)
+    @cached_property
+    def _geometry(self) -> tuple:
+        planes = (np.array([getattr(h, f) for h in self.half_spaces])
+                  for f in ("anchor", "normal", "offset"))
+        return _geometry_of(self.anchor, tuple(planes), self.basis)
 
 
 def _checked_weights(weights, count: int) -> np.ndarray:
@@ -236,21 +239,24 @@ def theta_value(inst: ThetaInstance, x) -> float:
     nonnegative combination of distances to the half-space/subspace
     intersections, each weighted by the anchor's.
     """
-    return _theta_value(inst, as_vector(x, inst.basis.n), inst._geometry)
+    v = as_vector(x, inst.basis.n)
+    return _theta_value(inst.weights, inst._geometry, None if v is inst.anchor else (inst, v))
 
 
-def _theta_value(inst: ThetaInstance, v: np.ndarray, geometry) -> float:
-    anchor_d = np.array([_distance(0.0, g, nrm) for g, _, _, nrm in geometry])
-    norm_const = float(inst.weights @ anchor_d)
+def _theta_value(weights: np.ndarray, geometry: tuple, at=None) -> float:
+    """The objective at the anchor, or at ``v`` of ``at = (instance, v)``."""
+    g, *_, norms = geometry
+    norms = norms.tolist()
+    anchor_d = np.array([_distance(0.0, gj, nrm) for gj, nrm in zip(g.tolist(), norms)])
+    norm_const = float(weights @ anchor_d)
     if norm_const == 0.0:
         return 0.0
-    at_anchor = v is inst.anchor
-    if not at_anchor:
-        v, off_range = _range_split(v, inst.basis)
-    total = sum(w * da * (da if at_anchor else _distance(off_range, hs._violation(v), nrm))
-                for w, hs, da, (*_, nrm)
-                in zip(inst.weights, inst.half_spaces, anchor_d, geometry) if da != 0.0)
-    return total / norm_const
+    if at is None:
+        return sum(w * da * da for w, da in zip(weights, anchor_d) if da != 0.0) / norm_const
+    inst, v = at
+    v, off_range = _range_split(v, inst.basis)
+    return sum(w * da * _distance(off_range, hs._violation(v), nrm) for w, hs, da, nrm
+               in zip(weights, inst.half_spaces, anchor_d, norms) if da != 0.0) / norm_const
 
 
 def rapsm_step(h, inst: ThetaInstance, phi: PhiMap, step_size: float) -> np.ndarray:
@@ -260,27 +266,28 @@ def rapsm_step(h, inst: ThetaInstance, phi: PhiMap, step_size: float) -> np.ndar
     half-space within the range, scaled by the parallel over-relaxation
     factor, then the transition map (alone for a feasible ``h``).
     """
-    return _rapsm_step(as_vector(h, inst.basis.n), inst, phi, step_size, inst._geometry)
-
-
-def _rapsm_step(v: np.ndarray, inst: ThetaInstance, phi: PhiMap, step_size: float, geometry):
+    v = as_vector(h, inst.basis.n)
     if not 0.0 <= step_size <= 2.0:
         raise ValueError("step_size must lie in [0, 2]")
     at_anchor = v is inst.anchor  # in the range by construction
     if not (at_anchor or _in_range(v, inst.basis)):
         raise ValueError("iterate must lie in the basis range")
-    gs = ([geo[0] for geo in geometry] if at_anchor
-          else [hs._violation(v) for hs in inst.half_spaces])
-    f_dir = np.zeros_like(v)
-    loss = 0.0
-    for w, g, (_, qn, nq2, _) in zip(inst.weights, gs, geometry):
-        if g <= 0.0:  # a satisfied set adds nothing
-            continue
-        if nq2 == 0.0:
-            raise ValueError("half-space does not intersect the subspace")
-        dvec = -(g / nq2) * qn
-        f_dir += w * dvec
-        loss += w * float(dvec @ dvec)
+    gs = (inst._geometry[0] if at_anchor
+          else np.array([hs._violation(v) for hs in inst.half_spaces]))
+    return _rapsm_step(v, gs, inst._geometry, inst.weights, phi, step_size)
+
+
+def _rapsm_step(v, gs, geometry, weights, phi: PhiMap, step_size: float) -> np.ndarray:
+    """:func:`rapsm_step` from the half-spaces' values ``gs`` at ``v``."""
+    _, q, qq, _ = geometry
+    hit = ~(gs <= 0.0)  # a satisfied set adds a zero row, which changes no sum
+    if (hit & (qq == 0.0)).any():
+        raise ValueError("half-space does not intersect the subspace")
+    dvecs = -np.divide(gs, qq, out=np.zeros_like(gs), where=hit)[:, None] * q
+    f_dir, loss = np.zeros_like(v), 0.0
+    for wd, wl in zip(weights[:, None] * dvecs, (weights * stacked_dot(dvecs, dvecs)).tolist()):
+        f_dir += wd
+        loss += wl
     nf = float(f_dir @ f_dir)
     if nf == 0.0:  # no violated set, or directions that cancel
         return _apply_phi(phi, v)
@@ -297,7 +304,7 @@ def find_feasible_point(half_spaces, basis: BasisMatrix, start=None,
     at the iteration cap (a certification failure, not a proof of emptiness).
     """
     s = basis.matrix
-    reduced = []
+    reduced = []  # set by set: stacking three sets' products costs more than it saves
     for hs in half_spaces:
         nr = s.T @ hs.normal
         bound = float(hs.anchor @ hs.normal) - hs.offset
@@ -306,8 +313,7 @@ def find_feasible_point(half_spaces, basis: BasisMatrix, start=None,
             if bound < 0.0:
                 return None  # constraint excludes the whole subspace
             continue
-        margin = 1e-9 * (1.0 + abs(bound) + math.sqrt(nn))
-        reduced.append((nr, bound, nn, bound - margin))
+        reduced.append((nr, bound, nn, bound - 1e-9 * (1.0 + abs(bound) + math.sqrt(nn))))
     z = s.T @ as_vector(start, basis.n) if start is not None else np.zeros(basis.rank)
     for _ in range(max(max_iter, 0) + 1):  # the last pass only checks
         products = []  # nr . z up to the first unsatisfied set, kept until z moves
@@ -359,12 +365,12 @@ def monotone_probe(steps, slack: float | None = None) -> MonotoneReport:
 
     A step is certified when the basis did not move (the map then fixes the
     whole range) and the oracle finds a point of all its half-spaces in the
-    range. Other steps count as unchecked, not as failures.
+    range. Other steps count as unchecked, not as failures. ``slack`` is not NaN.
     """
     slack = TOL.monotone_slack if slack is None else slack
-    unchecked = 0
-    violations = []
-    overs = [0.0]
+    if math.isnan(slack):
+        raise ValueError("slack must not be NaN")
+    unchecked, violations, overs = 0, [], [0.0]
     for idx, st in enumerate(steps):
         inst = st.instance
         omega = (find_feasible_point(inst.half_spaces, inst.basis, start=inst.anchor)
@@ -379,17 +385,10 @@ def monotone_probe(steps, slack: float | None = None) -> MonotoneReport:
     return MonotoneReport(len(steps), len(steps) - unchecked, unchecked, violations, _worst(overs))
 
 
-def _error_bound_instance(ring, error_dim: int, h: np.ndarray, rho: float,
-                          basis: BasisMatrix, weights: np.ndarray) -> ThetaInstance:
-    """The sets ``||U^T x - d||^2 <= rho`` linearized at ``h``, one per checked weight.
-
-    Set ``j`` stacks the ``error_dim`` newest-first ``(u, d)`` from ``ring[j]``.
-    With ``e = U^T h - d`` its normal is ``2 U e`` and its offset ``e . e - rho``.
-    The sets share one frozen anchor; normals and offsets are checked once.
-    """
-    anchor = _frozen(h)
-    u, d = map(np.array, zip(*ring))
-    windows = np.arange(len(weights))[:, None] + np.arange(error_dim)
+def _error_bound_sets(u, d, windows, anchor: np.ndarray, rho: float, basis: BasisMatrix):
+    """Normals ``2 U e`` and offsets ``e . e - rho``, ``e = U^T anchor - d``, of the sets
+    ``||U^T x - d||^2 <= rho``, set ``j`` from the rows ``windows[j]`` of ``u`` and ``d``
+    (newest first); checked finite, and the anchor in the range."""
     blocks = np.ascontiguousarray(u[windows].transpose(0, 2, 1))  # as np.column_stack lays U
     e = stacked_matvec(blocks.transpose(0, 2, 1), anchor) - d[windows]
     normals = 2.0 * stacked_matvec(blocks, e)
@@ -399,50 +398,75 @@ def _error_bound_instance(ring, error_dim: int, h: np.ndarray, rho: float,
     if not _in_range(anchor, basis):
         raise ValueError("anchor must lie in the basis range")
     normals.flags.writeable = False
+    return normals, offsets
+
+
+def _instance(anchor, normals, offsets, basis: BasisMatrix, weights, **derived) -> ThetaInstance:
+    """The instance of checked sets that share one frozen anchor (and its ``derived`` values)."""
     half_spaces = tuple(_unchecked(HalfSpace, normal=v, offset=o, anchor=anchor)
                         for v, o in zip(normals, offsets.tolist()))
     return _unchecked(ThetaInstance, half_spaces=half_spaces, basis=basis, weights=weights,
-                      anchor=anchor)
+                      anchor=anchor, **derived)
 
 
-def static_rapsm_run(*, n: int, rank: int, projections: int, iters: int,
-                     warmup: int = 200, error_dim: int = 1, rho: float = 0.05,
-                     step_size: float = 1.0, snr_db: float = 15.0,
-                     noiseless: bool = False, subspace_target: bool = False,
-                     seed: int = 0):
-    """Drive the full-space update on a stationary stream with a frozen basis.
+def _error_bound_instance(ring, error_dim: int, h: np.ndarray, rho: float,
+                          basis: BasisMatrix, weights: np.ndarray) -> ThetaInstance:
+    """The instance of :func:`_error_bound_sets` over a newest-first ``(u, d)`` ring, with its
+    geometry from the stacked sets."""
+    anchor, windows = _frozen(h), np.arange(len(weights))[:, None] + np.arange(error_dim)
+    sets = anchor, *_error_bound_sets(*map(np.array, zip(*ring)), windows, anchor, rho, basis)
+    return _instance(*sets, basis, weights, _geometry=_geometry_of(anchor, sets, basis))
 
-    The warmed-up estimates' Krylov basis is kept for ``iters`` steps.
-    With ``subspace_target`` the supervision is the unknown system projected
-    onto that subspace, so the sets share a subspace point. Returns
-    ``(probe_steps, theta_values)``.
-    """
+
+def _static_run(*, n: int, rank: int, projections: int, iters: int, warmup: int = 200,
+                error_dim: int = 1, rho: float = 0.05, step_size: float = 1.0,
+                snr_db: float = 15.0, noiseless: bool = False, subspace_target: bool = False,
+                seed: int = 0):
+    """:func:`static_rapsm_run` as steps ``(h, sets, h_next, theta)``, ``sets`` of an instance."""
+    for value, name in ((iters, "iters"), (projections, "projections"), (error_dim, "error_dim")):
+        check_int(value, name)
+    ring_len = projections + error_dim - 1
+    check_int(warmup, "warmup", ring_len)
+    if not (rho >= 0.0 and 0.0 <= step_size <= 2.0):
+        raise ValueError(f"rho must be nonnegative and step_size in [0, 2], got {rho}, {step_size}")
     from .scenarios import SysIdConfig, SysIdScenario
 
     scen = SysIdScenario(SysIdConfig(n=n, snr_db=math.inf if noiseless else snr_db, seed=seed))
+    # (steps, N) regressors and (steps,) outputs; a chunk's u is overwritten by the next
+    us, ds = map(np.concatenate, zip(*((c.u.copy(), c.d) for c in scen.chunks(warmup + iters))))
     est = CorrelationEstimator("toeplitz", n, 0.999)
-    pairs = [(s.u, s.d) for s in scen.samples(warmup + iters)]
-    for u, d in pairs[:warmup]:
+    for u, d in zip(us[:warmup], ds[:warmup].tolist()):
         est.update(u, d)
     basis = krylov_basis(est.r_matrix(), est.p_vector(), rank)
     phi = PhiMap(basis, basis)
     if subspace_target:
-        target = _project(scen.h_star, basis)
-        pairs = [(u, float(u @ target)) for u, _ in pairs]
+        ds = stacked_dot(us, _project(scen.h_star, basis))
 
-    ring_len = projections + error_dim - 1
-    weights = _uniform_weights(projections)
-    h = np.zeros(n)
-    probe_steps, thetas = [], []
-    for k in range(warmup, len(pairs)):
-        ring = pairs[k + 1 - ring_len:k + 1][::-1]  # newest first
-        inst = _error_bound_instance(ring, error_dim, h, rho, basis, weights)
-        geometry = _geometry_of(inst)  # not cached: the steps keep their instances
-        h_next = _rapsm_step(inst.anchor, inst, phi, step_size, geometry)
-        probe_steps.append(ProbeStep(h, h_next, inst, basis))
-        thetas.append(_theta_value(inst, inst.anchor, geometry))
+    weights, h = _uniform_weights(projections), np.zeros(n)
+    windows = np.arange(projections)[:, None] + np.arange(error_dim)
+    for k in range(warmup, warmup + iters):
+        anchor = _frozen(h)
+        ring = slice(k, k - ring_len, -1)  # newest first
+        sets = (anchor, *_error_bound_sets(us[ring], ds[ring], windows, anchor, rho, basis),
+                basis, weights)
+        geometry = _geometry_of(anchor, sets[:3], basis)
+        h_next = _rapsm_step(anchor, geometry[0], geometry, weights, phi, step_size)
+        yield h, sets, h_next, _theta_value(weights, geometry)
         h = h_next
-    return probe_steps, thetas
+
+
+def static_rapsm_run(**config):
+    """Drive the full-space update on a stationary stream with a frozen basis.
+
+    Keywords of :func:`_static_run`, checked before the stream is built: counts
+    at least 1, ``warmup >= projections + error_dim - 1``, ``rho >= 0`` and
+    ``step_size`` in [0, 2]. The warmed-up estimates' Krylov basis is kept for
+    ``iters`` steps; with ``subspace_target`` the supervision is the unknown system
+    projected onto it. Returns ``(probe_steps, theta_values)``.
+    """
+    run = list(_static_run(**config))
+    return ([ProbeStep(h, h_next, _instance(*sets), sets[3]) for h, sets, h_next, _ in run],
+            [theta for *_, theta in run])
 
 
 @dataclass(frozen=True)
@@ -502,21 +526,24 @@ def _mse_chain(matrix: SymMatrix, pv: np.ndarray, hs: np.ndarray, sigma_d2: floa
     lam_min = float(matrix.eigenvalues[0])
     alpha = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
     h_r2 = _r_norm(hs, matrix) ** 2
-    top, steps = max(ranks), []
-    cg_solve_stack(dense[None], pv[None], np.zeros((1, matrix.n)), top, steps)
-    bases, built = krylov_basis_stack(dense[None], pv[None], top)
+    ranks, steps = list(ranks), []
+    cg_solve_stack(dense[None], pv[None], np.zeros((1, matrix.n)), max(ranks), steps)
+    bases, built = krylov_basis_stack(dense[None], pv[None], max(ranks))
+    # a row per rank for what needs only its CG iterate x: the MSE's forms, ||h* - x||, ||h* - x||_R
+    projs = np.stack([steps[min(rank, len(steps) - 1)][0] for rank in ranks])
+    forms = stacked_dot(projs, stacked_matvec(dense, projs)) - stacked_dot(2.0 * projs, pv)
+    errs = hs - projs
     reports = []
-    for rank in ranks:
-        proj_r = steps[min(rank, len(steps) - 1)][0]
-        mse = float(proj_r @ (dense @ proj_r) - 2.0 * proj_r @ pv) + sigma_d2
+    for rank, proj_r, form, t2, t3 in zip(ranks, projs, forms.tolist(),
+                                          np.sqrt(stacked_dot(errs, errs)).tolist(),
+                                          _r_norms(errs, matrix)):
         bound = (4.0 * alpha ** (2 * rank) - 1.0) * h_r2 + sigma_d2
-        proj_e = _project(hs, BasisMatrix(bases[0, :, :min(built[0], rank)]))
-        t1 = _norm(proj_e - proj_r)
-        t2 = _norm(hs - proj_r)
-        t3 = _r_norm(hs - proj_r, matrix) / math.sqrt(lam_min)
+        s = bases[0, :, :min(built[0], rank)].copy()  # the build checked its columns
+        t1 = _norm(s @ (s.T @ hs) - proj_r)
+        t3 = t3 / math.sqrt(lam_min)
         t4 = 2.0 * math.sqrt(h_r2) * alpha ** rank / math.sqrt(lam_min)
-        reports.append(CgBoundReport(mse, bound, (ChainTerm(t1, t2), ChainTerm(t2, t3),
-                                                  ChainTerm(t3, t4))))
+        reports.append(CgBoundReport(form + sigma_d2, bound, (
+            ChainTerm(t1, t2), ChainTerm(t2, t3), ChainTerm(t3, t4))))
     return reports
 
 
@@ -525,24 +552,23 @@ def subgradient_inequality_check(basis: BasisMatrix, u_block, d_block,
     """Max defect of the subdifferential inequality for the error bound map
     ``g(z) = ||(S^T U)^T z - d||^2 - rho``, gradient ``2 (S^T U) e``.
 
-    At random ``x``, ``<x - y, grad(y)> + g(y) - g(x)`` must be nonpositive,
-    and ``y``'s projection must land in the separating half-space.
+    At ``trials >= 1`` random ``x``, ``<x - y, grad(y)> + g(y) - g(x)`` must be
+    nonpositive, and ``y``'s projection must land in the separating half-space.
     """
+    check_int(trials, "trials")
     rng = np.random.default_rng(rng)
     ured = basis.matrix.T @ np.asarray(u_block, dtype=float)
     d = as_vector(d_block)
     y = as_vector(point, basis.rank)
 
-    def g(z):
-        e = ured.T @ z - d
-        return float(e @ e) - rho
+    def g(z):  # of a point, or of each row of a stack
+        e = stacked_matvec(ured.T, z) - d
+        return stacked_dot(e, e) - rho
 
     grad = 2.0 * (ured @ (ured.T @ y - d))
-    gy = g(y)
-    defects = [0.0]
-    for _ in range(trials):
-        x = y + rng.standard_normal(basis.rank) * 2.0
-        defects.append(float((x - y) @ grad) + gy - g(x))
+    gy = float(g(y))
+    x = y + rng.standard_normal((trials, basis.rank)) * 2.0
+    defects = [0.0] + (stacked_dot(x - y, grad) + gy - g(x)).tolist()
     if gy > 0.0:
         hs = HalfSpace(normal=grad, offset=gy, anchor=y)
         proj = project_half_space(y, hs)
@@ -596,8 +622,7 @@ def _krylov_bases(rng, seed):
     mat = _random_spd(n, rng)
     p = rng.standard_normal(n)
     basis = krylov_basis(mat, p, d)
-    spans = []
-    v = p
+    spans, v = [], p
     for _ in range(basis.rank):
         spans.append(_norm(v - project_subspace(v, basis)) / _norm(v))
         v = mat.matvec(v)
@@ -682,22 +707,18 @@ def _update_equivalence(rng, seed, rho: float = 0.05, step_size: float = 0.8):
     filt = KrrApsp(params, n)
     us = [rng.standard_normal(n) for _ in range(q + 8)]
     ds = [float(rng.standard_normal()) for _ in range(q + 8)]
-    defects = [0.0]
-    ring = []
+    defects, ring = [0.0], []
     for u, dv in zip(us, ds):
         ring = [(u, dv)] + ring[:q - 1]
-        predicted = None
-        builds_before = filt.build_count
-        if filt.basis is not None:
-            basis = filt.basis
-            h_full = basis.matrix @ filt.h_tilde
-            inst = _error_bound_instance(ring, 1, h_full, rho, basis, _uniform_weights(len(ring)))
+        basis, builds_before = filt.basis, filt.build_count
+        if basis is not None:
+            inst = _error_bound_instance(ring, 1, basis.matrix @ filt.h_tilde, rho, basis,
+                                         _uniform_weights(len(ring)))
             predicted = basis.matrix.T @ rapsm_step(inst.anchor, inst, PhiMap(basis, basis),
                                                     step_size)
         filt.step(u, dv)
-        # a refresh rebases the reduced vector after the update: compare
-        # only if the basis survived
-        if predicted is not None and filt.build_count == builds_before:
+        # a refresh rebases the reduced vector after the update: compare only if the basis survived
+        if basis is not None and filt.build_count == builds_before:
             defects.append(float(np.max(np.abs(predicted - filt.h_tilde))))
     return _worst(defects)
 
@@ -713,9 +734,9 @@ def _monotone_approximation(rng, seed):
 
 def _asymptotic_surrogate(rng, seed):
     """Asymptotic surrogate on a consistent (noiseless) stationary run, relative to its start."""
-    _, thetas = static_rapsm_run(n=12, rank=3, projections=3, iters=500,
-                                 rho=1e-4, step_size=1.0, noiseless=True,
-                                 subspace_target=True, seed=seed + 11)
+    thetas = [theta for *_, theta in _static_run(n=12, rank=3, projections=3, iters=500,
+                                                 rho=1e-4, step_size=1.0, noiseless=True,
+                                                 subspace_target=True, seed=seed + 11)]
     initial = next((t for t in thetas if t > 0.0), 0.0)
     return _Outcome(_worst(thetas[-max(1, len(thetas) // 10):], min), scale=initial)
 

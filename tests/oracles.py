@@ -20,7 +20,10 @@ arithmetic and not against its own core. ``frozen_error_bound_half_spaces``
 and ``frozen_find_feasible_point`` are ``verify``'s static-run half-space
 build (public ``HalfSpace``s, one validated anchor copy each) and
 feasibility oracle (every reduced product recomputed) as they were before
-the build shared one anchor per step.
+the build shared one anchor per step. The ``frozen_`` functions after them
+are ``verify``'s per-item loops (one numpy call per random trial, fixed
+vector, rank or half-space) as they were before each became one stacked
+call.
 """
 
 import math
@@ -28,6 +31,7 @@ from collections import deque
 
 import numpy as np
 
+from krrapsp import verify
 from krrapsp.estimation import MODES
 from krrapsp.filters import KrrApspBatch, KrrParams, StepOutput, _KrrFamily, _stats_cost
 from krrapsp.linalg import (
@@ -35,7 +39,12 @@ from krrapsp.linalg import (
     DegenerateCrossCorrelationError,
     HalfSpace,
     SymMatrix,
+    _norm,
     as_vector,
+    cg_solve_stack,
+    condition_number,
+    krylov_basis_stack,
+    project_half_space,
     stacked_dot,
     stacked_matvec,
 )
@@ -1192,3 +1201,140 @@ def frozen_find_feasible_point(half_spaces, basis: BasisMatrix, start=None,
             if g > 0.0:
                 z = z - (g / nn) * nr
     return None
+
+
+# verify's per-item loops as the library wrote them before they became stacked
+# calls over trials, fixed vectors, ranks and half-spaces. Kept unchanged.
+
+
+def frozen_attracting_projection_case(phi, trials: int, rng):
+    """``verify.attracting_check`` on identical bases, one trial at a time."""
+    defects = [0.0]
+    s = phi.s_prev.matrix
+    for _ in range(trials):
+        x = rng.standard_normal(phi.n)
+        f = s @ rng.standard_normal(phi.rank)
+        px = frozen_apply_phi(phi, x)
+        lhs = float(np.sum((x - px) ** 2))
+        rhs = float(np.sum((x - f) ** 2) - np.sum((px - f) ** 2))
+        defects.append(abs(lhs - rhs))
+    return verify.AttractingReport(True, verify._worst(defects))
+
+
+def frozen_apply_phi(phi, v):
+    return phi.s_next.matrix @ (phi.s_prev.matrix.T @ as_vector(v, phi.n))
+
+
+def frozen_subgradient_inequality_check(basis, u_block, d_block, rho, point, rng, trials=50):
+    rng = np.random.default_rng(rng)
+    ured = basis.matrix.T @ np.asarray(u_block, dtype=float)
+    d = as_vector(d_block)
+    y = as_vector(point, basis.rank)
+
+    def g(z):
+        e = ured.T @ z - d
+        return float(e @ e) - rho
+
+    grad = 2.0 * (ured @ (ured.T @ y - d))
+    gy = g(y)
+    defects = [0.0]
+    for _ in range(trials):
+        x = y + rng.standard_normal(basis.rank) * 2.0
+        defects.append(float((x - y) @ grad) + gy - g(x))
+    if gy > 0.0:
+        hs = HalfSpace(normal=grad, offset=gy, anchor=y)
+        proj = project_half_space(y, hs)
+        defects.append(hs.violation(proj))
+    return verify._worst(defects)
+
+
+def frozen_fixed_point_set(phi, tol=None):
+    tol = TOL.fixed_point_eigen if tol is None else tol
+    gram = phi.s_prev.matrix.T @ phi.s_next.matrix
+    _, sing, vt = np.linalg.svd(gram - np.eye(phi.rank))
+    verified = []
+    for z in vt[sing <= tol]:
+        v = phi.s_prev.matrix @ z
+        gap = _norm(phi.s_next.matrix @ z - v)
+        move = _norm(frozen_apply_phi(phi, v) - v)
+        if gap <= tol and move <= tol * max(1.0, _norm(v)):
+            verified.append(v)
+    return np.column_stack(verified) if verified else np.zeros((phi.n, 0))
+
+
+def frozen_r_norm(v, matrix):
+    quad = float(v @ (matrix.dense() @ v))
+    scale = max(1.0, float(v @ v) * max(1.0, float(np.max(np.abs(matrix.dense()), initial=0.0))))
+    if quad < -TOL.quadform_negative * scale:
+        raise ValueError(f"negative quadratic form ({quad:.3e}): matrix is not PSD")
+    return math.sqrt(max(quad, 0.0))
+
+
+def frozen_mse_chain(matrix, pv, hs, sigma_d2, ranks):
+    """``verify._mse_chain``, rank by rank, each rank's basis a checked ``BasisMatrix``."""
+    dense = matrix.dense()
+    kappa = condition_number(matrix)
+    lam_min = float(matrix.eigenvalues[0])
+    alpha = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
+    h_r2 = frozen_r_norm(hs, matrix) ** 2
+    top, steps = max(ranks), []
+    cg_solve_stack(dense[None], pv[None], np.zeros((1, matrix.n)), top, steps)
+    bases, built = krylov_basis_stack(dense[None], pv[None], top)
+    reports = []
+    for rank in ranks:
+        proj_r = steps[min(rank, len(steps) - 1)][0]
+        mse = float(proj_r @ (dense @ proj_r) - 2.0 * proj_r @ pv) + sigma_d2
+        bound = (4.0 * alpha ** (2 * rank) - 1.0) * h_r2 + sigma_d2
+        basis = BasisMatrix(bases[0, :, :min(built[0], rank)])
+        proj_e = basis.matrix @ (basis.matrix.T @ hs)
+        t1 = _norm(proj_e - proj_r)
+        t2 = _norm(hs - proj_r)
+        t3 = frozen_r_norm(hs - proj_r, matrix) / math.sqrt(lam_min)
+        t4 = 2.0 * math.sqrt(h_r2) * alpha ** rank / math.sqrt(lam_min)
+        reports.append(verify.CgBoundReport(mse, bound, (
+            verify.ChainTerm(t1, t2), verify.ChainTerm(t2, t3), verify.ChainTerm(t3, t4))))
+    return reports
+
+
+def frozen_geometry(inst):
+    """``(g, Q s, Q s . Q s, ||Q s||)`` per half-space of a ``ThetaInstance``."""
+    s = inst.basis.matrix
+    return tuple((hs._violation(inst.anchor), qn, float(qn @ qn), _norm(qn)) for hs, qn
+                 in ((h, s @ (s.T @ h.normal)) for h in inst.half_spaces))
+
+
+def frozen_theta_value(inst, v):
+    geometry = frozen_geometry(inst)
+    anchor_d = np.array([verify._distance(0.0, g, nrm) for g, _, _, nrm in geometry])
+    norm_const = float(inst.weights @ anchor_d)
+    if norm_const == 0.0:
+        return 0.0
+    at_anchor = v is inst.anchor
+    if not at_anchor:
+        v, off_range = verify._range_split(v, inst.basis)
+    total = sum(w * da * (da if at_anchor else verify._distance(off_range, hs._violation(v), nrm))
+                for w, hs, da, (*_, nrm)
+                in zip(inst.weights, inst.half_spaces, anchor_d, geometry) if da != 0.0)
+    return total / norm_const
+
+
+def frozen_rapsm_step(v, inst, phi, step_size):
+    """``verify.rapsm_step`` of an iterate in the range, half-space by half-space."""
+    geometry = frozen_geometry(inst)
+    gs = ([geo[0] for geo in geometry] if v is inst.anchor
+          else [hs._violation(v) for hs in inst.half_spaces])
+    f_dir = np.zeros_like(v)
+    loss = 0.0
+    for w, g, (_, qn, nq2, _) in zip(inst.weights, gs, geometry):
+        if g <= 0.0:
+            continue
+        if nq2 == 0.0:
+            raise ValueError("half-space does not intersect the subspace")
+        dvec = -(g / nq2) * qn
+        f_dir += w * dvec
+        loss += w * float(dvec @ dvec)
+    nf = float(f_dir @ f_dir)
+    if nf == 0.0:
+        return frozen_apply_phi(phi, v)
+    relax = loss / nf
+    return frozen_apply_phi(phi, v + step_size * relax * f_dir)

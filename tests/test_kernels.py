@@ -44,7 +44,18 @@ each kernel and every layout the code passes:
   differently, so the pass makes it apart. A sum of squares over the
   rank axis equals the unpadded one over the member's own columns of the
   padded rows; over the whole padded axis it does not once eight entries
-  are summed (numpy changes its order), so it is never taken there.
+  are summed (numpy changes its order), so it is never taken there;
+* the stacked loops of ``verify`` (random trials, fixed vectors, ranks and
+  half-spaces): for odd N and stacks of 1, 2 and 59 rows, ``stacked_matvec``
+  of one 2-D basis, its transpose or a dense matrix broadcast over the
+  stack, and ``stacked_dot`` of the rows with one broadcast vector, equal
+  the per-row products, also over the strided column blocks of a wider
+  draw; ``np.sum(z ** 2, axis=1)`` equals the per-row ``np.sum``; and a
+  ``(k, N + D)`` ``standard_normal`` block draw is ``k`` pairs of
+  consecutive ``N`` and ``D`` draws, values and generator state alike.
+  Pure-Python float sums of products do not match BLAS dots (small-N dots
+  use FMA), so sequential loops that feed on dots, like the feasibility
+  oracle's cyclic projections, keep their per-set ``nr @ z``.
 
 Each output entry of the outer product is one rounded product
 ``u_i * u_j`` with no sum, so any call that forms it once agrees. The
@@ -275,3 +286,32 @@ def test_padded_rank_products_equal_the_unpadded_ones(runs, error_dim):
         stack = np.concatenate((np.ones_like(squares_p), squares_p, np.ones_like(squares_p)))
         own = stack[runs:2 * runs, :, :rank].sum(axis=axes)
         assert own.tobytes() == squares.sum(axis=axes).tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 2, 59])
+@pytest.mark.parametrize("n", [3, 7, 13])
+def test_broadcast_operands_equal_the_per_row_products(count, n):
+    rng = np.random.default_rng(1000 * count + n)
+    dense = rng.standard_normal((n, n))
+    for d in sorted({1, 2, n // 2 + 1, n}):
+        basis = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((n, d)))[0])
+        draw = rng.standard_normal((count, n + d)) * 10.0 ** rng.uniform(-6, 6, (count, 1))
+        x, z = draw[:, :n], draw[:, n:]  # strided column blocks, as a split block draw
+        for a, v in ((basis.T, x), (basis, z), (dense, x), (basis.T, x.copy())):
+            got = stacked_matvec(a, v)
+            assert got.tobytes() == np.stack([a @ row for row in v]).tobytes()
+        y = rng.standard_normal(n)
+        assert stacked_dot(x, y).tobytes() == np.array([row @ y for row in x]).tobytes()
+        sq = (x - stacked_matvec(basis, stacked_matvec(basis.T, x))) ** 2
+        assert np.sum(sq, axis=1).tobytes() == np.array([np.sum(row) for row in sq]).tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 2, 59])
+def test_a_block_draw_is_consecutive_draws(count):
+    for n, d in ((3, 1), (7, 4), (13, 13)):
+        block, pairs = np.random.default_rng(count), np.random.default_rng(count)
+        got = block.standard_normal((count, n + d))
+        want = [np.concatenate((pairs.standard_normal(n), pairs.standard_normal(d)))
+                for _ in range(count)]
+        assert got.tobytes() == np.stack(want).tobytes()
+        assert block.bit_generator.state == pairs.bit_generator.state

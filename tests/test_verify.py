@@ -26,7 +26,16 @@ from krrapsp.verify import (
 )
 
 from conftest import random_orthonormal, random_spd
-from oracles import frozen_error_bound_half_spaces, frozen_find_feasible_point
+from oracles import (
+    frozen_attracting_projection_case,
+    frozen_error_bound_half_spaces,
+    frozen_find_feasible_point,
+    frozen_fixed_point_set,
+    frozen_mse_chain,
+    frozen_rapsm_step,
+    frozen_subgradient_inequality_check,
+    frozen_theta_value,
+)
 
 
 def make_instance(rng, n=8, d=3, q=3, rho=0.1, anchor=None):
@@ -360,10 +369,14 @@ class TestSharedWork:
         assert calls["range"] == len(steps) == 20  # at construction of each instance
 
 
-def frozen_instance(ring, error_dim, h, rho, basis, weights):
-    """``verify._error_bound_instance`` through the frozen build and the public constructors."""
-    return ThetaInstance(frozen_error_bound_half_spaces(ring, len(weights), error_dim, h, rho),
-                         basis, weights, h)
+def frozen_sets(u, d, windows, anchor, rho, basis):
+    """``verify._error_bound_sets`` through the frozen build and the public constructors."""
+    count, error_dim = windows.shape
+    half_spaces = frozen_error_bound_half_spaces(list(zip(u, d.tolist())), count, error_dim,
+                                                 anchor, rho)
+    ThetaInstance(half_spaces, basis, verify._uniform_weights(count), anchor)  # its checks
+    return (np.array([hs.normal for hs in half_spaces]),
+            np.array([hs.offset for hs in half_spaces]))
 
 
 def same_bytes(x, y):
@@ -392,7 +405,7 @@ class TestLeanStaticBuild:
     @pytest.mark.parametrize("kwargs", STATIC_RUNS)
     def test_static_run_equals_the_frozen_build(self, monkeypatch, kwargs):
         steps, thetas = static_rapsm_run(**kwargs)
-        monkeypatch.setattr(verify, "_error_bound_instance", frozen_instance)
+        monkeypatch.setattr(verify, "_error_bound_sets", frozen_sets)
         want_steps, want_thetas = static_rapsm_run(**kwargs)
         assert same_bytes(thetas, want_thetas) and len(steps) == len(want_steps)
         for st, want in zip(steps, want_steps):
@@ -573,8 +586,16 @@ class TestFoldsKeepNan:
             assert math.isnan(verify._worst(values)) and math.isnan(verify._worst(values, min))
 
     def test_attracting_check(self, monkeypatch, rng):
+        # the trials are one stack; the third trial's image is NaN
         basis = BasisMatrix(random_orthonormal(6, 2, rng))
-        monkeypatch.setattr(verify, "apply_phi", nan_on_call(verify.apply_phi, 3))
+        apply = verify._apply_phi
+
+        def third_nan(phi, v):
+            out = apply(phi, v)
+            out[2] = np.nan
+            return out
+
+        monkeypatch.setattr(verify, "_apply_phi", third_nan)
         report = attracting_check(PhiMap(basis, basis), trials=5, rng=rng)
         assert math.isnan(report.max_identity_defect)
 
@@ -595,3 +616,170 @@ class TestFoldsKeepNan:
         rng = np.random.default_rng(0)  # a draw of a rank-7 basis
         _, span = verify._krylov_bases(rng, 0)
         assert math.isnan(span)
+
+
+def same_layout(got, want):
+    return (got.shape == want.shape and got.flags.c_contiguous == want.flags.c_contiguous
+            and got.tobytes() == want.tobytes())
+
+
+def state_of(rng):
+    return rng.bit_generator.state
+
+
+class TestStackedLoops:
+    # every loop that became one stacked call reports what the frozen per-item
+    # loop reports (repr, or bytes and layout for arrays), and draws the same
+    def test_attracting_projection_case(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(2, 11))
+            basis = BasisMatrix(random_orthonormal(n, int(rng.integers(1, n + 1)), rng))
+            phi = PhiMap(basis, BasisMatrix(basis.matrix.copy()))
+            trials, seed = int(rng.integers(1, 60)), int(rng.integers(2 ** 32))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = attracting_check(phi, trials, got_rng)
+            assert repr(got) == repr(frozen_attracting_projection_case(phi, trials, want_rng))
+            assert state_of(got_rng) == state_of(want_rng)
+
+    def test_subgradient_check(self):
+        rng = np.random.default_rng(42)
+        positive = 0
+        for _ in range(200):
+            n, d, r = int(rng.integers(2, 11)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            d = min(d, n)
+            basis = BasisMatrix(random_orthonormal(n, d, rng))
+            u, db, y = rng.standard_normal((n, r)), rng.standard_normal(r), rng.standard_normal(d)
+            rho, trials, seed = float(rng.uniform(0.0, 3.0)), int(rng.integers(1, 60)), int(
+                rng.integers(2 ** 32))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = subgradient_inequality_check(basis, u, db, rho, y, got_rng, trials)
+            want = frozen_subgradient_inequality_check(basis, u, db, rho, y, want_rng, trials)
+            assert repr(got) == repr(want) and type(got) is type(want)
+            assert state_of(got_rng) == state_of(want_rng)
+            ured = basis.matrix.T @ u
+            positive += float(np.sum((ured.T @ y - db) ** 2)) > rho
+        assert 0 < positive < 200  # both sides of g(y) > 0
+
+    def test_fixed_point_set(self):
+        rng = np.random.default_rng(43)
+        sizes = []
+        for draw in range(150):
+            n = int(rng.integers(2, 10))
+            d = int(rng.integers(1, n + 1))
+            prev = BasisMatrix(random_orthonormal(n, d, rng))
+            if draw % 3 == 0:  # all fixed
+                nxt = prev
+            elif draw % 3 == 1 and d > 2:  # columns 1 and 2 rotated, the others shared
+                m = prev.matrix.copy()
+                c, s_ = np.cos(0.7), np.sin(0.7)
+                m[:, 1] = c * prev.matrix[:, 1] + s_ * prev.matrix[:, 2]
+                m[:, 2] = -s_ * prev.matrix[:, 1] + c * prev.matrix[:, 2]
+                nxt = BasisMatrix(m)
+            else:
+                nxt = BasisMatrix(random_orthonormal(n, d, rng))
+            phi = PhiMap(prev, nxt)
+            got = fixed_point_set(phi)
+            assert same_layout(got, frozen_fixed_point_set(phi))
+            sizes.append(got.shape[1])
+        assert min(sizes) == 0 and max(sizes) >= 5
+
+    def test_mse_chain(self):
+        rng = np.random.default_rng(44)
+        for n in range(2, 11):
+            for _ in range(8):
+                mat = SymMatrix(random_spd(n, rng, lo=0.3, hi=5.0))
+                h_star = rng.standard_normal(n)
+                p = mat.matvec(h_star)
+                sigma_d2 = r_norm(h_star, mat) ** 2 + float(rng.uniform(0.0, 0.5))
+                for ranks in (range(1, n + 1), (n,), (1,)):
+                    got = verify._mse_chain(mat, p, h_star, sigma_d2, ranks)
+                    assert repr(got) == repr(frozen_mse_chain(mat, p, h_star, sigma_d2, ranks))
+            # an early CG stop and a truncated build: 2 I
+            mat = SymMatrix(2.0 * np.eye(n))
+            h_star = rng.standard_normal(n)
+            got = verify._mse_chain(mat, mat.matvec(h_star), h_star, 1.0, range(1, n + 1))
+            want = frozen_mse_chain(mat, mat.matvec(h_star), h_star, 1.0, range(1, n + 1))
+            assert repr(got) == repr(want)
+
+    def test_step_and_objective_on_and_off_the_anchor(self):
+        rng = np.random.default_rng(45)
+        for draw in range(150):
+            q = int(rng.integers(1, 6))
+            rho = float(10.0 ** rng.uniform(-6, 0.5))
+            inst = make_instance(rng, q=q, rho=rho)
+            if draw % 2:  # each half-space linearized at its own anchor
+                hs = tuple(HalfSpace(h.normal, h.offset, h.anchor + rng.standard_normal(8) * 0.3)
+                           for h in inst.half_spaces)
+                inst = ThetaInstance(hs, inst.basis, inst.weights, inst.anchor)
+            phi = PhiMap(inst.basis, inst.basis)
+            inside = inst.anchor + inst.basis.matrix @ rng.standard_normal(inst.basis.rank)
+            outside = rng.standard_normal(inst.basis.n) * 2.0
+            step = float(rng.uniform(0.0, 2.0))
+            for v in (inst.anchor, inst.anchor.copy(), inside):
+                assert same_layout(rapsm_step(v, inst, phi, step),
+                                   frozen_rapsm_step(v, inst, phi, step))
+            for v in (inst.anchor, inst.anchor.copy(), inside, outside):
+                got, want = theta_value(inst, v), frozen_theta_value(inst, v)
+                assert repr(got) == repr(want) and type(got) is type(want)
+
+    def test_oracle_set_up_with_normals_off_the_range(self):
+        rng = np.random.default_rng(46)
+        outcomes = set()
+        for _ in range(60):
+            n, d = int(rng.integers(3, 9)), 2
+            axes = BasisMatrix(np.eye(n)[:, :d])
+            sets = list(make_instance(rng, n=n, d=d, q=int(rng.integers(1, 4))).half_spaces)
+            for _ in range(int(rng.integers(1, 3))):  # normals orthogonal to the range
+                off = np.zeros(n)
+                off[d:] = rng.standard_normal(n - d)
+                sets.insert(int(rng.integers(0, len(sets) + 1)),
+                            HalfSpace(off, float(rng.standard_normal()), rng.standard_normal(n)))
+            for start in (None, rng.standard_normal(n)):
+                got = find_feasible_point(sets, axes, start)
+                assert same_point(got, frozen_find_feasible_point(sets, axes, start))
+                outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+
+def no_scenario(*args, **kwargs):
+    raise AssertionError("a scenario was built")
+
+
+class TestRejectedParameters:
+    # every bad parameter is rejected before any draw or scenario build
+    @pytest.mark.parametrize("bad", [
+        dict(warmup=1), dict(warmup=3, error_dim=2), dict(iters=0), dict(iters=-3),
+        dict(error_dim=0), dict(projections=0), dict(iters=2.5), dict(rho=-1.0),
+        dict(rho=math.nan), dict(step_size=-0.1), dict(step_size=2.5), dict(step_size=math.nan),
+    ])
+    def test_static_rapsm_run(self, monkeypatch, bad):
+        from krrapsp import scenarios
+        monkeypatch.setattr(scenarios, "SysIdScenario", no_scenario)
+        with pytest.raises(ValueError):
+            static_rapsm_run(**{**dict(n=10, rank=3, projections=3, iters=20, seed=4), **bad})
+
+    @pytest.mark.parametrize("trials", [0, -2, 1.5])
+    def test_attracting_check(self, rng, trials):
+        basis = BasisMatrix(random_orthonormal(6, 2, rng))
+        for phi in (PhiMap(basis, basis), PhiMap(basis, BasisMatrix(random_orthonormal(6, 2, rng)))):
+            before = state_of(rng)
+            with pytest.raises(ValueError, match="trials"):
+                attracting_check(phi, trials=trials, rng=rng)
+            assert state_of(rng) == before
+
+    @pytest.mark.parametrize("trials", [0, -1, 2.0])
+    def test_subgradient_inequality_check(self, rng, trials):
+        basis = BasisMatrix(random_orthonormal(8, 3, rng))
+        u, d, y = rng.standard_normal((8, 2)), rng.standard_normal(2), rng.standard_normal(3)
+        before = state_of(rng)
+        with pytest.raises(ValueError, match="trials"):
+            subgradient_inequality_check(basis, u, d, 0.1, y, rng, trials)
+        assert state_of(rng) == before
+
+    @pytest.mark.parametrize("slack", [math.nan, float("nan")])
+    def test_monotone_probe(self, slack):
+        steps, _ = static_rapsm_run(n=10, rank=3, projections=2, iters=5, seed=3)
+        with pytest.raises(ValueError, match="slack"):
+            monotone_probe(steps, slack=slack)
+        assert monotone_probe(steps, slack=math.inf).passed  # not NaN: any slack passes
