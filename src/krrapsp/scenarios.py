@@ -25,8 +25,9 @@ so every step of a chunk has the same truth. Each substream is drawn in
 blocks, one per chunk (sysid: one per ``_CHUNK`` steps of a fixed grid,
 so a chunk that ends at ``change_at`` shares its block with the next). A
 block draw returns the values of the per-step draws it replaces and
-leaves the generator in the same state, and the chunk arithmetic is the
-per-step arithmetic, element by element, so the samples are those of a
+leaves the generator in the same state, and the chunk arithmetic rounds
+every entry as the per-step arithmetic does (CDMA: one exact BLAS product
+per chunk, see :meth:`CdmaScenario.chunks`), so the samples are those of a
 step-by-step generator and the RNG contract above is unchanged. A stream
 therefore draws up to one chunk ahead of what it has yielded. Every call
 replays the stream from step 0: a scenario saves the states of its stream
@@ -252,6 +253,7 @@ class SysIdScenario:
         chunk's input is written into ``buffer``, a pair from
         :meth:`chunk_buffer` (by default one of the stream's own).
         """
+        count = check_int(count, "count", 0)
         n, change = self.n, self.config.change_at
         carry = n - 1 + self.config.fir_len - 1
         buf, windows = self.chunk_buffer() if buffer is None else buffer
@@ -347,7 +349,8 @@ class CdmaConfig:
     a finite positive ``10 ** (snr_db / 10)``.
     At ``change_at`` (``>= 0``) every interferer leaves and
     ``users_post - 1`` fresh interferers (new codes, offsets, and bit
-    streams) join; the desired user is untouched.
+    streams) join; the desired user is untouched. ``users_post`` goes with
+    ``change_at`` only.
     """
 
     users: int = 8
@@ -364,8 +367,8 @@ class CdmaConfig:
                 raise ValueError(f"{name} must lie in 1..{GOLD_FAMILY_SIZE}")
         if self.change_at is not None:
             check_int(self.change_at, "change_at", 0)
-            if self.users_post is None:
-                raise ValueError("users_post required with change_at")
+        if (self.users_post is None) != (self.change_at is None):
+            raise ValueError("users_post and change_at must be given together")
         _check_snr_db(self.snr_db)
         if not 0.0 < self.interferer_amplitude < math.inf:
             raise ValueError("interferer_amplitude must be finite and positive")
@@ -399,6 +402,11 @@ class _CdmaUser:
         return cls(float(amplitude), int(delay), tail, head, int(prev_bit))
 
 
+def _chip_table(users) -> np.ndarray:
+    """The ``(2J, n)`` rows ``A_j tail_j`` and ``A_j head_j`` of ``users``, in user order."""
+    return np.stack([user.amplitude * part for user in users for part in (user.tail, user.head)])
+
+
 class CdmaScenario:
     """Sample stream of received chip vectors with training bits.
 
@@ -428,6 +436,7 @@ class CdmaScenario:
             prev = 1 - 2 * int(self._rng_bits.integers(0, 2))
             pre.append(_CdmaUser.from_code(family[int(pick)], delay, amp, prev))
         self._pre_users = tuple(pre)
+        self._tables = [_chip_table(self._pre_users)]  # one per user set, as chunks() reads them
 
         if config.change_at is not None:
             remaining = [i for i in range(GOLD_FAMILY_SIZE) if i != self._desired_pick]
@@ -439,6 +448,7 @@ class CdmaScenario:
                 prev = 1 - 2 * int(rng_post.integers(0, 2))
                 post.append(_CdmaUser.from_code(family[int(pick)], delay, amp, prev))
             self._post_users = tuple(post)
+            self._tables.append(_chip_table(self._pre_users[:1] + self._post_users))
         else:
             self._post_users = None
 
@@ -463,33 +473,40 @@ class CdmaScenario:
         per active user, in user order, and the bits a user sent before the
         chunk carry into its first row as the previous symbol. The chip
         vectors are built in ``buffer``, a pair from :meth:`chunk_buffer`
-        (by default one of the stream's own).
+        (by default one of the stream's own), as ``signs @ table``: each
+        user set's ``(2J, n)`` table of rows ``A_j tail_j``, ``A_j head_j``
+        times the users' previous and current bits. That is the per-user sum
+        ``u += A_j (b' tail_j + b head_j)`` from zero bit for bit: tail and
+        head have disjoint supports, so each term is one exact ``±A_j c``,
+        and gemm adds the terms in user order (``fma(±1, c, acc)`` is
+        ``acc ± c``). A one-row chunk is padded to two rows, as numpy makes a
+        one-row product with gemv, which adds in another order.
         """
+        count = check_int(count, "count", 0)
         chips = (self.chunk_buffer() if buffer is None else buffer)[1]
         change = self.config.change_at
         for g, state in self._saved:
             g.bit_generator.state = state
-        users = self._pre_users
-        prev = np.array([user.prev_bit for user in users])
+        table = self._tables[0]
+        prev = np.array([user.prev_bit for user in self._pre_users])  # one per active user
         start = 0
         while start < count:
             if start == change:
-                users = users[:1] + self._post_users
+                table = self._tables[1]
                 prev = np.array([prev[0]] + [user.prev_bit for user in self._post_users])
             stop = count if change is None or start >= change else min(count, change)
             m = min(_CHUNK, stop - start)
-            bits = 1 - 2 * self._rng_bits.integers(0, 2, size=m * len(users))
-            bits = bits.reshape(m, len(users))
-            before = np.concatenate((prev[None, :], bits[:-1]))
-            u = chips[:m]
-            u[...] = 0.0
-            for j, user in enumerate(users):
-                u += user.amplitude * (before[:, j, None] * user.tail
-                                       + bits[:, j, None] * user.head)
+            bits = 1 - 2 * self._rng_bits.integers(0, 2, size=m * len(prev))
+            bits = bits.reshape(m, len(prev))
+            signs = np.zeros((max(m, 2), len(prev), 2))
+            signs[0, :, 0] = prev
+            signs[1:m, :, 0] = bits[:-1]
+            signs[:m, :, 1] = bits
+            u = np.matmul(signs.reshape(len(signs), -1), table, out=chips[:len(signs)])[:m]
             if self.noise_std > 0.0:
                 u += self.noise_std * self._rng_noise.standard_normal((m, self.n))
             prev, d = bits[-1].copy(), bits[:, 0].astype(float)
-            del bits, before  # a suspended stream keeps only what its next chunk reads
+            del bits, signs  # a suspended stream keeps only what its next chunk reads
             yield StreamChunk(start, u, d)
             start += m
 

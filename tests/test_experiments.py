@@ -635,6 +635,12 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "change_at" in proc.stderr
 
+    def test_users_post_without_change_exit_code(self):
+        # it would run with no change, yet the header would record users_post
+        proc = self.run_cli("cdma", "--users-post", "3", "--runs", "1", "--iters", "5")
+        assert proc.returncode == 2, proc.stderr
+        assert "users_post and change_at must be given together" in proc.stderr
+
     def test_error_length_3_csv_is_the_library_run(self):
         proc = self.run_cli("sysid", "--r", "3", "--q", "2", "--N", "10", "--D", "3",
                             "--runs", "2", "--iters", "40")

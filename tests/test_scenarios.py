@@ -306,8 +306,10 @@ class TestCdmaScenario:
     def test_user_count_bounds(self):
         with pytest.raises(ValueError):
             CdmaConfig(users=34)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="users_post and change_at"):
             CdmaConfig(users=4, change_at=100)  # users_post missing
+        with pytest.raises(ValueError, match="users_post and change_at"):
+            CdmaConfig(users=4, users_post=3)  # no change would use it
 
     @pytest.mark.parametrize("name, kwargs", [
         ("users", dict(users=2.0)), ("users", dict(users=0)),
@@ -490,3 +492,16 @@ def test_samples_after_a_partly_read_stream_start_at_step_0(config):
     got = sample_bytes(scen.samples(150))
     assert got == sample_bytes(make_scenario(config).samples(150))
     assert [k for k, *_ in got] == list(range(150))
+
+
+@pytest.mark.parametrize("stream", ["chunks", "samples"])
+@pytest.mark.parametrize("count", [-3, -1, 2.5, "3"])
+@pytest.mark.parametrize("config", REPLAY_CONFIGS, ids=["sysid", "cdma"])
+def test_bad_count_rejected_before_any_draw(config, count, stream):
+    # rejected before the stream restores or draws: an open stream reads on undisturbed
+    scen = make_scenario(config)
+    partial = scen.chunks(150)
+    head = chunk_bytes([next(partial)])
+    with pytest.raises(ValueError, match="count"):
+        next(getattr(scen, stream)(count))
+    assert head + chunk_bytes(partial) == chunk_bytes(make_scenario(config).chunks(150))
