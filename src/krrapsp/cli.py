@@ -60,8 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sys = sub.add_parser("sysid", help="system identification experiment")
     _add_common(p_sys, rho=0.15, lam=0.03, snr=15.0, iters=2000)
     p_sys.add_argument("--N", type=int, default=50, help="filter length")
-    p_sys.add_argument("--change-mode", choices=["negate", "fresh"], default="negate",
-                       help="how the unknown system changes at --change-at")
+    p_sys.add_argument("--change-mode", choices=["negate", "fresh"], default=None,
+                       help="how the unknown system changes at --change-at (default negate)")
 
     p_cdma = sub.add_parser("cdma", help="CDMA interference suppression experiment")
     _add_common(p_cdma, rho=0.01, lam=0.02, snr=15.0, iters=2000)
@@ -97,9 +97,13 @@ def _filter_specs(args) -> tuple:
 
 def _run_experiment_command(args) -> int:
     if args.command == "sysid":
+        if args.change_mode is not None and args.change_at is None:
+            # it would run with no change, yet the header would record the mode
+            raise ValueError("--change-mode needs --change-at")
         scenario = SysIdConfig(n=args.N, snr_db=args.snr_db,
                                change_at=args.change_at,
-                               change_mode=args.change_mode, seed=args.seed)
+                               change_mode=args.change_mode or SysIdConfig.change_mode,
+                               seed=args.seed)
     else:
         scenario = CdmaConfig(users=args.users, snr_db=args.snr_db,
                               interferer_amplitude=args.interferer_amp,

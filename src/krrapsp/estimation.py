@@ -128,9 +128,14 @@ class _StatsStack:
         """Yield ``(part, matrices)`` over the trials ``pos``, ``chunk`` trials at a time.
 
         ``matrices`` holds the dense statistics of the trials ``part``; a
-        Toeplitz chunk is overwritten by the next one.
+        Toeplitz chunk is overwritten by the next one. A non-finite estimate
+        of any trial of ``pos`` raises ``ValueError`` before the first chunk.
         """
-        n = self.p.shape[1]
+        r, p = self.r, self.p
+        if not (np.isfinite(r.reshape(len(r), -1)).all(axis=1)[pos].all()
+                and np.isfinite(p[pos]).all()):
+            raise ValueError("statistics estimates must be finite")
+        n = p.shape[1]
         if self.mode == "toeplitz":
             buffer = np.empty((min(chunk, pos.size), n, n))
         for lo in range(0, pos.size, chunk):

@@ -7,13 +7,14 @@ the trace as a flat CSV whose header echoes the full configuration.
 KRR-APSP, CGRRF and NLMS run all trials in lockstep, one batch of
 :mod:`krrapsp.filters` per filter, fed from every trial's scenario stream
 at once: each trial's chunk is written once into one buffer for all
-trials, and the steps are read row by row from that stack. The KRR-APSP
-specs of one forgetting factor, refresh period and ``(q, r)`` form a
-family that steps as one: one statistics stack, one sample ring, one
+trials, and the steps are read row by row from that stack. Which batches
+share state is :func:`krrapsp.filters.lockstep_families`'s rule: the
+KRR-APSP specs of one forgetting factor, refresh period and ``(q, r)`` form
+a family that steps as one (one statistics stack, one sample ring, one
 Krylov build at the family's largest rank and one reduced pass serve them
-all. With full N x N statistics (CDMA), every statistics stack of the pass
-(one per family, one per CGRRF) joins one statistics group, which forms
-each step's outer products ``u u^T`` once for all of them. RLS is the
+all), and with full N x N statistics (CDMA) every statistics stack of the
+pass (one per family, one per CGRRF) joins one statistics group, which
+forms each step's outer products ``u u^T`` once for all of them. RLS is the
 only filter outside that pass: it runs one trial after another, because
 its N x N inverse correlation for 100 trials at N = 200 would hold 32 MB.
 It reads each trial's chunk stream as well, checks a chunk once and steps
@@ -36,7 +37,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import __version__
-from .filters import CgrrfBatch, KrrApspBatch, KrrParams, NlmsBatch, Rls
+from .filters import CgrrfBatch, KrrApspBatch, KrrParams, NlmsBatch, Rls, lockstep_families
 from .linalg import check_int, stacked_dot
 from .scenarios import CdmaConfig, CdmaScenario, SysIdConfig, SysIdScenario, config_items
 
@@ -185,19 +186,9 @@ def _run_lockstep(config: ExperimentConfig, specs, scenarios, sums: dict) -> Non
     signatures = np.stack([sc.signature for sc in scenarios]) if config.kind == "cdma" else None
     filters = {spec.label: _make_batch(spec, n, mode, runs, signatures) for spec in specs}
     step = np.empty((len(METRICS), runs))  # one step's metrics of every trial
-    families = {}  # the one family of each key
-    for filt in filters.values():
-        if isinstance(filt, KrrApspBatch):
-            family = families.setdefault(filt.family.key, filt.family)
-            if family is not filt.family:
-                family.join(filt)
-    if mode == "fullsym":  # one statistics group: each step's u u^T is formed once
-        stacks = [family.stats for family in families.values()]
-        stacks += [filt.stats for filt in filters.values() if isinstance(filt, CgrrfBatch)]
-        for stack in stacks[1:]:
-            stacks[0].join(stack)
+    families = lockstep_families(list(filters.values()))
     for k, (u, d, truth, truth_sq) in enumerate(_lockstep_samples(scenarios, config.iters)):
-        outs = {member: out for family in families.values()
+        outs = {member: out for family in families
                 for member, out in zip(family.members, family.step(u, d))}
         for label, filt in filters.items():
             out = outs[filt] if filt in outs else filt.step(u, d)

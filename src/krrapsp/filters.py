@@ -20,6 +20,9 @@ does not depend on R. ``KrrApsp``, ``Cgrrf`` and ``Nlms`` are their
 one-trial views. KRR-APSP batches of one statistics mode, forgetting
 factor, refresh period and ``(q, r)`` can form a family (``_KrrFamily``):
 one statistics stack, sample ring, Krylov build and reduced pass for all.
+:func:`lockstep_families` is the one rule for which batches of a lockstep
+pass share state: it joins the families and, with full-symmetric
+statistics, one statistics group of every family's and CGRRF's stack.
 ``Rls`` has no batch: 100 inverse correlations at N = 200 hold 32 MB, and
 a stacked RLS step measured slower than the scalar one (142-159 against
 129 us per trial-step; one BLAS thread, 2-core x86-64). Its arithmetic is
@@ -285,13 +288,10 @@ class _KrrFamily:
 
         A trial with a zero cross-correlation estimate passes through (a
         first build) or keeps its bases (a refresh). Every trial's statistics
-        are checked before the first chunk is installed.
+        are checked (:meth:`_StatsStack.dense`) before the first chunk is
+        installed.
         """
         pos = np.flatnonzero(among & np.any(self.stats.p, axis=1))
-        r, p = self.stats.r, self.stats.p
-        if not (np.isfinite(r.reshape(len(r), -1)).all(axis=1)[pos].all()
-                and np.isfinite(p[pos]).all()):
-            raise ValueError("statistics estimates must be finite")
         for part, mats in self.stats.dense(pos, self.chunk):
             bases, ranks = krylov_basis_stack(mats, self.stats.p[part], self.h.shape[1])
             for m in self.members:
@@ -500,7 +500,9 @@ class CgrrfBatch(_Lockstep):
     trial's coefficients are replaced by ``rank`` CG iterations on its
     estimated normal equations from its initial vector (zero by default);
     a non-positive curvature ends a solve early, and a trial whose ``p . p``
-    and initial vector are zero does not solve. Without a ``forgetting``
+    and initial vector are zero does not solve. Non-finite statistics of a
+    trial that solves raise ``ValueError`` before any coefficients change,
+    as they do a KRR-APSP build. Without a ``forgetting``
     factor the statistics are plain sums over all data seen so far, the
     classical formulation of this filter.
 
@@ -596,6 +598,27 @@ class NlmsBatch(_Lockstep):
         self.steps += 1
         self.update_count += updated
         return StepOutput(y, updated, self.h, mults)
+
+
+def lockstep_families(batches) -> list:
+    """Join unstepped ``batches`` fed the same streams for one pass; returns the families.
+
+    KRR-APSP batches of one ``family.key`` join one family, in order, and
+    the families' and CGRRF batches' full-symmetric statistics join one
+    group. Neither changes a bit of any batch's output.
+    """
+    families = {}  # the one family of each key
+    for batch in batches:
+        if isinstance(batch, KrrApspBatch):
+            family = families.setdefault(batch.family.key, batch.family)
+            if family is not batch.family:
+                family.join(batch)
+    stacks = [family.stats for family in families.values()]
+    stacks += [batch.stats for batch in batches if isinstance(batch, CgrrfBatch)]
+    stacks = [stack for stack in stacks if stack.mode == "fullsym"]
+    for stack in stacks[1:]:
+        stacks[0].join(stack)
+    return list(families.values())
 
 
 def _one_row(x):

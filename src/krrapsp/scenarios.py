@@ -119,20 +119,14 @@ def config_items(cfg) -> dict:
     return out
 
 
-# samples and serialize are written once and bound in each scenario class's
-# own body, where the benchmark's layer trace finds them
+# samples is written once and bound in each scenario class's own body,
+# where the benchmark's layer trace finds it
 def _samples(self, count: int) -> Iterator[StreamSample]:
     """The steps of :meth:`chunks` one at a time, each with its own ``u`` (CDMA: bit ``d``)."""
     for chunk in self.chunks(count):
         for t, d in enumerate(chunk.d.tolist()):
             yield StreamSample(k=chunk.start + t, u=chunk.u[t].copy(), d=d, truth_h=chunk.truth,
                                truth_bit=None if chunk.truth is not None else int(d))
-
-
-def _serialize(self) -> dict:
-    # the config's fields, the kind, the class's constants, the noise level
-    return {**config_items(self.config), "kind": self.kind, **self.constants,
-            "noise_std": f"{self.noise_std:.12g}"}
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +183,6 @@ class SysIdScenario:
     (the input stream starts ``n - 1`` samples early).
     """
 
-    kind = "sysid"
     constants = {"rng": "pcg64-seedsequence"}  # provenance, the same for every config
 
     def __init__(self, config: SysIdConfig):
@@ -283,7 +276,7 @@ class SysIdScenario:
                 d = stacked_dot(np.ascontiguousarray(windows[:b - a]), truth) + noise[a:b]
                 yield StreamChunk(start + a, windows[:b - a], d, truth)
 
-    samples, serialize = _samples, _serialize
+    samples = _samples
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +407,6 @@ class CdmaScenario:
     in the window); the training output is the desired user's bit.
     """
 
-    kind = "cdma"
     constants = {"rng": "pcg64-seedsequence", "asynchrony": "chip-offset-partial-symbols"}
     n = GOLD_LENGTH
 
@@ -510,4 +502,4 @@ class CdmaScenario:
             yield StreamChunk(start, u, d)
             start += m
 
-    samples, serialize = _samples, _serialize
+    samples = _samples

@@ -420,8 +420,7 @@ def _error_bound_instance(ring, error_dim: int, h: np.ndarray, rho: float,
 
 def _static_run(*, n: int, rank: int, projections: int, iters: int, warmup: int = 200,
                 error_dim: int = 1, rho: float = 0.05, step_size: float = 1.0,
-                snr_db: float = 15.0, noiseless: bool = False, subspace_target: bool = False,
-                seed: int = 0):
+                snr_db: float = 15.0, subspace_target: bool = False, seed: int = 0):
     """:func:`static_rapsm_run` as steps ``(h, sets, h_next, theta)``, ``sets`` of an instance."""
     for value, name in ((iters, "iters"), (projections, "projections"), (error_dim, "error_dim")):
         check_int(value, name)
@@ -431,7 +430,7 @@ def _static_run(*, n: int, rank: int, projections: int, iters: int, warmup: int 
         raise ValueError(f"rho must be nonnegative and step_size in [0, 2], got {rho}, {step_size}")
     from .scenarios import SysIdConfig, SysIdScenario
 
-    scen = SysIdScenario(SysIdConfig(n=n, snr_db=math.inf if noiseless else snr_db, seed=seed))
+    scen = SysIdScenario(SysIdConfig(n=n, snr_db=snr_db, seed=seed))
     # (steps, N) regressors and (steps,) outputs; a chunk's u is overwritten by the next
     us, ds = map(np.concatenate, zip(*((c.u.copy(), c.d) for c in scen.chunks(warmup + iters))))
     est = CorrelationEstimator("toeplitz", n, 0.999)
@@ -735,7 +734,7 @@ def _monotone_approximation(rng, seed):
 def _asymptotic_surrogate(rng, seed):
     """Asymptotic surrogate on a consistent (noiseless) stationary run, relative to its start."""
     thetas = [theta for *_, theta in _static_run(n=12, rank=3, projections=3, iters=500,
-                                                 rho=1e-4, step_size=1.0, noiseless=True,
+                                                 rho=1e-4, step_size=1.0, snr_db=math.inf,
                                                  subspace_target=True, seed=seed + 11)]
     initial = next((t for t in thetas if t > 0.0), 0.0)
     return _Outcome(_worst(thetas[-max(1, len(thetas) // 10):], min), scale=initial)

@@ -2,9 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete. Criteria 7 and 10 share one Monte-Carlo sweep
-(module fixture); criterion 9b runs its own lockstep loop, which one more
-test ties to the harness. The wall-clock cost of the whole module is a
-few minutes, dominated by that sweep.
+(module fixture); criterion 9b runs the harness's lockstep pass over
+scenarios whose desired path flips at the change. The wall-clock cost of
+the whole module is a few minutes, dominated by that sweep.
 """
 
 import time
@@ -28,14 +28,16 @@ from krrapsp import (
 )
 from krrapsp import complexity as cx
 from krrapsp.experiments import (
+    METRICS,
     ExperimentConfig,
     FilterSpec,
+    _run_lockstep,
     mean_update_rate,
     run_experiment,
     steady_state_db,
     trial_seeds,
 )
-from krrapsp.filters import CgrrfBatch, KrrApspBatch, _basis_build_charge
+from krrapsp.filters import _basis_build_charge
 from krrapsp.linalg import BasisMatrix, krylov_basis, project_subspace
 from krrapsp.verify import (
     PhiMap,
@@ -482,8 +484,8 @@ def test_criterion_9a_cdma_static():
 # sending p to -p: the CDMA counterpart of the sysid "negate" change that
 # criterion 8 uses. The flip negates the training symbol; the desired bit
 # enters u and d symmetrically, so this has the same distribution as
-# negating the desired amplitude. run_experiment cannot express the flip,
-# so the trials run in cdma_dynamic_trials, which mirrors the harness.
+# negating the desired amplitude. CdmaScenario has no flip, so the trials
+# are FlippedCdmaScenario streams, run through the harness's lockstep pass.
 
 CDMA_DYNAMIC = CdmaConfig(users=4, snr_db=10.0, interferer_amplitude=2.0,
                           change_at=1000, users_post=2, seed=0)
@@ -494,55 +496,44 @@ CDMA_DYNAMIC_CGRRF = {"rank": 5, "refresh_period": 10}
 CDMA_DYNAMIC_SEED = 91
 
 
-def cdma_dynamic_trials(scenario, runs, iters, seed, flip_at=None):
-    """Run KRR-APSP and CGRRF over a CDMA scenario, all trials in lockstep.
+class FlippedCdmaScenario(CdmaScenario):
+    """A CDMA scenario whose desired path flips polarity at ``change_at``.
 
-    The trials are built as ``run_experiment`` builds them for CDMA: seeds
-    from ``trial_seeds``, ``fullsym`` statistics, both filters started from
-    the desired signature, one batch per filter fed from every trial's
-    stream at once. From bit ``flip_at`` on (never when ``None``) the
-    training symbols fed to the filters are negated. Returns the per-bit
-    ensemble MSE of each filter, summed in trial order as the harness does,
-    and the Wiener MSE after ``scenario.change_at``: the least-squares
-    residual of each trial's post-change samples, averaged over trials.
+    Every chunk that starts at or after ``change_at`` has its training
+    symbols negated. A chunk ends at ``change_at``, so none straddles the
+    flip.
     """
-    scens = [CdmaScenario(replace(scenario, seed=int(s))) for s in trial_seeds(seed, runs)]
-    n = scens[0].n
-    signatures = np.stack([scen.signature for scen in scens])
-    filters = {
-        "krr-q5": KrrApspBatch(CDMA_DYNAMIC_KRR, n, runs, mode="fullsym", h0=signatures),
-        "cgrrf": CgrrfBatch(n, runs, mode="fullsym", init_vector=signatures,
-                            **CDMA_DYNAMIC_CGRRF)}
-    se = {label: np.zeros(iters) for label in filters}
-    change = scenario.change_at
-    post_u = np.empty((runs, iters - change, n))
-    post_d = np.empty((runs, iters - change))
-    streams = [scen.samples(iters) for scen in scens]
-    u, d = np.empty((runs, n)), np.empty(runs)
-    for k in range(iters):
-        for i, stream in enumerate(streams):
-            s = next(stream)
-            u[i] = s.u
-            d[i] = -s.d if flip_at is not None and k >= flip_at else s.d
-        for label, filt in filters.items():
-            err = d - filt.step(u, d).y
-            se[label][k] = np.add.accumulate(err * err)[-1]
-        if k >= change:
-            post_u[:, k - change] = u
-            post_d[:, k - change] = d
-    wiener = 0.0
-    for u_mat, d_vec in zip(post_u, post_d):
-        p_vec = u_mat.T @ d_vec
-        residual = d_vec @ d_vec - p_vec @ np.linalg.solve(u_mat.T @ u_mat, p_vec)
-        wiener += float(residual) / len(d_vec)
-    return {label: acc / runs for label, acc in se.items()}, wiener / runs
+
+    def chunks(self, count, buffer=None):
+        for chunk in super().chunks(count, buffer):
+            yield chunk._replace(d=-chunk.d) if chunk.start >= self.config.change_at else chunk
+
+
+def post_change_wiener_mse(scenario, iters):
+    """The least-squares residual per sample of the scenario's samples after ``change_at``."""
+    post = [(c.u.copy(), c.d) for c in scenario.chunks(iters)  # u: the next chunk overwrites it
+            if c.start >= scenario.config.change_at]
+    u_mat, d_vec = (np.concatenate(x) for x in zip(*post))
+    p_vec = u_mat.T @ d_vec
+    residual = d_vec @ d_vec - p_vec @ np.linalg.solve(u_mat.T @ u_mat, p_vec)
+    return float(residual) / len(d_vec)
 
 
 def test_criterion_9b_cdma_dynamic():
     t0 = time.time()
-    mse, wiener = cdma_dynamic_trials(CDMA_DYNAMIC, runs=100, iters=2000,
-                                      seed=CDMA_DYNAMIC_SEED,
-                                      flip_at=CDMA_DYNAMIC.change_at)
+    config = ExperimentConfig(
+        kind="cdma", scenario=CDMA_DYNAMIC,
+        filters=(FilterSpec("krr-apsp", label="krr-q5",
+                            options={"params": CDMA_DYNAMIC_KRR}),
+                 FilterSpec("cgrrf", options=CDMA_DYNAMIC_CGRRF)),
+        runs=100, iters=2000, seed=CDMA_DYNAMIC_SEED)
+    scenarios = [FlippedCdmaScenario(replace(CDMA_DYNAMIC, seed=int(s)))
+                 for s in trial_seeds(config.seed, config.runs)]
+    sums = {spec.label: np.zeros((len(METRICS), config.iters)) for spec in config.filters}
+    _run_lockstep(config, config.filters, scenarios, sums)
+    mse = {label: acc[0] / config.runs for label, acc in sums.items()}
+    # the Wiener MSE of the new environment: each trial's, averaged over trials
+    wiener = sum(post_change_wiener_mse(sc, config.iters) for sc in scenarios) / config.runs
     krr = float(10.0 * np.log10(np.mean(mse["krr-q5"][1800:2000])))
     cg = float(10.0 * np.log10(np.mean(mse["cgrrf"][1800:2000])))
     wiener_db = float(10.0 * np.log10(wiener))
@@ -558,21 +549,3 @@ def test_criterion_9b_cdma_dynamic():
                     f"only {headroom:.2f} dB above the Wiener MSE, so no "
                     f"linear filter can be 2 dB better")
     assert report(9, advantage >= 2.0, detail)
-
-
-def test_criterion_9b_loop_matches_harness():
-    # without the flip, the trial loop of criterion 9b must give the
-    # harness's trace; the change sits inside the short run so that the
-    # interferer swap is covered too
-    scenario = replace(CDMA_DYNAMIC, change_at=150)
-    mse, _ = cdma_dynamic_trials(scenario, runs=3, iters=300,
-                                 seed=CDMA_DYNAMIC_SEED)
-    recs = run_experiment(ExperimentConfig(
-        kind="cdma", scenario=scenario,
-        filters=(FilterSpec("krr-apsp", label="krr-q5",
-                            options={"params": CDMA_DYNAMIC_KRR}),
-                 FilterSpec("cgrrf", options=CDMA_DYNAMIC_CGRRF)),
-        runs=3, iters=300, seed=CDMA_DYNAMIC_SEED))
-    worst = max(abs(10.0 * np.log10(mse[r.algorithm][r.k]) - r.mse_db)
-                for r in recs)
-    assert len(recs) == 600 and worst <= 1e-9, worst

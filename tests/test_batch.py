@@ -12,7 +12,8 @@ import krrapsp
 import krrapsp.linalg
 import oracles
 from krrapsp import HalfSpace, KrrParams, project_half_space
-from krrapsp.filters import CgrrfBatch, KrrApspBatch, NlmsBatch, _basis_build_charge
+from krrapsp.filters import (CgrrfBatch, KrrApspBatch, NlmsBatch, _basis_build_charge,
+                              lockstep_families)
 from krrapsp.linalg import SymMatrix, cg_solve_stack, krylov_basis_stack
 
 from conftest import random_spd
@@ -333,16 +334,6 @@ def test_reduced_step_equals_the_set_loop_bit_for_bit(setup):
     fused_against_set_loop(*setup)
 
 
-def key_families(batches) -> list:
-    """Join ``batches`` into one family per key; returns the families."""
-    families = {}
-    for batch in batches:
-        family = families.setdefault(batch.family.key, batch.family)
-        if family is not batch.family:
-            family.join(batch)
-    return list(families.values())
-
-
 def families_step(families, u, d) -> dict:
     """Step every family on one sample; returns each member's output."""
     return {m: out for family in families for m, out in zip(family.members, family.step(u, d))}
@@ -353,7 +344,7 @@ def fused_against_set_loop(specs, streams, mode, h0=None):
     n, runs = len(streams[0][0][0]), len(streams)
     fused, loop = ([kind(p, n, runs, mode=mode, h0=h0) for p in specs]
                    for kind in (KrrApspBatch, SetLoopKrrApspBatch))
-    families = [key_families(fused), key_families(loop)]
+    families = [lockstep_families(fused), lockstep_families(loop)]
     for k in range(len(streams[0])):
         u = np.stack([s[k][0] for s in streams])
         d = np.array([s[k][1] for s in streams])
@@ -520,13 +511,13 @@ FAMILY = (
 
 
 def family_against_alone(specs, streams, mode, h0=None):
-    """Step the batches of ``specs`` as one family per key and each alone; assert they agree.
+    """Step the batches of ``specs`` as one pass's families and each alone; assert they agree.
 
     Returns the families' members, in the order of ``specs``.
     """
     n, runs = len(streams[0][0][0]), len(streams)
     members = [KrrApspBatch(p, n, runs, mode=mode, h0=h0) for p in specs]
-    families = key_families(members)
+    families = lockstep_families(members)
     alone = [KrrApspBatch(p, n, runs, mode=mode, h0=h0) for p in specs]
     for k in range(len(streams[0])):
         u = np.stack([s[k][0] for s in streams])
@@ -656,8 +647,7 @@ def test_build_chunk_changes_no_output(monkeypatch):
     for chunk in (13, None):
         members = [KrrApspBatch(KrrParams(rank=d, rho=0.15, step_size=0.03), n, runs)
                    for d in (3, 5, 8)]
-        for batch in members[1:]:
-            members[0].family.join(batch)
+        lockstep_families(members)
         if chunk is not None:
             monkeypatch.setattr(members[0].family, "chunk", chunk)
         calls.append(0)
@@ -692,6 +682,23 @@ def test_non_finite_statistics_install_no_basis():
         batch.step(rng.standard_normal((runs, n)), rng.standard_normal(runs))
     for name in names:
         assert getattr(batch, name).tobytes() == before[name].tobytes(), name
+
+
+def test_non_finite_statistics_solve_nothing():
+    # trial 60 lies in the fifth 13-trial chunk of the first solve: the solve
+    # must raise before the first chunk's coefficients are written
+    runs, n = 100, 50
+    rng = np.random.default_rng(12)
+    batch = CgrrfBatch(n, runs, rank=3)
+    assert batch.stats.chunk == 13
+    for _ in range(n - 1):
+        batch.step(rng.standard_normal((runs, n)), rng.standard_normal(runs))
+    before = {name: getattr(batch, name).copy() for name in ("h", "solved")}
+    batch.stats.r[60, 0] = np.inf
+    with pytest.raises(ValueError, match="statistics estimates must be finite"):
+        batch.step(rng.standard_normal((runs, n)), rng.standard_normal(runs))
+    for name, value in before.items():
+        assert getattr(batch, name).tobytes() == value.tobytes(), name
 
 
 def test_full_matrix_statistics_match_the_row_loop():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import krrapsp
+import krrapsp.cli
 from krrapsp import CdmaConfig, CdmaScenario, KrrParams, Rls, SysIdConfig, SysIdScenario
 from krrapsp.estimation import _StatsStack
 from krrapsp.filters import CgrrfBatch, NlmsBatch, _KrrFamily
@@ -559,7 +562,14 @@ def test_runtime_imports_numpy_only():
 
 class TestCli:
     def run_cli(self, *args):
-        return run_python("-m", "krrapsp.cli", *args)
+        """``krrapsp.cli.main`` in this process: its exit code and what it wrote."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = krrapsp.cli.main(list(args))
+            except SystemExit as exc:  # argparse rejects a command line
+                code = exc.code
+        return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
     def test_sysid_writes_csv(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -595,7 +605,8 @@ class TestCli:
         assert to_stdout.stdout == out.read_text()
 
     def test_config_error_exit_code(self):
-        proc = self.run_cli("cdma", "--users", "99")
+        # in a process of its own: `python -m krrapsp.cli` exits with main's code
+        proc = run_python("-m", "krrapsp.cli", "cdma", "--users", "99")
         assert proc.returncode == 2
         assert "error" in proc.stderr.lower()
 
@@ -634,6 +645,16 @@ class TestCli:
         proc = self.run_cli(*command, "--change-at", "-5", "--runs", "1", "--iters", "5")
         assert proc.returncode == 2, proc.stderr
         assert "change_at" in proc.stderr
+
+    def test_change_mode_without_change_exit_code(self):
+        # it would run with no change, yet the header would record change_mode
+        proc = self.run_cli("sysid", "--change-mode", "fresh", "--runs", "1", "--iters", "5")
+        assert proc.returncode == 2, proc.stderr
+        assert "--change-mode needs --change-at" in proc.stderr
+        assert proc.stdout == ""
+        # without the flag a run records the default mode
+        proc = self.run_cli("sysid", "--N", "5", "--D", "2", "--runs", "1", "--iters", "3")
+        assert "# scenario.change_mode=negate\n" in proc.stdout, proc.stderr
 
     def test_users_post_without_change_exit_code(self):
         # it would run with no change, yet the header would record users_post

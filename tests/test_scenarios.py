@@ -294,13 +294,6 @@ class TestSysIdScenario:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             SysIdConfig(**kwargs)
 
-    def test_serialize_metadata(self):
-        meta = SysIdScenario(SysIdConfig(n=8, snr_db=10.0, change_at=5, seed=2)).serialize()
-        assert list(meta.items()) == [
-            ("n", "8"), ("snr_db", "10.0"), ("fir_len", "30"), ("change_at", "5"),
-            ("change_mode", "negate"), ("seed", "2"), ("kind", "sysid"),
-            ("rng", "pcg64-seedsequence"), ("noise_std", "0.230592951884")]
-
 
 class TestCdmaScenario:
     def test_user_count_bounds(self):
@@ -376,17 +369,6 @@ class TestCdmaScenario:
         agree = sum(int(np.sign(scen.signature @ s.u)) == s.truth_bit
                     for s in samples)
         assert agree >= 60
-
-    def test_serialize_metadata(self):
-        scen = CdmaScenario(CdmaConfig(users=4, change_at=10, users_post=2, seed=1))
-        meta = scen.serialize()
-        assert meta["kind"] == "cdma"
-        assert meta["asynchrony"] == "chip-offset-partial-symbols"
-        assert meta["rng"] == "pcg64-seedsequence"
-        assert list(meta) == ["users", "snr_db", "interferer_amplitude", "change_at",
-                              "users_post", "seed", "kind", "rng", "asynchrony",
-                              "noise_std"]
-        assert meta["noise_std"] == "0.177827941004"
 
     @pytest.mark.parametrize("count", COUNTS)
     def test_chunked_stream_matches_oracle(self, count):

@@ -392,11 +392,11 @@ def same_point(got, want):
 STATIC_RUNS = [
     *(dict(n=16, rank=4, projections=3, iters=150, rho=0.05, step_size=0.6, seed=seed)
       for seed in (0, 7, 13)),
-    dict(n=12, rank=3, projections=3, iters=300, rho=1e-4, noiseless=True,
+    dict(n=12, rank=3, projections=3, iters=300, rho=1e-4, snr_db=math.inf,
          subspace_target=True, seed=11),
     *(dict(n=10, rank=3, projections=3, iters=100, error_dim=2, rho=0.05, step_size=0.8,
            seed=seed) for seed in (2, 9)),
-    dict(n=12, rank=3, projections=2, iters=150, error_dim=2, rho=1e-4, noiseless=True,
+    dict(n=12, rank=3, projections=2, iters=150, error_dim=2, rho=1e-4, snr_db=math.inf,
          subspace_target=True, seed=5),
 ]
 
