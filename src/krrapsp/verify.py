@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -295,44 +297,194 @@ def _rapsm_step(v, gs, geometry, weights, phi: PhiMap, step_size: float) -> np.n
     return apply_phi(phi, v + step_size * relax * f_dir)
 
 
-def find_feasible_point(half_spaces, basis: BasisMatrix, start=None,
-                        max_iter: int = 5000) -> np.ndarray | None:
+# Cyclic passes before the exact solve (a call that certifies within them keeps the
+# cyclic point), and after it, when rounding leaves the exact point outside a set or
+# neither a point nor a proof of emptiness is found.
+_PASSES = 2
+_FALLBACK_PASSES = 5000
+
+
+class EmptyIntersection(NamedTuple):
+    """A Farkas certificate that half-spaces share no point of a basis range.
+
+    ``multipliers[j] >= 0`` for half-space ``j``, with ``sum_j m_j S^T s_j``
+    zero up to rounding and ``sum_j m_j b_j < 0``, where ``s_j`` is the normal
+    and ``b_j = <anchor_j, s_j> - offset_j`` bounds ``<s_j, x>`` on the set.
+    """
+
+    multipliers: tuple
+
+
+def find_feasible_point(half_spaces, basis: BasisMatrix, start=None):
     """Point in the intersection of the half-spaces and the basis range.
 
-    Cyclic projections in reduced coordinates with a small inward margin;
-    a point whose constraint values are all ``<= 0`` exactly, or ``None``
-    at the iteration cap (a certification failure, not a proof of emptiness).
+    In reduced coordinates ``z`` (``x = S z``) set ``j`` is ``nr_j . z <= b_j``,
+    ``nr_j = S^T s_j``. The start (zero by default) is returned when it
+    satisfies every set. Else come ``_PASSES`` cyclic projections onto the
+    sets tightened by a small inward margin, then the exact projection of the
+    start onto the tightened sets: the active sets are tried by increasing
+    size, each a triangular solve of at most q x q (``2^q - 1`` at most for q
+    sets), until one has nonnegative multipliers and keeps every set. Returns:
+
+    * a point whose constraint values ``nr_j . z - b_j`` are all ``<= 0``
+      exactly, as this check computes them;
+    * an :class:`EmptyIntersection` whose certificate this check has verified:
+      the intersection is empty;
+    * ``None`` (unknown) when neither is found and ``_FALLBACK_PASSES`` cyclic
+      passes do not certify a point either.
+
+    Raises if a half-space or the start is not of the basis dimension.
     """
+    half_spaces = tuple(half_spaces)
+    if any(hs.n != basis.n for hs in half_spaces):
+        raise ValueError("half-space dimension mismatch")
     s = basis.matrix
-    reduced = []  # set by set: stacking three sets' products costs more than it saves
-    for hs in half_spaces:
+    z = s.T @ as_vector(start, basis.n) if start is not None else np.zeros(basis.rank)
+    multipliers = [0.0] * len(half_spaces)
+    reduced, kept = [], []  # set by set: stacking three sets' products costs more than it saves
+    for j, hs in enumerate(half_spaces):
         nr = s.T @ hs.normal
         bound = float(hs.anchor @ hs.normal) - hs.offset
         nn = float(nr @ nr)
         if nn == 0.0:
-            if bound < 0.0:
-                return None  # constraint excludes the whole subspace
+            if bound < 0.0:  # the set excludes the whole range
+                multipliers[j] = 1.0
+                return EmptyIntersection(tuple(multipliers))
             continue
         reduced.append((nr, bound, nn, bound - 1e-9 * (1.0 + abs(bound) + math.sqrt(nn))))
-    z = s.T @ as_vector(start, basis.n) if start is not None else np.zeros(basis.rank)
-    for _ in range(max(max_iter, 0) + 1):  # the last pass only checks
+        kept.append(j)
+    found = _cyclic(reduced, z, _PASSES)
+    if found is None:
+        exact = _projection(reduced, z)
+        if isinstance(exact, list):  # a certificate over the kept sets
+            for j, m in zip(kept, exact):
+                multipliers[j] = m
+            return EmptyIntersection(tuple(multipliers))
+        found = _cyclic(reduced, z if exact is None else exact, _FALLBACK_PASSES)
+    return None if found is None else s @ found
+
+
+def _cyclic(reduced, z: np.ndarray, passes: int) -> np.ndarray | None:
+    """``z`` after cyclic projections onto the tightened sets, at the first check that
+    every set holds (``nr . z <= bound``, one BLAS product each), or ``None`` when the
+    check after ``passes`` passes fails."""
+    while True:
         products = []  # nr . z up to the first unsatisfied set, kept until z moves
         for nr, bound, _, _ in reduced:
             products.append(float(nr @ z))
             if not products[-1] <= bound:
                 break
         else:
-            return s @ z
+            return z
+        if passes == 0:
+            return None
+        passes -= 1
         for nr, _, nn, inner in reduced:
             g = (products.pop(0) if products else float(nr @ z)) - inner
             if g > 0.0:
                 z = z - (g / nn) * nr
                 products.clear()
+
+
+def _dot(a: list, b: list) -> float:
+    return sum(map(mul, a, b))
+
+
+def _extend(qs: list, row: list):
+    """Modified Gram-Schmidt of ``row`` against the orthonormal ``qs``: ``(q, col)`` with
+    ``row = sum_i col[i] qs[i] + col[-1] q``, and ``q`` ``None`` when ``col[-1]``, the part
+    off their span, is at most ``TOL.cancellation`` of the row's norm."""
+    v, col = row, []
+    for q in qs:
+        col.append(_dot(q, v))
+        v = [x - col[-1] * y for x, y in zip(v, q)]
+    col.append(math.sqrt(_dot(v, v)))
+    if not col[-1] > TOL.cancellation * math.sqrt(_dot(row, row)):
+        return None, col
+    return [x / col[-1] for x in v], col
+
+
+def _back(r: list, rhs: list) -> list:
+    """``x`` with ``sum_{i >= j} r[i][j] x_i = rhs_j``: the upper triangle of columns ``r``."""
+    x = [0.0] * len(rhs)
+    for j in reversed(range(len(rhs))):
+        x[j] = (rhs[j] - sum(r[i][j] * x[i] for i in range(j + 1, len(rhs)))) / r[j][j]
+    return x
+
+
+def _forward(r: list, rhs: list) -> list:
+    """``w`` with ``sum_{i <= j} r[j][i] w_i = rhs_j``: the lower triangle ``R^T``."""
+    w = []
+    for col, value in zip(r, rhs):
+        w.append((value - _dot(col, w)) / col[-1])
+    return w
+
+
+def _shift(point: list, qs: list, w: list) -> list:
+    for c, q in zip(w, qs):
+        point = [x - c * y for x, y in zip(point, q)]
+    return point
+
+
+def _projection(reduced, z: np.ndarray):
+    """The projection of ``z`` onto the tightened sets ``nr_j . x <= inner_j``: the point of
+    the first active set (fewest sets first) with independent normals, multipliers ``>= 0``
+    and every set within half the margin. With ``N_A^T = Q R`` (each set's factors extend
+    those of the set without its last member) the point is ``z - Q w``,
+    ``R^T w = N_A z - inner_A``, refined once from its own set values, and the multipliers
+    solve ``R mu = w``, so no step squares the normals' condition. Else the multipliers,
+    one per set, of a Farkas certificate that passes :func:`_certified_empty`; else
+    ``None``. Plain floats: the caller checks the point."""
+    rows = [nr.tolist() for nr, *_ in reduced]
+    inner = [tight for *_, tight in reduced]
+    room = [0.5 * (bound - tight) for _, bound, _, tight in reduced]
+    start = z.tolist()
+    excess = [_dot(row, start) - c for row, c in zip(rows, inner)]
+    factors = {(): ([], [])}  # (Q, R) of the active sets with independent normals
+    circuits = []  # active sets independent but for the last normal, with R
+    sets = range(len(rows))
+    for size in sets:
+        for active in combinations(sets, size + 1):
+            if active[:-1] not in factors:
+                continue
+            qs, r = factors[active[:-1]]
+            q, col = _extend(qs, rows[active[-1]])
+            if q is None:
+                circuits.append((active, r + [col]))
+                continue
+            qs, r = factors[active] = qs + [q], r + [col]
+            w = _forward(r, [excess[i] for i in active])
+            if min(_back(r, w)) < 0.0:
+                continue
+            point = _shift(start, qs, w)
+            point = _shift(point, qs, _forward(r, [_dot(rows[i], point) - inner[i]
+                                                   for i in active]))
+            if all(_dot(row, point) - c <= slack for row, c, slack in zip(rows, inner, room)):
+                return np.array(point)
+    # a minimal empty subsystem has normals with a one-dimensional, positive null space:
+    # the last multiplier one, the others solve R lam = -(the last normal's column)
+    for active, r in circuits:
+        lam = _back(r, [-c for c in r[-1][:-1]])
+        if not min(lam, default=0.0) > 0.0:
+            continue
+        multipliers = [0.0] * len(rows)
+        for m, i in zip(lam + [1.0], active):
+            multipliers[i] = m
+        if _certified_empty(reduced, multipliers):
+            return multipliers
     return None
 
 
-@dataclass(frozen=True)
-class ProbeStep:
+def _certified_empty(reduced, multipliers: list) -> bool:
+    """Whether ``m >= 0`` has ``||sum_j m_j nr_j|| <= TOL.cancellation sum_j m_j ||nr_j||``
+    (normals that cancel) and ``sum_j m_j bound_j < 0`` (bounds that cannot all hold)."""
+    combo = sum(m * nr for m, (nr, *_) in zip(multipliers, reduced))
+    size = sum(m * math.sqrt(nn) for m, (_, _, nn, _) in zip(multipliers, reduced))
+    return (min(multipliers) >= 0.0 and _norm(combo) <= TOL.cancellation * size
+            and sum(m * bound for m, (_, bound, *_) in zip(multipliers, reduced)) < 0.0)
+
+
+class ProbeStep(NamedTuple):
     """One recorded step of a trajectory for the monotone probe."""
 
     h: np.ndarray
@@ -341,13 +493,15 @@ class ProbeStep:
     basis_next: BasisMatrix
 
 
-@dataclass
-class MonotoneReport:
-    """Per-trajectory monotone-approximation summary."""
+class MonotoneReport(NamedTuple):
+    """Per-trajectory monotone-approximation summary: of ``total`` steps, ``certified``
+    have an oracle point, ``empty`` a proof that their sets share no point of the range,
+    and ``unchecked`` neither (the basis moved, or the oracle found neither)."""
 
     total: int
     certified: int
     unchecked: int
+    empty: int
     violations: list
     max_overshoot: float
 
@@ -364,25 +518,35 @@ def monotone_probe(steps, slack: float | None = None) -> MonotoneReport:
     """Check distance non-increase toward certified feasible points.
 
     A step is certified when the basis did not move (the map then fixes the
-    whole range) and the oracle finds a point of all its half-spaces in the
-    range. Other steps count as unchecked, not as failures. ``slack`` is not NaN.
+    whole range) and :func:`find_feasible_point` returns a point of all its
+    half-spaces in the range, from the step's anchor; the step then must not
+    move farther from that point than ``slack`` (not NaN). A step whose sets
+    are proven to share no point counts as empty, and one with a moved basis
+    or no oracle answer as unchecked; neither is a failure, and neither is
+    certified. Per step the oracle makes at most ``2^q - 1`` triangular solves
+    of at most q x q, for q half-spaces, after at most ``_PASSES`` cyclic
+    passes.
     """
     slack = TOL.monotone_slack if slack is None else slack
     if math.isnan(slack):
         raise ValueError("slack must not be NaN")
-    unchecked, violations, overs = 0, [], [0.0]
+    unchecked, empty, violations, overs = 0, 0, [], [0.0]
     for idx, st in enumerate(steps):
         inst = st.instance
         omega = (find_feasible_point(inst.half_spaces, inst.basis, start=inst.anchor)
                  if st.basis_next is inst.basis
                  or np.array_equal(inst.basis.matrix, st.basis_next.matrix) else None)
+        if isinstance(omega, EmptyIntersection):
+            empty += 1
+            continue
         if omega is None:
             unchecked += 1
             continue
         overs.append(_norm(st.h_next - omega) - _norm(st.h - omega))
         if overs[-1] > slack:
             violations.append((idx, overs[-1]))
-    return MonotoneReport(len(steps), len(steps) - unchecked, unchecked, violations, _worst(overs))
+    return MonotoneReport(len(steps), len(steps) - unchecked - empty, unchecked, empty,
+                          violations, _worst(overs))
 
 
 def _error_bound_sets(u, d, windows, anchor: np.ndarray, rho: float, basis: BasisMatrix):
@@ -691,7 +855,7 @@ def _theta_feasible_zero(rng, seed):
     """The objective vanishes at an oracle-found feasible point (0 without one)."""
     inst = _random_instance(rng)
     omega = find_feasible_point(inst.half_spaces, inst.basis, start=inst.anchor)
-    return 0.0 if omega is None else _worst((0.0, theta_value(inst, omega)))
+    return _worst((0.0, theta_value(inst, omega))) if isinstance(omega, np.ndarray) else 0.0
 
 
 def _update_equivalence(rng, seed, rho: float = 0.05, step_size: float = 0.8):
@@ -727,8 +891,9 @@ def _monotone_approximation(rng, seed):
     steps, _ = static_rapsm_run(n=16, rank=4, projections=3, iters=150,
                                 rho=0.05, step_size=0.6, seed=seed + 7)
     rep = monotone_probe(steps)
+    empty = f", {rep.empty} empty" if rep.empty else ""
     return _Outcome(rep.max_overshoot, gate=rep.passed and rep.certified_fraction >= 0.95,
-                    detail=f"certified {rep.certified}/{rep.total}")
+                    detail=f"certified {rep.certified}/{rep.total}{empty}")
 
 
 def _asymptotic_surrogate(rng, seed):

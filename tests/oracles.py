@@ -20,14 +20,17 @@ arithmetic and not against its own core. ``frozen_error_bound_half_spaces``
 and ``frozen_find_feasible_point`` are ``verify``'s static-run half-space
 build (public ``HalfSpace``s, one validated anchor copy each) and
 feasibility oracle (every reduced product recomputed) as they were before
-the build shared one anchor per step. The ``frozen_`` functions after them
-are ``verify``'s per-item loops (one numpy call per random trial, fixed
-vector, rank or half-space) as they were before each became one stacked
-call.
+the build shared one anchor per step; the frozen oracle is the cyclic path
+that the exact oracle keeps within its pass budget, and
+``brute_force_projection`` the exact answer it must agree with elsewhere.
+The ``frozen_`` functions after them are ``verify``'s per-item loops (one
+numpy call per random trial, fixed vector, rank or half-space) as they were
+before each became one stacked call.
 """
 
 import math
 from collections import deque
+from itertools import combinations
 
 import numpy as np
 
@@ -1162,6 +1165,36 @@ class FrozenRls:
         self._pinv -= np.dot(gain[:, None], pi[None, :], out=self._outer)
         self._pinv /= self.forgetting
         return StepOutput(y, True, self.h.copy(), 3 * self.n * self.n + 4 * self.n)
+
+
+def brute_force_projection(normals, bounds, start, tol: float = 1e-12):
+    """The Euclidean projection of ``start`` onto ``{z : normals @ z <= bounds}``, or
+    ``None`` when no point qualifies (the set is empty).
+
+    The projection lies in the relative interior of a face, where the sets ``A``
+    active there hold with equality, and it is the projection of ``start`` onto
+    the affine set ``{z : N_A z = b_A}``. So it is the nearest of those
+    projections, over every subset ``A`` (the empty one included), that satisfy
+    every set within ``tol`` times the set's scale. Each is a least-squares
+    solve (``lstsq``, singular values below ``1e-10`` of the largest dropped),
+    so nearly dependent normals count as dependent.
+    """
+    normals, bounds = np.asarray(normals, dtype=float), np.asarray(bounds, dtype=float)
+    start = np.asarray(start, dtype=float)
+    sizes = np.sqrt(np.sum(normals ** 2, axis=1))
+    best, best_dist = None, math.inf
+    for count in range(len(bounds) + 1):
+        for active in combinations(range(len(bounds)), count):
+            point = start
+            if active:
+                rows = normals[list(active)]
+                shift = np.linalg.lstsq(rows, rows @ start - bounds[list(active)], rcond=1e-10)[0]
+                point = start - shift
+            scale = 1.0 + np.abs(bounds) + sizes * np.sqrt(np.sum(point ** 2))
+            dist = float(np.sqrt(np.sum((point - start) ** 2)))
+            if np.all(normals @ point - bounds <= tol * scale) and dist < best_dist:
+                best, best_dist = point, dist
+    return best
 
 
 # verify._error_bound_half_spaces and verify.find_feasible_point as the library

@@ -66,7 +66,14 @@ each kernel and every layout the code passes:
   product is not asserted: numpy makes it with gemv, which adds in another
   order, and differed from the accumulation in 43 265 of 93 000 entries
   (3000 random user sets of 1-33 users, OpenBLAS 0.3.31 Haswell kernels);
-  that depends on the BLAS build (ROADMAP item 15).
+  that depends on the BLAS build (ROADMAP item 15);
+* the dense Toeplitz expansion (``linalg.toeplitz_dense``, the statistics
+  stacks' dense matrices): for R in {1, 2, 100} and odd N, into a fresh
+  array or a given one, it equals the gather ``rows[:, |i - j|]``, signed
+  zeros, subnormals and NaN payloads alike (it copies, with no arithmetic);
+* the RLS rank-one correction (``filters.Rls``): ``np.dot(gain[:, None],
+  pi[None, :], out=...)`` into a cache-aligned buffer equals ``np.outer``
+  and the per-entry products ``gain[i] * pi[j]``, for odd N and N = 200.
 
 Each output entry of the outer product is one rounded product
 ``u_i * u_j`` with no sum, so any call that forms it once agrees. The
@@ -84,8 +91,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from krrapsp import gold_family
 from krrapsp.estimation import _StatsStack
-from krrapsp.filters import _sum_sets
-from krrapsp.linalg import cg_solve_stack, krylov_basis_stack, stacked_dot, stacked_matvec
+from krrapsp.filters import _cache_aligned, _sum_sets
+from krrapsp.linalg import (
+    cg_solve_stack,
+    krylov_basis_stack,
+    stacked_dot,
+    stacked_matvec,
+    toeplitz_dense,
+)
 from krrapsp.scenarios import GOLD_LENGTH, _CdmaUser, _chip_table
 
 
@@ -351,3 +364,27 @@ def test_chip_product_equals_the_per_user_accumulation(users):
             signs[:m, :, 0], signs[:m, :, 1] = before, bits
             got = np.matmul(signs.reshape(len(signs), -1), table)[:m]
             assert got.tobytes() == want.tobytes(), (amplitudes[0], m)
+
+
+@pytest.mark.parametrize("runs", [1, 2, 100])
+@pytest.mark.parametrize("n", [1, 7, 31])
+def test_toeplitz_expansion_equals_the_gather(runs, n):
+    rng = np.random.default_rng(runs * 100 + n)
+    rows = rng.standard_normal((runs, n)) * 10.0 ** rng.uniform(-300, 300, (runs, n))
+    rows[rng.random((runs, n)) < 0.1] = -0.0
+    rows[rng.random((runs, n)) < 0.05] = 5e-324
+    rows[rng.random((runs, n)) < 0.05] = np.nan
+    lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    want = rows[:, lags].tobytes()
+    assert toeplitz_dense(rows).tobytes() == want
+    assert toeplitz_dense(rows, out=np.full((runs, n, n), 7.0)).tobytes() == want
+
+
+@pytest.mark.parametrize("n", [1, 7, 31, 200])
+def test_rls_correction_equals_the_outer_product(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        gain, pi = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-150, 150, (2, n))
+        got = np.dot(gain[:, None], pi[None, :], out=_cache_aligned(n))
+        assert got.tobytes() == np.outer(gain, pi).tobytes()
+        assert got.tobytes() == np.array([[g * p for p in pi] for g in gain]).tobytes()

@@ -1,12 +1,16 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from krrapsp import HalfSpace, SymMatrix, linalg, r_norm, verify
+from krrapsp import TOL, HalfSpace, SymMatrix, linalg, r_norm, verify
 from krrapsp.cli import main
 from krrapsp.linalg import BasisMatrix, project_subspace
 from krrapsp.verify import (
+    EmptyIntersection,
     PhiMap,
     ProbeStep,
     ThetaInstance,
@@ -27,6 +31,7 @@ from krrapsp.verify import (
 
 from conftest import random_orthonormal, random_spd
 from oracles import (
+    brute_force_projection,
     frozen_attracting_projection_case,
     frozen_error_bound_half_spaces,
     frozen_find_feasible_point,
@@ -273,6 +278,28 @@ class TestMonotoneProbe:
         assert (np.linalg.norm(h_next - omega)
                 < np.linalg.norm(inst.anchor - omega) - 1e-12)
 
+    def test_empty_step_reported_apart(self, rng):
+        inst = make_instance(rng, q=1)
+        hs = inst.half_spaces[0]
+        q = project_subspace(hs.normal, inst.basis)
+        opposite = HalfSpace(-hs.normal, -hs.offset + float(q @ q), hs.anchor)  # no slab
+        empty = ThetaInstance((hs, opposite), inst.basis, [0.5, 0.5], inst.anchor)
+        report = monotone_probe([ProbeStep(h=inst.anchor, h_next=inst.anchor, instance=empty,
+                                           basis_next=inst.basis)])
+        assert (report.certified, report.unchecked, report.empty) == (0, 0, 1)
+        assert report.certified_fraction == 0.0 and report.passed
+
+    @pytest.mark.parametrize("counts, detail, gate", [
+        ((147, 3, 0), "certified 147/150", True),
+        ((147, 0, 3), "certified 147/150, 3 empty", True),
+        ((140, 0, 10), "certified 140/150, 10 empty", False),  # empty steps are not certified
+    ])
+    def test_check_names_empty_steps_only_when_some(self, monkeypatch, counts, detail, gate):
+        report = verify.MonotoneReport(150, *counts, [], 0.0)
+        monkeypatch.setattr(verify, "monotone_probe", lambda steps: report)
+        out = verify._monotone_approximation(None, 0)
+        assert out.detail == detail and out.gate is gate
+
     def test_basis_change_reported_unchecked(self, rng):
         inst = make_instance(rng)
         other = BasisMatrix(random_orthonormal(inst.basis.n, inst.basis.rank, rng))
@@ -388,6 +415,67 @@ def same_point(got, want):
                                    and same_bytes(got, want))
 
 
+def reduced_problem(half_spaces, basis):
+    """The oracle's reduced sets by its own products: ``(normals, bounds, tightened bounds)``
+    of the sets whose normal meets the range, and the indices of those that exclude it."""
+    rows, excluded = [], []
+    for j, hs in enumerate(half_spaces):
+        nr = basis.matrix.T @ hs.normal
+        bound = float(hs.anchor @ hs.normal) - hs.offset
+        nn = float(nr @ nr)
+        if nn == 0.0:
+            excluded += [j] if bound < 0.0 else []
+            continue
+        rows.append((nr, bound, bound - 1e-9 * (1.0 + abs(bound) + math.sqrt(nn))))
+    normals = np.array([nr for nr, _, _ in rows]).reshape(len(rows), basis.rank)
+    return (normals, *(np.array([row[k] for row in rows]) for k in (1, 2))), excluded
+
+
+def oracle_path(half_spaces, basis, start=None):
+    """Check ``find_feasible_point``'s answer and return the path that gave it.
+
+    ``"cyclic"``: the frozen cyclic loop certifies within the pass budget, and the
+    answer is its point, bit for bit. Otherwise ``"exact"``: a point of every set (the
+    check's products at its reduced coordinates) no farther from the start than the
+    brute-force projection onto the tightened sets, moved in by what rounding of the
+    products at that point can reach; ``"empty"``: a certificate that checks out, for
+    sets that the brute-force oracle finds empty; or ``"unknown"`` (``None``), only where
+    the tightened sets are empty or their projection lies so far out that rounding of
+    the products there reaches half the margin, so no point of them can be certified.
+    """
+    got = find_feasible_point(half_spaces, basis, start)
+    want = frozen_find_feasible_point(half_spaces, basis, start, verify._PASSES)
+    if want is not None:
+        assert same_bytes(got, want)
+        return "cyclic"
+    s = basis.matrix
+    (normals, bounds, inner), excluded = reduced_problem(half_spaces, basis)
+    z0 = s.T @ start if start is not None else np.zeros(basis.rank)
+    if isinstance(got, EmptyIntersection):
+        m = np.array(got.multipliers)
+        every = np.array([s.T @ hs.normal for hs in half_spaces])
+        combo = m @ every
+        assert m.shape == (len(half_spaces),) and np.all(m >= 0.0)
+        assert math.sqrt(combo @ combo) <= TOL.cancellation * (m @ np.sqrt(np.sum(every ** 2, 1)))
+        assert m @ [float(hs.anchor @ hs.normal) - hs.offset for hs in half_spaces] < 0.0
+        assert excluded or brute_force_projection(normals, bounds, z0) is None
+        return "empty"
+    assert not excluded
+    nearest = brute_force_projection(normals, inner, z0)
+    if nearest is not None:  # rounding of nr . z at the projection, about eps ||nr|| ||z||
+        rounding = 1e-15 * np.sqrt(np.sum(normals ** 2, 1)) * (1.0 + np.linalg.norm(nearest))
+    if got is None:
+        assert nearest is None or np.any(rounding >= 0.5 * (bounds - inner))
+        return "unknown"
+    z = s.T @ got
+    assert all(float(nr @ z) <= b for nr, b in zip(normals, bounds.tolist()))
+    assert nearest is not None
+    farthest = brute_force_projection(normals, inner - rounding, z0)
+    dist = np.linalg.norm(farthest - z0)
+    assert np.linalg.norm(z - z0) <= dist + 1e-9 * (1.0 + dist)
+    return "exact"
+
+
 # the monotone-approximation and asymptotic-surrogate shapes, other seeds, r = 2
 STATIC_RUNS = [
     *(dict(n=16, rank=4, projections=3, iters=150, rho=0.05, step_size=0.6, seed=seed)
@@ -424,46 +512,38 @@ class TestLeanStaticBuild:
     @pytest.mark.parametrize("kwargs", [STATIC_RUNS[0], STATIC_RUNS[4]])
     def test_oracle_equals_the_frozen_loop_on_static_steps(self, kwargs):
         steps, _ = static_rapsm_run(**kwargs)
-        found = 0
-        for st in steps:
-            inst = st.instance
-            for start, cap in ((inst.anchor, 5000), (None, 5000), (inst.anchor, 1)):
-                got = find_feasible_point(inst.half_spaces, inst.basis, start, cap)
-                want = frozen_find_feasible_point(inst.half_spaces, inst.basis, start, cap)
-                assert same_point(got, want)
-                found += got is not None
-        assert found > len(steps)
+        paths = Counter(oracle_path(step.instance.half_spaces, step.instance.basis, start)
+                        for step in steps for start in (step.instance.anchor, None))
+        assert paths["cyclic"] > len(steps) and set(paths) <= {"cyclic", "exact"}
 
     def test_oracle_equals_the_frozen_loop_at_the_cap_and_on_random_sets(self, rng):
-        outcomes = set()
+        paths = set()
         for _ in range(30):
             inst = make_instance(rng, q=int(rng.integers(1, 6)), rho=float(rng.uniform(1e-3, 1.0)))
-            for cap in (0, 1, 2, 5, 40, 5000):
-                for start in (inst.anchor, None):
-                    got = find_feasible_point(inst.half_spaces, inst.basis, start, cap)
-                    want = frozen_find_feasible_point(inst.half_spaces, inst.basis, start, cap)
-                    assert same_point(got, want)
-                    outcomes.add((cap, got is None))
-        assert {(0, True), (0, False), (5000, False)} <= outcomes
-        # an empty intersection within the range: None at every cap
+            for start in (inst.anchor, None):
+                paths.add(oracle_path(inst.half_spaces, inst.basis, start))
+        assert paths == {"cyclic", "exact", "empty"}  # q > D admits empty sets
+        # an empty intersection within the range: the frozen loop gives up at every cap,
+        # the oracle proves it empty
         basis = BasisMatrix(random_orthonormal(6, 2, rng))
         s = basis.matrix[:, 0]
         empty = (HalfSpace(s, 1.0, np.zeros(6)), HalfSpace(-s, 1.0, np.zeros(6)))
         for cap in (0, 3, 5000):
-            assert find_feasible_point(empty, basis, max_iter=cap) is None
             assert frozen_find_feasible_point(empty, basis, max_iter=cap) is None
+        assert find_feasible_point(empty, basis) == EmptyIntersection((1.0, 1.0))
+        assert oracle_path(empty, basis) == "empty"
 
     def test_oracle_equals_the_frozen_loop_off_the_range(self):
-        # a normal orthogonal to the range: excluded (bound < 0) or skipped (bound >= 0)
+        # a normal orthogonal to the range: excluded (bound < 0, proven empty) or skipped
         n, d = 5, 2
         axes = BasisMatrix(np.eye(n)[:, :d])
         off = np.eye(n)[d]
         inside = HalfSpace(np.eye(n)[0], 0.5, np.zeros(n))
         for offset, excluded in ((1.0, True), (-1.0, False), (0.0, False)):
             sets = (inside, HalfSpace(off, offset, np.zeros(n)))
-            got = find_feasible_point(sets, axes)
-            assert same_point(got, frozen_find_feasible_point(sets, axes))
-            assert (got is None) == excluded
+            assert oracle_path(sets, axes) == ("empty" if excluded else "cyclic")
+            if excluded:
+                assert find_feasible_point(sets, axes) == EmptyIntersection((0.0, 1.0))
         assert same_point(find_feasible_point((), axes), frozen_find_feasible_point((), axes))
 
     @pytest.mark.parametrize("u_scale, h_scale", [(1e200, 1.0), (1e200, 1e-50), (1e-100, 1e260)])
@@ -488,6 +568,103 @@ class TestLeanStaticBuild:
                 counts.append(calls["as_vector"])
             # at most the check of each step's relaxed iterate
             assert 0 < counts[1] - counts[0] <= 10
+
+
+@st.composite
+def reduced_sets(draw):
+    """Half-spaces in ``R^(D + extra)`` within the range of the first ``D`` axes (so
+    ``S^T`` reads their reduced normals exactly), and a start. After a first random
+    normal, each reduced normal is random, a positive multiple of an earlier one
+    (parallel), a negative multiple or the exact negation of one (opposite), one moved
+    by 1e-6 to 1e-2 of its norm (nearly tangent), such a move of a negation (nearly
+    opposite), or zero (off the range). Its bound is the earlier one's, scaled alike,
+    plus a gap in [-1, 1]: a negative gap leaves opposite sets no point in common."""
+    d, q, extra = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = d + extra
+    reduced, bounds = [], []
+    for j in range(q):
+        kind = draw(st.sampled_from(["random", "parallel", "opposite", "negation", "tangent",
+                                     "nearly-opposite", "off"] if j else ["random"]))
+        k = draw(st.integers(0, j - 1)) if j else 0
+        base, move = (reduced[k], bounds[k]) if j else (None, None)
+        gap = float(rng.uniform(-1.0, 1.0))  # < 0: a pair that cannot hold together
+        wobble = 10.0 ** rng.uniform(-6, -2) * rng.standard_normal(d)
+        scale = float(rng.uniform(0.5, 2.0))
+        nr, bound = {
+            "random": lambda: (rng.standard_normal(d), float(rng.uniform(-2.0, 2.0))),
+            "parallel": lambda: (scale * base, scale * move + gap),
+            "opposite": lambda: (-scale * base, -scale * move + gap),
+            "negation": lambda: (-base, -move + gap),
+            "tangent": lambda: (base + wobble * np.linalg.norm(base), move + gap),
+            "nearly-opposite": lambda: (wobble * np.linalg.norm(base) - base, -move + gap),
+            "off": lambda: (np.zeros(d), gap),
+        }[kind]()
+        reduced.append(nr)
+        bounds.append(bound)
+    half_spaces = []
+    for nr, bound in zip(reduced, bounds):
+        normal = np.concatenate([nr, rng.standard_normal(extra)])
+        anchor = rng.standard_normal(n) if draw(st.booleans()) else np.zeros(n)
+        half_spaces.append(HalfSpace(normal, float(anchor @ normal) - bound, anchor))
+    start = 3.0 * rng.standard_normal(n) if draw(st.booleans()) else None
+    return tuple(half_spaces), BasisMatrix(np.eye(n)[:, :d]), start
+
+
+class TestExactOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(reduced_sets())
+    def test_oracle_agrees_with_the_brute_force_projection(self, case):
+        assert oracle_path(*case) in {"cyclic", "exact", "empty", "unknown"}
+
+    @pytest.mark.parametrize("rows, bounds, path", [
+        ([[1.0, 0.0], [2.0, 0.0]], [1.0, 1.0], "point"),  # dependent, same direction
+        ([[1.0, 2.0], [-1.0, -2.0]], [-1.0, -1.0], "empty"),  # opposite, no slab between
+        ([[1.0, 2.0], [-3.0, -6.0]], [1.0, 1.0], "point"),  # opposite, a slab between
+        ([[1.0, 2.0], [-1.0, -2.0]], [-1.0, 1.0], "unknown"),  # a slab of width zero
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, 0.0]], [-1.0, -1.0, 1.0], "empty"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, 0.0]], [-1.0, -1.0, 3.0], "point"),
+        ([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.0]], [-1.0, -1.0, -2.0], "empty"),
+        ([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.0]], [-1.0, -1.0, 2.0], "point"),
+    ])
+    def test_dependent_and_opposite_normals(self, rows, bounds, path):
+        # z0 = (5, 5, ...) violates a set of each case; a slab of width zero has points,
+        # but none of the sets tightened by the margin: neither a point nor a proof
+        rows = np.array(rows)
+        axes = BasisMatrix(np.eye(rows.shape[1] + 1)[:, :rows.shape[1]])
+        sets = tuple(HalfSpace(np.append(row, 0.0), -b, np.zeros(len(row) + 1))
+                     for row, b in zip(rows, bounds))
+        start = np.append(np.full(rows.shape[1], 5.0), 0.0)
+        got = oracle_path(sets, axes, start)
+        assert {"cyclic": "point", "exact": "point"}.get(got, got) == path
+
+    def test_exact_points_hold_with_margin_to_spare(self):
+        # on the steps the exact phase answers, every set holds by the check's products
+        steps, _ = static_rapsm_run(**STATIC_RUNS[1])
+        exact = 0
+        for step in steps:
+            inst = step.instance
+            if frozen_find_feasible_point(inst.half_spaces, inst.basis, inst.anchor,
+                                          verify._PASSES) is None:
+                omega = find_feasible_point(inst.half_spaces, inst.basis, inst.anchor)
+                (normals, bounds, _), _ = reduced_problem(inst.half_spaces, inst.basis)
+                assert np.all(normals @ (inst.basis.matrix.T @ omega) < bounds)
+                exact += 1
+        assert exact > 0
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_capped_suite_steps_are_certified(self, seed):
+        # the seeds whose cyclic oracle gave up at its 5000-pass cap (149/150, 148/150)
+        assert verify._monotone_approximation(None, seed).detail == "certified 150/150"
+
+    def test_dimension_mismatch_raises_before_any_product(self, rng):
+        basis = BasisMatrix(random_orthonormal(6, 2, rng))
+        good, short = HalfSpace(np.ones(6), 1.0, np.zeros(6)), HalfSpace(np.ones(5), 1.0, np.zeros(5))
+        for sets in ((short,), (good, short)):
+            with pytest.raises(ValueError, match="half-space dimension mismatch"):
+                find_feasible_point(sets, basis)
+        with pytest.raises(ValueError):
+            find_feasible_point((good,), basis, start=np.zeros(5))
 
 
 class TestSubgradientCheck:
@@ -736,10 +913,8 @@ class TestStackedLoops:
                 sets.insert(int(rng.integers(0, len(sets) + 1)),
                             HalfSpace(off, float(rng.standard_normal()), rng.standard_normal(n)))
             for start in (None, rng.standard_normal(n)):
-                got = find_feasible_point(sets, axes, start)
-                assert same_point(got, frozen_find_feasible_point(sets, axes, start))
-                outcomes.add(got is None)
-        assert outcomes == {True, False}
+                outcomes.add(oracle_path(sets, axes, start))
+        assert {"cyclic", "empty"} <= outcomes <= {"cyclic", "exact", "empty"}
 
 
 def no_scenario(*args, **kwargs):
