@@ -6,6 +6,16 @@ baselines, seedable experiment scenarios (system identification and CDMA
 interference suppression), closed-form complexity models, a Monte-Carlo
 harness, and a numerical verification suite for the algorithm's
 convergence properties.
+
+Records (step outputs, samples, metrics, reports, tolerances, and the
+analysis objects such as ``BasisMatrix`` and ``HalfSpace``) are
+``typing.NamedTuple`` types, because a dataclass's methods are generated
+and compiled at every import. A record is a tuple: it can be indexed, it
+iterates, and it compares equal to a plain tuple of its fields. The five
+configs (``KrrParams``, ``SysIdConfig``, ``CdmaConfig`` and the
+``experiments`` module's ``FilterSpec`` and ``ExperimentConfig``) are
+frozen dataclasses, because ``dataclasses.replace`` and ``fields`` are
+their API.
 """
 
 __version__ = "0.1.0"

@@ -33,6 +33,7 @@ import tempfile
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,8 +111,7 @@ class ExperimentConfig:
             raise ValueError("filter labels must be unique")
 
 
-@dataclass
-class MetricsRecord:
+class MetricsRecord(NamedTuple):
     """Ensemble-averaged metrics of one iteration of one algorithm."""
 
     k: int

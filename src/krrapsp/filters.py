@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -128,8 +129,7 @@ class KrrParams:
         return np.array(self.weights)
 
 
-@dataclass
-class StepOutput:
+class StepOutput(NamedTuple):
     """Result of one filter step; a batch's has a leading trial axis on every field."""
 
     y: float

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -62,10 +62,25 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _unchecked(cls, **fields):
-    """The frozen dataclass ``cls`` of fields its caller has checked."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    """The record ``cls`` of fields its caller has checked, without its validation.
+
+    ``cls`` is a ``NamedTuple`` type; its fields are taken by name and any
+    other keyword (a derived value such as ``ThetaInstance._geometry``) goes
+    into the instance's ``__dict__``. This is the one sanctioned bypass of a
+    validating ``__new__``: ``_replace`` and ``_make`` skip it too, so nothing
+    may call them on ``BasisMatrix``, ``HalfSpace``, ``verify.PhiMap`` or
+    ``verify.ThetaInstance``.
+    """
+    obj = tuple.__new__(cls, [fields.pop(name) for name in cls._fields])
+    if fields:
+        obj.__dict__.update(fields)
     return obj
+
+
+def _check_orthonormal(gram_defect: float) -> None:
+    """Raise unless ``max |S^T S - I|`` is within tolerance (so not NaN)."""
+    if not gram_defect <= TOL.orthonormality:
+        raise ValueError(f"basis columns not orthonormal: max |S^T S - I| = {gram_defect:.3e}")
 
 
 def _norm(x: np.ndarray) -> float:
@@ -119,23 +134,20 @@ class SymMatrix:
         return f"SymMatrix(n={self._n})"
 
 
-@dataclass(frozen=True)
-class BasisMatrix:
+class BasisMatrix(NamedTuple("BasisMatrix", [("matrix", np.ndarray)])):
     """Column-orthonormal N x D_eff matrix spanning a filter subspace."""
 
-    matrix: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+    def __new__(cls, matrix):
+        m = np.asarray(matrix, dtype=float)
         if m.ndim != 2:
             raise ValueError(f"basis must be 2-D, got shape {m.shape}")
         n, d = m.shape
         if d < 1 or d > n:
             raise ValueError(f"basis rank must satisfy 1 <= D_eff <= N, got {d} for N={n}")
-        gram_defect = np.max(np.abs(m.T @ m - np.eye(d)))
-        if gram_defect > TOL.orthonormality:
-            raise ValueError(f"basis columns not orthonormal: max |S^T S - I| = {gram_defect:.3e}")
-        object.__setattr__(self, "matrix", _frozen(m))
+        _check_orthonormal(float(np.max(np.abs(m.T @ m - np.eye(d)))))
+        return super().__new__(cls, _frozen(m))
 
     @property
     def n(self) -> int:
@@ -146,25 +158,22 @@ class BasisMatrix:
         return self.matrix.shape[1]
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(NamedTuple("HalfSpace", [("normal", np.ndarray), ("offset", float),
+                                          ("anchor", np.ndarray)])):
     """Closed half-space ``{x : <x - anchor, normal> + offset <= 0}``.
 
     A convex constraint linearized at ``anchor``, where its value is
     ``offset`` (``> 0``: the anchor violates it). All three are finite.
     """
 
-    normal: np.ndarray
-    offset: float
-    anchor: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        normal = as_vector(self.normal)
-        object.__setattr__(self, "anchor", _frozen(as_vector(self.anchor, normal.shape[0])))
-        object.__setattr__(self, "normal", _frozen(normal))
-        if not math.isfinite(offset := float(self.offset)):
+    def __new__(cls, normal, offset, anchor):
+        normal = as_vector(normal)
+        anchor = as_vector(anchor, normal.shape[0])
+        if not math.isfinite(offset := float(offset)):
             raise ValueError("offset must be finite")
-        object.__setattr__(self, "offset", offset)
+        return super().__new__(cls, _frozen(normal), offset, _frozen(anchor))
 
     @property
     def n(self) -> int:
@@ -323,9 +332,7 @@ def krylov_basis_stack(matrices: np.ndarray, seeds: np.ndarray, rank: int):
         ranks += growing
     # the identity on each row's leading ranks[i] columns, zeros after them
     eye = np.eye(rank) * (np.arange(rank) < ranks[:, None])[:, None, :]
-    gram_defect = float(np.max(np.abs(np.matmul(cols.transpose(0, 2, 1), cols) - eye)))
-    if gram_defect > TOL.orthonormality:
-        raise ValueError(f"basis columns not orthonormal: max |S^T S - I| = {gram_defect:.3e}")
+    _check_orthonormal(float(np.max(np.abs(np.matmul(cols.transpose(0, 2, 1), cols) - eye))))
     return cols, ranks
 
 

@@ -62,8 +62,7 @@ _CHUNK = 64
 SNR_DB_FLOOR = -300.0
 
 
-@dataclass(frozen=True)
-class StreamSample:
+class StreamSample(NamedTuple):
     """One observation pair together with the hidden ground truth."""
 
     k: int
@@ -73,7 +72,7 @@ class StreamSample:
     truth_bit: int | None = None
 
 
-class StreamChunk(NamedTuple):  # not a dataclass, whose definition costs about 1 ms per import
+class StreamChunk(NamedTuple):
     """Steps ``start, start + 1, ...`` of a stream.
 
     ``u`` holds the ``(m, n)`` regressors, a view of the stream's buffer
@@ -368,8 +367,7 @@ class CdmaConfig:
         check_int(self.seed, "seed", 0)
 
 
-@dataclass(frozen=True)
-class _CdmaUser:
+class _CdmaUser(NamedTuple):
     """One active transmitter: amplitude, partial signatures, first previous bit.
 
     Chips ``[0, delay)`` of the window carry the previous symbol's last

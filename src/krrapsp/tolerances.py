@@ -4,11 +4,10 @@ Every hard threshold used by the kernels lives here so that tests assert
 exactly what the library enforces.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     # max |S^T S - I| allowed for any orthonormal basis ever produced
     orthonormality: float = 1e-10
     # relative residual ||(I - SS^T) R^j p|| / ||R^j p|| for Krylov spans

@@ -19,7 +19,6 @@ over sets add in set order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from operator import mul
@@ -58,18 +57,17 @@ def _worst(values, pick=max) -> float:
     return math.nan if any(math.isnan(v) for v in values) else pick(values)
 
 
-@dataclass(frozen=True)
-class PhiMap:
+class PhiMap(NamedTuple("PhiMap", [("s_prev", BasisMatrix), ("s_next", BasisMatrix)])):
     """Transition map ``x -> S_next (S_prev^T x)`` between two bases."""
 
-    s_prev: BasisMatrix
-    s_next: BasisMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.s_prev.n != self.s_next.n:
+    def __new__(cls, s_prev: BasisMatrix, s_next: BasisMatrix):
+        if s_prev.n != s_next.n:
             raise ValueError("bases must share the ambient dimension")
-        if self.s_prev.rank != self.s_next.rank:
+        if s_prev.rank != s_next.rank:
             raise ValueError("bases must share the rank")
+        return super().__new__(cls, s_prev, s_next)
 
     @property
     def n(self) -> int:
@@ -107,8 +105,7 @@ def fixed_point_set(phi: PhiMap, tol: float | None = None) -> np.ndarray:
     return np.ascontiguousarray(v[(gap <= tol) & (move <= tol * np.maximum(1.0, size))].T)
 
 
-@dataclass
-class AttractingReport:
+class AttractingReport(NamedTuple):
     """Outcome of the attracting-nonexpansivity check."""
 
     projection_case: bool
@@ -153,32 +150,28 @@ def _geometry_of(anchor: np.ndarray, planes: tuple, basis: BasisMatrix) -> tuple
     return stacked_dot(anchor - anchors, normals) + offsets, q, qq, np.sqrt(qq)
 
 
-@dataclass(frozen=True)
-class ThetaInstance:
+class ThetaInstance(NamedTuple("ThetaInstance", [
+        ("half_spaces", tuple), ("basis", BasisMatrix), ("weights", np.ndarray),
+        ("anchor", np.ndarray)])):
     """One evaluation context of the weighted distance objective.
 
     ``half_spaces`` outer-approximate the data-consistent sets, linearized
     at ``anchor`` in the range of ``basis``; ``weights`` are positive and
-    sum to one. Their geometry is derived on first use.
+    sum to one. Their geometry is derived on first use and kept in the
+    instance's ``__dict__`` (so the type has no ``__slots__``).
     """
 
-    half_spaces: tuple
-    basis: BasisMatrix
-    weights: np.ndarray
-    anchor: np.ndarray
-
-    def __post_init__(self):
-        hs = tuple(self.half_spaces)
+    def __new__(cls, half_spaces, basis: BasisMatrix, weights, anchor):
+        hs = tuple(half_spaces)
         if not hs:
             raise ValueError("at least one half-space is required")
-        if any(h.n != self.basis.n for h in hs):
+        if any(h.n != basis.n for h in hs):
             raise ValueError("half-space dimension mismatch")
-        object.__setattr__(self, "weights", _checked_weights(self.weights, len(hs)))
-        anchor = as_vector(self.anchor, self.basis.n)
-        if not _in_range(anchor, self.basis):
+        weights = _checked_weights(weights, len(hs))
+        anchor = as_vector(anchor, basis.n)
+        if not _in_range(anchor, basis):
             raise ValueError("anchor must lie in the basis range")
-        object.__setattr__(self, "half_spaces", hs)
-        object.__setattr__(self, "anchor", _frozen(anchor))
+        return super().__new__(cls, hs, basis, weights, _frozen(anchor))
 
     @cached_property
     def _geometry(self) -> tuple:
@@ -367,7 +360,9 @@ def find_feasible_point(half_spaces, basis: BasisMatrix, start=None):
 def _cyclic(reduced, z: np.ndarray, passes: int) -> np.ndarray | None:
     """``z`` after cyclic projections onto the tightened sets, at the first check that
     every set holds (``nr . z <= bound``, one BLAS product each), or ``None`` when the
-    check after ``passes`` passes fails."""
+    check after ``passes`` passes fails. A pass depends only on the ``z`` it starts from,
+    so once a pass starts where the one before it started, no check can pass: ``None``."""
+    previous = None
     while True:
         products = []  # nr . z up to the first unsatisfied set, kept until z moves
         for nr, bound, _, _ in reduced:
@@ -376,8 +371,9 @@ def _cyclic(reduced, z: np.ndarray, passes: int) -> np.ndarray | None:
                 break
         else:
             return z
-        if passes == 0:
+        if passes == 0 or (previous is not None and np.array_equal(z, previous)):
             return None
+        previous = z
         passes -= 1
         for nr, _, nn, inner in reduced:
             g = (products.pop(0) if products else float(nr @ z)) - inner
@@ -632,8 +628,7 @@ def static_rapsm_run(**config):
             [theta for *_, theta in run])
 
 
-@dataclass(frozen=True)
-class ChainTerm:
+class ChainTerm(NamedTuple):
     lhs: float
     rhs: float
 
@@ -647,8 +642,7 @@ class ChainTerm:
         return -self.slack / (1.0 + abs(self.lhs) + abs(self.rhs))
 
 
-@dataclass
-class CgBoundReport:
+class CgBoundReport(NamedTuple):
     mse_value: float
     mse_bound: float
     chain: tuple
@@ -739,8 +733,7 @@ def subgradient_inequality_check(basis: BasisMatrix, u_block, d_block,
     return _worst(defects)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     max_violation: float

@@ -552,12 +552,25 @@ def run_python(*args):
 
 def test_runtime_imports_numpy_only():
     # pyproject declares only numpy; importing scipy would also add about
-    # 28 MiB of resident memory to every run
+    # 28 MiB of resident memory to every run. The package's dataclasses are
+    # the five configs, whose API is dataclasses.replace and fields: every
+    # import builds a dataclass's methods anew, so records are NamedTuples
     proc = run_python("-c", (
-        "import sys, krrapsp, krrapsp.experiments, krrapsp.verify, krrapsp.complexity; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"))
+        "import sys, dataclasses, krrapsp, krrapsp.experiments, krrapsp.verify, "
+        "krrapsp.complexity, krrapsp.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+        "print(sorted(k for m, mod in sys.modules.items() if m.split('.')[0] == 'krrapsp' "
+        "for k, v in vars(mod).items() if dataclasses.is_dataclass(v) and v.__module__ == m))"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == [
+        "[]", "['CdmaConfig', 'ExperimentConfig', 'FilterSpec', 'KrrParams', 'SysIdConfig']"]
+
+
+def test_metrics_record_repr():
+    # the string the record printed as a dataclass
+    assert repr(MetricsRecord(3, "krr-D5", -12.5, -math.inf, 0.75, 1234.0)) == (
+        "MetricsRecord(k=3, algorithm='krr-D5', mse_db=-12.5, mismatch_db=-inf, "
+        "update_rate=0.75, mults=1234.0)")
 
 
 class TestCli:

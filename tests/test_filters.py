@@ -11,6 +11,7 @@ from krrapsp import (
     KrrParams,
     Nlms,
     Rls,
+    StepOutput,
     SymMatrix,
     SysIdConfig,
     SysIdScenario,
@@ -465,6 +466,11 @@ class TestNlms:
         filt = Nlms(n, step_size=0.7)
         out = filt.step(rng.standard_normal(n), 1.0)
         assert out.mults == 3 * n + 2
+
+    def test_step_output_takes_keywords(self):
+        out = Nlms(4, step_size=1.0).step(np.ones(4), 2.0)
+        assert repr(StepOutput(y=out.y, updated=out.updated, h_full=out.h_full,
+                               mults=out.mults)) == repr(out)
 
 
 class TestRls:

@@ -11,6 +11,7 @@ from krrapsp import (
     DegenerateCrossCorrelationError,
     HalfSpace,
     SymMatrix,
+    Tolerances,
     cg_solve,
     condition_number,
     krylov_basis,
@@ -260,6 +261,22 @@ class TestBasisMatrix:
     def test_rank_bounds(self, rng):
         with pytest.raises(ValueError):
             BasisMatrix(np.zeros((3, 0)))
+
+    def test_rejects_nan(self):
+        # a NaN Gram defect fails "defect > tol" too, so the check is written negated
+        with pytest.raises(ValueError, match="not orthonormal"):
+            BasisMatrix(np.full((4, 2), np.nan))
+
+    def test_stacked_build_rejects_a_nan_gram_defect(self, monkeypatch):
+        # the build's own columns stay finite, so the NaN is put into the identity it checks against
+        monkeypatch.setattr(np, "eye", lambda k: np.full((k, k), np.nan))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            krylov_basis_stack(np.ones((1, 3, 3)), np.ones((1, 3)), 2)
+
+
+def test_tolerances_take_keywords():
+    tol = TOL._replace(orthonormality=1e-9)
+    assert Tolerances(orthonormality=1e-9) == tol and tol.krylov_span_rel == TOL.krylov_span_rel
 
 
 class TestCgSolve:

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from krrapsp import TOL, HalfSpace, SymMatrix, linalg, r_norm, verify
 from krrapsp.cli import main
-from krrapsp.linalg import BasisMatrix, project_subspace
+from krrapsp.linalg import BasisMatrix, _unchecked, project_subspace
 from krrapsp.verify import (
+    ChainTerm,
+    CheckResult,
     EmptyIntersection,
     PhiMap,
     ProbeStep,
@@ -85,6 +87,51 @@ class TestPhiMap:
         with pytest.raises(ValueError):
             PhiMap(BasisMatrix(random_orthonormal(6, 2, rng)),
                    BasisMatrix(random_orthonormal(6, 3, rng)))
+
+
+def validated_cases():
+    """``(type, good arguments, bad arguments)`` of each record that validates itself."""
+    axes, wide = BasisMatrix(np.eye(4)[:, :2]), BasisMatrix(np.eye(4)[:, :3])
+    hs = HalfSpace(np.ones(4), 0.5, np.zeros(4))
+    return [
+        (BasisMatrix, (np.eye(4)[:, :2],), (np.ones((4, 2)),)),
+        (HalfSpace, (np.ones(4), 0.5, np.zeros(4)), (np.ones(4), math.inf, np.zeros(4))),
+        (PhiMap, (axes, axes), (axes, wide)),
+        (ThetaInstance, ((hs,), axes, [1.0], np.zeros(4)), ((hs,), axes, [0.5], np.zeros(4))),
+    ]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("kind, good, bad", validated_cases(),
+                             ids=["BasisMatrix", "HalfSpace", "PhiMap", "ThetaInstance"])
+    def test_validated_types_raise_before_construction(self, monkeypatch, kind, good, bad):
+        # the tuple is made by the NamedTuple base, which bad arguments never reach
+        base, made = kind.__bases__[0], []
+        build = base.__new__
+        monkeypatch.setattr(base, "__new__", staticmethod(
+            lambda cls, *args: made.append(cls) or build(cls, *args)))
+        with pytest.raises(ValueError):
+            kind(*bad)
+        assert made == []
+        record = kind(*good)
+        assert made == [kind]
+        with pytest.raises(AttributeError):  # read-only fields
+            setattr(record, kind._fields[0], good[0])
+        assert repr(kind(**dict(zip(kind._fields, good)))) == repr(record)
+
+    def test_unchecked_keeps_derived_values(self, rng):
+        inst = make_instance(rng)
+        geometry = object()
+        fast = _unchecked(ThetaInstance, **inst._asdict(), _geometry=geometry)
+        assert type(fast) is ThetaInstance and fast._geometry is geometry
+        assert all(a is b for a, b in zip(fast, inst))
+
+    def test_reprs(self):
+        # the strings these records printed as dataclasses
+        assert repr(CheckResult("mse-bound-chain", True, 9.73e-16, 1e-09)) == (
+            "CheckResult(name='mse-bound-chain', passed=True, max_violation=9.73e-16, "
+            "tolerance=1e-09, detail='')")
+        assert repr(ChainTerm(0.25, 1.5)) == "ChainTerm(lhs=0.25, rhs=1.5)"
 
 
 class TestFixedPointSet:
@@ -637,6 +684,28 @@ class TestExactOracle:
         start = np.append(np.full(rows.shape[1], 5.0), 0.0)
         got = oracle_path(sets, axes, start)
         assert {"cyclic": "point", "exact": "point"}.get(got, got) == path
+
+    def test_zero_width_slab_stops_at_a_repeated_pass(self, monkeypatch):
+        # the fallback's passes alternate between the two tightened planes, so the third pass
+        # would start where the second did: it stops there instead of running 5000 passes
+        cyclic, loops = verify._cyclic, []
+
+        class Sets(list):  # looped over by each check and each pass
+            def __iter__(self):
+                loops[-1] += 1
+                return super().__iter__()
+
+        def counted(reduced, z, passes):
+            loops.append(0)
+            return cyclic(Sets(reduced), z, passes)
+
+        monkeypatch.setattr(verify, "_cyclic", counted)
+        axes = BasisMatrix(np.eye(3)[:, :2])
+        sets = (HalfSpace([1.0, 2.0, 0.0], 1.0, np.zeros(3)),
+                HalfSpace([-1.0, -2.0, 0.0], -1.0, np.zeros(3)))
+        assert find_feasible_point(sets, axes, np.array([5.0, 5.0, 0.0])) is None
+        assert len(loops) == 2  # the budgeted passes, then the fallback
+        assert (loops[-1] - 1) // 2 <= 3  # a check before each pass and after the last
 
     def test_exact_points_hold_with_margin_to_spare(self):
         # on the steps the exact phase answers, every set holds by the check's products
