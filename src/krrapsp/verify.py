@@ -290,13 +290,6 @@ def _rapsm_step(v, gs, geometry, weights, phi: PhiMap, step_size: float) -> np.n
     return apply_phi(phi, v + step_size * relax * f_dir)
 
 
-# Cyclic passes before the exact solve (a call that certifies within them keeps the
-# cyclic point), and after it, when rounding leaves the exact point outside a set or
-# neither a point nor a proof of emptiness is found.
-_PASSES = 2
-_FALLBACK_PASSES = 5000
-
-
 class EmptyIntersection(NamedTuple):
     """A Farkas certificate that half-spaces share no point of a basis range.
 
@@ -313,18 +306,18 @@ def find_feasible_point(half_spaces, basis: BasisMatrix, start=None):
 
     In reduced coordinates ``z`` (``x = S z``) set ``j`` is ``nr_j . z <= b_j``,
     ``nr_j = S^T s_j``. The start (zero by default) is returned when it
-    satisfies every set. Else come ``_PASSES`` cyclic projections onto the
-    sets tightened by a small inward margin, then the exact projection of the
-    start onto the tightened sets: the active sets are tried by increasing
-    size, each a triangular solve of at most q x q (``2^q - 1`` at most for q
-    sets), until one has nonnegative multipliers and keeps every set. Returns:
+    satisfies every set. Else comes the exact projection of the start onto
+    the sets tightened by a small inward margin: the active sets are tried by
+    increasing size, each a triangular solve of at most q x q (``2^q - 1`` at
+    most for q sets), until one has nonnegative multipliers and keeps every
+    set. Its point gets the start's check. Returns:
 
     * a point whose constraint values ``nr_j . z - b_j`` are all ``<= 0``
       exactly, as this check computes them;
     * an :class:`EmptyIntersection` whose certificate this check has verified:
       the intersection is empty;
-    * ``None`` (unknown) when neither is found and ``_FALLBACK_PASSES`` cyclic
-      passes do not certify a point either.
+    * ``None`` (unknown) when neither is found, or the projection's point
+      fails the check.
 
     Raises if a half-space or the start is not of the basis dimension.
     """
@@ -346,40 +339,19 @@ def find_feasible_point(half_spaces, basis: BasisMatrix, start=None):
             continue
         reduced.append((nr, bound, nn, bound - 1e-9 * (1.0 + abs(bound) + math.sqrt(nn))))
         kept.append(j)
-    found = _cyclic(reduced, z, _PASSES)
-    if found is None:
-        exact = _projection(reduced, z)
-        if isinstance(exact, list):  # a certificate over the kept sets
-            for j, m in zip(kept, exact):
-                multipliers[j] = m
-            return EmptyIntersection(tuple(multipliers))
-        found = _cyclic(reduced, z if exact is None else exact, _FALLBACK_PASSES)
-    return None if found is None else s @ found
+    if _holds(reduced, z):
+        return s @ z
+    exact = _projection(reduced, z)
+    if isinstance(exact, list):  # a certificate over the kept sets
+        for j, m in zip(kept, exact):
+            multipliers[j] = m
+        return EmptyIntersection(tuple(multipliers))
+    return s @ exact if exact is not None and _holds(reduced, exact) else None
 
 
-def _cyclic(reduced, z: np.ndarray, passes: int) -> np.ndarray | None:
-    """``z`` after cyclic projections onto the tightened sets, at the first check that
-    every set holds (``nr . z <= bound``, one BLAS product each), or ``None`` when the
-    check after ``passes`` passes fails. A pass depends only on the ``z`` it starts from,
-    so once a pass starts where the one before it started, no check can pass: ``None``."""
-    previous = None
-    while True:
-        products = []  # nr . z up to the first unsatisfied set, kept until z moves
-        for nr, bound, _, _ in reduced:
-            products.append(float(nr @ z))
-            if not products[-1] <= bound:
-                break
-        else:
-            return z
-        if passes == 0 or (previous is not None and np.array_equal(z, previous)):
-            return None
-        previous = z
-        passes -= 1
-        for nr, _, nn, inner in reduced:
-            g = (products.pop(0) if products else float(nr @ z)) - inner
-            if g > 0.0:
-                z = z - (g / nn) * nr
-                products.clear()
+def _holds(reduced, z: np.ndarray) -> bool:
+    """Whether every set holds at ``z``: ``nr . z <= bound``, one BLAS product each."""
+    return all(float(nr @ z) <= bound for nr, bound, *_ in reduced)
 
 
 def _dot(a: list, b: list) -> float:
@@ -519,9 +491,9 @@ def monotone_probe(steps, slack: float | None = None) -> MonotoneReport:
     move farther from that point than ``slack`` (not NaN). A step whose sets
     are proven to share no point counts as empty, and one with a moved basis
     or no oracle answer as unchecked; neither is a failure, and neither is
-    certified. Per step the oracle makes at most ``2^q - 1`` triangular solves
-    of at most q x q, for q half-spaces, after at most ``_PASSES`` cyclic
-    passes.
+    certified. Per step the oracle checks the anchor, then makes at most
+    ``2^q - 1`` triangular solves of at most q x q, for q half-spaces, and
+    checks their point.
     """
     slack = TOL.monotone_slack if slack is None else slack
     if math.isnan(slack):

@@ -20,9 +20,10 @@ arithmetic and not against its own core. ``frozen_error_bound_half_spaces``
 and ``frozen_find_feasible_point`` are ``verify``'s static-run half-space
 build (public ``HalfSpace``s, one validated anchor copy each) and
 feasibility oracle (every reduced product recomputed) as they were before
-the build shared one anchor per step; the frozen oracle is the cyclic path
-that the exact oracle keeps within its pass budget, and
-``brute_force_projection`` the exact answer it must agree with elsewhere.
+the build shared one anchor per step; with ``max_iter=0`` the frozen oracle
+is the check at the start, whose point the exact oracle returns bit for
+bit, and ``brute_force_projection`` the exact answer it must agree with
+elsewhere.
 The ``frozen_`` functions after them are ``verify``'s per-item loops (one
 numpy call per random trial, fixed vector, rank or half-space) as they were
 before each became one stacked call.

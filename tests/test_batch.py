@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import krrapsp
-import krrapsp.linalg
 import oracles
 from krrapsp import HalfSpace, KrrParams, project_half_space
 from krrapsp.filters import (CgrrfBatch, KrrApspBatch, NlmsBatch, _basis_build_charge,
@@ -743,15 +742,15 @@ def test_rejected_samples_leave_batches_unchanged(kind, bad):
 
 @pytest.mark.parametrize("kind", ["krr", "cgrrf", "nlms"])
 def test_batches_check_samples_with_as_vector(kind, monkeypatch):
-    # the scalar filters' validator, looked up on krrapsp.linalg at each step
+    # the scalar filters' validator, looked up on krrapsp.filters at each step
     calls = []
-    as_vector = krrapsp.linalg.as_vector
+    as_vector = krrapsp.filters.as_vector
 
     def spy(x, n=None):
         calls.append((np.shape(x), n))
         return as_vector(x, n)
 
-    monkeypatch.setattr(krrapsp.linalg, "as_vector", spy)
+    monkeypatch.setattr(krrapsp.filters, "as_vector", spy)
     batch = {"krr": lambda: KrrApspBatch(KrrParams(rank=3), N, 2),
              "cgrrf": lambda: CgrrfBatch(N, 2, rank=3),
              "nlms": lambda: NlmsBatch(N, 2)}[kind]()

@@ -54,8 +54,8 @@ each kernel and every layout the code passes:
   ``(k, N + D)`` ``standard_normal`` block draw is ``k`` pairs of
   consecutive ``N`` and ``D`` draws, values and generator state alike.
   Pure-Python float sums of products do not match BLAS dots (small-N dots
-  use FMA), so sequential loops that feed on dots, like the feasibility
-  oracle's cyclic projections, keep their per-set ``nr @ z``;
+  use FMA), so checks that compare dots with bounds, like the feasibility
+  oracle's, keep their per-set ``nr @ z``;
 * the CDMA chip product (``CdmaScenario.chunks``): for 1, 2, 4 and 33 users
   with amplitudes from 0.1 to 4.0 (and a subnormal one, whose table
   entries are signed zeros), ``np.matmul(signs, table)`` of the ``(m, 2J)``

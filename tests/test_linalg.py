@@ -108,6 +108,23 @@ class TestKrylovBasis:
         with pytest.raises(DegenerateCrossCorrelationError):
             krylov_basis(SymMatrix(np.eye(3)), np.zeros(3), 2)
 
+    @pytest.mark.parametrize("bad", ["nan-seed", "inf-seed", "nan-matrix", "inf-times-zero"])
+    def test_stacked_build_rejects_non_finite_input(self, rng, bad):
+        # the second row of a stack is bad; no warning comes first (warnings fail tests)
+        mats = np.stack([random_spd(4, rng), random_spd(4, rng)])
+        seeds = rng.standard_normal((2, 4))
+        if bad == "nan-seed":
+            seeds[1, 2] = np.nan
+        elif bad == "inf-seed":
+            seeds[1, 2] = np.inf
+        elif bad == "nan-matrix":
+            mats[1] = np.nan
+        else:  # an infinite entry met only by a zero seed entry
+            seeds[1, 3] = 0.0
+            mats[1, 0, 3] = mats[1, 3, 0] = np.inf
+        with pytest.raises(ValueError, match="must be finite"):
+            krylov_basis_stack(mats, seeds, 3)
+
     @pytest.mark.parametrize("scale", [1e-151, 1e-160, 1e-200, 1e-300, 1e160, 1e200, 1e300])
     def test_tiny_seed_keeps_its_direction(self, rng, scale):
         # p.p underflows once |p| < ~1e-154 and overflows once |p| > ~1e154;

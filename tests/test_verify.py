@@ -481,7 +481,7 @@ def reduced_problem(half_spaces, basis):
 def oracle_path(half_spaces, basis, start=None):
     """Check ``find_feasible_point``'s answer and return the path that gave it.
 
-    ``"cyclic"``: the frozen cyclic loop certifies within the pass budget, and the
+    ``"start"``: the frozen loop's check holds at the start, before any pass, and the
     answer is its point, bit for bit. Otherwise ``"exact"``: a point of every set (the
     check's products at its reduced coordinates) no farther from the start than the
     brute-force projection onto the tightened sets, moved in by what rounding of the
@@ -491,10 +491,10 @@ def oracle_path(half_spaces, basis, start=None):
     the products there reaches half the margin, so no point of them can be certified.
     """
     got = find_feasible_point(half_spaces, basis, start)
-    want = frozen_find_feasible_point(half_spaces, basis, start, verify._PASSES)
+    want = frozen_find_feasible_point(half_spaces, basis, start, max_iter=0)
     if want is not None:
         assert same_bytes(got, want)
-        return "cyclic"
+        return "start"
     s = basis.matrix
     (normals, bounds, inner), excluded = reduced_problem(half_spaces, basis)
     z0 = s.T @ start if start is not None else np.zeros(basis.rank)
@@ -561,7 +561,7 @@ class TestLeanStaticBuild:
         steps, _ = static_rapsm_run(**kwargs)
         paths = Counter(oracle_path(step.instance.half_spaces, step.instance.basis, start)
                         for step in steps for start in (step.instance.anchor, None))
-        assert paths["cyclic"] > len(steps) and set(paths) <= {"cyclic", "exact"}
+        assert set(paths) == {"start", "exact"}  # no step empty or unknown
 
     def test_oracle_equals_the_frozen_loop_at_the_cap_and_on_random_sets(self, rng):
         paths = set()
@@ -569,7 +569,7 @@ class TestLeanStaticBuild:
             inst = make_instance(rng, q=int(rng.integers(1, 6)), rho=float(rng.uniform(1e-3, 1.0)))
             for start in (inst.anchor, None):
                 paths.add(oracle_path(inst.half_spaces, inst.basis, start))
-        assert paths == {"cyclic", "exact", "empty"}  # q > D admits empty sets
+        assert paths == {"start", "exact", "empty"}  # q > D admits empty sets
         # an empty intersection within the range: the frozen loop gives up at every cap,
         # the oracle proves it empty
         basis = BasisMatrix(random_orthonormal(6, 2, rng))
@@ -588,7 +588,7 @@ class TestLeanStaticBuild:
         inside = HalfSpace(np.eye(n)[0], 0.5, np.zeros(n))
         for offset, excluded in ((1.0, True), (-1.0, False), (0.0, False)):
             sets = (inside, HalfSpace(off, offset, np.zeros(n)))
-            assert oracle_path(sets, axes) == ("empty" if excluded else "cyclic")
+            assert oracle_path(sets, axes) == ("empty" if excluded else "exact")
             if excluded:
                 assert find_feasible_point(sets, axes) == EmptyIntersection((0.0, 1.0))
         assert same_point(find_feasible_point((), axes), frozen_find_feasible_point((), axes))
@@ -662,7 +662,7 @@ class TestExactOracle:
     @settings(max_examples=400, deadline=None)
     @given(reduced_sets())
     def test_oracle_agrees_with_the_brute_force_projection(self, case):
-        assert oracle_path(*case) in {"cyclic", "exact", "empty", "unknown"}
+        assert oracle_path(*case) in {"start", "exact", "empty", "unknown"}
 
     @pytest.mark.parametrize("rows, bounds, path", [
         ([[1.0, 0.0], [2.0, 0.0]], [1.0, 1.0], "point"),  # dependent, same direction
@@ -683,29 +683,7 @@ class TestExactOracle:
                      for row, b in zip(rows, bounds))
         start = np.append(np.full(rows.shape[1], 5.0), 0.0)
         got = oracle_path(sets, axes, start)
-        assert {"cyclic": "point", "exact": "point"}.get(got, got) == path
-
-    def test_zero_width_slab_stops_at_a_repeated_pass(self, monkeypatch):
-        # the fallback's passes alternate between the two tightened planes, so the third pass
-        # would start where the second did: it stops there instead of running 5000 passes
-        cyclic, loops = verify._cyclic, []
-
-        class Sets(list):  # looped over by each check and each pass
-            def __iter__(self):
-                loops[-1] += 1
-                return super().__iter__()
-
-        def counted(reduced, z, passes):
-            loops.append(0)
-            return cyclic(Sets(reduced), z, passes)
-
-        monkeypatch.setattr(verify, "_cyclic", counted)
-        axes = BasisMatrix(np.eye(3)[:, :2])
-        sets = (HalfSpace([1.0, 2.0, 0.0], 1.0, np.zeros(3)),
-                HalfSpace([-1.0, -2.0, 0.0], -1.0, np.zeros(3)))
-        assert find_feasible_point(sets, axes, np.array([5.0, 5.0, 0.0])) is None
-        assert len(loops) == 2  # the budgeted passes, then the fallback
-        assert (loops[-1] - 1) // 2 <= 3  # a check before each pass and after the last
+        assert {"start": "point", "exact": "point"}.get(got, got) == path
 
     def test_exact_points_hold_with_margin_to_spare(self):
         # on the steps the exact phase answers, every set holds by the check's products
@@ -714,7 +692,7 @@ class TestExactOracle:
         for step in steps:
             inst = step.instance
             if frozen_find_feasible_point(inst.half_spaces, inst.basis, inst.anchor,
-                                          verify._PASSES) is None:
+                                          max_iter=0) is None:
                 omega = find_feasible_point(inst.half_spaces, inst.basis, inst.anchor)
                 (normals, bounds, _), _ = reduced_problem(inst.half_spaces, inst.basis)
                 assert np.all(normals @ (inst.basis.matrix.T @ omega) < bounds)
@@ -983,7 +961,7 @@ class TestStackedLoops:
                             HalfSpace(off, float(rng.standard_normal()), rng.standard_normal(n)))
             for start in (None, rng.standard_normal(n)):
                 outcomes.add(oracle_path(sets, axes, start))
-        assert {"cyclic", "empty"} <= outcomes <= {"cyclic", "exact", "empty"}
+        assert {"start", "empty"} <= outcomes <= {"start", "exact", "empty"}
 
 
 def no_scenario(*args, **kwargs):
