@@ -15,6 +15,7 @@ import argparse
 import sys
 
 from .experiments import (
+    ALGORITHMS,
     ExperimentConfig,
     FilterSpec,
     config_metadata,
@@ -28,7 +29,7 @@ from .scenarios import CdmaConfig, SysIdConfig
 
 def _add_common(parser, *, rho: float, lam: float, snr: float, iters: int):
     parser.add_argument("--filter", action="append", dest="filters",
-                        choices=["krr-apsp", "cgrrf", "nlms", "rls"],
+                        choices=ALGORITHMS,
                         help="algorithm to run (repeatable; default krr-apsp)")
     parser.add_argument("--D", type=int, default=5, help="Krylov subspace rank")
     parser.add_argument("--q", type=int, default=4, help="parallel projections per step")

@@ -176,8 +176,8 @@ class CorrelationEstimator:
         self.mode = mode
 
     def update(self, u, d: float) -> None:
-        """Fold one sample pair into the running estimates."""
-        self._stats.update(as_vector(u, self.n)[None], np.array([float(d)]))
+        """Fold one sample pair into the estimates; a non-finite one raises ``ValueError``."""
+        self._stats.update(as_vector(u, self.n)[None], as_vector([d], 1))
 
     def r_matrix(self) -> SymMatrix:
         """Immutable snapshot of the autocorrelation estimate."""

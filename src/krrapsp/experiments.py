@@ -38,7 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .filters import CgrrfBatch, KrrApspBatch, KrrParams, NlmsBatch, Rls, lockstep_families
+from .filters import (CgrrfBatch, KrrApspBatch, KrrParams, NlmsBatch, Rls, _checked_stack,
+                      lockstep_families)
 from .linalg import check_int, stacked_dot
 from .scenarios import CdmaConfig, CdmaScenario, SysIdConfig, SysIdScenario, config_items
 
@@ -201,7 +202,7 @@ def _run_rls(scenario, specs, iters: int, sums: dict) -> None:
     """Run the RLS specs over one trial's scenario, adding its per-step metrics into ``sums``.
 
     The trial's chunk stream is read chunk by chunk. A chunk is checked once,
-    with the errors of ``Rls.step``, before any filter steps on it; each
+    by ``Rls.step``'s rule, before any filter steps on it; each
     step's regressor is copied into one contiguous vector (a product over
     the reversed window view rounds differently) and the coefficients are
     kept in an ``(m, N)`` history, so the squared errors and mismatches are
@@ -211,11 +212,8 @@ def _run_rls(scenario, specs, iters: int, sums: dict) -> None:
     filters = [Rls(n, **spec.options) for spec in specs]
     v = np.empty(n)
     for chunk in scenario.chunks(iters):
-        if not np.isfinite(chunk.u).all():
-            raise ValueError("vector entries must be finite")
-        if not np.isfinite(chunk.d).all():
-            raise ValueError("desired output d must be finite")
         m = len(chunk.d)
+        _checked_stack(chunk.u, chunk.d, m, n)
         ys, hs = np.empty((len(filters), m)), np.empty((len(filters), m, n))
         for t, d in enumerate(chunk.d.tolist()):
             np.copyto(v, chunk.u[t])

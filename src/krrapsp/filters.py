@@ -28,7 +28,7 @@ a stacked RLS step measured slower than the scalar one (142-159 against
 129 us per trial-step; one BLAS thread, 2-core x86-64). Its arithmetic is
 one private core, ``Rls._update``, which ``Rls.step`` calls after checking
 the sample and which the Monte-Carlo harness calls on samples it has
-checked a chunk at a time.
+checked a chunk at a time, both by the batches' rule (``_checked_stack``).
 
 Every filter reports its full-dimension coefficient vector, rejects a
 filter length (and a batch its trial count) that is not a positive
@@ -619,7 +619,7 @@ def lockstep_families(batches) -> list:
 
 
 def _one_row(x):
-    # a single-stream initial vector as the (1, N) stack of a one-trial batch
+    # a single-stream value (a sample, an initial vector) as a one-trial batch's one-row stack
     return None if x is None else np.asarray(x, dtype=float)[None]
 
 
@@ -647,8 +647,7 @@ class _OneTrial:
         self._batch = batch
 
     def _step(self, u, d) -> StepOutput:
-        out = self._batch.step(np.asarray(u, dtype=float)[None],
-                               np.asarray(d, dtype=float)[None])
+        out = self._batch.step(_one_row(u), _one_row(d))
         h_full = out.h_full[0]
         h_full.flags.writeable = False  # it may be the batch's live state
         return StepOutput(float(out.y[0]), bool(out.updated[0]), h_full, int(out.mults[0]))
@@ -790,10 +789,8 @@ class Rls:
     update_rate = _OneTrial.update_rate
 
     def step(self, u, d: float) -> StepOutput:
-        v, d = as_vector(u, self.n), float(d)
-        if not math.isfinite(d):
-            raise ValueError("desired output d must be finite")
-        y = self._update(v, d)
+        u, d = _checked_stack(_one_row(u), _one_row(d), 1, self.n)
+        y = self._update(u[0], float(d[0]))
         return StepOutput(y, True, self.h.copy(), self._mults)
 
     def _update(self, v: np.ndarray, d: float) -> float:

@@ -305,6 +305,8 @@ def krylov_basis_stack(matrices: np.ndarray, seeds: np.ndarray, rank: int):
     ``BasisMatrix`` does if a basis is not orthonormal.
     """
     count, n = seeds.shape
+    if not 1 <= check_int(rank, "rank") <= n:
+        raise ValueError(f"requested rank {rank} outside 1..{n}")
     if not np.isfinite(seeds).all():
         raise ValueError("Krylov seeds must be finite")
     with np.errstate(over="ignore"):
@@ -315,8 +317,6 @@ def krylov_basis_stack(matrices: np.ndarray, seeds: np.ndarray, rank: int):
         norms = np.sqrt(stacked_dot(seeds, seeds))
     if not np.all(norms > 0.0):
         raise DegenerateCrossCorrelationError("degenerate cross-correlation: ||p|| = 0")
-    if not 1 <= rank <= n:
-        raise ValueError(f"requested rank {rank} outside 1..{n}")
     cols = np.zeros((count, n, rank))
     cols[:, :, 0] = seeds / norms[:, None]
     with np.errstate(invalid="ignore"):  # inf * 0
@@ -353,8 +353,9 @@ def cg_solve_stack(matrices: np.ndarray, rhs: np.ndarray, x0: np.ndarray,
     a zero residual or non-positive curvature (semidefinite breakdown) with
     its current iterate. Returns the ``(R, N)`` iterates. A list ``iterates``
     gets copies of ``x0`` and of each step's: ``d`` steps give
-    ``iterates[min(d, len - 1)]``.
+    ``iterates[min(d, len - 1)]``. ``iters`` must be an integer of at least 0.
     """
+    check_int(iters, "iters", 0)
     x = x0.copy()
     if iterates is not None:
         iterates.append(x.copy())

@@ -13,21 +13,22 @@ order (sysid): unknown system, coloring filter, input signal, noise,
 post-change system, SNR calibration. Substream order (cdma): code
 selection, chip offsets, data bits, noise, post-change selection.
 
-Each scenario has one stream, ``chunks(count)``, the only place where it
-draws and builds samples; ``samples(count)`` is a per-step view of it.
-The harness and ``verify``'s static runs read only ``chunks()``.
-``samples()`` and ``StreamSample`` stay public as the single-stream view:
-one step with its own ``u`` and truth, which is what a caller stepping
-one filter by hand reads (the README's library example). A
+Each scenario has one stream, ``chunks(count)``, and its per-step view
+``samples(count)``, both written once in the private base ``_Stream``
+around the scenario's own chunk loop ``_chunks``, the only place where it
+draws and builds samples. The harness and ``verify``'s static runs read
+only ``chunks()``. ``samples()`` and ``StreamSample`` stay public as the
+single-stream view: one step with its own ``u`` and truth, which is what a
+caller stepping one filter by hand reads (the README's library example). A
 chunk is up to ``_CHUNK`` consecutive steps: ``(m, n)`` regressors,
 ``(m,)`` outputs and the truth they share. A chunk ends at ``change_at``,
 so every step of a chunk has the same truth. Each substream is drawn in
-blocks, one per chunk (sysid: one per ``_CHUNK`` steps of a fixed grid,
-so a chunk that ends at ``change_at`` shares its block with the next). A
-block draw returns the values of the per-step draws it replaces and
-leaves the generator in the same state, and the chunk arithmetic rounds
-every entry as the per-step arithmetic does (CDMA: one exact BLAS product
-per chunk, see :meth:`CdmaScenario.chunks`), so the samples are those of a
+blocks, one per chunk (sysid: one per ``_CHUNK`` steps of a fixed grid, so
+a chunk that ends at ``change_at`` shares its block with the next). A
+block draw returns the values of the per-step draws it replaces and leaves
+the generator in the same state, and the chunk arithmetic rounds every
+entry as the per-step arithmetic does (CDMA: one exact BLAS product per
+chunk, see ``CdmaScenario._chunks``), so the samples are those of a
 step-by-step generator and the RNG contract above is unchanged. A stream
 therefore draws up to one chunk ahead of what it has yielded. Every call
 replays the stream from step 0: a scenario saves the states of its stream
@@ -118,14 +119,26 @@ def config_items(cfg) -> dict:
     return out
 
 
-# samples is written once and bound in each scenario class's own body,
-# where the benchmark's layer trace finds it
-def _samples(self, count: int) -> Iterator[StreamSample]:
-    """The steps of :meth:`chunks` one at a time, each with its own ``u`` (CDMA: bit ``d``)."""
-    for chunk in self.chunks(count):
-        for t, d in enumerate(chunk.d.tolist()):
-            yield StreamSample(k=chunk.start + t, u=chunk.u[t].copy(), d=d, truth_h=chunk.truth,
-                               truth_bit=None if chunk.truth is not None else int(d))
+class _Stream:
+    """A replayable stream: a scenario's ``_chunks`` loop from its ``_saved`` generator states."""
+
+    def chunks(self, count: int, buffer=None) -> Iterator[StreamChunk]:
+        """The first ``count`` (at least 0) steps in chunks, replayed from step 0 at every call.
+
+        They are written into ``buffer``, a pair from ``chunk_buffer`` (by
+        default one of the stream's own).
+        """
+        count = check_int(count, "count", 0)
+        for g, state in self._saved:
+            g.bit_generator.state = state
+        yield from self._chunks(count, self.chunk_buffer() if buffer is None else buffer)
+
+    def samples(self, count: int) -> Iterator[StreamSample]:
+        """The steps of :meth:`chunks` one at a time, each with its own ``u`` (CDMA: bit ``d``)."""
+        for chunk in self.chunks(count):
+            for t, d in enumerate(chunk.d.tolist()):
+                yield StreamSample(chunk.start + t, chunk.u[t].copy(), d, chunk.truth,
+                                   None if chunk.truth is not None else int(d))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +186,7 @@ class SysIdConfig:
         check_int(self.seed, "seed", 0)
 
 
-class SysIdScenario:
+class SysIdScenario(_Stream):
     """Sample stream for a system identification experiment.
 
     Noise power is calibrated against the clean output power measured on a
@@ -220,12 +233,6 @@ class SysIdScenario:
             power = float(np.add.accumulate(z * z)[-1]) / len(z)
             self.noise_std = math.sqrt(power / (10.0 ** (config.snr_db / 10.0)))
 
-    def truth_at(self, k: int) -> np.ndarray:
-        c = self.config
-        if c.change_at is not None and k >= c.change_at:
-            return self.h_star_post
-        return self.h_star
-
     def chunk_buffer(self, *rows: int):
         """A buffer for :meth:`chunks`, stacked over ``rows``, and its regressor view.
 
@@ -235,24 +242,20 @@ class SysIdScenario:
         buf = np.empty(rows + (_CHUNK + self.n - 1,))
         return buf, sliding_window_view(buf, self.n, axis=-1)[..., ::-1]
 
-    def chunks(self, count: int, buffer=None) -> Iterator[StreamChunk]:
-        """The first ``count`` steps in chunks, replayed from step 0 at every call.
+    def _chunks(self, count: int, buffer):
+        """The chunks of :meth:`chunks`, from the restored generators.
 
         Input and noise are drawn every ``_CHUNK`` steps into buffers the
         stream keeps. Each draw's colored input comes from its white
         samples plus the last ``n - 1 + fir_len - 1`` white samples before
         it, which its first windows and filter outputs reach back to. A
-        chunk's input is written into ``buffer``, a pair from
-        :meth:`chunk_buffer` (by default one of the stream's own).
+        chunk's input is written into ``buffer``.
         """
-        count = check_int(count, "count", 0)
         n, change = self.n, self.config.change_at
         carry = n - 1 + self.config.fir_len - 1
-        buf, windows = self.chunk_buffer() if buffer is None else buffer
+        buf, windows = buffer
         white = np.empty(carry + _CHUNK)
         noise = np.zeros(_CHUNK)
-        for g, state in self._saved:
-            g.bit_generator.state = state
         self._rng_input.standard_normal(out=white[:carry])
         for start in range(0, count, _CHUNK):
             m = min(_CHUNK, count - start)
@@ -268,14 +271,12 @@ class SysIdScenario:
                 cuts.insert(1, change - start)
             for a, b in zip(cuts, cuts[1:]):
                 buf[:b - a + n - 1] = x[a:b + n - 1]
-                truth = self.truth_at(start + a)
+                truth = self.h_star if change is None or start + a < change else self.h_star_post
                 # each row's BLAS dot over a contiguous copy, as the per-step
                 # `window @ truth` (over the strided view matmul rounds
                 # differently); the copy is not kept while suspended
                 d = stacked_dot(np.ascontiguousarray(windows[:b - a]), truth) + noise[a:b]
                 yield StreamChunk(start + a, windows[:b - a], d, truth)
-
-    samples = _samples
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +399,7 @@ def _chip_table(users) -> np.ndarray:
     return np.stack([user.amplitude * part for user in users for part in (user.tail, user.head)])
 
 
-class CdmaScenario:
+class CdmaScenario(_Stream):
     """Sample stream of received chip vectors with training bits.
 
     The desired user keeps index 0 (zero offset, so its whole symbol lies
@@ -455,15 +456,14 @@ class CdmaScenario:
         buf = np.empty(rows + (_CHUNK, self.n))
         return buf, buf
 
-    def chunks(self, count: int, buffer=None) -> Iterator[StreamChunk]:
-        """The first ``count`` steps in chunks, replayed from step 0 at every call.
+    def _chunks(self, count: int, buffer):
+        """The chunks of :meth:`chunks`, from the restored generators.
 
         Bits and noise are drawn one chunk at a time; a chunk ends at
         ``change_at``, where the user set changes. Every step draws one bit
         per active user, in user order, and the bits a user sent before the
         chunk carry into its first row as the previous symbol. The chip
-        vectors are built in ``buffer``, a pair from :meth:`chunk_buffer`
-        (by default one of the stream's own), as ``signs @ table``: each
+        vectors are built in ``buffer``'s view as ``signs @ table``: each
         user set's ``(2J, n)`` table of rows ``A_j tail_j``, ``A_j head_j``
         times the users' previous and current bits. That is the per-user sum
         ``u += A_j (b' tail_j + b head_j)`` from zero bit for bit: tail and
@@ -472,11 +472,7 @@ class CdmaScenario:
         ``acc ± c``). A one-row chunk is padded to two rows, as numpy makes a
         one-row product with gemv, which adds in another order.
         """
-        count = check_int(count, "count", 0)
-        chips = (self.chunk_buffer() if buffer is None else buffer)[1]
-        change = self.config.change_at
-        for g, state in self._saved:
-            g.bit_generator.state = state
+        chips, change = buffer[1], self.config.change_at
         table = self._tables[0]
         prev = np.array([user.prev_bit for user in self._pre_users])  # one per active user
         start = 0
@@ -499,5 +495,3 @@ class CdmaScenario:
             del bits, signs  # a suspended stream keeps only what its next chunk reads
             yield StreamChunk(start, u, d)
             start += m
-
-    samples = _samples

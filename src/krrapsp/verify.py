@@ -92,10 +92,12 @@ def fixed_point_set(phi: PhiMap, tol: float | None = None) -> np.ndarray:
     """Orthonormal basis (N x dim, possibly dim 0) of the fixed points.
 
     They are ``S_prev z`` for ``z`` in the null space of ``S_prev^T S_next - I``
-    (singular values below ``tol``), each re-verified as ``S_next z`` and as
-    a fixed point of the map.
+    (singular values below ``tol``, finite and nonnegative), each re-verified
+    as ``S_next z`` and as a fixed point of the map.
     """
     tol = TOL.fixed_point_eigen if tol is None else tol
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     gram = phi.s_prev.matrix.T @ phi.s_next.matrix
     _, sing, vt = np.linalg.svd(gram - np.eye(phi.rank))
     z = vt[sing <= tol]  # rows spanning the reduced fixed space
@@ -681,13 +683,16 @@ def subgradient_inequality_check(basis: BasisMatrix, u_block, d_block,
     """Max defect of the subdifferential inequality for the error bound map
     ``g(z) = ||(S^T U)^T z - d||^2 - rho``, gradient ``2 (S^T U) e``.
 
-    At ``trials >= 1`` random ``x``, ``<x - y, grad(y)> + g(y) - g(x)`` must be
+    ``U`` is the finite ``(N, r)`` block of the ``r`` outputs ``d``. At
+    ``trials >= 1`` random ``x``, ``<x - y, grad(y)> + g(y) - g(x)`` must be
     nonpositive, and ``y``'s projection must land in the separating half-space.
     """
     check_int(trials, "trials")
     rng = np.random.default_rng(rng)
-    ured = basis.matrix.T @ np.asarray(u_block, dtype=float)
-    d = as_vector(d_block)
+    d, u = as_vector(d_block), np.asarray(u_block, dtype=float)
+    if u.shape != (basis.n, len(d)) or not np.isfinite(u).all():
+        raise ValueError(f"u_block must be a finite ({basis.n}, {len(d)}) array")
+    ured = basis.matrix.T @ u
     y = as_vector(point, basis.rank)
 
     def g(z):  # of a point, or of each row of a stack

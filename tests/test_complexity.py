@@ -55,6 +55,12 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             cx.count("mswf", 10)
 
+    def test_dispatch_reaches_every_count(self):
+        assert cx.count("rls", 50) == cx.rls_count(50)
+        assert cx.count("cgrrf", 50, rank=5, m=10) == cx.cgrrf_count(50, 5, 10)
+        assert (cx.count("KRR-APSP", 50, rank=5, q=4, r=3, m=10)
+                == cx.krr_single_count(50, 5, 4, 3, 10))
+
 
 class TestInstrumentedCounters:
     def test_nlms_counter_matches_row_exactly(self, rng):

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -36,6 +37,17 @@ class TestInit:
 
 
 class TestUpdate:
+    @pytest.mark.parametrize("mode", ["toeplitz", "fullsym"])
+    @pytest.mark.parametrize("d", [np.nan, np.inf, -np.inf])
+    def test_non_finite_d_rejected_without_state_change(self, mode, d):
+        # d would turn every entry of p into NaN
+        est = CorrelationEstimator(mode, 3, 0.9)
+        est.update([1.0, 2.0, 3.0], 0.5)
+        before = pickle.dumps(est)
+        with pytest.raises(ValueError, match="finite"):
+            est.update([1.0, -1.0, 0.5], d)
+        assert pickle.dumps(est) == before
+
     def test_toeplitz_single_sample(self):
         est = CorrelationEstimator("toeplitz", 3, 0.999)
         est.update([1.0, 0.0, 0.0], 2.0)

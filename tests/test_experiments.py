@@ -17,6 +17,7 @@ from krrapsp.estimation import _StatsStack
 from krrapsp.filters import CgrrfBatch, NlmsBatch, _KrrFamily
 from krrapsp.linalg import krylov_basis_stack
 from krrapsp.experiments import (
+    ALGORITHMS,
     ExperimentConfig,
     FilterSpec,
     MetricsRecord,
@@ -420,6 +421,20 @@ class TestCsv:
         assert not target.exists()
         assert not list(tmp_path.iterdir())
 
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path):
+        # the text is written, then moving it onto a directory fails
+        target = tmp_path / "out.csv"
+        target.mkdir()
+        with pytest.raises(OSError):
+            write_csv([MetricsRecord(0, "nlms", -1.0, -1.0, 0.0, 1.0)], str(target), {})
+        assert list(tmp_path.iterdir()) == [target] and not list(target.iterdir())
+
+    def test_bad_header_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("# kind=sysid\nk,algorithm,mse_db\n0,nlms,-1.0\n")
+        with pytest.raises(ValueError, match="unexpected CSV header"):
+            read_csv(str(path))
+
     def test_metadata_echoes_filters(self):
         meta = config_metadata(tiny_config())
         assert meta["filter.krr-apsp"] == "krr-apsp"
@@ -583,6 +598,11 @@ class TestCli:
             except SystemExit as exc:  # argparse rejects a command line
                 code = exc.code
         return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+    def test_filter_choices_are_the_algorithms(self):
+        proc = self.run_cli("sysid", "--filter", "mswf")
+        assert proc.returncode == 2
+        assert "choose from " + ", ".join(map(repr, ALGORITHMS)) in proc.stderr
 
     def test_sysid_writes_csv(self, tmp_path):
         out = tmp_path / "run.csv"

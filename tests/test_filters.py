@@ -28,16 +28,6 @@ from conftest import random_orthonormal, random_spd
 from oracles import energy_norm_best_approx, least_squares_fit, reference_parallel_update
 
 
-def drive_to_basis(filt, scenario_samples):
-    """Feed samples until the filter owns a basis; returns remaining samples."""
-    it = iter(scenario_samples)
-    for s in it:
-        filt.step(s.u, s.d)
-        if filt.basis is not None:
-            break
-    return it
-
-
 class TestKrrParams:
     def test_weight_validation(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from krrapsp import (
     project_subspace,
     r_norm,
 )
-from krrapsp.linalg import _norm, krylov_basis_stack, toeplitz_dense
+from krrapsp.linalg import _norm, cg_solve_stack, krylov_basis_stack, toeplitz_dense
 
 from conftest import random_orthonormal, random_spd
 from oracles import (
@@ -107,6 +107,16 @@ class TestKrylovBasis:
     def test_degenerate_seed_raises(self):
         with pytest.raises(DegenerateCrossCorrelationError):
             krylov_basis(SymMatrix(np.eye(3)), np.zeros(3), 2)
+
+    @pytest.mark.parametrize("rank", [0, -1, 4, 2.5, np.float64(2.0)])
+    @pytest.mark.parametrize("seed", [np.zeros(3), np.ones(3)], ids=["zero-seed", "seed"])
+    def test_rank_rejected_before_the_seed_is_read(self, rank, seed):
+        # a bad rank is reported as such, not as the zero seed or a TypeError
+        for build in (lambda: krylov_basis(SymMatrix(np.eye(3)), seed, rank),
+                      lambda: krylov_basis_stack(np.eye(3)[None], seed[None], rank)):
+            with pytest.raises(ValueError, match="rank") as info:
+                build()
+            assert not isinstance(info.value, DegenerateCrossCorrelationError)
 
     @pytest.mark.parametrize("bad", ["nan-seed", "inf-seed", "nan-matrix", "inf-times-zero"])
     def test_stacked_build_rejects_non_finite_input(self, rng, bad):
@@ -316,6 +326,19 @@ class TestCgSolve:
         b = a @ rng.standard_normal(4)
         x = cg_solve(SymMatrix(a), b, iters=4)
         assert np.all(np.isfinite(x))
+
+    @pytest.mark.parametrize("iters", [-3, 2.5, np.float64(2.0), "2"])
+    def test_step_count_rejected(self, iters):
+        # -3 would run no step, 2.5 fail inside range() with a TypeError
+        a = np.eye(3)
+        with pytest.raises(ValueError, match="iters"):
+            cg_solve(SymMatrix(a), np.ones(3), iters=iters)
+        with pytest.raises(ValueError, match="iters"):
+            cg_solve_stack(a[None], np.ones((1, 3)), np.zeros((1, 3)), iters)
+
+    def test_zero_steps_return_the_start(self):
+        x0 = np.array([1.0, -2.0, 0.5])
+        assert np.array_equal(cg_solve(SymMatrix(np.eye(3)), np.ones(3), x0=x0, iters=0), x0)
 
 
 # -- the kernels against their frozen scalar versions ------------------------

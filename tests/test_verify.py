@@ -164,6 +164,13 @@ class TestFixedPointSet:
                 for b in (prev, nxt):
                     assert np.linalg.norm(col - project_subspace(col, b)) <= 1e-8
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf])
+    def test_tolerance_rejected(self, rng, tol):
+        # NaN or a negative tolerance would silently return no fixed points
+        basis = BasisMatrix(random_orthonormal(5, 2, rng))
+        with pytest.raises(ValueError, match="tol"):
+            fixed_point_set(PhiMap(basis, basis), tol)
+
 
 class TestAttractingCheck:
     def test_projection_case_identity(self, rng):
@@ -346,6 +353,19 @@ class TestMonotoneProbe:
         monkeypatch.setattr(verify, "monotone_probe", lambda steps: report)
         out = verify._monotone_approximation(None, 0)
         assert out.detail == detail and out.gate is gate
+
+    def test_step_moving_away_is_a_violation(self):
+        # every certified step is sent far from its feasible point
+        steps, _ = static_rapsm_run(n=10, rank=3, projections=2, iters=30,
+                                    rho=0.05, step_size=0.5, seed=3)
+        away = [st._replace(h_next=st.h + 1e3 * st.basis_next.matrix[:, 0]) for st in steps]
+        report = monotone_probe(away)
+        assert report.certified > 0 and not report.passed
+        assert [idx for idx, _ in report.violations] == [
+            i for i, st in enumerate(steps) if isinstance(find_feasible_point(
+                st.instance.half_spaces, st.instance.basis, start=st.instance.anchor),
+                np.ndarray)]
+        assert report.max_overshoot == max(over for _, over in report.violations) > 900.0
 
     def test_basis_change_reported_unchecked(self, rng):
         inst = make_instance(rng)
@@ -724,6 +744,20 @@ class TestSubgradientCheck:
             defect = subgradient_inequality_check(basis, u, d, 0.1, y, rng)
             assert defect <= 1e-10
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "shape"])
+    def test_regressor_block_checked_before_any_draw(self, rng, bad):
+        # a NaN entry gave a NaN defect rather than an error
+        basis = BasisMatrix(random_orthonormal(8, 3, rng))
+        u = rng.standard_normal((8, 2))
+        if bad == "shape":
+            u = u[:, :1]
+        else:
+            u[4, 1] = np.nan if bad == "nan" else -np.inf
+        before = state_of(rng)
+        with pytest.raises(ValueError, match="u_block"):
+            subgradient_inequality_check(basis, u, np.ones(2), 0.1, np.zeros(3), rng)
+        assert state_of(rng) == before
+
 
 CHECK_NAMES = [
     "krylov-orthonormality", "krylov-span", "halfspace-boundary", "projector-pythagoras",
@@ -788,6 +822,29 @@ class TestRunAll:
             ("krylov-span", "max=nan"), ("halfspace-boundary", "max=nan"),
             ("asymptotic-surrogate", "max=nan")]
         assert err.strip() == "3 of 13 checks failed"
+
+    @pytest.mark.parametrize("broken", ["attracting-raises", "fixed-set-size"])
+    def test_phi_fixed_points_fails_on_its_gate_and_its_size(self, monkeypatch, broken):
+        # a distinct-basis map whose attracting check raises fails the gate; an
+        # identical-basis map whose fixed set is not its D-dimensional range fails
+        # the size check
+        if broken == "attracting-raises":
+            attracting = verify.attracting_check
+
+            def check(phi, trials=50, rng=None):
+                if not np.array_equal(phi.s_prev.matrix, phi.s_next.matrix):
+                    raise ValueError("no separating direction")
+                return attracting(phi, trials, rng)
+
+            monkeypatch.setattr(verify, "attracting_check", check)
+        else:
+            monkeypatch.setattr(verify, "fixed_point_set",
+                                lambda phi, tol=None: np.zeros((phi.n, 0)))
+        results = {r.name: r for r in run_all(seed=0)}
+        assert not results["phi-fixed-points"].passed
+        assert [name for name, r in results.items() if not r.passed] == ["phi-fixed-points"]
+        if broken == "fixed-set-size":
+            assert results["phi-fixed-points"].max_violation == 1.0
 
 
 def nan_on_call(fn, call):
