@@ -38,7 +38,8 @@ def _add_common(parser, *, rho: float, lam: float, snr: float, iters: int):
     parser.add_argument("--m", type=int, default=10, help="basis refresh period")
     parser.add_argument("--lambda", type=float, default=lam, dest="step_size",
                         help="relaxation step size in [0, 2]")
-    parser.add_argument("--gamma", type=float, default=0.999, help="forgetting factor")
+    parser.add_argument("--gamma", type=float, default=0.999,
+                        help="forgetting factor of KRR-APSP and RLS (CGRRF does not forget)")
     parser.add_argument("--snr-db", type=float, default=snr, help="signal-to-noise ratio")
     parser.add_argument("--runs", type=int, default=300, help="independent trials")
     parser.add_argument("--iters", type=int, default=iters, help="iterations per trial")

@@ -19,7 +19,7 @@ import numbers
 
 import numpy as np
 
-from .linalg import SymMatrix, as_vector, check_int, toeplitz_dense
+from .linalg import SymMatrix, all_finite, as_vector, check_int, toeplitz_dense
 
 MODES = ("toeplitz", "fullsym")
 
@@ -133,7 +133,7 @@ class _StatsStack:
         """
         r, p = self.r, self.p
         if not (np.isfinite(r.reshape(len(r), -1)).all(axis=1)[pos].all()
-                and np.isfinite(p[pos]).all()):
+                and all_finite(p[pos])):
             raise ValueError("statistics estimates must be finite")
         n = p.shape[1]
         if self.mode == "toeplitz":

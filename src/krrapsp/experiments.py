@@ -40,7 +40,7 @@ import numpy as np
 from . import __version__
 from .filters import (CgrrfBatch, KrrApspBatch, KrrParams, NlmsBatch, Rls, _checked_stack,
                       lockstep_families)
-from .linalg import check_int, stacked_dot
+from .linalg import check_int
 from .scenarios import CdmaConfig, CdmaScenario, SysIdConfig, SysIdScenario, config_items
 
 # the construction keywords each algorithm takes in FilterSpec.options
@@ -151,7 +151,7 @@ def _errors(d, y, truth, truth_sq, h):
     if truth is None:
         return err * err, np.full(err.shape, math.nan)
     diff = truth - h
-    return err * err, stacked_dot(diff, diff) / truth_sq
+    return err * err, np.vecdot(diff, diff) / truth_sq
 
 
 def _lockstep_samples(scenarios, iters: int):
@@ -170,7 +170,7 @@ def _lockstep_samples(scenarios, iters: int):
         truth = truth_sq = None
         if chunk[0].truth is not None:
             truth = np.stack([c.truth for c in chunk])
-            truth_sq = stacked_dot(truth, truth)
+            truth_sq = np.vecdot(truth, truth)
         for t, d in enumerate(ds):
             np.copyto(u, regressors[:, t])
             yield u, d, truth, truth_sq

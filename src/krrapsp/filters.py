@@ -33,7 +33,7 @@ checked a chunk at a time, both by the batches' rule (``_checked_stack``).
 Every filter reports its full-dimension coefficient vector, rejects a
 filter length (and a batch its trial count) that is not a positive
 integer when it is constructed, and rejects a sample with a non-finite
-entry before any state changes.
+entry, ``u . u`` or ``d * d`` before any state changes.
 
 Multiplication accounting
 -------------------------
@@ -56,13 +56,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .estimation import _chunk_trials, _StatsStack, check_forgetting
 from .linalg import (
     BasisMatrix,
+    all_finite,
     as_vector,
     cg_solve_stack,
     check_int,
     krylov_basis,  # noqa: F401  (unused; the benchmark's layer trace checks it here)
     krylov_basis_stack,
-    stacked_dot,
-    stacked_matvec,
 )
 from .tolerances import TOL
 
@@ -152,12 +151,16 @@ def _basis_build_charge(rank: int, n: int) -> int:
 
 
 def _checked_stack(u, d, trials: int, n: int):
-    """Validate one ``(R, N)`` regressor stack and its ``(R,)`` outputs."""
+    """Validate one ``(R, N)`` regressor stack and its ``(R,)`` outputs, ``u . u`` and ``d * d``."""
     u = np.asarray(u, dtype=float)
     if u.shape != (trials, n):
         raise ValueError(f"expected u of shape {(trials, n)}, got {u.shape}")
     as_vector(u.reshape(-1))
-    return u, as_vector(d, trials)
+    d = as_vector(d, trials)
+    with np.errstate(over="ignore"):  # no fold or product may overflow on the sample alone
+        if not (all_finite(np.vecdot(u, u)) and all_finite(d * d)):
+            raise ValueError("sample rejected: u . u or d * d is not finite")
+    return u, d
 
 
 def _initial_stack(x, trials: int, n: int, name: str):
@@ -165,7 +168,7 @@ def _initial_stack(x, trials: int, n: int, name: str):
     if x is None:
         return None
     x = np.array(x, dtype=float)
-    if x.shape != (trials, n) or not np.all(np.isfinite(x)):
+    if x.shape != (trials, n) or not all_finite(x):
         raise ValueError(f"{name} must be a finite ({trials}, {n}) array")
     return x
 
@@ -306,7 +309,7 @@ class _KrrFamily:
         self.filled = min(self.filled + 1, self.ds.shape[1])
         self.stats.update(u, d)
         # the estimators have now seen k + 1 samples: mature from N on
-        if self._k + 1 >= self.n and not self.has_basis.all():
+        if self._k + 1 >= self.n and np.count_nonzero(self.has_basis) < self.trials:
             self._build(~self.has_basis)
         outs = self._pass(u)
         if self._k % self.refresh_period == 1 % self.refresh_period:
@@ -321,7 +324,7 @@ class _KrrFamily:
         self.mult_totals["stats"] += stats_mults
         self.steps += 1
         if self.built:  # ranks, bases and has_basis change only at a build
-            self.whole, self.idle = (ranks == self.full).all(), not self.has_basis.any()
+            self.whole, self.idle = (ranks == self.full).all(), not np.count_nonzero(self.has_basis)
             self.transform = ranks * n  # S^T u of the newest sample
         valid, self.built = not self.built, False
         if self.idle:  # every trial passes through: output 0, no update
@@ -339,11 +342,11 @@ class _KrrFamily:
                     (d, np.flatnonzero(m.rank_eff == d)) for d in set(m.rank_eff.tolist()) - {0}]:
                 basis = m.basis if self.whole else np.ascontiguousarray(m.basis[idx][..., :rank])
                 basis_t, mine = basis.transpose(0, 2, 1), ut[m._rows]
-                mine[idx, 0, :rank] = stacked_matvec(basis_t, u[idx])
-                if not valid and (stale := ~m._ut_valid[idx]).any():
+                mine[idx, 0, :rank] = np.matvec(basis_t, u[idx])
+                if not valid and np.count_nonzero(stale := ~m._ut_valid[idx]):
                     at = np.arange(trials)[idx][stale]
-                    mine[at, 1:ring, :rank] = stacked_matvec(basis_t[stale][:, None],
-                                                             self.us[at, 1:ring])
+                    mine[at, 1:ring, :rank] = np.matvec(basis_t[stale][:, None],
+                                                        self.us[at, 1:ring])
                 rows = m._rows if self.whole else idx + m._rows.start
                 parts[-1].append((rows, rank, idx, basis))
         self._ut_valid.fill(True)
@@ -352,7 +355,7 @@ class _KrrFamily:
         # filled are zero in regressors and outputs, so their errors are exactly 0
         r, q_eff, rho = self.r, min(self.q, ring), self.rho[:, None]
         width = q_eff + r - 1
-        ips = stacked_dot(ut[:, :max(ring, width)], h[:, None, :])
+        ips = np.vecdot(ut[:, :max(ring, width)], h[:, None, :])
         e = ips[:, :width].reshape(len(self.members), trials, width) - self.ds[:, :width]
         if not self.whole:  # a trial without a basis has no sets
             e[:, ~self.has_basis] = 0.0
@@ -364,21 +367,20 @@ class _KrrFamily:
             sq, g, squares = e * e, ut[:, :q_eff] * e[..., None], ut[:, :q_eff] * ut[:, :q_eff]
         else:
             e_win = sliding_window_view(e, r, axis=1)
-            # the columns ut[j], ..., ut[j + r - 1], copied: matmul on the view rounds differently
+            # ut[j], ..., ut[j + r - 1] as columns, copied: on the view np.matvec rounds otherwise
             u_win = np.ascontiguousarray(sliding_window_view(ut[:, :width], r, axis=1))
-            sq, g, squares = stacked_dot(e_win, e_win), stacked_matvec(u_win, e_win), u_win * u_win
+            sq, g, squares = np.vecdot(e_win, e_win), np.matvec(u_win, e_win), u_win * u_win
         block_sq = np.zeros(sq.shape)
         for rows, rank, _, _ in (group for groups in parts for group in groups):
             block_sq[rows] = squares[rows, :, :rank].sum(axis=2 if r == 1 else (2, 3))
             if rank == 1 < r:
-                g[rows, :, :1] = stacked_matvec(np.ascontiguousarray(u_win[rows, :, :1]),
-                                                e_win[rows])
+                g[rows, :, :1] = np.matvec(np.ascontiguousarray(u_win[rows, :, :1]), e_win[rows])
         violated = sq > rho
-        c = stacked_dot(g, g)
+        c = np.vecdot(g, g)
 
         # a violated set with a vanishing subgradient (a data corner) is skipped and counted
         zero = violated & (c <= TOL.zero_direction_rel ** 2 * (block_sq * sq))
-        if zero.any():
+        if np.count_nonzero(zero):
             self.skipped_zero_direction += zero.sum(axis=1)
         ok = violated ^ zero  # zero only where violated
         gap = rho - sq
@@ -394,7 +396,7 @@ class _KrrFamily:
         n_ok = ok.sum(axis=1)
         contributed = n_ok > 0
 
-        nf = stacked_dot(f_dir, f_dir)
+        nf = np.vecdot(f_dir, f_dir)
         delta_norm_sum = _sum_sets(np.abs(coef) * np.sqrt(c))
         cancelled = contributed & (np.sqrt(nf) <= TOL.cancellation * delta_norm_sum)
         self.cancelled_updates += cancelled
@@ -415,11 +417,11 @@ class _KrrFamily:
         for m, groups in zip(self.members, parts):
             if self.whole:
                 (rows, rank, _, basis), = groups
-                h_full = stacked_matvec(basis, np.ascontiguousarray(h[rows, :rank]))
+                h_full = np.matvec(basis, np.ascontiguousarray(h[rows, :rank]))
             else:  # trials without a basis pass through
                 h_full = np.zeros((trials, n))
                 for rows, rank, idx, basis in groups:  # rows index: a contiguous copy
-                    h_full[idx] = stacked_matvec(basis, h[rows, :rank])
+                    h_full[idx] = np.matvec(basis, h[rows, :rank])
             outs.append(StepOutput(ips[m._rows, 0], updated[m._rows], h_full, mults[m._rows]))
         return outs
 
@@ -532,7 +534,7 @@ class CgrrfBatch(_Lockstep):
         p = self.stats.p
         # a zero p (p . p, which is what ||p|| == 0 tests) with a zero
         # initial vector has nothing to solve
-        ok = among & ((stacked_dot(p, p) != 0.0) | self._init_nonzero)
+        ok = among & ((np.vecdot(p, p) != 0.0) | self._init_nonzero)
         pos = np.flatnonzero(ok)
         if pos.size:
             self.h = self.h.copy()  # the last step returned the old one
@@ -545,18 +547,18 @@ class CgrrfBatch(_Lockstep):
 
     def step(self, u, d) -> StepOutput:
         """Consume one ``(R, N)`` regressor stack and its ``(R,)`` outputs."""
-        r, n = self.trials, self.n
+        r, n, m = self.trials, self.n, self.refresh_period
         u, d = _checked_stack(u, d, r, n)
         self.stats.update(u, d)
         stats_mults = _stats_cost(self.stats.mode, n)
         self.mult_totals["stats"] += stats_mults
         updated = np.zeros(r, dtype=bool)
         # the estimators have now seen k + 1 samples: mature from N on
-        if self._k + 1 >= n and not self.solved.all():
+        if self._k + 1 >= n and np.count_nonzero(self.solved) < r:
             updated = self._solve(~self.solved)
-        y = stacked_dot(self.h, u)
+        y = np.vecdot(self.h, u)
         self.mult_totals["filter"] += n
-        if self._k % self.refresh_period == 1 % self.refresh_period and self.solved.any():
+        if self._k % m == 1 % m and np.count_nonzero(self.solved):
             updated |= self._solve(self.solved)
         self.steps += 1
         self.update_count += updated
@@ -583,8 +585,8 @@ class NlmsBatch(_Lockstep):
         """Consume one ``(R, N)`` regressor stack and its ``(R,)`` outputs."""
         r, n = self.trials, self.n
         u, d = _checked_stack(u, d, r, n)
-        y = stacked_dot(self.h, u)
-        energy = stacked_dot(u, u)
+        y = np.vecdot(self.h, u)
+        energy = np.vecdot(u, u)
         e = d - y
         updated = (energy > 0.0) & (e != 0.0)
         scale = np.divide(self.step_size * e, energy, out=np.zeros(r), where=updated)
@@ -789,9 +791,18 @@ class Rls:
     update_rate = _OneTrial.update_rate
 
     def step(self, u, d: float) -> StepOutput:
+        if self._pinv is None and self.delta is None:  # a first sample must set a usable delta
+            self._first_delta(as_vector(u, self.n))
         u, d = _checked_stack(_one_row(u), _one_row(d), 1, self.n)
         y = self._update(u[0], float(d[0]))
         return StepOutput(y, True, self.h.copy(), self._mults)
+
+    def _first_delta(self, v: np.ndarray) -> float:
+        """The ``delta`` of a finite first regressor: 0.01 times its power, or 0.01."""
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            delta = 0.01 * (float(v @ v) / self.n or 1.0)
+        _check_delta(delta, "the first sample's delta")
+        return delta
 
     def _update(self, v: np.ndarray, d: float) -> float:
         """One recursion on a finite contiguous ``(N,)`` regressor; returns ``y``.
@@ -801,12 +812,7 @@ class Rls:
         """
         pinv = self._pinv
         if pinv is None:
-            delta = self.delta
-            if delta is None:
-                with np.errstate(over="ignore"):  # an overflow is rejected below
-                    power = float(v @ v) / self.n
-                delta = 0.01 * power if power > 0.0 else 0.01
-                _check_delta(delta, "the first sample's delta")
+            delta = self._first_delta(v) if self.delta is None else self.delta
             # both N x N arrays start on a cache line: on the allocator's
             # 16-byte alignment a step took about 79 against 61 us at N = 200
             # (one BLAS thread, 2-core x86-64), with the same arithmetic

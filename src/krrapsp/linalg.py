@@ -3,9 +3,13 @@
 Symmetric matrices, the energy norm, orthonormal Krylov bases and the
 projections onto half-spaces and column spaces that the filters and their
 analysis rely on. The Krylov basis, the conjugate gradient solve and the
-Toeplitz expansion are written once, for a stack of R systems whose rows
-make the BLAS calls of a one-row stack (``tests/test_kernels.py`` checks
-the layouts); ``krylov_basis`` and ``cg_solve`` are one-row calls.
+Toeplitz expansion are written once, for a stack of R systems;
+``krylov_basis`` and ``cg_solve`` are one-row calls. Stacked products are
+numpy's gufuncs (numpy >= 2.2): each row of ``np.vecdot(x, y)`` and
+``np.matvec(a, x)`` makes the BLAS call of the unstacked ``x[i] @ y[i]``
+or ``a[i] @ x[i]``, so its bits do not depend on the stack. That holds for
+every layout passed here (``tests/test_kernels.py``), not for a matrix
+with a negative row stride, such as a rows-reversed window view.
 
 Values are immutable; functions are pure apart from writing into a given
 ``out`` or ``iterates``.
@@ -28,6 +32,11 @@ class DegenerateCrossCorrelationError(ValueError):
     """Krylov basis requested for a (near-)zero seed vector."""
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, by a count (cheaper than ``.all()``)."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def as_vector(x, n: int | None = None) -> np.ndarray:
     """Validate and convert ``x`` to a 1-D float array of length ``n``."""
     v = np.asarray(x, dtype=float)
@@ -35,7 +44,7 @@ def as_vector(x, n: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if n is not None and v.shape[0] != n:
         raise ValueError(f"dimension mismatch: expected length {n}, got {v.shape[0]}")
-    if not np.isfinite(v).all():
+    if not all_finite(v):
         raise ValueError("vector entries must be finite")
     return v
 
@@ -100,7 +109,7 @@ class SymMatrix:
         a = np.asarray(dense, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        if not all_finite(a):
             raise ValueError("matrix entries must be finite")
         full = np.triu(a) + np.triu(a, 1).T
         full.flags.writeable = False
@@ -189,18 +198,14 @@ class HalfSpace(NamedTuple("HalfSpace", [("normal", np.ndarray), ("offset", floa
 
 def r_norm(x, matrix: SymMatrix) -> float:
     """Energy norm ``sqrt(x^T R x)`` induced by a symmetric PSD matrix."""
-    return _r_norm(as_vector(x, matrix.n), matrix)
-
-
-def _r_norm(v: np.ndarray, matrix: SymMatrix) -> float:
-    return _r_norms(v[None], matrix)[0]
+    return _r_norms(as_vector(x, matrix.n)[None], matrix)[0]
 
 
 def _r_norms(rows: np.ndarray, matrix: SymMatrix) -> list:
     """:func:`r_norm` of each row of ``rows``, from one stacked quadratic form."""
-    quads = stacked_dot(rows, stacked_matvec(matrix.dense(), rows)).tolist()
+    quads = np.vecdot(rows, np.matvec(matrix.dense(), rows)).tolist()
     norms = []
-    for quad, sq in zip(quads, stacked_dot(rows, rows).tolist()):
+    for quad, sq in zip(quads, np.vecdot(rows, rows).tolist()):
         if quad < -TOL.quadform_negative * max(1.0, sq * max(1.0, matrix.max_abs)):
             raise ValueError(f"negative quadratic form ({quad:.3e}): matrix is not PSD")
         norms.append(math.sqrt(max(quad, 0.0)))
@@ -265,16 +270,6 @@ def cg_solve(matrix: SymMatrix, b, x0=None, iters: int | None = None) -> np.ndar
                           matrix.n if iters is None else iters)[0]
 
 
-def stacked_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Inner products along the last axis, each the BLAS dot of ``x[i] @ y[i]``."""
-    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
-
-
-def stacked_matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Products ``a[i] @ x[i]``, each the BLAS call of the unstacked product."""
-    return np.matmul(a, x[..., None])[..., 0]
-
-
 def toeplitz_dense(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The ``(R, N, N)`` symmetric Toeplitz matrices of ``(R, N)`` first rows.
 
@@ -307,34 +302,34 @@ def krylov_basis_stack(matrices: np.ndarray, seeds: np.ndarray, rank: int):
     count, n = seeds.shape
     if not 1 <= check_int(rank, "rank") <= n:
         raise ValueError(f"requested rank {rank} outside 1..{n}")
-    if not np.isfinite(seeds).all():
+    if not all_finite(seeds):
         raise ValueError("Krylov seeds must be finite")
     with np.errstate(over="ignore"):
-        norms = np.sqrt(stacked_dot(seeds, seeds))
+        norms = np.sqrt(np.vecdot(seeds, seeds))
     rescale = ((norms < TOL.seed_rescale_below) | np.isinf(norms)) & np.any(seeds, axis=1)
-    if rescale.any():
+    if np.count_nonzero(rescale):
         seeds = seeds / np.where(rescale, np.max(np.abs(seeds), axis=1), 1.0)[:, None]
-        norms = np.sqrt(stacked_dot(seeds, seeds))
+        norms = np.sqrt(np.vecdot(seeds, seeds))
     if not np.all(norms > 0.0):
         raise DegenerateCrossCorrelationError("degenerate cross-correlation: ||p|| = 0")
     cols = np.zeros((count, n, rank))
     cols[:, :, 0] = seeds / norms[:, None]
     with np.errstate(invalid="ignore"):  # inf * 0
-        w = stacked_matvec(matrices, cols[:, :, 0])
-    if not np.isfinite(w).all():  # R q carries every non-finite entry of R: NaN * 0 is NaN
+        w = np.matvec(matrices, cols[:, :, 0])
+    if not all_finite(w):  # R q carries every non-finite entry of R: NaN * 0 is NaN
         raise ValueError("Krylov matrices must be finite")
     ranks = np.ones(count, dtype=np.int64)
     growing = np.ones(count, dtype=bool)
     for i in range(1, rank):
         if i > 1:
-            w = stacked_matvec(matrices, cols[:, :, i - 1])
-        tol = TOL.basis_truncation_rel * np.sqrt(stacked_dot(w, w))
+            w = np.matvec(matrices, cols[:, :, i - 1])
+        tol = TOL.basis_truncation_rel * np.sqrt(np.vecdot(w, w))
         built = cols[:, :, :i]
-        w = w - stacked_matvec(built, stacked_matvec(built.transpose(0, 2, 1), w))
-        w = w - stacked_matvec(built, stacked_matvec(built.transpose(0, 2, 1), w))
-        nw = np.sqrt(stacked_dot(w, w))
+        w = w - np.matvec(built, np.matvec(built.transpose(0, 2, 1), w))
+        w = w - np.matvec(built, np.matvec(built.transpose(0, 2, 1), w))
+        nw = np.sqrt(np.vecdot(w, w))
         growing &= nw > tol
-        if not growing.any():
+        if not np.count_nonzero(growing):
             break
         np.divide(w, nw[:, None], out=cols[:, :, i], where=growing[:, None])
         ranks += growing
@@ -359,21 +354,21 @@ def cg_solve_stack(matrices: np.ndarray, rhs: np.ndarray, x0: np.ndarray,
     x = x0.copy()
     if iterates is not None:
         iterates.append(x.copy())
-    r = rhs - stacked_matvec(matrices, x)
+    r = rhs - np.matvec(matrices, x)
     p = r.copy()
-    rs = stacked_dot(r, r)
+    rs = np.vecdot(r, r)
     live = np.arange(len(x))  # rows still iterating; the arrays below hold only these
     for _ in range(iters):
         # the stop conditions negated, so a row with a NaN residual keeps iterating
         keep = ~(rs <= 0.0)
-        if not keep.all():
+        if np.count_nonzero(keep) < keep.size:
             live, matrices, r, p, rs = live[keep], matrices[keep], r[keep], p[keep], rs[keep]
         if live.size == 0:
             break
-        ap = stacked_matvec(matrices, p)
-        curvature = stacked_dot(p, ap)
+        ap = np.matvec(matrices, p)
+        curvature = np.vecdot(p, ap)
         keep = ~(curvature <= 0.0)
-        if not keep.all():
+        if np.count_nonzero(keep) < keep.size:
             live, matrices, r, p, rs = live[keep], matrices[keep], r[keep], p[keep], rs[keep]
             ap, curvature = ap[keep], curvature[keep]
             if live.size == 0:
@@ -386,7 +381,7 @@ def cg_solve_stack(matrices: np.ndarray, rhs: np.ndarray, x0: np.ndarray,
         if iterates is not None:
             iterates.append(x.copy())
         r = r - alpha[:, None] * ap
-        rs_next = stacked_dot(r, r)
+        rs_next = np.vecdot(r, r)
         p = r + (rs_next / rs)[:, None] * p
         rs = rs_next
     return x

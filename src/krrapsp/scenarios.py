@@ -48,7 +48,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import check_int, stacked_dot
+from .linalg import check_int
 
 GOLD_LENGTH = 31
 GOLD_FAMILY_SIZE = 33
@@ -275,7 +275,7 @@ class SysIdScenario(_Stream):
                 # each row's BLAS dot over a contiguous copy, as the per-step
                 # `window @ truth` (over the strided view matmul rounds
                 # differently); the copy is not kept while suspended
-                d = stacked_dot(np.ascontiguousarray(windows[:b - a]), truth) + noise[a:b]
+                d = np.vecdot(np.ascontiguousarray(windows[:b - a]), truth) + noise[a:b]
                 yield StreamChunk(start + a, windows[:b - a], d, truth)
 
 

@@ -34,9 +34,9 @@ from .linalg import (
     _frozen,
     _norm,
     _project,
-    _r_norm,
     _r_norms,
     _unchecked,
+    all_finite,
     as_vector,
     cg_solve_stack,
     check_int,
@@ -45,8 +45,6 @@ from .linalg import (
     krylov_basis_stack,
     project_half_space,
     project_subspace,
-    stacked_dot,
-    stacked_matvec,
 )
 from .tolerances import TOL
 
@@ -85,7 +83,7 @@ def apply_phi(phi: PhiMap, x) -> np.ndarray:
 
 def _apply_phi(phi: PhiMap, v: np.ndarray) -> np.ndarray:
     """The map of ``v``, or of each row of a stack ``v``."""
-    return stacked_matvec(phi.s_next.matrix, stacked_matvec(phi.s_prev.matrix.T, v))
+    return np.matvec(phi.s_next.matrix, np.matvec(phi.s_prev.matrix.T, v))
 
 
 def fixed_point_set(phi: PhiMap, tol: float | None = None) -> np.ndarray:
@@ -101,9 +99,9 @@ def fixed_point_set(phi: PhiMap, tol: float | None = None) -> np.ndarray:
     gram = phi.s_prev.matrix.T @ phi.s_next.matrix
     _, sing, vt = np.linalg.svd(gram - np.eye(phi.rank))
     z = vt[sing <= tol]  # rows spanning the reduced fixed space
-    v = stacked_matvec(phi.s_prev.matrix, z)
-    gap, move, size = (np.sqrt(stacked_dot(x, x)) for x in (
-        stacked_matvec(phi.s_next.matrix, z) - v, _apply_phi(phi, v) - v, v))
+    v = np.matvec(phi.s_prev.matrix, z)
+    gap, move, size = (np.sqrt(np.vecdot(x, x)) for x in (
+        np.matvec(phi.s_next.matrix, z) - v, _apply_phi(phi, v) - v, v))
     return np.ascontiguousarray(v[(gap <= tol) & (move <= tol * np.maximum(1.0, size))].T)
 
 
@@ -128,7 +126,7 @@ def attracting_check(phi: PhiMap, trials: int = 50, rng=None) -> AttractingRepor
     rng = np.random.default_rng(rng)
     if np.array_equal(phi.s_prev.matrix, phi.s_next.matrix):
         xz = rng.standard_normal((trials, phi.n + phi.rank))  # each trial's x, then f's z
-        x, f = xz[:, :phi.n], stacked_matvec(phi.s_prev.matrix, xz[:, phi.n:])
+        x, f = xz[:, :phi.n], np.matvec(phi.s_prev.matrix, xz[:, phi.n:])
         px = _apply_phi(phi, x)
         lhs = np.sum((x - px) ** 2, axis=1)
         rhs = np.sum((x - f) ** 2, axis=1) - np.sum((px - f) ** 2, axis=1)
@@ -147,9 +145,9 @@ def _geometry_of(anchor: np.ndarray, planes: tuple, basis: BasisMatrix) -> tuple
     """``(g, Q, Q . Q, ||Q||)``, a row per half-space of ``planes`` (its anchors, normals and
     offsets): its value at ``anchor``, its normal projected onto the range."""
     anchors, normals, offsets = planes
-    q = stacked_matvec(basis.matrix, stacked_matvec(basis.matrix.T, normals))
-    qq = stacked_dot(q, q)
-    return stacked_dot(anchor - anchors, normals) + offsets, q, qq, np.sqrt(qq)
+    q = np.matvec(basis.matrix, np.matvec(basis.matrix.T, normals))
+    qq = np.vecdot(q, q)
+    return np.vecdot(anchor - anchors, normals) + offsets, q, qq, np.sqrt(qq)
 
 
 class ThetaInstance(NamedTuple("ThetaInstance", [
@@ -278,11 +276,11 @@ def _rapsm_step(v, gs, geometry, weights, phi: PhiMap, step_size: float) -> np.n
     """:func:`rapsm_step` from the half-spaces' values ``gs`` at ``v``."""
     _, q, qq, _ = geometry
     hit = ~(gs <= 0.0)  # a satisfied set adds a zero row, which changes no sum
-    if (hit & (qq == 0.0)).any():
+    if np.count_nonzero(hit & (qq == 0.0)):
         raise ValueError("half-space does not intersect the subspace")
-    dvecs = -np.divide(gs, qq, out=np.zeros_like(gs), where=hit)[:, None] * q
-    f_dir, loss = np.zeros_like(v), 0.0
-    for wd, wl in zip(weights[:, None] * dvecs, (weights * stacked_dot(dvecs, dvecs)).tolist()):
+    dvecs = -np.divide(gs, qq, out=np.zeros(gs.shape), where=hit)[:, None] * q
+    f_dir, loss = np.zeros(v.shape), 0.0
+    for wd, wl in zip(weights[:, None] * dvecs, (weights * np.vecdot(dvecs, dvecs)).tolist()):
         f_dir += wd
         loss += wl
     nf = float(f_dir @ f_dir)
@@ -524,10 +522,10 @@ def _error_bound_sets(u, d, windows, anchor: np.ndarray, rho: float, basis: Basi
     ``||U^T x - d||^2 <= rho``, set ``j`` from the rows ``windows[j]`` of ``u`` and ``d``
     (newest first); checked finite, and the anchor in the range."""
     blocks = np.ascontiguousarray(u[windows].transpose(0, 2, 1))  # as np.column_stack lays U
-    e = stacked_matvec(blocks.transpose(0, 2, 1), anchor) - d[windows]
-    normals = 2.0 * stacked_matvec(blocks, e)
-    offsets = stacked_dot(e, e) - rho
-    if not (np.isfinite(normals).all() and np.isfinite(offsets).all()):
+    e = np.matvec(blocks.transpose(0, 2, 1), anchor) - d[windows]
+    normals = 2.0 * np.matvec(blocks, e)
+    offsets = np.vecdot(e, e) - rho
+    if not (all_finite(normals) and all_finite(offsets)):
         raise ValueError("half-space normals and offsets must be finite")
     if not _in_range(anchor, basis):
         raise ValueError("anchor must lie in the basis range")
@@ -573,7 +571,7 @@ def _static_run(*, n: int, rank: int, projections: int, iters: int, warmup: int 
     basis = krylov_basis(est.r_matrix(), est.p_vector(), rank)
     phi = PhiMap(basis, basis)
     if subspace_target:
-        ds = stacked_dot(us, _project(scen.h_star, basis))
+        ds = np.vecdot(us, _project(scen.h_star, basis))
 
     weights, h = _uniform_weights(projections), np.zeros(n)
     windows = np.arange(projections)[:, None] + np.arange(error_dim)
@@ -656,17 +654,17 @@ def _mse_chain(matrix: SymMatrix, pv: np.ndarray, hs: np.ndarray, sigma_d2: floa
     kappa = condition_number(matrix)
     lam_min = float(matrix.eigenvalues[0])
     alpha = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
-    h_r2 = _r_norm(hs, matrix) ** 2
+    h_r2 = _r_norms(hs[None], matrix)[0] ** 2
     ranks, steps = list(ranks), []
     cg_solve_stack(dense[None], pv[None], np.zeros((1, matrix.n)), max(ranks), steps)
     bases, built = krylov_basis_stack(dense[None], pv[None], max(ranks))
     # a row per rank for what needs only its CG iterate x: the MSE's forms, ||h* - x||, ||h* - x||_R
     projs = np.stack([steps[min(rank, len(steps) - 1)][0] for rank in ranks])
-    forms = stacked_dot(projs, stacked_matvec(dense, projs)) - stacked_dot(2.0 * projs, pv)
+    forms = np.vecdot(projs, np.matvec(dense, projs)) - np.vecdot(2.0 * projs, pv)
     errs = hs - projs
     reports = []
     for rank, proj_r, form, t2, t3 in zip(ranks, projs, forms.tolist(),
-                                          np.sqrt(stacked_dot(errs, errs)).tolist(),
+                                          np.sqrt(np.vecdot(errs, errs)).tolist(),
                                           _r_norms(errs, matrix)):
         bound = (4.0 * alpha ** (2 * rank) - 1.0) * h_r2 + sigma_d2
         s = bases[0, :, :min(built[0], rank)].copy()  # the build checked its columns
@@ -690,19 +688,19 @@ def subgradient_inequality_check(basis: BasisMatrix, u_block, d_block,
     check_int(trials, "trials")
     rng = np.random.default_rng(rng)
     d, u = as_vector(d_block), np.asarray(u_block, dtype=float)
-    if u.shape != (basis.n, len(d)) or not np.isfinite(u).all():
+    if u.shape != (basis.n, len(d)) or not all_finite(u):
         raise ValueError(f"u_block must be a finite ({basis.n}, {len(d)}) array")
     ured = basis.matrix.T @ u
     y = as_vector(point, basis.rank)
 
     def g(z):  # of a point, or of each row of a stack
-        e = stacked_matvec(ured.T, z) - d
-        return stacked_dot(e, e) - rho
+        e = np.matvec(ured.T, z) - d
+        return np.vecdot(e, e) - rho
 
     grad = 2.0 * (ured @ (ured.T @ y - d))
     gy = float(g(y))
     x = y + rng.standard_normal((trials, basis.rank)) * 2.0
-    defects = [0.0] + (stacked_dot(x - y, grad) + gy - g(x)).tolist()
+    defects = [0.0] + (np.vecdot(x - y, grad) + gy - g(x)).tolist()
     if gy > 0.0:
         hs = HalfSpace(normal=grad, offset=gy, anchor=y)
         proj = project_half_space(y, hs)
@@ -882,7 +880,7 @@ def _mse_bound_chain(rng, seed):
     h_star = rng.standard_normal(n)
     p = mat.matvec(h_star)
     sigma_n2 = float(rng.uniform(0.0, 0.5))
-    sigma_d2 = _r_norm(h_star, mat) ** 2 + sigma_n2
+    sigma_d2 = _r_norms(h_star[None], mat)[0] ** 2 + sigma_n2
     return _worst(rep.max_scaled_violation
                   for rep in _mse_chain(mat, p, h_star, sigma_d2, range(1, n + 1)))
 

@@ -49,10 +49,19 @@ from krrapsp.linalg import (
     condition_number,
     krylov_basis_stack,
     project_half_space,
-    stacked_dot,
-    stacked_matvec,
 )
 from krrapsp.tolerances import TOL
+
+
+def stacked_dot(x, y):
+    """Inner products along the last axis by ``np.matmul`` on inserted axes, a form of
+    ``np.vecdot`` that makes the same per-row BLAS dots."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def stacked_matvec(a, x):
+    """Products ``a[i] @ x[i]`` by ``np.matmul``, a form of ``np.matvec`` for the reference."""
+    return np.matmul(a, x[..., None])[..., 0]
 
 
 def naive_quadratic_form(x, a):

@@ -716,12 +716,19 @@ def test_full_matrix_statistics_match_the_row_loop():
     assert np.array_equal(batch.stats.r, ref)
 
 
-@pytest.mark.parametrize("bad", ["u_nan", "d_inf", "u_shape", "d_shape"])
-@pytest.mark.parametrize("kind", ["cgrrf", "nlms"])
+@pytest.mark.parametrize("bad", ["u_nan", "d_inf", "u_shape", "d_shape", "u_overflow",
+                                 "d_overflow"])
+@pytest.mark.parametrize("kind", ["cgrrf", "nlms", "krr", "krr-family"])
 def test_rejected_samples_leave_batches_unchanged(kind, bad):
+    # finite entries of 1e200 make u . u or d * d overflow: CGRRF and
+    # KRR-APSP would fold them into their statistics, NLMS take a huge error
     streams = [sysid_stream(N, N + 4, seed=s) for s in (1, 2)]
-    batch = (CgrrfBatch(N, 2, rank=3, refresh_period=3) if kind == "cgrrf"
-             else NlmsBatch(N, 2))
+    if kind == "krr-family":
+        (batch,) = lockstep_families([KrrApspBatch(KrrParams(rank=d), N, 2) for d in (1, 3)])
+    else:
+        batch = {"cgrrf": lambda: CgrrfBatch(N, 2, rank=3, refresh_period=3),
+                 "nlms": lambda: NlmsBatch(N, 2),
+                 "krr": lambda: KrrApspBatch(KrrParams(rank=3, projections=2), N, 2)}[kind]()
     for k in range(N + 3):
         batch.step(np.stack([s[k][0] for s in streams]), [s[k][1] for s in streams])
     u = np.stack([s[N + 3][0] for s in streams])
@@ -732,8 +739,12 @@ def test_rejected_samples_leave_batches_unchanged(kind, bad):
         d[0] = np.inf
     elif bad == "u_shape":
         u = u[:, :-1]
-    else:
+    elif bad == "d_shape":
         d = d[:1]
+    elif bad == "u_overflow":
+        u[1] = 1e200
+    else:
+        d[1] = 1e200
     before = pickle.dumps(batch)
     with pytest.raises(ValueError):
         batch.step(u, d)
@@ -910,3 +921,51 @@ def test_one_trial_views_equal_the_frozen_filters(setup):
             assert_same_step(out, frozen.step(u, d))
             held[i] = (out.h_full, out.h_full.copy())
             assert_same_state(filt, frozen)
+
+
+# -- finite streams give finite outputs ---------------------------------------
+
+
+@st.composite
+def finite_runs(draw):
+    """Valid parameters of every filter and an ``(steps, R, N)`` finite stream.
+
+    Regressors and outputs have their own scale over 12 decades, and about a
+    tenth of the regressors are zero.
+    """
+    n, runs = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(["toeplitz", "fullsym"]))
+    params = KrrParams(
+        rank=draw(st.integers(1, n)), projections=draw(st.integers(1, 4)),
+        error_dim=draw(st.integers(1, 3)), rho=draw(st.floats(0.0, 10.0)),
+        refresh_period=draw(st.integers(1, 8)), step_size=draw(st.floats(0.0, 2.0)),
+        forgetting=draw(st.floats(0.5, 0.999)))
+    cg_opts = dict(rank=draw(st.integers(1, n)), refresh_period=draw(st.integers(1, 8)),
+                   forgetting=draw(st.one_of(st.none(), st.floats(0.5, 0.999))), mode=mode)
+    rls_opts = dict(forgetting=draw(st.floats(0.5, 1.0)),
+                    delta=draw(st.one_of(st.none(), st.floats(1e-3, 1e3))))
+    step_size = draw(st.floats(0.0, 2.0))
+    steps = draw(st.integers(1, 3 * n + 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = rng.standard_normal((steps, runs, n)) * 10.0 ** draw(st.integers(-6, 6))
+    u[rng.random((steps, runs)) < 0.1] = 0.0
+    d = rng.standard_normal((steps, runs)) * 10.0 ** draw(st.integers(-6, 6))
+    return mode, params, cg_opts, rls_opts, step_size, u, d
+
+
+@settings(max_examples=50, deadline=None)
+@given(finite_runs())
+def test_finite_streams_give_finite_outputs(setup):
+    # every filter steps a finite stream without raising, and every output
+    # and coefficient vector it returns is finite
+    mode, params, cg_opts, rls_opts, step_size, u, d = setup
+    n, runs = u.shape[2], u.shape[1]
+    singles = [krrapsp.KrrApsp(params, n, mode=mode), krrapsp.Cgrrf(n, **cg_opts),
+               krrapsp.Nlms(n, step_size), krrapsp.Rls(n, **rls_opts)]
+    batches = [KrrApspBatch(params, n, runs, mode=mode), CgrrfBatch(n, runs, **cg_opts),
+               NlmsBatch(n, runs, step_size)]
+    for k in range(len(u)):
+        outs = [filt.step(u[k, 0], d[k, 0]) for filt in singles]
+        outs += [batch.step(u[k], d[k]) for batch in batches]
+        for out in outs:
+            assert np.isfinite(out.y).all() and np.isfinite(out.h_full).all(), k

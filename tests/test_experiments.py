@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -349,6 +350,43 @@ def test_rls_pass_checks_a_chunk_before_stepping_on_it(monkeypatch, field):
     with pytest.raises(ValueError) as step:
         Rls(12).step(u, d)
     assert str(harness.value) == str(step.value)
+
+
+@pytest.mark.parametrize("field", ["u", "d"])
+@pytest.mark.parametrize("name", ["sysid_change_mid_chunk", "sysid_rls_only"])
+def test_overflowing_sample_stops_the_run_before_any_filter_steps_on_it(monkeypatch, name,
+                                                                          field):
+    # a finite sample at step 67 whose u . u or d * d overflows: the lockstep
+    # pass stops with the batches as a 67-step run leaves them, and the RLS
+    # pass before any filter has stepped on its chunk (steps 64-69)
+    config = LOCKSTEP_CONFIGS[name]
+    found, families = [], krrapsp.experiments.lockstep_families
+    monkeypatch.setattr(krrapsp.experiments, "lockstep_families",
+                        lambda batches: found.append(batches) or families(batches))
+    run_experiment(replace(config, iters=67))
+    clean = [pickle.dumps(batches) for batches in found]
+    chunks = SysIdScenario.chunks
+
+    def poisoned(self, count, buffer=None):
+        for chunk in chunks(self, count, buffer):
+            if chunk.start == 64 and field == "d":
+                chunk = chunk._replace(d=np.where(np.arange(len(chunk.d)) == 3, 1e200, chunk.d))
+            elif chunk.start == 64 and buffer is None:  # the RLS pass reads chunk.u
+                chunk = chunk._replace(u=np.where(np.arange(len(chunk.u))[:, None] == 3,
+                                                  1e200, chunk.u))
+            elif chunk.start == 64:  # the lockstep pass reads the buffer's windows
+                buffer[0][3 + self.n - 1] = 1e200  # the newest entry of step 67's regressor
+            yield chunk
+
+    update, stepped = Rls._update, []
+    monkeypatch.setattr(SysIdScenario, "chunks", poisoned)
+    monkeypatch.setattr(Rls, "_update", lambda filt, v, d: stepped.append(d) or update(filt, v, d))
+    found.clear()
+    with pytest.raises(ValueError, match="not finite"):
+        run_experiment(config)
+    assert [pickle.dumps(batches) for batches in found] == clean
+    # the RLS pass runs trial by trial: trial 0 stops at its chunk from step 64
+    assert len(stepped) == (64 * len(config.filters) if name == "sysid_rls_only" else 0)
 
 
 def test_rls_overflowing_gain_stops_the_run():

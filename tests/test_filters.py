@@ -91,7 +91,7 @@ FILTER_FACTORIES = {
 class TestInputContract:
     @pytest.mark.parametrize("name", sorted(FILTER_FACTORIES))
     @pytest.mark.parametrize("warm", [0, 12])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])  # 1e200: d * d overflows
     def test_non_finite_d_rejected_without_state_change(self, name, warm, bad):
         n = 8
         filt = FILTER_FACTORIES[name](n)
@@ -102,6 +102,25 @@ class TestInputContract:
         before = pickle.dumps(filt)
         with pytest.raises(ValueError):
             filt.step(samples[warm].u, bad)
+        assert pickle.dumps(filt) == before
+        filt.step(samples[warm].u, samples[warm].d)
+        assert filt.steps == warm + 1
+
+    @pytest.mark.parametrize("name", sorted(FILTER_FACTORIES))
+    @pytest.mark.parametrize("warm", [0, 12])
+    def test_overflowing_regressor_rejected_without_state_change(self, name, warm):
+        # finite entries whose u . u overflows; RLS's first sample names the
+        # delta its power would set
+        n = 8
+        filt = FILTER_FACTORIES[name](n)
+        scen = SysIdScenario(SysIdConfig(n=n, snr_db=15.0, seed=5))
+        samples = list(scen.samples(warm + 1))
+        for s in samples[:warm]:
+            filt.step(s.u, s.d)
+        before = pickle.dumps(filt)
+        with pytest.raises(ValueError, match="delta" if (name, warm) == ("rls", 0)
+                           else "not finite"):
+            filt.step(np.full(n, 1e160), samples[warm].d)
         assert pickle.dumps(filt) == before
         filt.step(samples[warm].u, samples[warm].d)
         assert filt.steps == warm + 1

@@ -1,16 +1,40 @@
 """Exactness of the stacked kernels against the calls they replace.
 
 Every byte-identity gate of the package rests on stacked kernels that
-round each entry as the unstacked call does. This module asserts it for
-each kernel and every layout the code passes:
+round each entry as the unstacked call does: each row of ``np.vecdot(x,
+y)`` and ``np.matvec(a, x)`` is the unstacked ``x[i] @ y[i]`` or ``a[i] @
+x[i]`` (``linalg``'s rule). This module asserts it for each kernel and
+every layout the code passes:
 
+* ``np.vecdot`` and ``np.matvec`` themselves, against one ``a @ x`` per
+  row, bytes and signed zeros alike: square ``(R, N, N)`` stacks at
+  N = 200 (a CG solve's one-trial chunks) and N = 50 (a 52-trial Krylov
+  chunk) and for R in {1, 2, 100} at odd N, also the trial subsets a CG
+  run gathers; leading-column slices of ``(R, N, 8)`` bases, their
+  transposed views and contiguous copies, one 2-D basis or its transpose
+  broadcast over the stack, and one broadcast vector; a family's
+  ``(R, q, D, r)`` windows with their ``(R, q, r)`` errors, its ring's
+  inner products with ``(R, 1, D)`` filters and a ``(k, 1, D, N)`` basis
+  stack broadcast over the ring's slots, for D up to 8 and r in {1, 2, 3}.
+  Not asserted, but measured when this rule was written (numpy 2.4,
+  OpenBLAS 0.3.31): ``np.matvec`` over a matrix with a negative row
+  stride, a rows-reversed ``sliding_window_view``, rounds differently
+  from the matmul form ``np.matmul(a, x[..., None])[..., 0]``. Of 200
+  draws of 8 or N rows each it differed in 364 of 1600 entries at
+  N = 2, 710 of 1600 at N = 7, 4180 of 6200 at N = 31, 7903 of 10 000 at
+  N = 50 and 35 066 of 40 000 at N = 200. Column-reversed views matched.
+  So no call site may pass a rows-reversed matrix. Nor the strided
+  ``(R, q, D, r)`` window view itself: ``np.matvec`` over it differed from
+  the product over its contiguous copy in 2432 of 14 400 entries (R = 100,
+  q = 4, D in {2, 3, 5, 8}, r in {2, 3}), so a family's pass copies the
+  windows;
 * full-symmetric outer product (``_StatsStack._fold``):
   ``np.einsum("ri,rj->rij", part, part, out=buf[:len(part)])`` equals the
   broadcast ``np.multiply(part[:, :, None], part[:, None, :])`` and the
   ``np.outer`` of each row, for R in {1, 2, 100}, odd N and row slices of a
   chunked trial stack;
 * the dense statistics of a chunk (``_StatsStack.dense``, Toeplitz and
-  full-symmetric), their ``stacked_matvec`` and the ``krylov_basis_stack``
+  full-symmetric), their ``np.matvec`` and the ``krylov_basis_stack``
   bases and ranks built from them: each row is the same whatever chunk of
   trials it comes in, for chunks of 1, 13, 52 and 100 trials at N in
   {31, 50}, so a family build may size its chunks freely;
@@ -25,9 +49,9 @@ each kernel and every layout the code passes:
   chain of ``verify`` serves every rank from one run and one build;
 * the bounded-error sets of a ``verify`` static step
   (``verify._error_bound_instance``): over ``(q, N, r)`` blocks, each set's
-  ``U`` laid out as ``np.column_stack`` lays it out, ``stacked_matvec`` of the
-  transposed blocks and a broadcast anchor, ``stacked_matvec`` of the blocks
-  and ``e`` and ``stacked_dot(e, e)`` equal the per-set ``U.T @ h``, ``U @ e``
+  ``U`` laid out as ``np.column_stack`` lays it out, ``np.matvec`` of the
+  transposed blocks and a broadcast anchor, ``np.matvec`` of the blocks
+  and ``e`` and ``np.vecdot(e, e)`` equal the per-set ``U.T @ h``, ``U @ e``
   and ``e @ e`` for r in {1, 2, 3}, odd N, zero and signed-zero regressor
   entries and zero errors. With r = 1 both sides take numpy's loop for a
   one-column product, which adds each product to a zero (a -0 product
@@ -35,9 +59,9 @@ each kernel and every layout the code passes:
   differently for r > 1;
 * the padded rank axis of a family's reduced pass (``filters._KrrFamily``):
   for D in {1, 2, 3, 5, 7} zero-padded to 8 and R in {1, 2, 100},
-  ``stacked_dot`` of the ``(R, q, D)`` regressors with ``(R, 1, D)``
+  ``np.vecdot`` of the ``(R, q, D)`` regressors with ``(R, 1, D)``
   filters, of the subgradients and of their set sums, and
-  ``stacked_matvec`` of the ``(R, q, D, r)`` windows with ``(R, q, r)``
+  ``np.matvec`` of the ``(R, q, D, r)`` windows with ``(R, q, r)``
   errors (r = 3) equal the unpadded calls, signed zeros included. The
   one exception, a one-column window (D = 1, r > 1), takes numpy's dot
   where the padded product takes a matrix-vector call, and rounds
@@ -46,9 +70,9 @@ each kernel and every layout the code passes:
   padded rows; over the whole padded axis it does not once eight entries
   are summed (numpy changes its order), so it is never taken there;
 * the stacked loops of ``verify`` (random trials, fixed vectors, ranks and
-  half-spaces): for odd N and stacks of 1, 2 and 59 rows, ``stacked_matvec``
+  half-spaces): for odd N and stacks of 1, 2 and 59 rows, ``np.matvec``
   of one 2-D basis, its transpose or a dense matrix broadcast over the
-  stack, and ``stacked_dot`` of the rows with one broadcast vector, equal
+  stack, and ``np.vecdot`` of the rows with one broadcast vector, equal
   the per-row products, also over the strided column blocks of a wider
   draw; ``np.sum(z ** 2, axis=1)`` equals the per-row ``np.sum``; and a
   ``(k, N + D)`` ``standard_normal`` block draw is ``k`` pairs of
@@ -95,8 +119,6 @@ from krrapsp.filters import _cache_aligned, _sum_sets
 from krrapsp.linalg import (
     cg_solve_stack,
     krylov_basis_stack,
-    stacked_dot,
-    stacked_matvec,
     toeplitz_dense,
 )
 from krrapsp.scenarios import GOLD_LENGTH, _CdmaUser, _chip_table
@@ -117,6 +139,93 @@ def test_einsum_outer_product_equals_the_broadcast_product(runs, n):
             want = np.multiply(part[:, :, None], part[:, None, :])
             assert got.tobytes() == want.tobytes()
             assert got.tobytes() == np.stack([np.outer(row, row) for row in part]).tobytes()
+
+
+def row_by_row(op, a, x):
+    """``op(a, x)`` for ``op`` ``np.matvec`` or ``np.vecdot``, as one unstacked ``a @ x`` a row."""
+    lead = a.ndim - (2 if op is np.matvec else 1)
+    shape = np.broadcast_shapes(a.shape[:lead], x.shape[:-1])
+    a, x = np.broadcast_to(a, shape + a.shape[lead:]), np.broadcast_to(x, shape + x.shape[-1:])
+    rows = [a[i] @ x[i] for i in np.ndindex(shape)]
+    return np.array(rows).reshape(shape + np.shape(rows[0]))
+
+
+def assert_per_row(op, a, x):
+    got = op(a, x)
+    assert got.tobytes() == row_by_row(op, a, x).tobytes(), (op.__name__, a.shape, a.strides)
+
+
+def signed_normal(rng, shape):
+    """Normal entries over 16 decades with signed zeros; the first of several rows is all -0."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    x[rng.random(shape) < 0.1] = -0.0
+    x[rng.random(shape) < 0.05] = 0.0
+    if len(x) > 1:
+        x[0] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("runs, n", [(1, 200), (2, 200), (52, 50), (1, 7), (2, 7), (100, 7),
+                                     (1, 31), (2, 31), (100, 31)])
+def test_gufuncs_on_square_stacks_equal_the_per_row_products(runs, n):
+    # the CG solves (one-trial chunks at N = 200) and the Krylov chunks of 52
+    # trials at N = 50
+    rng = np.random.default_rng(runs * 1000 + n)
+    mats = signed_normal(rng, (runs, n, n))
+    x, y = signed_normal(rng, (runs, n)), signed_normal(rng, (runs, n))
+    keep = rng.random(runs) < 0.6  # the rows a CG run keeps, a copy as it makes them
+    keep[-1] = True
+    for a, v, w in ((mats, x, y), (mats[keep], x[keep], y[keep])):
+        assert_per_row(np.matvec, a, v)
+        assert_per_row(np.vecdot, v, w)
+        assert_per_row(np.vecdot, v, v)
+
+
+@pytest.mark.parametrize("runs", [1, 2, 100])
+@pytest.mark.parametrize("n", [7, 31, 50])
+def test_gufuncs_on_basis_views_equal_the_per_row_products(runs, n):
+    # a Krylov build's leading columns and their transposes, a family member's
+    # bases, and both against broadcast 2-D matrices and vectors
+    rng = np.random.default_rng(runs * 100 + n)
+    width = 8
+    bases = signed_normal(rng, (runs, n, width))
+    x = signed_normal(rng, (runs, n))
+    draw = signed_normal(rng, (runs, n + width))  # strided column blocks of a wider draw
+    for d in (1, 2, 5, width):
+        built = bases[:, :, :d]
+        coords = signed_normal(rng, (runs, d))
+        assert_per_row(np.matvec, built, coords)
+        assert_per_row(np.matvec, built.transpose(0, 2, 1), x)
+        assert_per_row(np.matvec, np.ascontiguousarray(built), coords)
+        assert_per_row(np.matvec, bases[0, :, :d], draw[:, n:n + d])  # a broadcast matrix
+        assert_per_row(np.matvec, bases[0, :, :d].T, draw[:, :n])
+        assert_per_row(np.vecdot, draw[:, :n], x[0])  # a broadcast vector
+        assert_per_row(np.vecdot, draw[:, n:n + d], coords)
+
+
+@pytest.mark.parametrize("runs", [1, 2, 100])
+@pytest.mark.parametrize("error_dim", [1, 2, 3])
+def test_gufuncs_on_ring_windows_equal_the_per_row_products(runs, error_dim):
+    # a family's reduced pass: the (R, q, D, r) windows with their (R, q, r)
+    # errors, the ring's inner products with (R, 1, D) filters, and the
+    # transform of every stale ring slot through a (k, 1, D, N) basis stack
+    projections, n = 4, 13
+    slots = projections + error_dim - 1
+    rng = np.random.default_rng(10 * runs + error_dim)
+    for rank in (1, 2, 3, 5, 8):
+        ut = signed_normal(rng, (runs, slots + 2, rank))  # a longer ring, read in its slots
+        h = signed_normal(rng, (runs, rank))
+        assert_per_row(np.vecdot, ut[:, :slots], h[:, None, :])
+        e = signed_normal(rng, (runs, slots))
+        e_win = sliding_window_view(e, error_dim, axis=1)
+        u_win = np.ascontiguousarray(sliding_window_view(ut[:, :slots], error_dim, axis=1))
+        assert_per_row(np.matvec, u_win, e_win)
+        assert_per_row(np.vecdot, e_win, e_win)
+        g = np.matvec(u_win, e_win)
+        assert_per_row(np.vecdot, g, g)
+        basis_t = signed_normal(rng, (runs, n, rank)).transpose(0, 2, 1)
+        us = signed_normal(rng, (runs, slots, n))
+        assert_per_row(np.matvec, basis_t[:, None], us[:, 1:])
 
 
 def statistics_stack(mode, n, runs, rng):
@@ -143,7 +252,7 @@ def test_chunked_builds_equal_one_build(mode, n):
     x = rng.standard_normal((runs, n))
     pos = np.arange(runs)
     (_, whole), = stats.dense(pos, runs)
-    products = stacked_matvec(whole, x)
+    products = np.matvec(whole, x)
     bases, ranks = krylov_basis_stack(whole, stats.p, rank)
     assert ranks.min() < rank  # the rank-2 rows truncate
     for chunk in (1, 13, 52, 100):
@@ -153,7 +262,7 @@ def test_chunked_builds_equal_one_build(mode, n):
         if mode == "fullsym":  # chunks of consecutive trials are views
             assert all(np.shares_memory(mats, stats.r) for _, mats in parts)
         for part, mats in stats.dense(pos, chunk):  # a Toeplitz chunk is overwritten
-            assert stacked_matvec(mats, x[part]).tobytes() == products[part].tobytes()
+            assert np.matvec(mats, x[part]).tobytes() == products[part].tobytes()
             got_bases, got_ranks = krylov_basis_stack(mats, stats.p[part], rank)
             assert got_bases.tobytes() == bases[part].tobytes()
             assert np.array_equal(got_ranks, ranks[part])
@@ -244,9 +353,9 @@ def test_bounded_error_sets_equal_the_per_set_products(count, error_dim, n):
             d = np.array([row @ h for row in u])
         windows = np.arange(count)[:, None] + np.arange(error_dim)
         blocks = np.ascontiguousarray(u[windows].transpose(0, 2, 1))
-        e = stacked_matvec(blocks.transpose(0, 2, 1), h) - d[windows]
-        normals = stacked_matvec(blocks, e)
-        squares = stacked_dot(e, e)
+        e = np.matvec(blocks.transpose(0, 2, 1), h) - d[windows]
+        normals = np.matvec(blocks, e)
+        squares = np.vecdot(e, e)
         for j in range(count):
             u_block = np.column_stack(list(u[j:j + error_dim]))
             e_j = u_block.T @ h - d[j:j + error_dim]
@@ -287,8 +396,8 @@ def test_padded_rank_products_equal_the_unpadded_ones(runs, error_dim):
         h[-1] = -0.0
         d = rng.standard_normal((runs, slots))
         ut_p, h_p = padded(ut, 2, width), padded(h, 1, width)
-        ips = stacked_dot(ut, h[:, None, :])
-        assert stacked_dot(ut_p, h_p[:, None, :]).tobytes() == ips.tobytes()
+        ips = np.vecdot(ut, h[:, None, :])
+        assert np.vecdot(ut_p, h_p[:, None, :]).tobytes() == ips.tobytes()
         e = ips - d
         if error_dim == 1:
             g = ut[:, :projections] * e[..., None]
@@ -299,15 +408,15 @@ def test_padded_rank_products_equal_the_unpadded_ones(runs, error_dim):
             e_win = sliding_window_view(e, error_dim, axis=1)
             u_win = np.ascontiguousarray(sliding_window_view(ut, error_dim, axis=1))
             u_win_p = np.ascontiguousarray(sliding_window_view(ut_p, error_dim, axis=1))
-            g, g_p = stacked_matvec(u_win, e_win), stacked_matvec(u_win_p, e_win)
+            g, g_p = np.matvec(u_win, e_win), np.matvec(u_win_p, e_win)
             if rank == 1:  # made apart: numpy's dot, not the padded gemv
-                g_p[..., :1] = stacked_matvec(np.ascontiguousarray(u_win_p[:, :, :1]), e_win)
+                g_p[..., :1] = np.matvec(np.ascontiguousarray(u_win_p[:, :, :1]), e_win)
             squares, squares_p, axes = u_win * u_win, u_win_p * u_win_p, (2, 3)
         assert g_p[..., :rank].tobytes() == g.tobytes()
-        assert stacked_dot(g_p, g_p).tobytes() == stacked_dot(g, g).tobytes()
+        assert np.vecdot(g_p, g_p).tobytes() == np.vecdot(g, g).tobytes()
         f = _sum_sets(g) + 0.0
         f_p = _sum_sets(g_p) + 0.0
-        assert stacked_dot(f_p, f_p).tobytes() == stacked_dot(f, f).tobytes()
+        assert np.vecdot(f_p, f_p).tobytes() == np.vecdot(f, f).tobytes()
         # block_sq: the member's rows and own columns of a stack of members
         stack = np.concatenate((np.ones_like(squares_p), squares_p, np.ones_like(squares_p)))
         own = stack[runs:2 * runs, :, :rank].sum(axis=axes)
@@ -324,11 +433,11 @@ def test_broadcast_operands_equal_the_per_row_products(count, n):
         draw = rng.standard_normal((count, n + d)) * 10.0 ** rng.uniform(-6, 6, (count, 1))
         x, z = draw[:, :n], draw[:, n:]  # strided column blocks, as a split block draw
         for a, v in ((basis.T, x), (basis, z), (dense, x), (basis.T, x.copy())):
-            got = stacked_matvec(a, v)
+            got = np.matvec(a, v)
             assert got.tobytes() == np.stack([a @ row for row in v]).tobytes()
         y = rng.standard_normal(n)
-        assert stacked_dot(x, y).tobytes() == np.array([row @ y for row in x]).tobytes()
-        sq = (x - stacked_matvec(basis, stacked_matvec(basis.T, x))) ** 2
+        assert np.vecdot(x, y).tobytes() == np.array([row @ y for row in x]).tobytes()
+        sq = (x - np.matvec(basis, np.matvec(basis.T, x))) ** 2
         assert np.sum(sq, axis=1).tobytes() == np.array([np.sum(row) for row in sq]).tobytes()
 
 
