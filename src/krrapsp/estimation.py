@@ -132,7 +132,8 @@ class _StatsStack:
         of any trial of ``pos`` raises ``ValueError`` before the first chunk.
         """
         r, p = self.r, self.p
-        if not (np.isfinite(r.reshape(len(r), -1)).all(axis=1)[pos].all()
+        if not (all_finite(r) and all_finite(p)  # only a non-finite one asks whose it is
+                or np.isfinite(r.reshape(len(r), -1)).all(axis=1)[pos].all()
                 and all_finite(p[pos])):
             raise ValueError("statistics estimates must be finite")
         n = p.shape[1]

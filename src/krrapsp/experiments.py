@@ -202,11 +202,11 @@ def _run_rls(scenario, specs, iters: int, sums: dict) -> None:
     """Run the RLS specs over one trial's scenario, adding its per-step metrics into ``sums``.
 
     The trial's chunk stream is read chunk by chunk. A chunk is checked once,
-    by ``Rls.step``'s rule, before any filter steps on it; each
-    step's regressor is copied into one contiguous vector (a product over
-    the reversed window view rounds differently) and the coefficients are
-    kept in an ``(m, N)`` history, so the squared errors and mismatches are
-    formed once per chunk and added into the chunk's columns of ``sums``.
+    by ``Rls.step``'s rule, before any filter steps on it; each step's
+    regressor is copied into one contiguous vector (``linalg``'s table) and
+    the coefficients are kept in an ``(m, N)`` history, so the squared
+    errors and mismatches are formed once per chunk and added into the
+    chunk's columns of ``sums``.
     """
     n = scenario.n
     filters = [Rls(n, **spec.options) for spec in specs]

@@ -15,8 +15,8 @@ Four algorithms are provided:
 The first three are written once each, as :class:`KrrApspBatch`,
 :class:`CgrrfBatch` and :class:`NlmsBatch`, which step R independent
 filters in lockstep on stacked ``(R, N)`` samples. Their stacked products
-make a single filter's BLAS calls trial by trial, so a trial's arithmetic
-does not depend on R. ``KrrApsp``, ``Cgrrf`` and ``Nlms`` are their
+follow ``linalg``'s exactness rule, so a trial's arithmetic does not
+depend on R. ``KrrApsp``, ``Cgrrf`` and ``Nlms`` are their
 one-trial views. KRR-APSP batches of one statistics mode, forgetting
 factor, refresh period and ``(q, r)`` can form a family (``_KrrFamily``):
 one statistics stack, sample ring, Krylov build and reduced pass for all.
@@ -56,6 +56,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .estimation import _chunk_trials, _StatsStack, check_forgetting
 from .linalg import (
     BasisMatrix,
+    _frozen,
+    _unchecked,
     all_finite,
     as_vector,
     cg_solve_stack,
@@ -136,8 +138,7 @@ class StepOutput(NamedTuple):
     mults: int
 
 
-def _zero_counters() -> dict:
-    return {"stats": 0, "transform": 0, "filter": 0, "basis": 0, "rebase": 0}
+_CATEGORIES = ("stats", "transform", "filter", "basis", "rebase")  # of mult_totals
 
 
 def _stats_cost(mode: str, n: int) -> int:
@@ -152,14 +153,15 @@ def _basis_build_charge(rank: int, n: int) -> int:
 
 def _checked_stack(u, d, trials: int, n: int):
     """Validate one ``(R, N)`` regressor stack and its ``(R,)`` outputs, ``u . u`` and ``d * d``."""
-    u = np.asarray(u, dtype=float)
+    u, d = np.asarray(u, dtype=float), np.asarray(d, dtype=float)
     if u.shape != (trials, n):
         raise ValueError(f"expected u of shape {(trials, n)}, got {u.shape}")
-    as_vector(u.reshape(-1))
-    d = as_vector(d, trials)
     with np.errstate(over="ignore"):  # no fold or product may overflow on the sample alone
-        if not (all_finite(np.vecdot(u, u)) and all_finite(d * d)):
-            raise ValueError("sample rejected: u . u or d * d is not finite")
+        ok = d.shape == (trials,) and all_finite(np.vecdot(u, u)) and all_finite(d * d)
+    if not ok:  # finite energies need finite entries: name the fault of a rejected sample
+        as_vector(u.reshape(-1))
+        as_vector(d, trials)
+        raise ValueError("sample rejected: u . u or d * d is not finite")
     return u, d
 
 
@@ -188,8 +190,8 @@ def _aged(ring: np.ndarray, spare: np.ndarray):
 
 def _sum_sets(x: np.ndarray) -> np.ndarray:
     # np.add.accumulate(x, axis=1)[:, -1] bit for bit: one set after another
-    total = x[:, 0].copy()
-    for j in range(1, x.shape[1]):
+    total = x[:, 0] + x[:, 1] if x.shape[1] > 1 else x[:, 0].copy()
+    for j in range(2, x.shape[1]):
         total += x[:, j]
     return total
 
@@ -199,10 +201,8 @@ class _Lockstep:
 
     def __init__(self, n: int, trials: int):
         self.n, self.trials = check_int(n, "filter length"), check_int(trials, "trials")
-        self.steps = np.zeros(self.trials, dtype=np.int64)
-        self.update_count = np.zeros(self.trials, dtype=np.int64)
-        self.mult_totals = {cat: np.zeros(self.trials, dtype=np.int64)
-                            for cat in _zero_counters()}
+        self.steps, self.update_count, *totals = np.zeros((7, self.trials), dtype=np.int64)
+        self.mult_totals = dict(zip(_CATEGORIES, totals))
 
 
 class _KrrFamily:
@@ -222,15 +222,16 @@ class _KrrFamily:
     Member ``i`` owns rows ``i R`` to ``i R + R - 1`` of the reduced
     regressors' ring (newest first) and its spare, ``(M R, q + r - 1,
     D_max)``, the reduced filters ``(M R, D_max)`` (its ``h_tilde`` their
-    leading D columns) and the per-trial state ``_ROWS``; both are zero past
-    a row's ``rank_eff`` (0 without a basis). Products in N-space and sums
+    leading D columns) and the per-trial state (``_COUNTERS``, the mult
+    totals, ``_ut_valid`` and ``last_relaxation``); both are zero past a
+    row's ``rank_eff`` (0 without a basis). Products in N-space and sums
     over the rank axis run per member and effective rank on its own columns;
     the rest runs once over all rows, where the zero columns change no bit
-    (``tests/test_kernels.py``) but in a one-column window product (r > 1).
+    but in a one-column window product (r > 1; ``linalg``'s table).
     """
 
-    _ROWS = dict(rank_eff=0, _ut_valid=False, last_relaxation=np.nan, build_count=0,
-                 skipped_zero_direction=0, cancelled_updates=0, steps=0, update_count=0)
+    _COUNTERS = ("rank_eff", "build_count", "skipped_zero_direction", "cancelled_updates",
+                 "update_count", "steps")  # steps last: next to the stats total
 
     def __init__(self, mode: str, member):
         p = member.params
@@ -239,14 +240,12 @@ class _KrrFamily:
                     self.q, self.r)
         self.n, self.trials, self.refresh_period = member.n, member.trials, p.refresh_period
         self.stats = _StatsStack(mode, self.n, self.trials, p.forgetting)
+        self.stats_mults = _stats_cost(mode, self.n)
         self.chunk = _chunk_trials(1 << 20, self.n, self.trials)  # 1 MiB: 52 trials at N = 50
         self.has_basis = np.zeros(self.trials, dtype=bool)
         ring = self.q + self.r - 1
         self.us, self._us_spare = np.zeros((2, self.trials, ring, self.n))
         self.ds, self._ds_spare = np.zeros((2, self.trials, ring))
-        held = [np.minimum(self.r, slots - np.arange(min(self.q, slots)))  # by ring length
-                for slots in range(1, ring + 1)]  # the samples each set holds
-        self.charges = [None] + [(x + 1, int(x.sum())) for x in held]
         self.filled = self._k = 0  # filled ring slots, shared by all trials; step index
         self.members = []
         member.family = self
@@ -263,25 +262,38 @@ class _KrrFamily:
         members, trials = self.members, self.trials
         rows, width = len(members) * trials, max(m.params.rank for m in members)
         self.rings = np.zeros((2, rows, self.q + self.r - 1, width))
-        self.ut, self._ut_spare = self.rings
+        self.ut, self._ut_spare = self.rings[0], self.rings[1]
         self.h = np.zeros((rows, width))
-        for name, value in self._ROWS.items():
-            setattr(self, name, np.full(rows, value))
-        self.mult_totals = {cat: np.zeros(rows, dtype=np.int64) for cat in _zero_counters()}
-        self.rho, self.step_size, self.full = (
-            np.repeat([getattr(m.params, name) for m in members], trials)
-            for name in ("rho", "step_size", "rank"))
-        # normalized weights of the newest q_eff sets, by q_eff
-        weights = [m.params.weight_array for m in members]
-        self.weights = [None] + [np.repeat([w[:q] / float(w[:q].sum()) for w in weights],
-                                           trials, axis=0) for q in range(1, self.q + 1)]
+        counts = np.zeros((len(self._COUNTERS) + len(_CATEGORIES), rows), dtype=np.int64)
+        state = dict(zip(self._COUNTERS, counts), _ut_valid=np.zeros(rows, dtype=bool),
+                     last_relaxation=np.full(rows, np.nan))
+        self.__dict__.update(state)
+        self.mult_totals = dict(zip(_CATEGORIES, counts[len(self._COUNTERS):]))
+        self._per_step = counts[len(self._COUNTERS) - 1:len(self._COUNTERS) + 1]
+        self._step_charges = np.array([[1], [self.stats_mults]])  # steps, stats
+        self.rho, self.step_size, self.full = np.array(
+            [(p.rho, p.step_size, p.rank) for p in (m.params for m in members)]).T.repeat(trials, 1)
+        self._tables = [None] * (self.q + self.r)  # by filled ring slots, made at first use
         for i, m in enumerate(members):
             m._rows = slice(i * trials, (i + 1) * trials)
             m.h_tilde = self.h[m._rows, :m.params.rank]
-            for name in self._ROWS:
-                setattr(m, name, getattr(self, name)[m._rows])
+            for name, value in state.items():
+                setattr(m, name, value[m._rows])
             m.mult_totals = {cat: v[m._rows] for cat, v in self.mult_totals.items()}
+        # a step before any trial has a basis returns these, which nothing writes
+        self._idle = StepOutput(np.zeros(trials), np.zeros(trials, dtype=bool),
+                                np.zeros((trials, self.n)), np.full(trials, self.stats_mults))
+        for a in self._idle:
+            a.setflags(write=False)
         self.built = True  # a build changed ranks or bases since the last step
+
+    def _ring_tables(self, ring: int) -> tuple:
+        """At ``ring`` filled slots: the newest sets' normalized weights, charges and samples."""
+        held = [min(self.r, ring - j) for j in range(min(self.q, ring))]  # samples each set holds
+        w = np.array([m.params.weights[:len(held)] for m in self.members])
+        weights = (w / np.add.reduce(w, axis=1, keepdims=True)).repeat(self.trials, axis=0)
+        self._tables[ring] = tables = (weights, np.array([x + 1 for x in held]), sum(held))
+        return tables
 
     def _build(self, among: np.ndarray) -> None:
         """Build and install the members' bases of trials ``among``, chunk by chunk.
@@ -291,7 +303,9 @@ class _KrrFamily:
         are checked (:meth:`_StatsStack.dense`) before the first chunk is
         installed.
         """
-        pos = np.flatnonzero(among & np.any(self.stats.p, axis=1))
+        if not np.count_nonzero(among):  # a refresh before any trial has a basis
+            return
+        pos = (among & np.logical_or.reduce(self.stats.p, axis=1)).nonzero()[0]
         for part, mats in self.stats.dense(pos, self.chunk):
             bases, ranks = krylov_basis_stack(mats, self.stats.p[part], self.h.shape[1])
             for m in self.members:
@@ -304,12 +318,13 @@ class _KrrFamily:
         # age each ring into its spare: a shift in place would copy via a temporary
         self.us, self._us_spare = _aged(self.us, self._us_spare)
         self.ds, self._ds_spare = _aged(self.ds, self._ds_spare)
-        self.ut, self._ut_spare = _aged(self.ut, self._ut_spare)
+        if based := np.count_nonzero(self.has_basis):  # without a basis the rings hold zeros
+            self.ut, self._ut_spare = _aged(self.ut, self._ut_spare)
         self.us[:, 0], self.ds[:, 0] = u, d
         self.filled = min(self.filled + 1, self.ds.shape[1])
         self.stats.update(u, d)
         # the estimators have now seen k + 1 samples: mature from N on
-        if self._k + 1 >= self.n and np.count_nonzero(self.has_basis) < self.trials:
+        if self._k + 1 >= self.n and based < self.trials:
             self._build(~self.has_basis)
         outs = self._pass(u)
         if self._k % self.refresh_period == 1 % self.refresh_period:
@@ -317,39 +332,45 @@ class _KrrFamily:
         self._k += 1
         return outs
 
+    def _regroup(self) -> None:
+        """After a build: the shortcuts, the transform charges and each member's ``parts``,
+        ``(rows, rank, trials, bases, their transpose)`` by effective rank."""
+        ranks = self.rank_eff
+        self.whole = not np.count_nonzero(ranks != self.full)
+        self.idle = not np.count_nonzero(self.has_basis)
+        self.transform = ranks * self.n  # S^T u of the newest sample
+        self.parts, self.built = [], False
+        for m in self.members:  # a gathered basis is a contiguous copy
+            groups = [(m._rows, m.params.rank, slice(None), m.basis)] if self.whole else [
+                (idx + m._rows.start, rank, idx, np.ascontiguousarray(m.basis[idx][..., :rank]))
+                for rank in set(m.rank_eff.tolist()) - {0}
+                for idx in [np.flatnonzero(m.rank_eff == rank)]]
+            self.parts.append([g + (g[3].transpose(0, 2, 1),) for g in groups])
+
     def _pass(self, u: np.ndarray) -> list:
         """Every member's transform, output and update on a checked sample; returns the outputs."""
-        n, trials, ranks, ut, h = self.n, self.trials, self.rank_eff, self.ut, self.h
-        ring, stats_mults = self.filled, _stats_cost(self.stats.mode, n)
-        self.mult_totals["stats"] += stats_mults
-        self.steps += 1
+        self._per_step += self._step_charges
+        valid = not self.built
         if self.built:  # ranks, bases and has_basis change only at a build
-            self.whole, self.idle = (ranks == self.full).all(), not np.count_nonzero(self.has_basis)
-            self.transform = ranks * n  # S^T u of the newest sample
-        valid, self.built = not self.built, False
+            self._regroup()
         if self.idle:  # every trial passes through: output 0, no update
-            return [StepOutput(np.zeros(trials), np.zeros(trials, dtype=bool),
-                               np.zeros((trials, n)), np.full(trials, stats_mults))
-                    for _ in self.members]
+            return [self._idle] * len(self.members)
+        n, trials, ranks, ut, h = self.n, self.trials, self.rank_eff, self.ut, self.h
+        ring, stats_mults = self.filled, self.stats_mults
         transform_mults = (self.transform if valid
                            else self.transform * np.where(self._ut_valid, 1, ring))
         # S^T u of the newest sample into the ring, of every slot for a trial whose
-        # basis changed; parts: each member's (rows, rank, trials, bases) by D_eff
-        parts = []
-        for m in self.members:
-            parts.append([])
-            for rank, idx in [(m.params.rank, slice(None))] if self.whole else [
-                    (d, np.flatnonzero(m.rank_eff == d)) for d in set(m.rank_eff.tolist()) - {0}]:
-                basis = m.basis if self.whole else np.ascontiguousarray(m.basis[idx][..., :rank])
-                basis_t, mine = basis.transpose(0, 2, 1), ut[m._rows]
+        # basis changed
+        for m, groups in zip(self.members, self.parts):
+            mine = ut[m._rows]
+            for _, rank, idx, _, basis_t in groups:
                 mine[idx, 0, :rank] = np.matvec(basis_t, u[idx])
                 if not valid and np.count_nonzero(stale := ~m._ut_valid[idx]):
                     at = np.arange(trials)[idx][stale]
                     mine[at, 1:ring, :rank] = np.matvec(basis_t[stale][:, None],
                                                         self.us[at, 1:ring])
-                rows = m._rows if self.whole else idx + m._rows.start
-                parts[-1].append((rows, rank, idx, basis))
-        self._ut_valid.fill(True)
+        if not valid:
+            self._ut_valid.fill(True)
 
         # set j holds the errors of samples j, ..., j + r - 1; ring slots not yet
         # filled are zero in regressors and outputs, so their errors are exactly 0
@@ -362,17 +383,18 @@ class _KrrFamily:
         e = e.reshape(len(h), width)
 
         # each set's squared error, its subgradient g = (S^T U) e, c = g . g and
-        # the guard scale (uncharged), each product the one a set's own BLAS call makes
+        # the guard scale (uncharged)
         if r == 1:
-            sq, g, squares = e * e, ut[:, :q_eff] * e[..., None], ut[:, :q_eff] * ut[:, :q_eff]
+            uq = ut[:, :q_eff]
+            sq, g, squares = e * e, uq * e[..., None], uq * uq
         else:
             e_win = sliding_window_view(e, r, axis=1)
-            # ut[j], ..., ut[j + r - 1] as columns, copied: on the view np.matvec rounds otherwise
+            # ut[j], ..., ut[j + r - 1] as columns, copied (linalg's table)
             u_win = np.ascontiguousarray(sliding_window_view(ut[:, :width], r, axis=1))
             sq, g, squares = np.vecdot(e_win, e_win), np.matvec(u_win, e_win), u_win * u_win
         block_sq = np.zeros(sq.shape)
-        for rows, rank, _, _ in (group for groups in parts for group in groups):
-            block_sq[rows] = squares[rows, :, :rank].sum(axis=2 if r == 1 else (2, 3))
+        for rows, rank, _, _, _ in (group for groups in self.parts for group in groups):
+            block_sq[rows] = np.add.reduce(squares[rows, :, :rank], axis=2 if r == 1 else (2, 3))
             if rank == 1 < r:
                 g[rows, :, :1] = np.matvec(np.ascontiguousarray(u_win[rows, :, :1]), e_win[rows])
         violated = sq > rho
@@ -385,7 +407,8 @@ class _KrrFamily:
         ok = violated ^ zero  # zero only where violated
         gap = rho - sq
         c_ok = np.where(ok, c, 1.0)
-        w_gap = self.weights[q_eff] * gap
+        weights, charges, samples = self._tables[ring] or self._ring_tables(ring)
+        w_gap = weights * gap
         coef, loss = np.zeros((2,) + c.shape)
         np.divide(w_gap, 2.0 * c_ok, out=coef, where=ok)
         np.divide(w_gap * gap, 4.0 * c_ok, out=loss, where=ok)
@@ -393,7 +416,7 @@ class _KrrFamily:
         # f_dir starts at zero, and + 0.0 turns only a -0 sum into that +0
         f_dir = _sum_sets(g * coef[:, :, None])
         f_dir += 0.0
-        n_ok = ok.sum(axis=1)
+        n_ok = np.add.reduce(ok, axis=1)
         contributed = n_ok > 0
 
         nf = np.vecdot(f_dir, f_dir)
@@ -405,7 +428,6 @@ class _KrrFamily:
         relax = np.divide(_sum_sets(loss), nf, out=self.last_relaxation, where=updated)
         np.add(h, (self.step_size * relax)[:, None] * f_dir, out=h, where=updated[:, None])
         # the inner products, the errors, the violated sets and the updates
-        charges, samples = self.charges[ring]
         filter_mults = (ranks * (ring + np.dot(violated, charges) + n_ok + contributed + updated)
                         + (7 * n_ok + 2 * updated + samples))
         if not self.whole:
@@ -414,13 +436,13 @@ class _KrrFamily:
         self.mult_totals["filter"] += filter_mults
         self.update_count += updated
         mults, outs = stats_mults + transform_mults + filter_mults, []
-        for m, groups in zip(self.members, parts):
+        for m, groups in zip(self.members, self.parts):
             if self.whole:
-                (rows, rank, _, basis), = groups
+                (rows, rank, _, basis, _), = groups
                 h_full = np.matvec(basis, np.ascontiguousarray(h[rows, :rank]))
             else:  # trials without a basis pass through
                 h_full = np.zeros((trials, n))
-                for rows, rank, idx, basis in groups:  # rows index: a contiguous copy
+                for rows, rank, idx, basis, _ in groups:  # rows index: a contiguous copy
                     h_full[idx] = np.matvec(basis, h[rows, :rank])
             outs.append(StepOutput(ips[m._rows, 0], updated[m._rows], h_full, mults[m._rows]))
         return outs
@@ -465,17 +487,18 @@ class KrrApspBatch(_Lockstep):
         by projection, charged to ``rebase``; at the same rank the reduced
         coordinates carry over as they are (the map ``S_new S_old^T``).
         """
-        for j in np.flatnonzero(ranks != self.rank_eff[part]):
+        based = self.has_basis[part]
+        moved = (ranks != self.rank_eff[part]) & (based | (self._h0 is not None))
+        for j in moved.nonzero()[0]:
             i, old, new = part[j], int(self.rank_eff[part[j]]), int(ranks[j])
-            if self.has_basis[i]:  # leading columns laid out as a BasisMatrix
+            if based[j]:  # leading columns laid out as a BasisMatrix
                 full = np.ascontiguousarray(self.basis[i, :, :old]) @ self.h_tilde[i, :old]
                 self.mult_totals["rebase"][i] += (old + new) * self.n
             else:
-                full = None if self._h0 is None else self._h0[i]
+                full = self._h0[i]
             self.h_tilde[i] = 0.0
-            if full is not None:
-                self.h_tilde[i, :new] = np.ascontiguousarray(bases[j, :, :new]).T @ full
-            self.rank_eff[i] = new
+            self.h_tilde[i, :new] = np.ascontiguousarray(bases[j, :, :new]).T @ full
+        self.rank_eff[part] = ranks
         self.basis[part] = bases
         self.build_count[part] += 1
         self.mult_totals["basis"][part] += _basis_build_charge(self.params.rank, self.n)
@@ -648,11 +671,12 @@ class _OneTrial:
     def __init__(self, batch):
         self._batch = batch
 
-    def _step(self, u, d) -> StepOutput:
+    def step(self, u, d: float) -> StepOutput:
+        """Consume one sample pair and advance the filter."""
         out = self._batch.step(_one_row(u), _one_row(d))
         h_full = out.h_full[0]
-        h_full.flags.writeable = False  # it may be the batch's live state
-        return StepOutput(float(out.y[0]), bool(out.updated[0]), h_full, int(out.mults[0]))
+        h_full.setflags(write=False)  # it may be the batch's live state
+        return StepOutput(out.y.item(0), out.updated.item(0), h_full, out.mults.item(0))
 
     @property
     def update_rate(self) -> float:
@@ -688,18 +712,16 @@ class KrrApsp(_OneTrial):
         super().__init__(KrrApspBatch(params, n, 1, mode=mode, h0=_one_row(h0)))
         self._basis = (None, None)  # (build count, BasisMatrix) last made
 
-    def step(self, u, d: float) -> StepOutput:
-        """Consume one sample pair and advance the filter."""
-        return self._step(u, d)
+    step = _OneTrial.step  # each view class has its own step, which the layer trace wraps
 
     @property
     def basis(self) -> BasisMatrix | None:
         batch = self._batch
         if not batch.has_basis[0]:
             return None
-        if self.build_count != self._basis[0]:
-            self._basis = (self.build_count,
-                           BasisMatrix(batch.basis[0, :, :batch.rank_eff[0]]))
+        if self.build_count != self._basis[0]:  # the build checked its columns
+            self._basis = (self.build_count, _unchecked(
+                BasisMatrix, matrix=_frozen(batch.basis[0, :, :batch.rank_eff[0]])))
         return self._basis[1]
 
     @property
@@ -732,8 +754,7 @@ class Cgrrf(_OneTrial):
         super().__init__(CgrrfBatch(n, 1, rank, refresh_period, forgetting, mode,
                                     _one_row(init_vector)))
 
-    def step(self, u, d: float) -> StepOutput:
-        return self._step(u, d)
+    step = _OneTrial.step
 
 
 class Nlms(_OneTrial):
@@ -745,8 +766,7 @@ class Nlms(_OneTrial):
     def __init__(self, n: int, step_size: float = 0.5):
         super().__init__(NlmsBatch(n, 1, step_size))
 
-    def step(self, u, d: float) -> StepOutput:
-        return self._step(u, d)
+    step = _OneTrial.step
 
 
 def _check_delta(delta: float, source: str = "delta") -> None:
@@ -782,7 +802,7 @@ class Rls:
         self._mults = 3 * self.n * self.n + 4 * self.n  # charged at every step
         self.steps = 0
         self.update_count = 0
-        self.mult_totals = _zero_counters()
+        self.mult_totals = dict.fromkeys(_CATEGORIES, 0)
 
     @property
     def coefficients(self) -> np.ndarray:

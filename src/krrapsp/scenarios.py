@@ -272,9 +272,7 @@ class SysIdScenario(_Stream):
             for a, b in zip(cuts, cuts[1:]):
                 buf[:b - a + n - 1] = x[a:b + n - 1]
                 truth = self.h_star if change is None or start + a < change else self.h_star_post
-                # each row's BLAS dot over a contiguous copy, as the per-step
-                # `window @ truth` (over the strided view matmul rounds
-                # differently); the copy is not kept while suspended
+                # each row's dot over a contiguous copy (linalg's table), not kept while suspended
                 d = np.vecdot(np.ascontiguousarray(windows[:b - a]), truth) + noise[a:b]
                 yield StreamChunk(start + a, windows[:b - a], d, truth)
 
@@ -469,8 +467,7 @@ class CdmaScenario(_Stream):
         ``u += A_j (b' tail_j + b head_j)`` from zero bit for bit: tail and
         head have disjoint supports, so each term is one exact ``±A_j c``,
         and gemm adds the terms in user order (``fma(±1, c, acc)`` is
-        ``acc ± c``). A one-row chunk is padded to two rows, as numpy makes a
-        one-row product with gemv, which adds in another order.
+        ``acc ± c``). A one-row chunk is padded to two rows (``linalg``'s table).
         """
         chips, change = buffer[1], self.config.change_at
         table = self._tables[0]

@@ -753,7 +753,8 @@ def test_rejected_samples_leave_batches_unchanged(kind, bad):
 
 @pytest.mark.parametrize("kind", ["krr", "cgrrf", "nlms"])
 def test_batches_check_samples_with_as_vector(kind, monkeypatch):
-    # the scalar filters' validator, looked up on krrapsp.filters at each step
+    # the scalar filters' validator, looked up on krrapsp.filters, names the fault
+    # of a sample whose energies fail; a sample that passes never reaches it
     calls = []
     as_vector = krrapsp.filters.as_vector
 
@@ -765,8 +766,11 @@ def test_batches_check_samples_with_as_vector(kind, monkeypatch):
     batch = {"krr": lambda: KrrApspBatch(KrrParams(rank=3), N, 2),
              "cgrrf": lambda: CgrrfBatch(N, 2, rank=3),
              "nlms": lambda: NlmsBatch(N, 2)}[kind]()
-    streams = [sysid_stream(N, 1, seed=s) for s in (1, 2)]
+    streams = [sysid_stream(N, 2, seed=s) for s in (1, 2)]
     batch.step(np.stack([s[0][0] for s in streams]), [s[0][1] for s in streams])
+    assert calls == []
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        batch.step(np.stack([s[1][0] for s in streams]), [streams[0][1][1], np.nan])
     assert calls == [((2 * N,), None), ((2,), 2)]
 
 

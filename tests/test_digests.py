@@ -6,8 +6,9 @@ sha256 of each output row: ``repr(run_all(S))`` and
 trace ``format_csv(run_experiment(cfg), config_metadata(cfg))`` of each
 small config of ``CSV_CONFIGS`` (or, for ``CLI_RUNS``, what ``cli.main``
 prints). Together the configs cover both scenarios and their changes, all
-four filters, KRR-APSP with r in {1, 3} and q in {1, 4}, Toeplitz and full
-statistics, a three-member family and the ``--count-mults`` header. The
+four filters, KRR-APSP with r in {1, 2, 3} and q in {1, 2, 4}, Toeplitz and
+full statistics, a three-member family, a run of one trial (the one-trial
+views' and verify's size) and the ``--count-mults`` header. The
 bits depend on the BLAS build and the CPU (FMA in small dots, gemv against
 gemm), so the fingerprint names numpy's version, its BLAS and that BLAS's
 version, the SIMD extensions numpy found and the machine; on a fingerprint
@@ -43,9 +44,9 @@ TABLE = Path(__file__).with_name("digests.json")
 SEEDS = range(4)
 
 
-def _krr(rank: int, q: int, r: int, rho: float) -> FilterSpec:
-    params = KrrParams(rank=rank, projections=q, error_dim=r, rho=rho, refresh_period=10,
-                       step_size=0.5, forgetting=0.99)
+def _krr(rank: int, q: int, r: int, rho: float, refresh_period: int = 10) -> FilterSpec:
+    params = KrrParams(rank=rank, projections=q, error_dim=r, rho=rho,
+                       refresh_period=refresh_period, step_size=0.5, forgetting=0.99)
     return FilterSpec("krr-apsp", f"krr-d{rank}-q{q}-r{r}", {"params": params})
 
 
@@ -71,6 +72,14 @@ CSV_CONFIGS = {
                  FilterSpec("cgrrf", options={"rank": 5, "forgetting": 0.99}),
                  FilterSpec("nlms", options={"step_size": 0.1}), FilterSpec("rls")),
         runs=2, iters=180, seed=7),
+    # one trial, as the one-trial views and verify run: a D 3/5 family refreshed every
+    # 5 steps and an r = 2 filter; idle, first-build, refresh and active steps, a change
+    "sysid-one-trial": ExperimentConfig(
+        kind="sysid", scenario=SysIdConfig(n=9, snr_db=15.0, fir_len=6, change_at=70),
+        filters=(_krr(3, 2, 1, 0.1, 5), _krr(5, 2, 1, 0.1, 5), _krr(3, 2, 2, 0.1, 5),
+                 FilterSpec("cgrrf", options={"rank": 3, "refresh_period": 5}),
+                 FilterSpec("nlms", options={"step_size": 0.5}), FilterSpec("rls")),
+        runs=1, iters=140, seed=11),
 }
 CLI_RUNS = {
     "cli-count-mults": ["sysid", "--N", "10", "--runs", "2", "--iters", "120", "--seed", "4",

@@ -92,9 +92,21 @@ every layout the code passes:
   (3000 random user sets of 1-33 users, OpenBLAS 0.3.31 Haswell kernels);
   that depends on the BLAS build (ROADMAP item 15);
 * the dense Toeplitz expansion (``linalg.toeplitz_dense``, the statistics
-  stacks' dense matrices): for R in {1, 2, 100} and odd N, into a fresh
-  array or a given one, it equals the gather ``rows[:, |i - j|]``, signed
-  zeros, subnormals and NaN payloads alike (it copies, with no arithmetic);
+  stacks' dense matrices, a copy through a strided view of the mirrored
+  rows): for R in {1, 2, 100} and odd N, and for R in {1, 2, 52} at N in
+  {1, 9, 50, 200}, into a fresh array or the leading rows of a larger one,
+  from C-ordered, column-major or strided rows, it equals the gather
+  ``rows[:, |i - j|]`` and ``oracles.toeplitz_gather`` per row, signed
+  zeros, subnormals and NaN payloads alike (it copies, with no
+  arithmetic); no trials give no chunks and no rows an empty stack;
+* a family's weight table (``filters._KrrFamily._ring_tables``): one
+  ``np.add.reduce(w, axis=1)`` over M members' newest q_eff weights gives
+  each row its member's own 1-D sum, for M in {1, 2, 3, 100} and q up to
+  17, past the eight terms where numpy's pairwise sum changes its order;
+* the Gram check of a Krylov build: the identity subtracted in place on
+  each row's leading ``ranks[i]`` diagonal entries gives the defect of the
+  masked-identity form ``max |S^T S - I_masked|`` bit for bit, truncated
+  rows included;
 * the RLS rank-one correction (``filters.Rls``): ``np.dot(gain[:, None],
   pi[None, :], out=...)`` into a cache-aligned buffer equals ``np.outer``
   and the per-entry products ``gain[i] * pi[j]``, for odd N and N = 200.
@@ -113,6 +125,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import krrapsp.linalg
 from krrapsp import gold_family
 from krrapsp.estimation import _StatsStack
 from krrapsp.filters import _cache_aligned, _sum_sets
@@ -122,6 +135,7 @@ from krrapsp.linalg import (
     toeplitz_dense,
 )
 from krrapsp.scenarios import GOLD_LENGTH, _CdmaUser, _chip_table
+from oracles import toeplitz_gather
 
 
 @pytest.mark.parametrize("runs", [1, 2, 100])
@@ -478,15 +492,74 @@ def test_chip_product_equals_the_per_user_accumulation(users):
 @pytest.mark.parametrize("runs", [1, 2, 100])
 @pytest.mark.parametrize("n", [1, 7, 31])
 def test_toeplitz_expansion_equals_the_gather(runs, n):
-    rng = np.random.default_rng(runs * 100 + n)
+    assert_toeplitz_expansion(runs, n)
+
+
+@pytest.mark.parametrize("runs, n", [(52, 1), (1, 9), (2, 9), (52, 9), (1, 50), (2, 50),
+                                     (52, 50), (1, 200), (2, 200), (52, 200)])
+def test_toeplitz_expansion_at_build_sizes(runs, n):
+    # one-trial views, a CG solve's one-trial chunks at N = 200, 52-trial Krylov chunks
+    assert_toeplitz_expansion(runs, n)
+
+
+def assert_toeplitz_expansion(runs, n):
+    """``toeplitz_dense`` of awkward rows equals the gather, into fresh or given memory."""
+    rng = np.random.default_rng(runs * 1000 + n)
     rows = rng.standard_normal((runs, n)) * 10.0 ** rng.uniform(-300, 300, (runs, n))
     rows[rng.random((runs, n)) < 0.1] = -0.0
     rows[rng.random((runs, n)) < 0.05] = 5e-324
     rows[rng.random((runs, n)) < 0.05] = np.nan
+    want = np.stack([toeplitz_gather(row) for row in rows]).tobytes()
     lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    want = rows[:, lags].tobytes()
+    assert rows[:, lags].tobytes() == want
     assert toeplitz_dense(rows).tobytes() == want
-    assert toeplitz_dense(rows, out=np.full((runs, n, n), 7.0)).tobytes() == want
+    # into the leading rows of a larger buffer, which keeps the rest
+    out = np.full((runs + 3, n, n), 7.0)
+    assert toeplitz_dense(rows, out=out[:runs]) is not None
+    assert out[:runs].tobytes() == want and not np.any(out[runs:] != 7.0)
+    # rows laid out column-major, or strided, expand alike
+    assert toeplitz_dense(np.asfortranarray(rows)).tobytes() == want
+    wide = np.zeros((runs, 2 * n))
+    wide[:, ::2] = rows
+    assert toeplitz_dense(wide[:, ::2]).tobytes() == want
+
+
+@pytest.mark.parametrize("mode", ["toeplitz", "fullsym"])
+def test_no_trials_expand_to_nothing(mode):
+    stats = _StatsStack(mode, 9, 4, 0.999)
+    assert list(stats.dense(np.array([], dtype=np.int64), 2)) == []
+    assert toeplitz_dense(np.empty((0, 9))).shape == (0, 9, 9)
+
+
+@pytest.mark.parametrize("members", [1, 2, 3, 100])
+def test_weight_sums_equal_the_per_member_sums(members):
+    # a family normalizes every member's newest q_eff weights in one reduction
+    # over the rows; each row's sum is its member's own, also past eight terms
+    rng = np.random.default_rng(members)
+    for q in (1, 2, 3, 7, 8, 9, 17):
+        w = rng.uniform(0.01, 1.0, (members, q))
+        for q_eff in range(1, q + 1):
+            got = w[:, :q_eff] / np.add.reduce(w[:, :q_eff], axis=1, keepdims=True)
+            want = np.array([row[:q_eff] / float(row[:q_eff].sum()) for row in w])
+            assert got.tobytes() == want.tobytes(), (q, q_eff)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_gram_defect_equals_the_masked_identity_form(n, monkeypatch):
+    # the build subtracts the identity on each row's diagonal in place; the defect
+    # it checks is max |S^T S - I_masked| over the returned bases, bit for bit
+    defects = []
+    monkeypatch.setattr(krrapsp.linalg, "_check_orthonormal", defects.append)
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    mats = np.stack([a @ a.T + np.eye(n), 2.0 * np.eye(n), a @ a.T + np.eye(n)])
+    seeds = rng.standard_normal((3, n))
+    for rank in range(1, n + 1):
+        bases, ranks = krylov_basis_stack(mats, seeds, rank)
+        eye = np.eye(rank) * (np.arange(rank) < ranks[:, None])[:, None, :]
+        want = float(np.max(np.abs(np.matmul(bases.transpose(0, 2, 1), bases) - eye)))
+        assert defects.pop() == want
+    assert ranks[1] == 1 < n  # a truncated row
 
 
 @pytest.mark.parametrize("n", [1, 7, 31, 200])

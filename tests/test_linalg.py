@@ -295,8 +295,9 @@ class TestBasisMatrix:
             BasisMatrix(np.full((4, 2), np.nan))
 
     def test_stacked_build_rejects_a_nan_gram_defect(self, monkeypatch):
-        # the build's own columns stay finite, so the NaN is put into the identity it checks against
-        monkeypatch.setattr(np, "eye", lambda k: np.full((k, k), np.nan))
+        # the build's own columns stay finite, so the NaN is put into the Gram matrix it checks
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda a, b: matmul(a, b) * np.nan)
         with pytest.raises(ValueError, match="not orthonormal"):
             krylov_basis_stack(np.ones((1, 3, 3)), np.ones((1, 3)), 2)
 
