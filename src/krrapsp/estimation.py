@@ -15,6 +15,7 @@ all of them.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -178,7 +179,9 @@ class CorrelationEstimator:
 
     def update(self, u, d: float) -> None:
         """Fold one sample pair into the estimates; a non-finite one raises ``ValueError``."""
-        self._stats.update(as_vector(u, self.n)[None], as_vector([d], 1))
+        if not math.isfinite(d):  # d is a real number
+            raise ValueError(f"d must be finite, got {d!r}")
+        self._stats.update(as_vector(u, self.n)[None], np.array((d,), dtype=float))
 
     def r_matrix(self) -> SymMatrix:
         """Immutable snapshot of the autocorrelation estimate."""

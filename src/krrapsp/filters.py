@@ -153,15 +153,15 @@ def _basis_build_charge(rank: int, n: int) -> int:
 
 def _checked_stack(u, d, trials: int, n: int):
     """Validate one ``(R, N)`` regressor stack and its ``(R,)`` outputs, ``u . u`` and ``d * d``."""
-    u, d = np.asarray(u, dtype=float), np.asarray(d, dtype=float)
+    u = np.asarray(u, dtype=float)
     if u.shape != (trials, n):
         raise ValueError(f"expected u of shape {(trials, n)}, got {u.shape}")
     with np.errstate(over="ignore"):  # no fold or product may overflow on the sample alone
-        ok = d.shape == (trials,) and all_finite(np.vecdot(u, u)) and all_finite(d * d)
-    if not ok:  # finite energies need finite entries: name the fault of a rejected sample
-        as_vector(u.reshape(-1))
-        as_vector(d, trials)
-        raise ValueError("sample rejected: u . u or d * d is not finite")
+        if not (ok := all_finite(np.vecdot(u, u))):  # finite energies need finite entries
+            as_vector(u.reshape(-1))
+        d = as_vector(d, trials)
+        if not (ok and all_finite(d * d)):
+            raise ValueError("sample rejected: u . u or d * d is not finite")
     return u, d
 
 
@@ -231,7 +231,7 @@ class _KrrFamily:
     """
 
     _COUNTERS = ("rank_eff", "build_count", "skipped_zero_direction", "cancelled_updates",
-                 "update_count", "steps")  # steps last: next to the stats total
+                 "update_count", "steps")
 
     def __init__(self, mode: str, member):
         p = member.params
@@ -269,8 +269,6 @@ class _KrrFamily:
                      last_relaxation=np.full(rows, np.nan))
         self.__dict__.update(state)
         self.mult_totals = dict(zip(_CATEGORIES, counts[len(self._COUNTERS):]))
-        self._per_step = counts[len(self._COUNTERS) - 1:len(self._COUNTERS) + 1]
-        self._step_charges = np.array([[1], [self.stats_mults]])  # steps, stats
         self.rho, self.step_size, self.full = np.array(
             [(p.rho, p.step_size, p.rank) for p in (m.params for m in members)]).T.repeat(trials, 1)
         self._tables = [None] * (self.q + self.r)  # by filled ring slots, made at first use
@@ -335,10 +333,9 @@ class _KrrFamily:
     def _regroup(self) -> None:
         """After a build: the shortcuts, the transform charges and each member's ``parts``,
         ``(rows, rank, trials, bases, their transpose)`` by effective rank."""
-        ranks = self.rank_eff
-        self.whole = not np.count_nonzero(ranks != self.full)
+        self.whole = not np.count_nonzero(self.rank_eff != self.full)
         self.idle = not np.count_nonzero(self.has_basis)
-        self.transform = ranks * self.n  # S^T u of the newest sample
+        self.transform = self.rank_eff * self.n  # S^T u of the newest sample
         self.parts, self.built = [], False
         for m in self.members:  # a gathered basis is a contiguous copy
             groups = [(m._rows, m.params.rank, slice(None), m.basis)] if self.whole else [
@@ -349,7 +346,8 @@ class _KrrFamily:
 
     def _pass(self, u: np.ndarray) -> list:
         """Every member's transform, output and update on a checked sample; returns the outputs."""
-        self._per_step += self._step_charges
+        self.steps += 1
+        self.mult_totals["stats"] += self.stats_mults
         valid = not self.built
         if self.built:  # ranks, bases and has_basis change only at a build
             self._regroup()

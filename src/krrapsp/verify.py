@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimation import _StatsStack
+from .estimation import CorrelationEstimator
 from .linalg import (
     BasisMatrix,
     HalfSpace,
@@ -45,7 +45,6 @@ from .linalg import (
     krylov_basis_stack,
     project_half_space,
     project_subspace,
-    toeplitz_dense,
 )
 from .tolerances import TOL
 
@@ -566,10 +565,10 @@ def _static_run(*, n: int, rank: int, projections: int, iters: int, warmup: int 
     scen = SysIdScenario(SysIdConfig(n=n, snr_db=snr_db, seed=seed))
     # (steps, N) regressors and (steps,) outputs; a chunk's u is overwritten by the next
     us, ds = map(np.concatenate, zip(*((c.u.copy(), c.d) for c in scen.chunks(warmup + iters))))
-    stats = _StatsStack("toeplitz", n, 1, 0.999)  # an estimator fed the scenario's finite samples
-    for k in range(warmup):
-        stats.update(us[k:k + 1], ds[k:k + 1])
-    basis = krylov_basis(SymMatrix(toeplitz_dense(stats.r)[0]), stats.p[0], rank)
+    est = CorrelationEstimator("toeplitz", n, 0.999)
+    for u, d in zip(us[:warmup], ds[:warmup].tolist()):
+        est.update(u, d)
+    basis = krylov_basis(est.r_matrix(), est.p_vector(), rank)
     phi = PhiMap(basis, basis)
     if subspace_target:
         ds = np.vecdot(us, _project(scen.h_star, basis))

@@ -753,8 +753,8 @@ def test_rejected_samples_leave_batches_unchanged(kind, bad):
 
 @pytest.mark.parametrize("kind", ["krr", "cgrrf", "nlms"])
 def test_batches_check_samples_with_as_vector(kind, monkeypatch):
-    # the scalar filters' validator, looked up on krrapsp.filters, names the fault
-    # of a sample whose energies fail; a sample that passes never reaches it
+    # the scalar filters' validator, looked up on krrapsp.filters, checks d at every
+    # step and names the fault of a regressor stack whose energies fail
     calls = []
     as_vector = krrapsp.filters.as_vector
 
@@ -768,10 +768,12 @@ def test_batches_check_samples_with_as_vector(kind, monkeypatch):
              "nlms": lambda: NlmsBatch(N, 2)}[kind]()
     streams = [sysid_stream(N, 2, seed=s) for s in (1, 2)]
     batch.step(np.stack([s[0][0] for s in streams]), [s[0][1] for s in streams])
-    assert calls == []
+    assert calls == [((2,), 2)]
+    u = np.stack([s[1][0] for s in streams])
+    u[1, 0] = np.nan
     with pytest.raises(ValueError, match="vector entries must be finite"):
-        batch.step(np.stack([s[1][0] for s in streams]), [streams[0][1][1], np.nan])
-    assert calls == [((2 * N,), None), ((2,), 2)]
+        batch.step(u, [s[1][1] for s in streams])
+    assert calls == [((2,), 2), ((2 * N,), None)]
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -515,8 +515,9 @@ def assert_toeplitz_expansion(runs, n):
     assert toeplitz_dense(rows).tobytes() == want
     # into the leading rows of a larger buffer, which keeps the rest
     out = np.full((runs + 3, n, n), 7.0)
-    assert toeplitz_dense(rows, out=out[:runs]) is not None
-    assert out[:runs].tobytes() == want and not np.any(out[runs:] != 7.0)
+    view = out[:runs]
+    got = toeplitz_dense(rows, out=view)
+    assert got is view and got.tobytes() == want and not np.any(out[runs:] != 7.0)
     # rows laid out column-major, or strided, expand alike
     assert toeplitz_dense(np.asfortranarray(rows)).tobytes() == want
     wide = np.zeros((runs, 2 * n))
